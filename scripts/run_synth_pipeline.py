@@ -115,7 +115,7 @@ def main() -> None:
     rng = random.Random(args.seed)
     rng.shuffle(paragraphs)
     split = int(len(paragraphs) * 0.8)
-    model = train(paragraphs[:split], smoothing=1.0, seed=args.seed)
+    model = train(paragraphs[:split], smoothing=1.0)
     held_out = paragraphs[split:]
     accuracy = sum(
         predict(model, p.text)[0] == p.label for p in held_out

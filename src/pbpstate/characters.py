@@ -5,22 +5,31 @@ the most frequently mentioned candidate wins, with ties broken by earliest
 first occurrence so results are stable under appending new posts. Name
 candidates come from a capitalization heuristic rather than a neural NER
 model, which keeps the pipeline dependency-free and deterministic.
+
+Each post is read once: ``post_facts`` tokenizes it a single time and
+records every cue the heuristics use. Profiles aggregate those facts per
+player, and coverage accounting asks whether any cue fired.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import accumulate, islice
+from typing import Callable, Iterable, Sequence
 
-from .gazetteers import POSSESSIVE_ADJECTIVES, Gazetteers
+from .gazetteers import Gazetteers
 from .models import DUNGEON_MASTER, Campaign, CharacterProfile, Post
 
-_WORD_RE = re.compile(r"[A-Za-zÀ-ɏ]+(?:['’-][A-Za-zÀ-ɏ]+)*")
-_SENTENCE_BREAK_RE = re.compile(r"[.!?\n]")
+# A word token, or (unnamed) a sentence-break character between words.
+_TOKEN_RE = re.compile(r"([A-Za-zÀ-ɏ]+(?:['’-][A-Za-zÀ-ɏ]+)*)|[.!?\n]")
 _CAST_RE = re.compile(r"(?<!\w)cast(?:s|ing)?(?!\w)", re.IGNORECASE)
 
 _MAX_SPELL_TOKENS = 4
+
+# (surface, start, end, sentence_initial)
+Token = tuple[str, int, int, bool]
 
 
 @dataclass
@@ -53,18 +62,22 @@ def identify_dm(campaign: Campaign) -> str:
     return campaign.posts[0].author_id
 
 
-def _tokens_with_positions(text: str) -> list[tuple[str, int, int, bool]]:
-    """(surface, start, end, sentence_initial) for each word token."""
+def _tokenize(text: str) -> list[Token]:
+    """Word tokens in order; one scan finds words and sentence breaks.
+
+    A token is sentence-initial when it is the first word of the text or
+    a break character (``.!?`` or a newline) lies between it and the
+    previous word.
+    """
     tokens = []
-    previous_end = 0
     at_sentence_start = True
-    for m in _WORD_RE.finditer(text):
-        gap = text[previous_end : m.start()]
-        if previous_end > 0 and _SENTENCE_BREAK_RE.search(gap):
+    for m in _TOKEN_RE.finditer(text):
+        surface = m[1]
+        if surface is None:
             at_sentence_start = True
-        tokens.append((m.group(0), m.start(), m.end(), at_sentence_start))
+            continue
+        tokens.append((surface, m.start(), m.end(), at_sentence_start))
         at_sentence_start = False
-        previous_end = m.end()
     return tokens
 
 
@@ -83,52 +96,58 @@ def _strip_possessive(surface: str) -> str:
     return surface
 
 
-def extract_proper_names(text: str, gazetteers: Gazetteers) -> list[str]:
+def extract_proper_names(
+    text: str, gazetteers: Gazetteers, tokens: Sequence[Token] | None = None
+) -> list[str]:
     """Candidate person names, one entry per occurrence, in order.
 
     A capitalized token qualifies unless it is a stopword or a gazetteer
     term. A token type capitalized only at sentence starts is kept only
     when the same word never occurs lowercased in the text, since a
     lowercase occurrence marks the capitalization as purely positional.
-    Adjacent qualifying tokens merge into a two-token name.
+    Adjacent qualifying tokens merge into a two-token name. ``tokens``
+    are the text's tokens when the caller already has them.
     """
-    tokens = _tokens_with_positions(text)
+    if tokens is None:
+        tokens = _tokenize(text)
     blocklist = gazetteers.name_blocklist
 
-    lowercase_types = {t[0].lower() for t in tokens if t[0].islower()}
+    lowercase_types: set[str] = set()
     capitalized_mid_sentence: set[str] = set()
+    # Per token: (possessive-stripped surface, its lowercase) if capitalized.
+    capitalized: list[tuple[str, str] | None] = []
     for surface, _, _, initial in tokens:
-        if _is_capitalized(surface) and not initial:
-            capitalized_mid_sentence.add(_strip_possessive(surface).lower())
+        if surface.islower():
+            lowercase_types.add(surface.lower())
+        if _is_capitalized(surface):
+            stripped = _strip_possessive(surface)
+            lowered = stripped.lower()
+            if not initial:
+                capitalized_mid_sentence.add(lowered)
+            capitalized.append((stripped, lowered))
+        else:
+            capitalized.append(None)
 
-    def qualifies(surface: str, initial: bool) -> str | None:
-        if not _is_capitalized(surface):
-            return None
-        stripped = _strip_possessive(surface)
-        lowered = stripped.lower()
-        if lowered in blocklist:
-            return None
-        if (
-            lowered not in capitalized_mid_sentence
-            and lowered in lowercase_types
-        ):
-            return None
-        return stripped
+    qualified = [
+        c[0]
+        if c is not None
+        and c[1] not in blocklist
+        and (c[1] in capitalized_mid_sentence or c[1] not in lowercase_types)
+        else None
+        for c in capitalized
+    ]
 
     names: list[str] = []
     i = 0
     while i < len(tokens):
-        surface, start, end, initial = tokens[i]
-        candidate = qualifies(surface, initial)
+        candidate = qualified[i]
         if candidate is None:
             i += 1
             continue
-        if i + 1 < len(tokens):
-            nxt_surface, nxt_start, _, _ = tokens[i + 1]
-            between = text[end:nxt_start]
-            partner = qualifies(nxt_surface, False)
-            if partner is not None and between.strip() == "" and "\n" not in between:
-                names.append(f"{candidate} {partner}")
+        if i + 1 < len(tokens) and qualified[i + 1] is not None:
+            between = text[tokens[i][2] : tokens[i + 1][1]]
+            if between.strip() == "" and "\n" not in between:
+                names.append(f"{candidate} {qualified[i + 1]}")
                 i += 2
                 continue
         names.append(candidate)
@@ -136,17 +155,174 @@ def extract_proper_names(text: str, gazetteers: Gazetteers) -> list[str]:
     return names
 
 
-def _ordered(posts: Sequence[Post]) -> list[Post]:
-    return sorted(posts, key=lambda p: p.index)
+@dataclass(frozen=True)
+class PostFacts:
+    """Every cue the character heuristics read from one post.
+
+    ``races`` pairs each term with its offset. ``pronouns`` lists the
+    pronoun-set labels in offset order. ``items`` and ``fallback_items``
+    hold lowercased (possessive, next word) pairs whose gap is whitespace:
+    the first when the word is a gazetteer item, the second when it is any
+    other alphabetic non-stopword, which only the inventory fallback reads.
+    ``spells`` are the title-cased phrases after each cast verb.
+    """
+
+    index: int
+    names: tuple[str, ...]
+    classes: tuple[str, ...]
+    races: tuple[tuple[str, int], ...]
+    pronouns: tuple[str, ...]
+    items: tuple[tuple[str, str], ...]
+    fallback_items: tuple[tuple[str, str], ...]
+    spells: tuple[str, ...]
+
+    def cues(self) -> set[str]:
+        """The cue families that fire; fallback-only words are no cue."""
+        families = (
+            ("name", self.names),
+            ("class", self.classes),
+            ("race", self.races),
+            ("pronouns", self.pronouns),
+            ("inventory", self.items),
+            ("spells", self.spells),
+        )
+        return {family for family, hits in families if hits}
+
+
+def _possessions(
+    text: str, tokens: Sequence[Token], gazetteers: Gazetteers
+) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
+    """(items, fallback_items) pairs as described on ``PostFacts``."""
+    possessives = gazetteers.all_possessives
+    item_words = gazetteers.item_words
+    items: list[tuple[str, str]] = []
+    fallback: list[tuple[str, str]] = []
+    for (surface, _, end, _), (nxt_surface, nxt_start, _, _) in zip(
+        tokens, islice(tokens, 1, None)
+    ):
+        possessive = surface.lower()
+        if possessive not in possessives or text[end:nxt_start].strip():
+            continue
+        word = nxt_surface.lower()
+        if word in item_words:
+            items.append((possessive, word))
+        elif word not in gazetteers.stopwords and word.isalpha():
+            fallback.append((possessive, word))
+    return items, fallback
+
+
+def _cast_phrases(
+    text: str,
+    tokens: Sequence[Token],
+    paragraphs: Sequence[str],
+    stopwords: frozenset[str],
+) -> list[str]:
+    """One post's spell phrases, by the rule ``extract_spells`` states.
+
+    Paragraph ends come from the paragraphs themselves, so a newline
+    inside a paragraph is whitespace, not a break.
+    """
+    verbs = list(_CAST_RE.finditer(text))
+    if not verbs:
+        return []
+    starts = [t[1] for t in tokens]
+    # Offset just past each paragraph's joining newline.
+    bounds = list(accumulate(len(p) + 1 for p in paragraphs))
+    phrases: list[str] = []
+    for m in verbs:
+        paragraph_end = bounds[bisect_right(bounds, m.start())] - 1
+        phrase: list[str] = []
+        previous_end = m.end()
+        for surface, start, end, _ in islice(
+            tokens, bisect_left(starts, m.end()), None
+        ):
+            if (
+                start >= paragraph_end
+                or text[previous_end:start].strip()
+                or len(phrase) >= _MAX_SPELL_TOKENS
+                or surface.lower() in stopwords
+            ):
+                break
+            phrase.append(surface)
+            previous_end = end
+        if phrase:
+            phrases.append(" ".join(w.capitalize() for w in phrase))
+    return phrases
+
+
+def post_facts(
+    paragraphs: Sequence[str], gazetteers: Gazetteers, index: int = 0
+) -> PostFacts:
+    """Read one post's paragraphs once; ``index`` is the post's index."""
+    text = "\n".join(paragraphs)
+    tokens = _tokenize(text)
+    pronoun_hits = sorted(
+        (start, label)
+        for label, matcher in gazetteers.pronoun_matchers
+        for _, start in matcher.finditer(text)
+    )
+    items, fallback_items = _possessions(text, tokens, gazetteers)
+    return PostFacts(
+        index=index,
+        names=tuple(extract_proper_names(text, gazetteers, tokens)),
+        classes=tuple(term for term, _ in gazetteers.class_matcher.finditer(text)),
+        races=tuple(gazetteers.race_matcher.finditer(text)),
+        pronouns=tuple(label for _, label in pronoun_hits),
+        items=tuple(items),
+        fallback_items=tuple(fallback_items),
+        spells=tuple(
+            _cast_phrases(text, tokens, paragraphs, gazetteers.stopwords)
+        ),
+    )
+
+
+def _facts_of(posts: Sequence[Post], gazetteers: Gazetteers) -> list[PostFacts]:
+    return [
+        post_facts(p.paragraphs, gazetteers, p.index)
+        for p in sorted(posts, key=lambda p: p.index)
+    ]
+
+
+def _most_mentioned(
+    facts: Iterable[PostFacts], keys: Callable[[PostFacts], Iterable[str]]
+) -> str | None:
+    tally = MentionCounts()
+    for f in facts:
+        for key in keys(f):
+            tally.add(key, f.index)
+    return tally.best()
+
+
+def _race(facts: Sequence[PostFacts]) -> str | None:
+    if not facts:
+        return None
+    if facts[0].races:
+        return min(facts[0].races, key=lambda hit: hit[1])[0]
+    return _most_mentioned(facts, lambda f: (term for term, _ in f.races))
+
+
+def _inventory(
+    facts: Iterable[PostFacts],
+    pronouns: str | None,
+    gazetteers: Gazetteers,
+    fallback: bool,
+) -> frozenset[str]:
+    wanted = gazetteers.possessives_for(pronouns)
+    return frozenset(
+        word
+        for f in facts
+        for possessive, word in (f.items + f.fallback_items if fallback else f.items)
+        if possessive in wanted
+    )
+
+
+def _spells(facts: Iterable[PostFacts]) -> frozenset[str]:
+    return frozenset(spell for f in facts for spell in f.spells)
 
 
 def infer_name(posts: Sequence[Post], gazetteers: Gazetteers) -> str | None:
     """The player's most frequently mentioned proper name, if any."""
-    tally = MentionCounts()
-    for post in _ordered(posts):
-        for name in extract_proper_names(post.text(), gazetteers):
-            tally.add(name, post.index)
-    return tally.best()
+    return _most_mentioned(_facts_of(posts, gazetteers), lambda f: f.names)
 
 
 def infer_class(
@@ -155,11 +331,7 @@ def infer_class(
     """Most mentioned class; the DM is always the Dungeon Master."""
     if is_dm:
         return DUNGEON_MASTER
-    tally = MentionCounts()
-    for post in _ordered(posts):
-        for term, _ in gazetteers.class_matcher.finditer(post.text()):
-            tally.add(term, post.index)
-    return tally.best()
+    return _most_mentioned(_facts_of(posts, gazetteers), lambda f: f.classes)
 
 
 def infer_race(posts: Sequence[Post], gazetteers: Gazetteers) -> str | None:
@@ -167,17 +339,7 @@ def infer_race(posts: Sequence[Post], gazetteers: Gazetteers) -> str | None:
 
     Several races in the first post resolve to the earliest by offset.
     """
-    ordered = _ordered(posts)
-    if not ordered:
-        return None
-    first_matches = list(gazetteers.race_matcher.finditer(ordered[0].text()))
-    if first_matches:
-        return min(first_matches, key=lambda m: m[1])[0]
-    tally = MentionCounts()
-    for post in ordered:
-        for term, _ in gazetteers.race_matcher.finditer(post.text()):
-            tally.add(term, post.index)
-    return tally.best()
+    return _race(_facts_of(posts, gazetteers))
 
 
 def infer_pronouns(posts: Sequence[Post], gazetteers: Gazetteers) -> str | None:
@@ -186,41 +348,7 @@ def infer_pronouns(posts: Sequence[Post], gazetteers: Gazetteers) -> str | None:
     Ties break by first occurrence in document order, so matches are
     merged across sets by offset before tallying.
     """
-    tally = MentionCounts()
-    for post in _ordered(posts):
-        text = post.text()
-        hits: list[tuple[int, str]] = []
-        for label, matcher in gazetteers.pronoun_matchers:
-            hits.extend((start, label) for _, start in matcher.finditer(text))
-        for _, label in sorted(hits):
-            tally.add(label, post.index)
-    return tally.best()
-
-
-def _inventory_hits(
-    posts: Sequence[Post],
-    possessives: Sequence[str],
-    gazetteers: Gazetteers,
-    fallback: bool,
-) -> frozenset[str]:
-    wanted = set(possessives)
-    items = {t.lower() for t in gazetteers.items}
-    found: set[str] = set()
-    for post in _ordered(posts):
-        text = post.text()
-        tokens = _tokens_with_positions(text)
-        for i, (surface, _, end, _) in enumerate(tokens[:-1]):
-            if surface.lower() not in wanted:
-                continue
-            nxt_surface, nxt_start, _, _ = tokens[i + 1]
-            if text[end:nxt_start].strip():
-                continue
-            word = nxt_surface.lower()
-            if word in items:
-                found.add(word)
-            elif fallback and word not in gazetteers.stopwords and word.isalpha():
-                found.add(word)
-    return frozenset(found)
+    return _most_mentioned(_facts_of(posts, gazetteers), lambda f: f.pronouns)
 
 
 def extract_inventory(
@@ -235,9 +363,7 @@ def extract_inventory(
     player's own pronoun set. By default only gazetteer items are captured;
     with ``fallback`` any following noun-like token is taken.
     """
-    return _inventory_hits(
-        posts, gazetteers.possessives_for(pronouns), gazetteers, fallback
-    )
+    return _inventory(_facts_of(posts, gazetteers), pronouns, gazetteers, fallback)
 
 
 def extract_spells(posts: Sequence[Post], gazetteers: Gazetteers) -> frozenset[str]:
@@ -247,87 +373,55 @@ def extract_spells(posts: Sequence[Post], gazetteers: Gazetteers) -> frozenset[s
     punctuation, or paragraph breaks, so "cast sacred flame at ..." yields
     "Sacred Flame".
     """
-    spells: set[str] = set()
-    for post in _ordered(posts):
-        for paragraph in post.paragraphs:
-            tokens = _tokens_with_positions(paragraph)
-            for m in _CAST_RE.finditer(paragraph):
-                phrase: list[str] = []
-                previous_end = m.end()
-                for surface, start, end, _ in tokens:
-                    if start < m.end():
-                        continue
-                    gap = paragraph[previous_end:start]
-                    if gap.strip() or len(phrase) >= _MAX_SPELL_TOKENS:
-                        break
-                    if surface.lower() in gazetteers.stopwords:
-                        break
-                    phrase.append(surface)
-                    previous_end = end
-                if phrase:
-                    spells.add(" ".join(w.capitalize() for w in phrase))
-    return frozenset(spells)
+    return _spells(_facts_of(posts, gazetteers))
 
 
 def text_signals(text: str, gazetteers: Gazetteers) -> set[str]:
-    """Which character-cue families fire anywhere in the text.
+    """Which character-cue families fire in ``text``, read as one paragraph.
 
-    Used for coverage accounting: a turn contributes a heuristic feature
-    when at least one family fires (rolls are accounted separately).
-    Detection mirrors the extractors themselves so coverage never counts
-    a post the extractors would ignore.
+    The families are those of ``PostFacts.cues``, so detection is the
+    extractors' own. Annotation reads each post's facts directly.
     """
-    signals: set[str] = set()
-    if extract_proper_names(text, gazetteers):
-        signals.add("name")
-    if gazetteers.class_matcher.search(text):
-        signals.add("class")
-    if gazetteers.race_matcher.search(text):
-        signals.add("race")
-    if any(matcher.search(text) for _, matcher in gazetteers.pronoun_matchers):
-        signals.add("pronouns")
-
-    probe = Post(post_id="", author_id="", index=0, paragraphs=(text,))
-    widest = gazetteers.possessives_for(None) + tuple(
-        f for f in gazetteers.all_pronoun_forms if f in POSSESSIVE_ADJECTIVES
-    )
-    if _inventory_hits([probe], widest, gazetteers, fallback=False):
-        signals.add("inventory")
-    if _CAST_RE.search(text) and extract_spells([probe], gazetteers):
-        signals.add("spells")
-    return signals
+    return post_facts((text,), gazetteers).cues()
 
 
 def build_profiles(
     campaign: Campaign,
     gazetteers: Gazetteers,
     inventory_fallback: bool = False,
+    facts: Sequence[PostFacts] | None = None,
 ) -> dict[str, CharacterProfile]:
-    """Run all property heuristics per player; the DM profile is scrubbed."""
+    """Run all property heuristics per player; the DM profile is scrubbed.
+
+    ``facts`` are the campaign's post facts in post order, when the caller
+    has already read the posts.
+    """
+    if facts is None:
+        facts = _facts_of(campaign.posts, gazetteers)
     dm_id = identify_dm(campaign)
-    by_player: dict[str, list[Post]] = {}
-    for post in campaign.posts:
-        by_player.setdefault(post.author_id, []).append(post)
+    by_player: dict[str, list[PostFacts]] = {}
+    for post, facts_of_post in zip(campaign.posts, facts):
+        by_player.setdefault(post.author_id, []).append(facts_of_post)
 
     profiles: dict[str, CharacterProfile] = {
         dm_id: CharacterProfile(
             player_id=dm_id, is_dm=True, character_class=DUNGEON_MASTER
         )
     }
-    for player_id, posts in by_player.items():
+    for player_id, player_facts in by_player.items():
         if player_id == dm_id:
             continue
-        pronouns = infer_pronouns(posts, gazetteers)
+        pronouns = _most_mentioned(player_facts, lambda f: f.pronouns)
         profiles[player_id] = CharacterProfile(
             player_id=player_id,
             is_dm=False,
-            name=infer_name(posts, gazetteers),
-            character_class=infer_class(posts, gazetteers),
-            race=infer_race(posts, gazetteers),
+            name=_most_mentioned(player_facts, lambda f: f.names),
+            character_class=_most_mentioned(player_facts, lambda f: f.classes),
+            race=_race(player_facts),
             pronouns=pronouns,
-            inventory=extract_inventory(
-                posts, pronouns, gazetteers, fallback=inventory_fallback
+            inventory=_inventory(
+                player_facts, pronouns, gazetteers, inventory_fallback
             ),
-            spells=extract_spells(posts, gazetteers),
+            spells=_spells(player_facts),
         )
     return profiles

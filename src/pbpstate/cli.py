@@ -211,7 +211,7 @@ def _cmd_train_icooc(
             campaign = campaigns[record["campaign_id"]]
             gold = GoldAnnotations.from_dict(record)
             data.extend(labeled_paragraphs([(campaign, gold)]))
-    model = train(data, smoothing=args.smoothing, seed=args.seed)
+    model = train(data, smoothing=args.smoothing)
     save_model(model, args.out)
     log.info("trained IC/OOC model on %d paragraphs -> %s", len(data), args.out)
     return 0
@@ -377,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--corpus", help="transcript JSONL (needs --gold)")
     p.add_argument("--gold", help="gold JSONL with paragraph labels")
     p.add_argument("--smoothing", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_icooc)
 

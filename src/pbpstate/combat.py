@@ -168,7 +168,6 @@ def extract_monsters(
 def classify_roll_action(
     roll: DiceRoll,
     context: str,
-    in_combat: bool,
     gazetteers: Gazetteers,
     config: CombatDetectorConfig = CombatDetectorConfig(),
 ) -> Action | None:
@@ -178,8 +177,6 @@ def classify_roll_action(
     skill check (ties in distance go to the leftmost keyword); with no
     keyword it is an unclassified check. Other dice yield a damage/heal
     action only when a damage keyword is nearby, otherwise nothing.
-    ``in_combat`` is part of the call contract for symmetry with the span
-    detector but does not alter the keyword rule.
     """
     window = config.attack_window_chars
     offset = roll.char_offset
@@ -207,18 +204,14 @@ def annotate_turn_actions(
     campaign: Campaign,
     gazetteers: Gazetteers,
     config: CombatDetectorConfig = CombatDetectorConfig(),
-    spans: list[CombatSpan] | None = None,
 ) -> list[list[Action]]:
     """Per-post action lists for the whole campaign."""
-    if spans is None:
-        spans = detect_combat_spans(campaign, gazetteers, config)
     actions_per_post: list[list[Action]] = []
     for post in campaign.posts:
-        in_combat = any(span.contains(post.index) for span in spans)
         actions = []
         for roll in post.rolls:
             context = post.paragraphs[roll.paragraph_index]
-            action = classify_roll_action(roll, context, in_combat, gazetteers, config)
+            action = classify_roll_action(roll, context, gazetteers, config)
             if action is not None:
                 actions.append(action)
         actions_per_post.append(actions)

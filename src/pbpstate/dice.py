@@ -71,10 +71,5 @@ def extract_rolls(paragraphs: list[str] | tuple[str, ...]) -> list[DiceRoll]:
     return rolls
 
 
-def is_roll_consistent(roll: DiceRoll) -> bool:
-    """True iff the recorded result is reachable for the dice rolled."""
-    return roll.consistent
-
-
 def contains_dice_expr(text: str) -> bool:
     return _DICE_RE.search(text) is not None

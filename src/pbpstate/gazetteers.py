@@ -104,8 +104,8 @@ class Gazetteers:
         return TermMatcher(self.skills)
 
     @cached_property
-    def item_matcher(self) -> TermMatcher:
-        return TermMatcher(self.items)
+    def item_words(self) -> frozenset[str]:
+        return frozenset(t.lower() for t in self.items)
 
     @cached_property
     def monster_matcher(self) -> TermMatcher:
@@ -147,6 +147,14 @@ class Gazetteers:
     def all_pronoun_forms(self) -> frozenset[str]:
         return frozenset(
             form for _, forms in self.pronoun_sets for form in forms
+        )
+
+    @cached_property
+    def all_possessives(self) -> frozenset[str]:
+        """Every possessive an inventory match can start with, whatever
+        the player's pronouns."""
+        return frozenset(self.possessives_for(None)) | (
+            self.all_pronoun_forms & POSSESSIVE_ADJECTIVES
         )
 
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from .dice import contains_dice_expr
@@ -49,7 +51,7 @@ class LabeledParagraph:
 
 
 def _digit_bucket(text: str) -> str:
-    ratio = sum(c.isdigit() for c in text) / max(1, len(text))
+    ratio = sum(map(str.isdigit, text)) / max(1, len(text))
     if ratio == 0:
         bucket = "none"
     elif ratio <= 0.05:
@@ -70,7 +72,7 @@ def featurize(paragraph: str) -> dict[str, int]:
         features[token] = features.get(token, 0) + 1
     if contains_dice_expr(paragraph):
         features[DICE_FEATURE] = 1
-    if any(t in _SECOND_PERSON for t in features):
+    if not _SECOND_PERSON.isdisjoint(features):
         features[SECOND_PERSON_FEATURE] = 1
     features[_digit_bucket(paragraph)] = 1
     return features
@@ -112,15 +114,13 @@ class IcOocModel:
 def train(
     data: list[LabeledParagraph],
     smoothing: float = 1.0,
-    seed: int = 0,
     labels: tuple[str, ...] = (IC, OOC),
 ) -> IcOocModel:
     """Fit the multinomial model with additive smoothing.
 
-    Deterministic given (data order, smoothing, seed); the seed is part of
-    the call contract for trainer interchangeability but this closed-form
-    estimator does not consume it. Raises DegenerateDataError unless every
-    requested label is present.
+    A closed-form estimator, so the same data and smoothing always give
+    the same model. Raises DegenerateDataError unless every requested
+    label is present.
 
     The dice-notation feature is sign-constrained after fitting so that a
     dice match can never push a paragraph toward IC.
@@ -150,28 +150,33 @@ def fit_from_features(
             f"need examples for every label; missing {missing or labels}"
         )
 
-    doc_counts = {label: 0 for label in labels}
-    token_counts: dict[str, dict[str, int]] = {}
-    label_totals = {label: 0 for label in labels}
+    docs: dict[str, list[dict[str, int]]] = {label: [] for label in labels}
     for features, label in featurized:
-        doc_counts[label] += 1
-        for token, count in features.items():
-            per_label = token_counts.setdefault(token, dict.fromkeys(labels, 0))
-            per_label[label] += count
-            label_totals[label] += count
+        docs[label].append(features)
+
+    # Per label, token -> summed count. Counting the distinct
+    # (token, count) items runs in C; the counts are integers, so the sums
+    # are exact whatever the order.
+    tables: dict[str, dict[str, int]] = {}
+    for label, label_docs in docs.items():
+        table: dict[str, int] = {}
+        items = Counter(chain.from_iterable(map(dict.items, label_docs)))
+        for (token, count), documents in items.items():
+            table[token] = table.get(token, 0) + count * documents
+        tables[label] = table
 
     total_docs = len(featurized)
-    priors = tuple(math.log(doc_counts[lab] / total_docs) for lab in labels)
-    vocab_size = len(token_counts)
-    denominators = {
-        lab: label_totals[lab] + smoothing * vocab_size for lab in labels
-    }
+    priors = tuple(math.log(len(docs[lab]) / total_docs) for lab in labels)
+    vocabulary = sorted(set().union(*tables.values()))
+    denominators = [
+        sum(tables[lab].values()) + smoothing * len(vocabulary) for lab in labels
+    ]
     weights = {
         token: tuple(
-            math.log((per_label[lab] + smoothing) / denominators[lab])
-            for lab in labels
+            math.log((tables[lab].get(token, 0) + smoothing) / denominator)
+            for lab, denominator in zip(labels, denominators)
         )
-        for token, per_label in token_counts.items()
+        for token in vocabulary
     }
 
     if constrain_dice and DICE_FEATURE in weights and IC in labels and OOC in labels:

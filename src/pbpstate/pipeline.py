@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping, Sequence
 
-from .characters import build_profiles, text_signals
+from .characters import build_profiles, post_facts
 from .combat import (
     CombatDetectorConfig,
     annotate_turn_actions,
@@ -109,10 +109,13 @@ def annotate_campaign(
     """Run every heuristic over one campaign.
 
     Without a trained IC/OOC model the turn flavor falls back to the dice
-    rule: paragraphs containing roll notation count as OOC.
+    rule: paragraphs containing roll notation count as OOC. Each post is
+    read once; a post counts toward coverage when it holds a roll or any
+    character cue.
     """
+    facts = [post_facts(p.paragraphs, gazetteers, p.index) for p in campaign.posts]
     profiles = build_profiles(
-        campaign, gazetteers, inventory_fallback=inventory_fallback
+        campaign, gazetteers, inventory_fallback=inventory_fallback, facts=facts
     )
     bare_spans = detect_combat_spans(campaign, gazetteers, combat_config)
     spans = tuple(
@@ -123,14 +126,12 @@ def annotate_campaign(
         )
         for s in bare_spans
     )
-    actions_per_post = annotate_turn_actions(
-        campaign, gazetteers, combat_config, spans=list(bare_spans)
-    )
+    actions_per_post = annotate_turn_actions(campaign, gazetteers, combat_config)
 
     states: list[TurnState] = []
     slot_values: list[dict[str, SlotValue]] = []
     covered_posts = 0
-    for post, actions in zip(campaign.posts, actions_per_post):
+    for post, facts_of_post, actions in zip(campaign.posts, facts, actions_per_post):
         profile = profiles[post.author_id]
         in_combat = any(s.contains(post.index) for s in spans)
         state = TurnState(
@@ -164,7 +165,7 @@ def annotate_campaign(
         )
         slot_values.append(slots)
 
-        if post.rolls or text_signals(post.text(), gazetteers):
+        if post.rolls or facts_of_post.cues():
             covered_posts += 1
 
     return AnnotatedCampaign(

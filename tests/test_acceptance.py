@@ -233,7 +233,7 @@ def test_criterion_6_icooc_classifier():
         rng.shuffle(order)
         split = int(len(order) * 0.8)
         start = time.perf_counter()
-        model = train([paragraphs[i] for i in order[:split]], smoothing=1.0, seed=0)
+        model = train([paragraphs[i] for i in order[:split]], smoothing=1.0)
         assert time.perf_counter() - start < 60.0
         held_out = [paragraphs[i] for i in order[split:]]
         accuracy = sum(

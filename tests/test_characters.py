@@ -1,5 +1,6 @@
 """The frequency heuristics, pinned by hand-counted oracle values."""
 
+from pbpstate import characters
 from pbpstate.characters import (
     MentionCounts,
     build_profiles,
@@ -11,9 +12,11 @@ from pbpstate.characters import (
     infer_name,
     infer_pronouns,
     infer_race,
+    post_facts,
     text_signals,
 )
 from pbpstate.models import DUNGEON_MASTER
+from pbpstate.pipeline import annotate_campaign
 
 from conftest import make_campaign, make_post
 
@@ -243,3 +246,64 @@ class TestTextSignals:
 
     def test_inert_text(self, gaz):
         assert text_signals("The wagon creaks along the rutted trail.", gaz) == set()
+
+
+class TestPostFacts:
+    def test_one_post_holds_every_cue_family(self, gaz):
+        facts = post_facts(
+            ["Kessa the dwarf fighter draws her sword.", "She will cast ember lance."],
+            gaz,
+            index=4,
+        )
+        assert facts.index == 4
+        assert facts.names == ("Kessa",)
+        assert facts.classes == ("fighter",)
+        assert facts.races == (("dwarf", 10),)
+        assert facts.pronouns == ("she/her", "she/her")
+        assert facts.items == (("her", "sword"),)
+        assert facts.spells == ("Ember Lance",)
+        assert facts.cues() == {
+            "name", "class", "race", "pronouns", "inventory", "spells"
+        }
+
+    def test_fallback_words_are_kept_but_are_no_cue(self, gaz):
+        facts = post_facts(["I keep my courage."], gaz)
+        assert facts.items == ()
+        assert facts.fallback_items == (("my", "courage"),)
+        assert facts.cues() == set()
+
+    def test_cast_phrase_stops_at_a_paragraph_break(self, gaz):
+        paragraphs = ["and then i cast", "sacred flame at the door."]
+        assert post_facts(paragraphs, gaz).spells == ()
+        assert extract_spells([make_post(0, paragraphs)], gaz) == set()
+
+    def test_newline_inside_a_paragraph_is_whitespace(self, gaz):
+        facts = post_facts(["i cast sacred\nflame at dusk"], gaz)
+        assert facts.spells == ("Sacred Flame",)
+
+    def test_possessive_pair_spans_the_paragraph_join(self, gaz):
+        # Inventory pairs read the post's text, where paragraphs are joined
+        # by a newline, so the gap is whitespace.
+        assert post_facts(["I reach for my", "axe."], gaz).items == (("my", "axe"),)
+
+
+class TestReadEachPostOnce:
+    def test_annotating_a_campaign_tokenizes_each_post_once(
+        self, sample_game, gaz, monkeypatch
+    ):
+        calls = {"tokenize": 0, "names": 0}
+        tokenize, names = characters._tokenize, characters.extract_proper_names
+
+        def counting_tokenize(text):
+            calls["tokenize"] += 1
+            return tokenize(text)
+
+        def counting_names(*args, **kwargs):
+            calls["names"] += 1
+            return names(*args, **kwargs)
+
+        monkeypatch.setattr(characters, "_tokenize", counting_tokenize)
+        monkeypatch.setattr(characters, "extract_proper_names", counting_names)
+        annotate_campaign(sample_game, gaz)
+        posts = len(sample_game.posts)
+        assert calls == {"tokenize": posts, "names": posts}

@@ -183,34 +183,34 @@ class TestMonsters:
 class TestClassifyRoll:
     def test_skill_check(self, gaz):
         roll, context = roll_and_context("Perception: (1d20+3)[15]")
-        action = classify_roll_action(roll, context, False, gaz)
+        action = classify_roll_action(roll, context, gaz)
         assert action.kind is ActionKind.SKILL_CHECK
         assert action.skill == "perception"
 
     def test_damage(self, gaz):
         roll, context = roll_and_context("Damage: (1d8+2)[10]")
-        action = classify_roll_action(roll, context, True, gaz)
+        action = classify_roll_action(roll, context, gaz)
         assert action.kind is ActionKind.DAMAGE_OR_HEAL
 
     def test_bare_d20_is_unknown_check(self, gaz):
         roll, context = roll_and_context("(1d20)[11]")
-        action = classify_roll_action(roll, context, False, gaz)
+        action = classify_roll_action(roll, context, gaz)
         assert action.kind is ActionKind.UNKNOWN_CHECK
 
     def test_heal_keyword(self, gaz):
         roll, context = roll_and_context("heal (2d4+2)[7]")
-        assert classify_roll_action(roll, context, False, gaz).kind is (
+        assert classify_roll_action(roll, context, gaz).kind is (
             ActionKind.DAMAGE_OR_HEAL
         )
 
     def test_non_d20_without_damage_keyword_yields_nothing(self, gaz):
         roll, context = roll_and_context("rolling hard (2d6)[9]")
-        assert classify_roll_action(roll, context, True, gaz) is None
+        assert classify_roll_action(roll, context, gaz) is None
 
     def test_nearest_keyword_wins(self, gaz):
         context = "athletics or not, attack now: (1d20)[12]"
         roll = extract_rolls([context])[0]
-        action = classify_roll_action(roll, context, True, gaz)
+        action = classify_roll_action(roll, context, gaz)
         assert action.kind is ActionKind.ATTACK
 
     def test_equidistant_keywords_take_leftmost(self, gaz):
@@ -221,7 +221,7 @@ class TestClassifyRoll:
         assert abs(context.index("arcana") - roll.char_offset) == abs(
             context.index("attack") - roll.char_offset
         )
-        action = classify_roll_action(roll, context, True, gaz)
+        action = classify_roll_action(roll, context, gaz)
         assert action.kind is ActionKind.SKILL_CHECK
         assert action.skill == "arcana"
 

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from pbpstate.dice import (
     extract_rolls,
     format_dice_expr,
-    is_roll_consistent,
     parse_dice_expr,
 )
 from pbpstate.errors import GrammarError
@@ -87,15 +86,15 @@ def test_extract_skips_impossible_dice():
 
 
 def test_consistency_inside_range():
-    assert is_roll_consistent(parse_dice_expr("(1d20+6)[20]"))
+    assert parse_dice_expr("(1d20+6)[20]").consistent
 
 
 def test_consistency_below_forced_minimum():
-    assert not is_roll_consistent(parse_dice_expr("(1d8+2)[1]"))
+    assert not parse_dice_expr("(1d8+2)[1]").consistent
 
 
 def test_consistency_at_maximum_face():
-    assert is_roll_consistent(parse_dice_expr("(1d20)[20]"))
+    assert parse_dice_expr("(1d20)[20]").consistent
 
 
 roll_strategy = st.builds(

@@ -14,8 +14,10 @@ from pbpstate.icooc import (
     DICE_FEATURE,
     IC,
     OOC,
+    IcOocModel,
     LabeledParagraph,
     featurize,
+    fit_from_features,
     label_turn,
     load_model,
     predict,
@@ -39,7 +41,7 @@ TRAIN_SET = [
 
 
 def trained():
-    return train(TRAIN_SET, smoothing=1.0, seed=0)
+    return train(TRAIN_SET, smoothing=1.0)
 
 
 class TestFeaturize:
@@ -61,20 +63,26 @@ class TestFeaturize:
     def test_repeated_tokens_count(self):
         assert featurize("rain rain rain")["rain"] == 3
 
+    def test_digit_bucket_counts_every_unicode_digit(self):
+        # str.isdigit accepts superscripts such as "²", which a \d regex
+        # would not: one digit in three characters is the high bucket.
+        assert "__digits:high__" in featurize("ft²")
+        assert "__digits:none__" in featurize("ft")
+
 
 class TestTrain:
     def test_balanced_priors(self):
         data = TRAIN_SET[:2] + TRAIN_SET[4:6]
-        model = train(data, smoothing=1.0, seed=0)
+        model = train(data, smoothing=1.0)
         assert model.priors == (math.log(0.5), math.log(0.5))
 
     def test_single_class_degenerates(self):
         with pytest.raises(DegenerateDataError):
-            train(TRAIN_SET[:3], smoothing=1.0, seed=0)
+            train(TRAIN_SET[:3], smoothing=1.0)
 
     def test_empty_data_degenerates(self):
         with pytest.raises(DegenerateDataError):
-            train([], smoothing=1.0, seed=0)
+            train([], smoothing=1.0)
 
     def test_training_is_deterministic(self):
         assert trained() == trained()
@@ -85,7 +93,7 @@ class TestTrain:
         data = TRAIN_SET + [
             LabeledParagraph("he lets fly (1d20+1)[7] arrows of light", IC)
         ] * 5
-        model = train(data, smoothing=1.0, seed=0)
+        model = train(data, smoothing=1.0)
         ic_index, ooc_index = model.labels.index(IC), model.labels.index(OOC)
         weights = model.weights[DICE_FEATURE]
         assert weights[ic_index] <= weights[ooc_index]
@@ -94,7 +102,7 @@ class TestTrain:
         data = TRAIN_SET + [
             LabeledParagraph("he lets fly (1d20+1)[7] arrows of light", IC)
         ] * 5
-        model = train(data, smoothing=1.0, seed=0)
+        model = train(data, smoothing=1.0)
         for paragraph in (
             "the rain falls over the quiet camp",
             "add your bonus to the roll",
@@ -198,7 +206,75 @@ class TestModelIO:
 @settings(max_examples=30)
 @given(st.floats(min_value=0.1, max_value=5.0))
 def test_smoothing_keeps_weights_finite(smoothing):
-    model = train(TRAIN_SET, smoothing=smoothing, seed=0)
+    model = train(TRAIN_SET, smoothing=smoothing)
     for weights in model.weights.values():
         assert all(math.isfinite(w) for w in weights)
     assert all(math.isfinite(p) for p in model.priors)
+
+
+def reference_fit(featurized, labels, smoothing, constrain_dice=False):
+    """The per-document loop the count-table fit replaced: (priors, weights)."""
+    doc_counts = {label: 0 for label in labels}
+    token_counts = {}
+    label_totals = {label: 0 for label in labels}
+    for features, label in featurized:
+        doc_counts[label] += 1
+        for token, count in features.items():
+            per_label = token_counts.setdefault(token, dict.fromkeys(labels, 0))
+            per_label[label] += count
+            label_totals[label] += count
+    total_docs = len(featurized)
+    priors = tuple(math.log(doc_counts[lab] / total_docs) for lab in labels)
+    denominators = {
+        lab: label_totals[lab] + smoothing * len(token_counts) for lab in labels
+    }
+    weights = {
+        token: tuple(
+            math.log((per_label[lab] + smoothing) / denominators[lab])
+            for lab in labels
+        )
+        for token, per_label in token_counts.items()
+    }
+    if constrain_dice and DICE_FEATURE in weights:
+        ic, ooc = labels.index(IC), labels.index(OOC)
+        w = list(weights[DICE_FEATURE])
+        if w[ic] > w[ooc]:
+            w[ic] = w[ooc]
+            weights[DICE_FEATURE] = tuple(w)
+    return priors, weights
+
+
+def random_documents(rng, labels, n):
+    vocabulary = [f"w{i}" for i in range(60)] + [DICE_FEATURE]
+    return [
+        (
+            {t: rng.randint(1, 4) for t in rng.sample(vocabulary, rng.randint(0, 12))},
+            rng.choice(labels),
+        )
+        for _ in range(n)
+    ] + [({"w0": 1}, label) for label in labels]
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("smoothing", [0.5, 1.0])
+def test_count_table_fit_equals_reference_loop(seed, smoothing, tmp_path):
+    rng = random.Random(seed)
+    cases = [
+        ((IC, OOC), True, [(featurize(p.text), p.label) for p in TRAIN_SET]),
+        ((IC, OOC), True, random_documents(rng, (IC, OOC), 200)),
+        (("a", "b", "c", "d"), False, random_documents(rng, ("a", "b", "c", "d"), 300)),
+    ]
+    for labels, constrain, featurized in cases:
+        model = fit_from_features(
+            featurized, labels=labels, smoothing=smoothing, slot="s",
+            constrain_dice=constrain,
+        )
+        priors, weights = reference_fit(featurized, labels, smoothing, constrain)
+        assert model.priors == priors
+        assert model.weights == weights
+        save_model(model, tmp_path / "fit.model")
+        reference = IcOocModel(labels, priors, weights, smoothing, slot="s")
+        save_model(reference, tmp_path / "reference.model")
+        assert (tmp_path / "fit.model").read_bytes() == (
+            tmp_path / "reference.model"
+        ).read_bytes()

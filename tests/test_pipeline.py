@@ -56,7 +56,7 @@ def test_in_combat_slot_covered_only_on_roll_posts(gaz, synth_pairs):
 
 
 def test_trained_icooc_model_drives_in_character(gaz, synth_pairs):
-    model = train(labeled_paragraphs(synth_pairs), smoothing=1.0, seed=0)
+    model = train(labeled_paragraphs(synth_pairs), smoothing=1.0)
     campaign, gold = synth_pairs[1]
     annotated = annotate_campaign(campaign, gaz, icooc_model=model)
     agreements = sum(
@@ -121,6 +121,13 @@ def test_coverage_counts_posts_with_any_signal(gaz):
     )
     annotated = annotate_campaign(campaign, gaz)
     assert annotated.coverage == pytest.approx(2 / 4)
+
+
+def test_coverage_ignores_cast_phrases_across_paragraphs(gaz):
+    # The spell extractor stops at a paragraph break, so a cast verb at the
+    # end of one paragraph is no cue and the post is uncovered.
+    campaign = make_campaign([("dm", ["and then i cast", "sacred flame at the door."])])
+    assert annotate_campaign(campaign, gaz).coverage == 0.0
 
 
 def test_fill_respects_no_fill(gaz, synth_pairs):

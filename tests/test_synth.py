@@ -4,7 +4,6 @@ import pytest
 
 from pbpstate.characters import build_profiles, text_signals
 from pbpstate.combat import CombatDetectorConfig, detect_combat_spans, extract_monsters
-from pbpstate.dice import is_roll_consistent
 from pbpstate.errors import ConfigError
 from pbpstate.icooc import IC, OOC
 from pbpstate.models import validate_spans
@@ -74,7 +73,7 @@ def test_generated_rolls_are_consistent():
     for campaign, _ in generate(SMALL):
         for post in campaign.posts:
             for roll in post.rolls:
-                assert is_roll_consistent(roll)
+                assert roll.consistent
 
 
 def test_gold_spans_satisfy_invariants():
