@@ -47,7 +47,6 @@ def run_rate(rate: float, args, gazetteers, out_dir: Path) -> None:
         gazetteers,
         CombatDetectorConfig(gap_turns=config.gap_turns),
         fill=True,
-        workers=4,
     )
     elapsed = time.perf_counter() - started
 

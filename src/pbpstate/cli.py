@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error. Diagnostics go to
 stderr; data goes to files or stdout. A checked-in INI config file can
-pin defaults (sections [paths], [combat], [fill], [serialize], [run]);
+pin defaults (sections [paths], [combat], [fill], [serialize]);
 explicit flags always win over the config file.
 """
 
@@ -17,7 +17,7 @@ from typing import Any, Sequence
 
 from . import __version__
 from .combat import CombatDetectorConfig
-from .errors import PbpError
+from .errors import AlignmentError, FormatError, PbpError
 from .evaluation import (
     CorpusStats,
     corpus_stats,
@@ -165,7 +165,6 @@ def _cmd_annotate(args: argparse.Namespace, config: configparser.ConfigParser) -
     fill_threshold = _setting(
         args.fill_threshold, config, "fill", "threshold", 0.5, float
     )
-    workers = _setting(args.workers, config, "run", "workers", 1, int)
 
     annotated = annotate_corpus(
         load_campaigns(args.infile),
@@ -175,7 +174,6 @@ def _cmd_annotate(args: argparse.Namespace, config: configparser.ConfigParser) -
         inventory_fallback=args.inventory_fallback,
         fill=not args.no_fill,
         fill_threshold=fill_threshold,
-        workers=workers,
     )
     records = [annotated_to_record(ac) for ac in annotated]
     # Self-validation: every record must parse back into valid domain types.
@@ -254,13 +252,40 @@ def _cmd_serialize(
     return 0
 
 
+def _slot_rows_by_campaign(path: str) -> dict[str, list[dict[str, Any]]]:
+    """campaign_id -> per-turn slot rows, in file order; ids must be unique."""
+    rows: dict[str, list[dict[str, Any]]] = {}
+    for lineno, record in iter_jsonl(path):
+        campaign_id = record.get("campaign_id") if isinstance(record, dict) else None
+        if not isinstance(campaign_id, str):
+            raise FormatError(f"{path}: record has no string campaign_id", line=lineno)
+        if campaign_id in rows:
+            raise FormatError(
+                f"{path}: duplicate campaign_id {campaign_id!r}", line=lineno
+            )
+        rows[campaign_id] = slot_rows_from_record(record)
+    return rows
+
+
 def _cmd_eval_gst(args: argparse.Namespace, config: configparser.ConfigParser) -> int:
+    pred_by_id = _slot_rows_by_campaign(args.pred)
+    gold_by_id = _slot_rows_by_campaign(args.gold)
+    extra = [cid for cid in pred_by_id if cid not in gold_by_id]
+    if extra:
+        raise FormatError(f"campaign {extra[0]!r} has predictions but no gold")
     pred_rows: list[dict[str, Any]] = []
-    for _, record in iter_jsonl(args.pred):
-        pred_rows.extend(slot_rows_from_record(record))
     gold_rows: list[dict[str, Any]] = []
-    for _, record in iter_jsonl(args.gold):
-        gold_rows.extend(slot_rows_from_record(record))
+    for campaign_id, gold_turns in gold_by_id.items():
+        if campaign_id not in pred_by_id:
+            raise FormatError(f"campaign {campaign_id!r} has gold but no predictions")
+        pred_turns = pred_by_id[campaign_id]
+        if len(pred_turns) != len(gold_turns):
+            raise AlignmentError(
+                f"campaign {campaign_id!r}: {len(pred_turns)} predicted"
+                f" vs {len(gold_turns)} gold turns"
+            )
+        pred_rows.extend(pred_turns)
+        gold_rows.extend(gold_turns)
     slots = args.slots.split(",") if args.slots else list(SLOT_KEYS)
     report = slot_accuracy(pred_rows, gold_rows, slots)
     if args.json:
@@ -368,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-fill", action="store_true")
     p.add_argument("--fill-threshold", type=float)
     p.add_argument("--inventory-fallback", action="store_true")
-    p.add_argument("--workers", type=int)
     p.set_defaults(func=_cmd_annotate)
 
     p = sub.add_parser("train-icooc", help="train the IC/OOC paragraph classifier")

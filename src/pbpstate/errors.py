@@ -34,10 +34,6 @@ class DegenerateDataError(PbpError):
     """Training data does not contain at least two distinct labels."""
 
 
-class DegenerateSlotError(PbpError):
-    """A slot has fewer than two observed labels among covered turns."""
-
-
 class EmptySlotError(PbpError):
     """A majority baseline needs at least one gold value per slot."""
 

@@ -14,7 +14,7 @@ against a fixed English list (his, her, their, its).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -36,6 +36,10 @@ SECTIONS = (
 POSSESSIVE_ADJECTIVES = frozenset({"his", "her", "their", "its"})
 
 FIRST_PERSON_POSSESSIVES = ("my", "our")
+
+# Used when a gazetteer file leaves these sections empty or absent.
+DEFAULT_ATTACK_WORDS = ("attack",)
+DEFAULT_DAMAGE_WORDS = ("damage", "dmg", "cure", "heal", "healing", "points")
 
 
 class TermMatcher:
@@ -86,10 +90,8 @@ class Gazetteers:
     items: tuple[str, ...]
     monsters: tuple[str, ...]
     stopwords: frozenset[str] = frozenset()
-    attack_words: tuple[str, ...] = ("attack",)
-    damage_words: tuple[str, ...] = field(
-        default=("damage", "dmg", "cure", "heal", "healing", "points")
-    )
+    attack_words: tuple[str, ...] = DEFAULT_ATTACK_WORDS
+    damage_words: tuple[str, ...] = DEFAULT_DAMAGE_WORDS
 
     @cached_property
     def class_matcher(self) -> TermMatcher:
@@ -199,9 +201,8 @@ def parse_gazetteers(text: str) -> Gazetteers:
         items=plain("items"),
         monsters=plain("monsters"),
         stopwords=frozenset(plain("stopwords")),
-        attack_words=plain("attack_words") or ("attack",),
-        damage_words=plain("damage_words")
-        or ("damage", "dmg", "cure", "heal", "healing", "points"),
+        attack_words=plain("attack_words") or DEFAULT_ATTACK_WORDS,
+        damage_words=plain("damage_words") or DEFAULT_DAMAGE_WORDS,
     )
 
 

@@ -13,7 +13,6 @@ roll. Turns without coverage are left for the slot-fill models.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -186,41 +185,34 @@ def annotate_corpus(
     inventory_fallback: bool = False,
     fill: bool = True,
     fill_threshold: float = 0.5,
-    fill_smoothing: float = 1.0,
-    workers: int = 1,
 ) -> list[AnnotatedCampaign]:
-    """Annotate many campaigns, then train and apply the slot-fill models.
+    """Annotate many campaigns in input order, then train and apply the
+    slot-fill models.
 
-    Worker threads process campaigns concurrently; output order always
-    equals input order. Fill models are trained on the corpus's own
-    heuristic-covered turns, mirroring how the fallback classifiers are
-    meant to be bootstrapped; slots with a single observed label are
-    skipped rather than failing the whole run.
+    Fill models are trained on the corpus's own heuristic-covered turns,
+    mirroring how the fallback classifiers are meant to be bootstrapped;
+    slots with a single observed label get no model. Each post is
+    featurized once, and the features live only until filling ends.
     """
-    from .slots import fill_missing, train_slot_models
+    from .slots import fill_missing, post_features, train_slot_models
 
-    def _one(campaign: Campaign) -> AnnotatedCampaign:
-        return annotate_campaign(
+    annotated = [
+        annotate_campaign(
             campaign,
             gazetteers,
             combat_config,
             icooc_model=icooc_model,
             inventory_fallback=inventory_fallback,
         )
-
-    campaign_list = list(campaigns)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            annotated = list(pool.map(_one, campaign_list))
-    else:
-        annotated = [_one(c) for c in campaign_list]
-
+        for campaign in campaigns
+    ]
     if fill and annotated:
-        models = train_slot_models(
-            annotated, smoothing=fill_smoothing, skip_degenerate=True
-        )
+        features = post_features(annotated)
+        models = train_slot_models(annotated, features)
         if models:
-            annotated = fill_missing(annotated, models, min_score=fill_threshold)
+            annotated = fill_missing(
+                annotated, models, features, min_score=fill_threshold
+            )
     return annotated
 
 

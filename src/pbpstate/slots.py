@@ -14,65 +14,52 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .errors import DegenerateDataError, DegenerateSlotError
 from .icooc import IcOocModel, fit_from_features, featurize
-from .models import Campaign
 from .pipeline import FILLABLE_SLOTS, HEURISTIC, MODEL, AnnotatedCampaign, SlotValue
 
 
-def _post_features(campaign: Campaign) -> list[dict[str, int]]:
+def post_features(
+    annotated: Sequence[AnnotatedCampaign],
+) -> list[list[dict[str, int]]]:
+    """Per campaign, the featurized text of each post ({} for a blank one).
+
+    Computed once and shared by training and filling.
+    """
     return [
-        featurize(post.text()) if post.text().strip() else {}
-        for post in campaign.posts
+        [
+            featurize(text) if (text := post.text()).strip() else {}
+            for post in ac.campaign.posts
+        ]
+        for ac in annotated
     ]
-
-
-def train_slot_model(
-    featurized: Sequence[tuple[dict[str, int], str]],
-    slot: str,
-    smoothing: float = 1.0,
-) -> IcOocModel:
-    """Fit one slot's classifier from (features, label) pairs."""
-    labels = tuple(sorted({label for _, label in featurized}))
-    if len(labels) < 2:
-        raise DegenerateSlotError(
-            f"slot {slot!r} has {len(labels)} observed label(s); need at least 2"
-        )
-    try:
-        return fit_from_features(
-            list(featurized), labels=labels, smoothing=smoothing, slot=slot
-        )
-    except DegenerateDataError as exc:
-        raise DegenerateSlotError(str(exc)) from exc
 
 
 def train_slot_models(
     annotated: Sequence[AnnotatedCampaign],
-    slots: Sequence[str] = FILLABLE_SLOTS,
-    smoothing: float = 1.0,
-    skip_degenerate: bool = False,
+    features: Sequence[Sequence[dict[str, int]]],
 ) -> dict[str, IcOocModel]:
-    """Train every requested slot on its heuristic-covered turns.
+    """Train each fillable slot on its heuristic-covered turns.
 
-    With ``skip_degenerate`` slots lacking two observed labels are dropped
-    from the result instead of raising.
+    ``features`` comes from ``post_features(annotated)``. A slot with fewer
+    than two observed labels gets no model.
     """
-    training: dict[str, list[tuple[dict[str, int], str]]] = {s: [] for s in slots}
-    for ac in annotated:
-        features = _post_features(ac.campaign)
-        for post_features, slot_row in zip(features, ac.slot_values):
-            for slot in slots:
+    training: dict[str, list[tuple[dict[str, int], str]]] = {
+        s: [] for s in FILLABLE_SLOTS
+    }
+    for ac, campaign_features in zip(annotated, features):
+        for feats, slot_row in zip(campaign_features, ac.slot_values):
+            for slot in FILLABLE_SLOTS:
                 value, source = slot_row.get(slot, (None, None))
                 if source == HEURISTIC and value is not None:
-                    training[slot].append((post_features, value))
+                    training[slot].append((feats, value))
 
     models: dict[str, IcOocModel] = {}
-    for slot in slots:
-        try:
-            models[slot] = train_slot_model(training[slot], slot, smoothing)
-        except DegenerateSlotError:
-            if not skip_degenerate:
-                raise
+    for slot, featurized in training.items():
+        labels = tuple(sorted({label for _, label in featurized}))
+        if len(labels) >= 2:
+            models[slot] = fit_from_features(
+                featurized, labels=labels, smoothing=1.0, slot=slot
+            )
     return models
 
 
@@ -88,23 +75,24 @@ def predict_slot(
 def fill_missing(
     annotated: Sequence[AnnotatedCampaign],
     models: Mapping[str, IcOocModel],
+    features: Sequence[Sequence[dict[str, int]]],
     min_score: float = 0.5,
 ) -> list[AnnotatedCampaign]:
     """Fill uncovered slots with model labels scoring at least min_score.
 
-    Heuristic values are never touched; filled cells carry source "model".
+    ``features`` comes from ``post_features(annotated)``. Heuristic values
+    are never touched; filled cells carry source "model".
     """
     filled: list[AnnotatedCampaign] = []
-    for ac in annotated:
-        features = _post_features(ac.campaign)
+    for ac, campaign_features in zip(annotated, features):
         new_rows: list[dict[str, SlotValue]] = []
-        for post_features, slot_row in zip(features, ac.slot_values):
+        for feats, slot_row in zip(campaign_features, ac.slot_values):
             row = dict(slot_row)
             for slot, model in models.items():
                 value, source = row.get(slot, (None, None))
                 if source is not None or value is not None:
                     continue
-                label, score = predict_slot(model, post_features)
+                label, score = predict_slot(model, feats)
                 if score >= min_score:
                     row[slot] = (label, MODEL)
             new_rows.append(row)

@@ -21,37 +21,62 @@ from .errors import FormatError
 from .models import Campaign, Post
 
 
+_TYPE_NAMES = {str: "a string", list: "a list", dict: "an object"}
+
+
+def _field(
+    obj: dict[str, Any], key: str, kind: type, where: str, line: int | None
+) -> Any:
+    """obj[key], which must be of type ``kind``; FormatError otherwise."""
+    if key not in obj:
+        raise FormatError(f"{where}missing field {key!r}", line=line)
+    value = obj[key]
+    if not isinstance(value, kind):
+        raise FormatError(
+            f"{where}field {key!r} must be {_TYPE_NAMES[kind]},"
+            f" not {type(value).__name__}",
+            line=line,
+        )
+    return value
+
+
 def campaign_from_record(record: dict[str, Any], line: int | None = None) -> Campaign:
     """Build a Campaign from one decoded JSONL record.
 
+    Ids are strings, ``posts`` is a list of objects and each post's
+    ``paragraphs`` a list of strings; anything else raises FormatError.
     Posts are re-indexed 0..n-1 in file order and inline dice notation is
     materialized into rolls.
     """
-    try:
-        campaign_id = record["campaign_id"]
-        raw_posts = record["posts"]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"missing field {exc}", line=line) from exc
+    if not isinstance(record, dict):
+        raise FormatError(
+            f"record must be an object, not {type(record).__name__}", line=line
+        )
+    campaign_id = _field(record, "campaign_id", str, "", line)
+    raw_posts = _field(record, "posts", list, f"campaign {campaign_id!r}: ", line)
     posts = []
     for index, raw in enumerate(raw_posts):
+        where = f"post {index} of campaign {campaign_id!r}: "
+        if not isinstance(raw, dict):
+            raise FormatError(
+                f"{where}post must be an object, not {type(raw).__name__}",
+                line=line,
+            )
+        paragraphs = tuple(_field(raw, "paragraphs", list, where, line))
+        if not all(isinstance(p, str) for p in paragraphs):
+            raise FormatError(
+                f"{where}field 'paragraphs' must be a list of strings", line=line
+            )
         try:
-            paragraphs = tuple(raw["paragraphs"])
             post = Post(
-                post_id=raw["post_id"],
-                author_id=raw["author_id"],
+                post_id=_field(raw, "post_id", str, where, line),
+                author_id=_field(raw, "author_id", str, where, line),
                 index=index,
                 paragraphs=paragraphs,
                 rolls=tuple(extract_rolls(paragraphs)),
             )
-        except (KeyError, TypeError) as exc:
-            raise FormatError(
-                f"post {index} of campaign {campaign_id!r}: missing field {exc}",
-                line=line,
-            ) from exc
         except ValueError as exc:
-            raise FormatError(
-                f"post {index} of campaign {campaign_id!r}: {exc}", line=line
-            ) from exc
+            raise FormatError(f"{where}{exc}", line=line) from exc
         posts.append(post)
     try:
         return Campaign(campaign_id=campaign_id, posts=tuple(posts))
@@ -73,9 +98,21 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
 
 
 def load_campaigns(path: str | Path) -> Iterator[Campaign]:
-    """Stream campaigns from a transcript file in file order."""
+    """Stream campaigns from a transcript file in file order.
+
+    A campaign_id seen on an earlier line raises FormatError.
+    """
+    first_line: dict[str, int] = {}
     for lineno, record in iter_jsonl(path):
-        yield campaign_from_record(record, line=lineno)
+        campaign = campaign_from_record(record, line=lineno)
+        seen = first_line.setdefault(campaign.campaign_id, lineno)
+        if seen != lineno:
+            raise FormatError(
+                f"duplicate campaign_id {campaign.campaign_id!r}"
+                f" (first on line {seen})",
+                line=lineno,
+            )
+        yield campaign
 
 
 def dump_json_line(obj: Any) -> str:

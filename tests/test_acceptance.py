@@ -31,7 +31,7 @@ from pbpstate.pipeline import (
     annotate_corpus,
 )
 from pbpstate.serialize import ControlVariant, build_examples
-from pbpstate.slots import fill_missing, train_slot_models
+from pbpstate.slots import fill_missing, post_features, train_slot_models
 from pbpstate.synth import SynthConfig, generate, generate_corpus, labeled_paragraphs
 from pbpstate.transcripts import load_campaigns, write_campaigns
 
@@ -313,7 +313,7 @@ def test_criterion_9_slot_filler(gaz, distractor_corpus):
         )
         campaign, _ = generate(config)[0]
         base = annotate_campaign(campaign, gaz, CombatDetectorConfig())
-        models = train_slot_models([base], skip_degenerate=True)
+        models = train_slot_models([base], post_features([base]))
         labels = {slot: model.labels for slot, model in models.items()}
         rng = random.Random(9)
         for _ in range(1_000):
@@ -327,7 +327,9 @@ def test_criterion_9_slot_filler(gaz, distractor_corpus):
                         row[slot] = (None, None)
                 rows.append(row)
             doctored = base.with_slot_values(rows)
-            filled = fill_missing([doctored], models, min_score=0.0)[0]
+            filled = fill_missing(
+                [doctored], models, post_features([doctored]), min_score=0.0
+            )[0]
             for row, filled_row in zip(rows, filled.slot_values):
                 for slot, cell in row.items():
                     if cell[1] == HEURISTIC:

@@ -109,6 +109,73 @@ def test_annotate_eval_round_trip(synth_corpus, tmp_path, capsys):
     assert report["per_slot"]["character_class"] == 1.0
 
 
+def _eval_json(pred, gold, capsys):
+    code = main(["eval-gst", "--pred", str(pred), "--gold", str(gold), "--json"])
+    return code, (json.loads(capsys.readouterr().out) if code == 0 else None)
+
+
+def test_eval_gst_joins_on_campaign_id(synth_corpus, tmp_path, capsys):
+    corpus, gold = synth_corpus
+    annotated = tmp_path / "annotated.jsonl"
+    assert main(["annotate", "--in", str(corpus), "--out", str(annotated)]) == 0
+    reversed_gold = tmp_path / "reversed_gold.jsonl"
+    lines = gold.read_text(encoding="utf-8").splitlines()
+    reversed_gold.write_text("\n".join(reversed(lines)) + "\n", encoding="utf-8")
+    assert _eval_json(annotated, reversed_gold, capsys) == _eval_json(
+        annotated, gold, capsys
+    )
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines[:-1], "has predictions but no gold"),
+        (lambda lines: lines + lines[:1], "duplicate campaign_id"),
+    ],
+)
+def test_eval_gst_rejects_unmatched_gold(synth_corpus, tmp_path, capsys, edit, message):
+    corpus, gold = synth_corpus
+    annotated = tmp_path / "annotated.jsonl"
+    assert main(["annotate", "--in", str(corpus), "--out", str(annotated)]) == 0
+    edited = tmp_path / "edited_gold.jsonl"
+    lines = gold.read_text(encoding="utf-8").splitlines()
+    edited.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval-gst", "--pred", str(annotated), "--gold", str(edited)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "'" in err
+
+
+def test_eval_gst_rejects_missing_prediction_and_turn_mismatch(
+    synth_corpus, tmp_path, capsys
+):
+    corpus, gold = synth_corpus
+    annotated = tmp_path / "annotated.jsonl"
+    assert main(["annotate", "--in", str(corpus), "--out", str(annotated)]) == 0
+    records = [json.loads(line) for line in annotated.read_text().splitlines()]
+    first_id = records[0]["campaign_id"]
+
+    fewer = tmp_path / "fewer.jsonl"
+    fewer.write_text(
+        "".join(json.dumps(r) + "\n" for r in records[1:]), encoding="utf-8"
+    )
+    capsys.readouterr()
+    assert main(["eval-gst", "--pred", str(fewer), "--gold", str(gold)]) == 2
+    assert f"campaign {first_id!r} has gold but no predictions" in (
+        capsys.readouterr().err
+    )
+
+    # Move one turn from the first campaign to the second: the total turn
+    # count still matches gold, the per-campaign counts do not.
+    records[1]["turn_slots"].append(records[0]["turn_slots"].pop())
+    shifted = tmp_path / "shifted.jsonl"
+    shifted.write_text(
+        "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
+    )
+    assert main(["eval-gst", "--pred", str(shifted), "--gold", str(gold)]) == 2
+    assert f"campaign {first_id!r}" in capsys.readouterr().err
+
+
 def test_annotate_is_idempotent(synth_corpus, tmp_path):
     corpus, _ = synth_corpus
     first = tmp_path / "x.jsonl"

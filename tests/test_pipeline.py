@@ -3,7 +3,8 @@
 import pytest
 
 from pbpstate.combat import CombatDetectorConfig
-from pbpstate.icooc import train
+from pbpstate import slots
+from pbpstate.icooc import featurize, train
 from pbpstate.pipeline import (
     HEURISTIC,
     annotate_campaign,
@@ -98,16 +99,25 @@ def test_gold_record_slot_rows(synth_pairs):
         assert row == state_slot_values(state)
 
 
-def test_worker_pool_preserves_order(gaz, synth_pairs):
-    campaigns = [c for c, _ in synth_pairs]
-    serial = annotate_corpus(campaigns, gaz, fill=False, workers=1)
-    parallel = annotate_corpus(campaigns, gaz, fill=False, workers=4)
-    assert [a.campaign.campaign_id for a in serial] == [
-        a.campaign.campaign_id for a in parallel
+def test_corpus_without_fill_is_campaigns_in_input_order(gaz, synth_pairs):
+    campaigns = [c for c, _ in reversed(synth_pairs)]
+    assert annotate_corpus(campaigns, gaz, fill=False) == [
+        annotate_campaign(c, gaz) for c in campaigns
     ]
-    for a, b in zip(serial, parallel):
-        assert a.slot_values == b.slot_values
-        assert a.turn_states == b.turn_states
+
+
+def test_fill_featurizes_each_post_once(gaz, synth_pairs, monkeypatch):
+    calls = []
+
+    def counting_featurize(text):
+        calls.append(text)
+        return featurize(text)
+
+    monkeypatch.setattr(slots, "featurize", counting_featurize)
+    campaigns = [c for c, _ in synth_pairs]
+    annotate_corpus(campaigns, gaz)
+    texts = [p.text() for c in campaigns for p in c.posts if p.text().strip()]
+    assert sorted(calls) == sorted(texts)
 
 
 def test_coverage_counts_posts_with_any_signal(gaz):

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from pbpstate.combat import CombatDetectorConfig
-from pbpstate.errors import DegenerateSlotError
 from pbpstate.icooc import featurize
 from pbpstate.pipeline import (
     FILLABLE_SLOTS,
@@ -16,13 +15,15 @@ from pbpstate.pipeline import (
 )
 from pbpstate.slots import (
     fill_missing,
+    post_features,
     predict_slot,
     slot_coverage,
-    train_slot_model,
     train_slot_models,
 )
 from pbpstate.synth import SignalRates, SynthConfig, generate
 from pbpstate.icooc import load_model, save_model
+
+from conftest import make_campaign
 
 
 @pytest.fixture(scope="module")
@@ -39,20 +40,28 @@ def annotated_corpus(gaz):
     return pairs, annotated
 
 
-def test_train_requires_two_labels():
-    pairs = [(featurize("the road is long"), "only")] * 4
-    with pytest.raises(DegenerateSlotError):
-        train_slot_model(pairs, slot="race")
-
-
-def test_train_requires_data():
-    with pytest.raises(DegenerateSlotError):
-        train_slot_model([], slot="race")
+def test_single_label_slot_gets_no_model(gaz):
+    campaign = make_campaign(
+        [
+            ("dm", "The road is long. (1d20+1)[12]"),
+            ("p1", "Kessa the elf wizard follows. (1d20+3)[9]"),
+            ("p2", "Brom the elf fighter keeps pace."),
+        ]
+    )
+    annotated = [annotate_campaign(campaign, gaz)]
+    covered = {
+        row["race"] for row in annotated[0].slot_values if row["race"][1] == HEURISTIC
+    }
+    assert covered == {("elf", HEURISTIC)}
+    models = train_slot_models(annotated, post_features(annotated))
+    assert "race" not in models
+    assert "character_class" in models
 
 
 def test_models_train_per_slot(annotated_corpus):
     _, annotated = annotated_corpus
-    models = train_slot_models(annotated, skip_degenerate=True)
+    features = post_features(annotated)
+    models = train_slot_models(annotated, features)
     assert "in_combat" in models
     assert models["in_combat"].slot == "in_combat"
     assert set(models["in_combat"].labels) == {"true", "false"}
@@ -60,8 +69,9 @@ def test_models_train_per_slot(annotated_corpus):
 
 def test_heuristic_values_never_overwritten(annotated_corpus):
     _, annotated = annotated_corpus
-    models = train_slot_models(annotated, skip_degenerate=True)
-    filled = fill_missing(annotated, models, min_score=0.0)
+    features = post_features(annotated)
+    models = train_slot_models(annotated, features)
+    filled = fill_missing(annotated, models, features, min_score=0.0)
     for before, after in zip(annotated, filled):
         for row_before, row_after in zip(before.slot_values, after.slot_values):
             for slot, (value, source) in row_before.items():
@@ -71,8 +81,9 @@ def test_heuristic_values_never_overwritten(annotated_corpus):
 
 def test_coverage_never_decreases(annotated_corpus):
     _, annotated = annotated_corpus
-    models = train_slot_models(annotated, skip_degenerate=True)
-    filled = fill_missing(annotated, models, min_score=0.5)
+    features = post_features(annotated)
+    models = train_slot_models(annotated, features)
+    filled = fill_missing(annotated, models, features, min_score=0.5)
     for before, after in zip(annotated, filled):
         cov_before = slot_coverage(before)
         cov_after = slot_coverage(after)
@@ -82,16 +93,18 @@ def test_coverage_never_decreases(annotated_corpus):
 
 def test_threshold_blocks_low_confidence(annotated_corpus):
     _, annotated = annotated_corpus
-    models = train_slot_models(annotated, skip_degenerate=True)
-    strict = fill_missing(annotated, models, min_score=1.1)
+    features = post_features(annotated)
+    models = train_slot_models(annotated, features)
+    strict = fill_missing(annotated, models, features, min_score=1.1)
     for before, after in zip(annotated, strict):
         assert before.slot_values == after.slot_values
 
 
 def test_filled_cells_are_tagged_model(annotated_corpus):
     _, annotated = annotated_corpus
-    models = train_slot_models(annotated, skip_degenerate=True)
-    filled = fill_missing(annotated, models, min_score=0.0)
+    features = post_features(annotated)
+    models = train_slot_models(annotated, features)
+    filled = fill_missing(annotated, models, features, min_score=0.0)
     model_cells = 0
     for before, after in zip(annotated, filled):
         for row_before, row_after in zip(before.slot_values, after.slot_values):
@@ -105,16 +118,18 @@ def test_filled_cells_are_tagged_model(annotated_corpus):
 
 def test_fill_determinism(annotated_corpus):
     _, annotated = annotated_corpus
-    models = train_slot_models(annotated, skip_degenerate=True)
-    once = fill_missing(annotated, models, min_score=0.5)
-    twice = fill_missing(annotated, models, min_score=0.5)
+    features = post_features(annotated)
+    models = train_slot_models(annotated, features)
+    once = fill_missing(annotated, models, features, min_score=0.5)
+    twice = fill_missing(annotated, models, features, min_score=0.5)
     for a, b in zip(once, twice):
         assert a.slot_values == b.slot_values
 
 
 def test_slot_model_file_round_trip(annotated_corpus, tmp_path):
     _, annotated = annotated_corpus
-    models = train_slot_models(annotated, skip_degenerate=True)
+    features = post_features(annotated)
+    models = train_slot_models(annotated, features)
     model = models["in_combat"]
     path = tmp_path / "slot.txt"
     save_model(model, path)
@@ -132,7 +147,7 @@ def test_randomized_annotations_never_overwritten(gaz):
                          loose_check_rate=0.1)
     campaign, _ = generate(config)[0]
     base = annotate_campaign(campaign, gaz, CombatDetectorConfig())
-    models = train_slot_models([base], skip_degenerate=True)
+    models = train_slot_models([base], post_features([base]))
     labels = {slot: model.labels for slot, model in models.items()}
     for _ in range(50):
         rows = []
@@ -145,7 +160,9 @@ def test_randomized_annotations_never_overwritten(gaz):
                     row[slot] = (None, None)
             rows.append(row)
         doctored = base.with_slot_values(rows)
-        filled = fill_missing([doctored], models, min_score=0.0)[0]
+        filled = fill_missing(
+            [doctored], models, post_features([doctored]), min_score=0.0
+        )[0]
         for row, filled_row in zip(rows, filled.slot_values):
             for slot, cell in row.items():
                 if cell[1] == HEURISTIC:

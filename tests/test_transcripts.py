@@ -101,3 +101,46 @@ def test_campaign_from_record_reindexes_posts():
 
 def test_dump_json_line_is_compact_utf8():
     assert dump_json_line({"a": "Zoë"}) == '{"a":"Zoë"}'
+
+
+def _record(**post_fields):
+    post = {"post_id": "a", "author_id": "dm", "paragraphs": ["Hello."]}
+    post.update(post_fields)
+    return {"campaign_id": "c1", "posts": [post]}
+
+
+def test_string_paragraphs_rejected_not_split():
+    record = _record(paragraphs="Roll initiative! (1d20+2)[15]")
+    with pytest.raises(FormatError, match="line 4: .*'paragraphs' must be a list"):
+        campaign_from_record(record, line=4)
+
+
+def test_non_string_paragraph_rejected():
+    with pytest.raises(FormatError, match="'paragraphs' must be a list of strings"):
+        campaign_from_record(_record(paragraphs=["ok", 7]), line=1)
+
+
+def test_integer_author_id_rejected():
+    with pytest.raises(FormatError, match="line 2: .*'author_id' must be a string"):
+        campaign_from_record(_record(author_id=5), line=2)
+
+
+@pytest.mark.parametrize("field", ["campaign_id", "posts"])
+def test_wrong_campaign_field_type_named(field):
+    record = _record()
+    record[field] = {"a": 1}
+    with pytest.raises(FormatError, match=f"line 3: .*'{field}' must be") as excinfo:
+        campaign_from_record(record, line=3)
+    assert "missing" not in str(excinfo.value)
+
+
+def test_non_object_record_rejected():
+    with pytest.raises(FormatError, match="line 5: record must be an object"):
+        campaign_from_record(["c1"], line=5)
+
+
+def test_duplicate_campaign_id_rejected(tmp_path):
+    path = tmp_path / "dup.jsonl"
+    _write(path, [CAMPAIGN_LINE, CAMPAIGN_LINE])
+    with pytest.raises(FormatError, match="line 2: duplicate campaign_id 'c1'"):
+        list(load_campaigns(path))
