@@ -20,7 +20,7 @@ from itertools import accumulate, islice
 from typing import Callable, Iterable, Sequence
 
 from .gazetteers import Gazetteers
-from .models import DUNGEON_MASTER, Campaign, CharacterProfile, Post
+from .models import DUNGEON_MASTER, Campaign, CharacterProfile
 
 # A word token, or (unnamed) a sentence-break character between words.
 _TOKEN_RE = re.compile(r"([A-Za-zÀ-ɏ]+(?:['’-][A-Za-zÀ-ɏ]+)*)|[.!?\n]")
@@ -217,10 +217,12 @@ def _cast_phrases(
     paragraphs: Sequence[str],
     stopwords: frozenset[str],
 ) -> list[str]:
-    """One post's spell phrases, by the rule ``extract_spells`` states.
+    """Spell names following each cast verb in one post, title-cased.
 
-    Paragraph ends come from the paragraphs themselves, so a newline
-    inside a paragraph is whitespace, not a break.
+    Capture runs over at most four word tokens and stops at a stopword,
+    punctuation or a paragraph end, so "cast sacred flame at ..." yields
+    "Sacred Flame". Paragraph ends come from the paragraphs themselves, so
+    a newline inside a paragraph is whitespace, not a break.
     """
     verbs = list(_CAST_RE.finditer(text))
     if not verbs:
@@ -276,16 +278,10 @@ def post_facts(
     )
 
 
-def _facts_of(posts: Sequence[Post], gazetteers: Gazetteers) -> list[PostFacts]:
-    return [
-        post_facts(p.paragraphs, gazetteers, p.index)
-        for p in sorted(posts, key=lambda p: p.index)
-    ]
-
-
 def _most_mentioned(
     facts: Iterable[PostFacts], keys: Callable[[PostFacts], Iterable[str]]
 ) -> str | None:
+    """The most mentioned key; ties go to the earliest first occurrence."""
     tally = MentionCounts()
     for f in facts:
         for key in keys(f):
@@ -294,6 +290,10 @@ def _most_mentioned(
 
 
 def _race(facts: Sequence[PostFacts]) -> str | None:
+    """Race from the player's first post when present, else most frequent.
+
+    Several races in the first post resolve to the earliest by offset.
+    """
     if not facts:
         return None
     if facts[0].races:
@@ -307,6 +307,12 @@ def _inventory(
     gazetteers: Gazetteers,
     fallback: bool,
 ) -> frozenset[str]:
+    """Items named right after a possessive pronoun ("her sword").
+
+    First-person possessives always count; third-person ones only for the
+    player's own pronoun set. By default only gazetteer items are captured;
+    with ``fallback`` any following noun-like token is taken.
+    """
     wanted = gazetteers.possessives_for(pronouns)
     return frozenset(
         word
@@ -314,66 +320,6 @@ def _inventory(
         for possessive, word in (f.items + f.fallback_items if fallback else f.items)
         if possessive in wanted
     )
-
-
-def _spells(facts: Iterable[PostFacts]) -> frozenset[str]:
-    return frozenset(spell for f in facts for spell in f.spells)
-
-
-def infer_name(posts: Sequence[Post], gazetteers: Gazetteers) -> str | None:
-    """The player's most frequently mentioned proper name, if any."""
-    return _most_mentioned(_facts_of(posts, gazetteers), lambda f: f.names)
-
-
-def infer_class(
-    posts: Sequence[Post], gazetteers: Gazetteers, is_dm: bool = False
-) -> str | None:
-    """Most mentioned class; the DM is always the Dungeon Master."""
-    if is_dm:
-        return DUNGEON_MASTER
-    return _most_mentioned(_facts_of(posts, gazetteers), lambda f: f.classes)
-
-
-def infer_race(posts: Sequence[Post], gazetteers: Gazetteers) -> str | None:
-    """Race from the player's first post when present, else most frequent.
-
-    Several races in the first post resolve to the earliest by offset.
-    """
-    return _race(_facts_of(posts, gazetteers))
-
-
-def infer_pronouns(posts: Sequence[Post], gazetteers: Gazetteers) -> str | None:
-    """The pronoun set whose forms the player uses most.
-
-    Ties break by first occurrence in document order, so matches are
-    merged across sets by offset before tallying.
-    """
-    return _most_mentioned(_facts_of(posts, gazetteers), lambda f: f.pronouns)
-
-
-def extract_inventory(
-    posts: Sequence[Post],
-    pronouns: str | None,
-    gazetteers: Gazetteers,
-    fallback: bool = False,
-) -> frozenset[str]:
-    """Items named right after a possessive pronoun ("her sword").
-
-    First-person possessives always count; third-person ones only for the
-    player's own pronoun set. By default only gazetteer items are captured;
-    with ``fallback`` any following noun-like token is taken.
-    """
-    return _inventory(_facts_of(posts, gazetteers), pronouns, gazetteers, fallback)
-
-
-def extract_spells(posts: Sequence[Post], gazetteers: Gazetteers) -> frozenset[str]:
-    """Spell names following a cast verb, title-cased.
-
-    Capture runs over the next few word tokens and stops at stopwords,
-    punctuation, or paragraph breaks, so "cast sacred flame at ..." yields
-    "Sacred Flame".
-    """
-    return _spells(_facts_of(posts, gazetteers))
 
 
 def text_signals(text: str, gazetteers: Gazetteers) -> set[str]:
@@ -393,11 +339,19 @@ def build_profiles(
 ) -> dict[str, CharacterProfile]:
     """Run all property heuristics per player; the DM profile is scrubbed.
 
+    Name, class and pronouns are each the player's most mentioned
+    candidate, ties going to the earliest first occurrence; pronoun ties
+    break by offset within a post. Race, inventory and spells follow
+    ``_race``, ``_inventory`` and ``_cast_phrases``. The DM, the first
+    poster, is always the Dungeon Master.
+
     ``facts`` are the campaign's post facts in post order, when the caller
     has already read the posts.
     """
     if facts is None:
-        facts = _facts_of(campaign.posts, gazetteers)
+        facts = [
+            post_facts(p.paragraphs, gazetteers, p.index) for p in campaign.posts
+        ]
     dm_id = identify_dm(campaign)
     by_player: dict[str, list[PostFacts]] = {}
     for post, facts_of_post in zip(campaign.posts, facts):
@@ -422,6 +376,6 @@ def build_profiles(
             inventory=_inventory(
                 player_facts, pronouns, gazetteers, inventory_fallback
             ),
-            spells=_spells(player_facts),
+            spells=frozenset(spell for f in player_facts for spell in f.spells),
         )
     return profiles

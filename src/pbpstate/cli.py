@@ -1,15 +1,13 @@
 """Command-line interface wiring every stage into subcommands.
 
 Exit codes: 0 success, 1 usage error, 2 data error. Diagnostics go to
-stderr; data goes to files or stdout. A checked-in INI config file can
-pin defaults (sections [paths], [combat], [fill], [serialize]);
-explicit flags always win over the config file.
+stderr; data goes to files or stdout. Every setting is a flag, and each
+flag's default is in its argparse declaration.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import logging
 import sys
@@ -61,28 +59,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _read_config(path: str | None) -> configparser.ConfigParser:
-    config = configparser.ConfigParser()
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as handle:
-            config.read_file(handle)
-    return config
-
-
-def _setting(
-    flag_value: Any, config: configparser.ConfigParser, section: str, key: str,
-    default: Any, cast: type = str,
-) -> Any:
-    if flag_value is not None:
-        return flag_value
-    if config.has_option(section, key):
-        raw = config.get(section, key)
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    return default
-
-
 def _write_lines(path: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for line in lines:
@@ -105,14 +81,14 @@ def _stats_table(stats: CorpusStats) -> str:
     return "\n".join(f"{label:<{width}}  {value:>12}" for label, value in rows)
 
 
-def _cmd_ingest(args: argparse.Namespace, config: configparser.ConfigParser) -> int:
+def _cmd_ingest(args: argparse.Namespace) -> int:
     campaigns = list(load_campaigns(args.infile))
     write_campaigns(args.out, campaigns, include_rolls=True)
     log.info("ingested %d campaigns -> %s", len(campaigns), args.out)
     return 0
 
 
-def _cmd_stats(args: argparse.Namespace, config: configparser.ConfigParser) -> int:
+def _cmd_stats(args: argparse.Namespace) -> int:
     stats = corpus_stats(load_campaigns(args.infile))
     if args.json:
         print(json.dumps(stats.to_dict(), indent=2))
@@ -121,7 +97,7 @@ def _cmd_stats(args: argparse.Namespace, config: configparser.ConfigParser) -> i
     return 0
 
 
-def _cmd_synth(args: argparse.Namespace, config: configparser.ConfigParser) -> int:
+def _cmd_synth(args: argparse.Namespace) -> int:
     synth_config = SynthConfig(
         seed=args.seed,
         num_campaigns=args.campaigns,
@@ -150,21 +126,12 @@ def _cmd_synth(args: argparse.Namespace, config: configparser.ConfigParser) -> i
     return 0
 
 
-def _cmd_annotate(args: argparse.Namespace, config: configparser.ConfigParser) -> int:
-    gazetteer_path = _setting(
-        args.gazetteers, config, "paths", "gazetteers", None
-    )
-    gazetteers = load_gazetteers(gazetteer_path)
+def _cmd_annotate(args: argparse.Namespace) -> int:
+    gazetteers = load_gazetteers(args.gazetteers)
     combat_config = CombatDetectorConfig(
-        gap_turns=_setting(args.gap_turns, config, "combat", "gap_turns", 3, int),
-        attack_window_chars=_setting(
-            args.attack_window, config, "combat", "attack_window_chars", 100, int
-        ),
+        gap_turns=args.gap_turns, attack_window_chars=args.attack_window
     )
     icooc_model = load_model(args.icooc_model) if args.icooc_model else None
-    fill_threshold = _setting(
-        args.fill_threshold, config, "fill", "threshold", 0.5, float
-    )
 
     annotated = annotate_corpus(
         load_campaigns(args.infile),
@@ -173,7 +140,7 @@ def _cmd_annotate(args: argparse.Namespace, config: configparser.ConfigParser) -
         icooc_model=icooc_model,
         inventory_fallback=args.inventory_fallback,
         fill=not args.no_fill,
-        fill_threshold=fill_threshold,
+        fill_threshold=args.fill_threshold,
     )
     records = [annotated_to_record(ac) for ac in annotated]
     # Self-validation: every record must parse back into valid domain types.
@@ -192,30 +159,49 @@ def _cmd_annotate(args: argparse.Namespace, config: configparser.ConfigParser) -
     return 0
 
 
-def _cmd_train_icooc(
-    args: argparse.Namespace, config: configparser.ConfigParser
-) -> int:
+def _bad_record(path: str, lineno: int, record: Any, exc: Exception) -> FormatError:
+    """A FormatError naming the file, the line and what is wrong there."""
+    if not isinstance(record, dict):
+        problem = "record is not a JSON object"
+    elif isinstance(exc, KeyError):
+        problem = f"record has no {exc} field"
+    else:
+        problem = str(exc)
+    return FormatError(f"{path}: {problem}", line=lineno)
+
+
+def _cmd_train_icooc(args: argparse.Namespace) -> int:
     data: list[LabeledParagraph] = []
     if args.labeled:
         for lineno, record in iter_jsonl(args.labeled):
-            data.append(
-                LabeledParagraph(text=record["text"], label=record["label"])
-            )
+            try:
+                data.append(
+                    LabeledParagraph(text=record["text"], label=record["label"])
+                )
+            except (KeyError, TypeError, ValueError) as exc:
+                raise _bad_record(args.labeled, lineno, record, exc) from exc
     else:
         from .models import GoldAnnotations
 
         campaigns = {c.campaign_id: c for c in load_campaigns(args.corpus)}
-        for _, record in iter_jsonl(args.gold):
-            campaign = campaigns[record["campaign_id"]]
-            gold = GoldAnnotations.from_dict(record)
-            data.extend(labeled_paragraphs([(campaign, gold)]))
+        for lineno, record in iter_jsonl(args.gold):
+            try:
+                campaign_id = record["campaign_id"]
+                if campaign_id not in campaigns:
+                    raise ValueError(
+                        f"campaign {campaign_id!r} is not in {args.corpus}"
+                    )
+                gold = GoldAnnotations.from_dict(record)
+                data.extend(labeled_paragraphs([(campaigns[campaign_id], gold)]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise _bad_record(args.gold, lineno, record, exc) from exc
     model = train(data, smoothing=args.smoothing)
     save_model(model, args.out)
     log.info("trained IC/OOC model on %d paragraphs -> %s", len(data), args.out)
     return 0
 
 
-def _cmd_classify(args: argparse.Namespace, config: configparser.ConfigParser) -> int:
+def _cmd_classify(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     lines = []
     for campaign in load_campaigns(args.infile):
@@ -236,17 +222,12 @@ def _cmd_classify(args: argparse.Namespace, config: configparser.ConfigParser) -
     return 0
 
 
-def _cmd_serialize(
-    args: argparse.Namespace, config: configparser.ConfigParser
-) -> int:
-    variant = ControlVariant(
-        _setting(args.variant, config, "serialize", "variant", "none")
-    )
-    window = _setting(args.window, config, "serialize", "window", 7, int)
+def _cmd_serialize(args: argparse.Namespace) -> int:
+    variant = ControlVariant(args.variant)
     examples = []
     for _, record in iter_jsonl(args.infile):
         campaign_id, turns = turns_from_record(record)
-        examples.extend(build_examples(campaign_id, turns, variant, window=window))
+        examples.extend(build_examples(campaign_id, turns, variant, window=args.window))
     write_examples(args.out, examples)
     log.info("serialized %d examples (%s) -> %s", len(examples), variant.value, args.out)
     return 0
@@ -267,7 +248,7 @@ def _slot_rows_by_campaign(path: str) -> dict[str, list[dict[str, Any]]]:
     return rows
 
 
-def _cmd_eval_gst(args: argparse.Namespace, config: configparser.ConfigParser) -> int:
+def _cmd_eval_gst(args: argparse.Namespace) -> int:
     pred_by_id = _slot_rows_by_campaign(args.pred)
     gold_by_id = _slot_rows_by_campaign(args.gold)
     extra = [cid for cid in pred_by_id if cid not in gold_by_id]
@@ -286,14 +267,13 @@ def _cmd_eval_gst(args: argparse.Namespace, config: configparser.ConfigParser) -
             )
         pred_rows.extend(pred_turns)
         gold_rows.extend(gold_turns)
-    slots = args.slots.split(",") if args.slots else list(SLOT_KEYS)
-    report = slot_accuracy(pred_rows, gold_rows, slots)
+    report = slot_accuracy(pred_rows, gold_rows, args.slots)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
-        width = max(len(s) for s in slots + ["joint", "all (mean)"])
+        width = max(len(s) for s in args.slots + ["joint", "all (mean)"])
         print(f"{'slot':<{width}}  accuracy  support")
-        for slot in slots:
+        for slot in args.slots:
             print(
                 f"{slot:<{width}}  {report.per_slot[slot]:>8.3f}"
                 f"  {report.support[slot]:>7}"
@@ -306,9 +286,7 @@ def _cmd_eval_gst(args: argparse.Namespace, config: configparser.ConfigParser) -
     return 0
 
 
-def _cmd_agreement(
-    args: argparse.Namespace, config: configparser.ConfigParser
-) -> int:
+def _cmd_agreement(args: argparse.Namespace) -> int:
     label_items: list[list[Any]] = []
     score_items: list[list[float]] = []
     for _, record in iter_jsonl(args.infile):
@@ -344,12 +322,22 @@ def _cmd_agreement(
     return 0
 
 
+def _slot_names(value: str) -> list[str]:
+    """``--slots``: comma-separated names, each one of ``SLOT_KEYS``."""
+    slots = value.split(",")
+    for slot in slots:
+        if slot not in SLOT_KEYS:
+            raise argparse.ArgumentTypeError(
+                f"unknown slot {slot!r}; choose from {', '.join(SLOT_KEYS)}"
+            )
+    return slots
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pbpstate", description=__doc__)
     parser.add_argument(
         "--version", action="version", version=f"pbpstate {__version__}"
     )
-    parser.add_argument("--config", help="INI config file; flags override it")
     parser.add_argument(
         "-v", "--verbose", action="store_true", help="log progress to stderr"
     )
@@ -387,11 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--gazetteers")
-    p.add_argument("--gap-turns", type=int)
-    p.add_argument("--attack-window", type=int)
+    p.add_argument("--gap-turns", type=int, default=3)
+    p.add_argument("--attack-window", type=int, default=100)
     p.add_argument("--icooc-model")
     p.add_argument("--no-fill", action="store_true")
-    p.add_argument("--fill-threshold", type=float)
+    p.add_argument("--fill-threshold", type=float, default=0.5)
     p.add_argument("--inventory-fallback", action="store_true")
     p.set_defaults(func=_cmd_annotate)
 
@@ -413,14 +401,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serialize", help="emit fine-tuning examples")
     p.add_argument("--in", dest="infile", required=True, help="annotated JSONL")
     p.add_argument("--out", required=True)
-    p.add_argument("--variant", choices=[v.value for v in ControlVariant])
-    p.add_argument("--window", type=int)
+    p.add_argument(
+        "--variant", choices=[v.value for v in ControlVariant], default="none"
+    )
+    p.add_argument("--window", type=int, default=7)
     p.set_defaults(func=_cmd_serialize)
 
     p = sub.add_parser("eval-gst", help="slot and joint accuracy against gold")
     p.add_argument("--pred", required=True)
     p.add_argument("--gold", required=True)
-    p.add_argument("--slots", help="comma-separated slot names")
+    p.add_argument(
+        "--slots",
+        type=_slot_names,
+        default=list(SLOT_KEYS),
+        help="comma-separated slot names (default: all)",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_eval_gst)
 
@@ -444,8 +439,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "train-icooc" and args.corpus and not args.gold:
         parser.error("--corpus requires --gold")
     try:
-        config = _read_config(args.config)
-        return args.func(args, config)
+        return args.func(args)
     except (PbpError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"pbpstate: error: {exc}", file=sys.stderr)
         return DATA_EXIT

@@ -44,8 +44,8 @@ class LabeledParagraph:
     label: str
 
     def __post_init__(self) -> None:
-        if not self.text.strip():
-            raise ValueError("text: must be non-empty")
+        if not isinstance(self.text, str) or not self.text.strip():
+            raise ValueError("text: must be a non-empty string")
         if self.label not in (IC, OOC):
             raise ValueError(f"label: must be {IC!r} or {OOC!r}")
 
@@ -202,11 +202,16 @@ def predict(model: IcOocModel, paragraph: str) -> tuple[str, float]:
     return label, posteriors.get(IC, posteriors[label])
 
 
-def label_turn(model: IcOocModel, post: Post) -> tuple[list[str], str]:
-    """Label each paragraph; the turn takes the majority label, IC on ties."""
-    labels = [predict(model, paragraph)[0] for paragraph in post.paragraphs]
-    ic_count = sum(1 for lab in labels if lab == IC)
-    turn_label = IC if ic_count >= len(labels) - ic_count else OOC
+def label_turn(model: IcOocModel, post: Post) -> tuple[list[str | None], str]:
+    """Label each paragraph; the turn takes the majority label, IC on ties.
+
+    A blank paragraph gets the label ``None`` and does not vote, so a turn
+    with no voting paragraph is IC.
+    """
+    labels = [predict(model, p)[0] if p.strip() else None for p in post.paragraphs]
+    votes = [label for label in labels if label is not None]
+    ic_count = votes.count(IC)
+    turn_label = IC if ic_count >= len(votes) - ic_count else OOC
     return labels, turn_label
 
 

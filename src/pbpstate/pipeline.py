@@ -25,14 +25,13 @@ from .combat import (
 )
 from .errors import FormatError
 from .gazetteers import Gazetteers
-from .icooc import IcOocModel, label_turn, rule_based_turn_label
+from .icooc import IC, IcOocModel, label_turn, rule_based_turn_label
 from .models import (
     Action,
     Campaign,
     CharacterProfile,
     CombatSpan,
     GoldAnnotations,
-    Post,
     TurnState,
 )
 from .transcripts import campaign_from_record
@@ -82,22 +81,6 @@ class AnnotatedCampaign:
         return replace(self, slot_values=tuple(dict(sv) for sv in slot_values))
 
 
-def _turn_in_character(post: Post, icooc_model: IcOocModel | None) -> bool:
-    if icooc_model is None:
-        return rule_based_turn_label(post) == "IC"
-    non_blank = [p for p in post.paragraphs if p.strip()]
-    if not non_blank:
-        return True
-    trimmed = Post(
-        post_id=post.post_id,
-        author_id=post.author_id,
-        index=post.index,
-        paragraphs=tuple(non_blank),
-    )
-    _, turn_label = label_turn(icooc_model, trimmed)
-    return turn_label == "IC"
-
-
 def annotate_campaign(
     campaign: Campaign,
     gazetteers: Gazetteers,
@@ -133,6 +116,10 @@ def annotate_campaign(
     for post, facts_of_post, actions in zip(campaign.posts, facts, actions_per_post):
         profile = profiles[post.author_id]
         in_combat = any(s.contains(post.index) for s in spans)
+        if icooc_model is None:
+            turn_label = rule_based_turn_label(post)
+        else:
+            _, turn_label = label_turn(icooc_model, post)
         state = TurnState(
             player_id=post.author_id,
             character_name=profile.name,
@@ -141,28 +128,21 @@ def annotate_campaign(
             pronouns=profile.pronouns,
             inventory=profile.inventory,
             in_combat=in_combat,
-            in_character=_turn_in_character(post, icooc_model),
+            in_character=turn_label == IC,
             actions=tuple(actions),
         )
         states.append(state)
 
-        slots: dict[str, SlotValue] = {}
-        for key, value in (
-            ("name", profile.name),
-            ("character_class", profile.character_class),
-            ("race", profile.race),
-            ("pronouns", profile.pronouns),
-        ):
-            slots[key] = (value, HEURISTIC) if value is not None else (None, None)
-        if post.rolls:
-            slots["in_combat"] = ("true" if in_combat else "false", HEURISTIC)
-        else:
-            slots["in_combat"] = (None, None)
-        action_value = action_slot_value(actions)
-        slots["action"] = (
-            (action_value, HEURISTIC) if action_value is not None else (None, None)
+        values = state_slot_values(state)
+        if not post.rolls:
+            # Combat state is evidenced only by a roll in the turn itself.
+            values["in_combat"] = None
+        slot_values.append(
+            {
+                key: (value, HEURISTIC) if value is not None else (None, None)
+                for key, value in values.items()
+            }
         )
-        slot_values.append(slots)
 
         if post.rolls or facts_of_post.cues():
             covered_posts += 1

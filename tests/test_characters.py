@@ -4,25 +4,23 @@ from pbpstate import characters
 from pbpstate.characters import (
     MentionCounts,
     build_profiles,
-    extract_inventory,
     extract_proper_names,
-    extract_spells,
     identify_dm,
-    infer_class,
-    infer_name,
-    infer_pronouns,
-    infer_race,
     post_facts,
     text_signals,
 )
 from pbpstate.models import DUNGEON_MASTER
 from pbpstate.pipeline import annotate_campaign
 
-from conftest import make_campaign, make_post
+from conftest import make_campaign
 
 
-def posts_for(*texts, author="p1"):
-    return [make_post(i, t, author=author) for i, t in enumerate(texts)]
+def profile_for(gaz, *texts, inventory_fallback=False):
+    """Player p1's profile when p1 writes ``texts`` after one DM post."""
+    campaign = make_campaign(
+        [("dm", "The night is calm.")] + [("p1", text) for text in texts]
+    )
+    return build_profiles(campaign, gaz, inventory_fallback=inventory_fallback)["p1"]
 
 
 class TestMentionCounts:
@@ -70,117 +68,133 @@ class TestProperNames:
 
 class TestInferName:
     def test_most_frequent_wins(self, gaz):
-        posts = posts_for(
+        profile = profile_for(
+            gaz,
             "Magnus waits. Magnus watches. Merle hums.",
             "Magnus paces. Magnus stops. Magnus nods. Merle naps.",
         )
-        assert infer_name(posts, gaz) == "Magnus"
+        assert profile.name == "Magnus"
 
     def test_no_candidates(self, gaz):
-        assert infer_name(posts_for("nothing capitalized here."), gaz) is None
+        assert profile_for(gaz, "nothing capitalized here.").name is None
 
     def test_tie_breaks_to_earlier_first_seen(self, gaz):
-        posts = posts_for(
+        profile = profile_for(
+            gaz,
             "Merle looks up. Magnus looks down.",
             "Magnus shrugs. Merle shrugs back.",
         )
         # Both counted twice; Merle occurred first.
-        assert infer_name(posts, gaz) == "Merle"
+        assert profile.name == "Merle"
 
 
 class TestInferClass:
     def test_hand_count(self, gaz):
-        posts = posts_for(
+        profile = profile_for(
+            gaz,
             "a fighter stands watch. the fighter yawns.",
             "the fighter naps while the wizard reads.",
         )
-        assert infer_class(posts, gaz) == "fighter"
+        assert profile.character_class == "fighter"
 
     def test_no_class_words(self, gaz):
-        assert infer_class(posts_for("quiet night."), gaz) is None
+        assert profile_for(gaz, "quiet night.").character_class is None
 
     def test_dm_flag_wins_regardless_of_counts(self, gaz):
-        posts = posts_for("the wizard waves. the wizard bows.")
-        assert infer_class(posts, gaz, is_dm=True) == DUNGEON_MASTER
+        campaign = make_campaign(
+            [("dm", "the wizard waves. the wizard bows."), ("p1", "a wizard nods.")]
+        )
+        profiles = build_profiles(campaign, gaz)
+        assert profiles["dm"].character_class == DUNGEON_MASTER
+        assert profiles["p1"].character_class == "wizard"
 
 
 class TestInferRace:
     def test_first_post_race_wins(self, gaz):
-        posts = posts_for(
+        profile = profile_for(
+            gaz,
             "a dwarf walks in.",
             "an elf sings. an elf dances. an elf bows.",
         )
-        assert infer_race(posts, gaz) == "dwarf"
+        assert profile.race == "dwarf"
 
     def test_first_post_several_races_earliest_offset(self, gaz):
-        posts = posts_for("an elf greets the dwarf warmly.")
-        assert infer_race(posts, gaz) == "elf"
+        assert profile_for(gaz, "an elf greets the dwarf warmly.").race == "elf"
 
     def test_raceless_first_post_falls_back_to_frequency(self, gaz):
-        posts = posts_for(
+        profile = profile_for(
+            gaz,
             "no races here.",
             "the elf waves. the elf nods. an elf hums. one human stares.",
         )
-        assert infer_race(posts, gaz) == "elf"
+        assert profile.race == "elf"
 
     def test_no_race_words_anywhere(self, gaz):
-        assert infer_race(posts_for("nothing to see."), gaz) is None
+        assert profile_for(gaz, "nothing to see.").race is None
 
 
 class TestInferPronouns:
     def test_hand_count(self, gaz):
-        posts = posts_for(
+        profile = profile_for(
+            gaz,
             "He draws his sword",  # he-forms x2
             "she watches.",  # she-forms x1
         )
-        assert infer_pronouns(posts, gaz) == "he/him"
+        assert profile.pronouns == "he/him"
 
     def test_no_third_person_pronouns(self, gaz):
-        assert infer_pronouns(posts_for("I wait. You wait."), gaz) is None
+        assert profile_for(gaz, "I wait. You wait.").pronouns is None
 
     def test_contraction_counts(self, gaz):
-        posts = posts_for("he'll cast something flashy")
-        assert infer_pronouns(posts, gaz) == "he/him"
+        assert profile_for(gaz, "he'll cast something flashy").pronouns == "he/him"
 
     def test_tie_breaks_by_document_order_within_a_post(self, gaz):
         # One form from each set; the earlier offset must win the tie
         # even though the sets are configured in he/she/they order.
-        assert infer_pronouns(posts_for("she saw him there"), gaz) == "she/her"
-        assert infer_pronouns(posts_for("he saw her there"), gaz) == "he/him"
+        assert profile_for(gaz, "she saw him there").pronouns == "she/her"
+        assert profile_for(gaz, "he saw her there").pronouns == "he/him"
 
 
 class TestInventory:
     def test_first_person_possessive(self, gaz):
-        assert extract_inventory(posts_for("I grab my axe"), None, gaz) == {"axe"}
+        profile = profile_for(gaz, "I grab my axe")
+        assert profile.pronouns is None
+        assert profile.inventory == {"axe"}
 
     def test_own_pronoun_possessive(self, gaz):
-        assert extract_inventory(posts_for("her sword"), "she/her", gaz) == {"sword"}
+        profile = profile_for(gaz, "her sword")
+        assert profile.pronouns == "she/her"
+        assert profile.inventory == {"sword"}
 
     def test_other_pronoun_possessive_ignored(self, gaz):
-        assert extract_inventory(posts_for("her sword"), "he/him", gaz) == set()
+        profile = profile_for(gaz, "He waves. He nods. He spots her sword.")
+        assert profile.pronouns == "he/him"
+        assert profile.inventory == set()
 
     def test_non_gazetteer_noun_needs_fallback(self, gaz):
-        posts = posts_for("his courage held")
-        assert extract_inventory(posts, "he/him", gaz) == set()
-        assert extract_inventory(posts, "he/him", gaz, fallback=True) == {"courage"}
+        assert profile_for(gaz, "his courage held").inventory == set()
+        fallback = profile_for(gaz, "his courage held", inventory_fallback=True)
+        assert fallback.pronouns == "he/him"
+        assert fallback.inventory == {"courage"}
 
 
 class TestSpells:
     def test_capitalized_spell(self, gaz):
-        posts = posts_for("he'll cast Chill Touch on one of the goblins")
-        assert extract_spells(posts, gaz) == {"Chill Touch"}
+        profile = profile_for(gaz, "he'll cast Chill Touch on one of the goblins")
+        assert profile.spells == {"Chill Touch"}
 
     def test_lowercase_spell_is_title_cased(self, gaz):
-        posts = posts_for("I will cast sacred flame at the nearest one")
-        assert extract_spells(posts, gaz) == {"Sacred Flame"}
+        profile = profile_for(gaz, "I will cast sacred flame at the nearest one")
+        assert profile.spells == {"Sacred Flame"}
 
     def test_cast_with_nothing_following(self, gaz):
-        assert extract_spells(posts_for("the die was cast"), gaz) == set()
+        assert profile_for(gaz, "the die was cast").spells == set()
 
     def test_capture_is_capped_at_four_tokens(self, gaz):
-        posts = posts_for("casting glowing emerald spectral guardian weapon now")
-        spells = extract_spells(posts, gaz)
-        assert spells == {"Glowing Emerald Spectral Guardian"}
+        profile = profile_for(
+            gaz, "casting glowing emerald spectral guardian weapon now"
+        )
+        assert profile.spells == {"Glowing Emerald Spectral Guardian"}
 
 
 class TestBuildProfiles:
@@ -222,13 +236,8 @@ class TestBuildProfiles:
             "Kessa stands. The fighter and the wizard argue. She yawns.",
         ]
         def profile(order):
-            posts = [make_post(i, texts[j], author="p1") for i, j in enumerate(order)]
-            campaign = make_campaign([("dm", "The night is calm.")])
-            return (
-                infer_name(posts, gaz),
-                infer_class(posts, gaz),
-                infer_pronouns(posts, gaz),
-            )
+            p1 = profile_for(gaz, *(texts[j] for j in order))
+            return (p1.name, p1.character_class, p1.pronouns)
 
         baseline = profile([0, 1, 2])
         for order in ([2, 1, 0], [1, 0, 2], [2, 0, 1]):
@@ -275,7 +284,7 @@ class TestPostFacts:
     def test_cast_phrase_stops_at_a_paragraph_break(self, gaz):
         paragraphs = ["and then i cast", "sacred flame at the door."]
         assert post_facts(paragraphs, gaz).spells == ()
-        assert extract_spells([make_post(0, paragraphs)], gaz) == set()
+        assert profile_for(gaz, paragraphs).spells == set()
 
     def test_newline_inside_a_paragraph_is_whitespace(self, gaz):
         facts = post_facts(["i cast sacred\nflame at dusk"], gaz)

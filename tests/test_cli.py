@@ -1,10 +1,11 @@
 """CLI behavior: exit codes, idempotency, end-to-end command flows."""
 
+import argparse
 import json
 
 import pytest
 
-from pbpstate.cli import main
+from pbpstate.cli import build_parser, main
 
 
 def run(argv, capsys=None):
@@ -274,31 +275,133 @@ def test_agreement_command(tmp_path, capsys):
     assert "kendall_tau_mean" in out
 
 
-def test_config_file_provides_defaults(synth_corpus, tmp_path):
+def test_gap_turns_flag_writes_the_default_bytes(synth_corpus, tmp_path):
     corpus, _ = synth_corpus
-    config = tmp_path / "run.ini"
-    config.write_text("[combat]\ngap_turns = 5\n", encoding="utf-8")
-    out_config = tmp_path / "with_config.jsonl"
     out_flag = tmp_path / "with_flag.jsonl"
-    assert (
-        main(
-            [
-                "--config", str(config), "annotate", "--in", str(corpus),
-                "--out", str(out_config),
-            ]
-        )
-        == 0
-    )
-    assert (
-        main(
-            [
-                "--config", str(config), "annotate", "--in", str(corpus),
-                "--out", str(out_flag), "--gap-turns", "3",
-            ]
-        )
-        == 0
-    )
-    # Flag wins: the gap-3 output matches a plain gap-3 run.
     plain = tmp_path / "plain.jsonl"
-    main(["annotate", "--in", str(corpus), "--out", str(plain)])
+    argv = ["annotate", "--in", str(corpus)]
+    assert main(argv + ["--out", str(out_flag), "--gap-turns", "3"]) == 0
+    assert main(argv + ["--out", str(plain)]) == 0
     assert out_flag.read_bytes() == plain.read_bytes()
+
+
+def _option_strings(parser):
+    return {option for action in parser._actions for option in action.option_strings}
+
+
+def test_public_flags():
+    """Adding or removing a flag must show up here."""
+    parser = build_parser()
+    common = {"-h", "--help"}
+    assert _option_strings(parser) == common | {"--version", "-v", "--verbose"}
+    expected = {
+        "ingest": {"--in", "--out"},
+        "stats": {"--in", "--json"},
+        "synth": {
+            "--seed", "--campaigns", "--players", "--turns", "--combat-density",
+            "--signal-rate", "--ooc-fraction", "--distractor-rate",
+            "--loose-check-rate", "--gap-turns", "--out", "--gold",
+        },
+        "annotate": {
+            "--in", "--out", "--gazetteers", "--gap-turns", "--attack-window",
+            "--icooc-model", "--no-fill", "--fill-threshold", "--inventory-fallback",
+        },
+        "train-icooc": {"--labeled", "--corpus", "--gold", "--smoothing", "--out"},
+        "classify": {"--model", "--in", "--out"},
+        "serialize": {"--in", "--out", "--variant", "--window"},
+        "eval-gst": {"--pred", "--gold", "--slots", "--json"},
+        "agreement": {"--in", "--categories", "--json"},
+    }
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    subparsers = sub.choices
+    assert set(subparsers) == set(expected)
+    for command, options in expected.items():
+        assert _option_strings(subparsers[command]) == common | options, command
+
+
+def test_setting_flags_defaults():
+    parser = build_parser()
+    annotate = parser.parse_args(["annotate", "--in", "x", "--out", "y"])
+    assert (
+        annotate.gazetteers,
+        annotate.gap_turns,
+        annotate.attack_window,
+        annotate.fill_threshold,
+    ) == (None, 3, 100, 0.5)
+    serialize = parser.parse_args(["serialize", "--in", "x", "--out", "y"])
+    assert (serialize.variant, serialize.window) == ("none", 7)
+
+
+def test_eval_gst_unknown_slot_is_usage_error(synth_corpus, capsys):
+    corpus, gold = synth_corpus
+    with pytest.raises(SystemExit) as excinfo:
+        main(["eval-gst", "--pred", str(gold), "--gold", str(gold),
+              "--slots", "name,rase"])
+    assert excinfo.value.code == 1
+    err = capsys.readouterr().err
+    assert "'rase'" in err
+    assert "name, character_class, race, pronouns, in_combat, action" in err
+
+
+def _write_jsonl(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "bad, problem",
+    [
+        ({"label": "IC"}, "record has no 'text' field"),
+        ({"text": "you roll a 12", "label": "X"}, "label: must be 'IC' or 'OOC'"),
+        ({"text": 12, "label": "OOC"}, "text: must be a non-empty string"),
+        (["you roll a 12", "OOC"], "record is not a JSON object"),
+    ],
+)
+def test_train_icooc_bad_labeled_record_names_file_and_line(
+    tmp_path, capsys, bad, problem
+):
+    labeled = _write_jsonl(
+        tmp_path / "labeled.jsonl",
+        [{"text": "the quiet road bends", "label": "IC"}, bad],
+    )
+    argv = ["train-icooc", "--labeled", str(labeled), "--out", str(tmp_path / "m")]
+    assert main(argv) == 2
+    assert f"line 2: {labeled}: {problem}" in capsys.readouterr().err
+
+
+def test_train_icooc_gold_campaign_missing_from_corpus(synth_corpus, tmp_path, capsys):
+    corpus, gold = synth_corpus
+    records = [json.loads(line) for line in corpus.read_text().splitlines()]
+    fewer = _write_jsonl(tmp_path / "fewer.jsonl", records[:1])
+    missing = records[1]["campaign_id"]
+    argv = ["train-icooc", "--corpus", str(fewer), "--gold", str(gold),
+            "--out", str(tmp_path / "m")]
+    assert main(argv) == 2
+    assert (
+        f"line 2: {gold}: campaign {missing!r} is not in {fewer}"
+        in capsys.readouterr().err
+    )
+
+
+def test_classify_and_annotate_agree_on_a_blank_paragraph(synth_corpus, tmp_path):
+    corpus, gold = synth_corpus
+    model = tmp_path / "model.txt"
+    assert main(["train-icooc", "--corpus", str(corpus), "--gold", str(gold),
+                 "--out", str(model)]) == 0
+    records = [json.loads(line) for line in corpus.read_text().splitlines()]
+    records[0]["posts"][2]["paragraphs"].append("")
+    blank = _write_jsonl(tmp_path / "blank.jsonl", records)
+
+    labels, annotated = tmp_path / "labels.jsonl", tmp_path / "annotated.jsonl"
+    assert main(["classify", "--model", str(model), "--in", str(blank),
+                 "--out", str(labels)]) == 0
+    assert main(["annotate", "--in", str(blank), "--out", str(annotated),
+                 "--icooc-model", str(model)]) == 0
+    rows = [json.loads(line) for line in labels.read_text().splitlines()]
+    assert rows[2]["paragraph_labels"][-1] is None
+    states = [
+        state["in_character"]
+        for line in annotated.read_text().splitlines()
+        for state in json.loads(line)["turn_states"]
+    ]
+    assert [row["in_character"] for row in rows] == states

@@ -163,6 +163,11 @@ class TestLabelTurn:
         assert labels == [OOC]
         assert turn == OOC
 
+    def test_blank_paragraphs_do_not_vote(self):
+        post = make_post(0, ["", "attack roll please: (1d20+2)[9]", "  "])
+        assert label_turn(trained(), post) == ([None, OOC, None], OOC)
+        assert label_turn(trained(), make_post(0, ["", " "])) == ([None, None], IC)
+
 
 def test_rule_based_fallback():
     assert rule_based_turn_label(make_post(0, ["only words here"])) == IC
