@@ -192,6 +192,7 @@ def _cmd_train_icooc(args: argparse.Namespace) -> int:
                         f"campaign {campaign_id!r} is not in {args.corpus}"
                     )
                 gold = GoldAnnotations.from_dict(record)
+                gold.validate_against(campaigns[campaign_id])
                 data.extend(labeled_paragraphs([(campaigns[campaign_id], gold)]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise _bad_record(args.gold, lineno, record, exc) from exc
@@ -272,11 +273,11 @@ def _cmd_eval_gst(args: argparse.Namespace) -> int:
         print(json.dumps(report.to_dict(), indent=2))
     else:
         width = max(len(s) for s in args.slots + ["joint", "all (mean)"])
-        print(f"{'slot':<{width}}  accuracy  support")
+        print(f"{'slot':<{width}}  accuracy  support  overfill")
         for slot in args.slots:
             print(
                 f"{slot:<{width}}  {report.per_slot[slot]:>8.3f}"
-                f"  {report.support[slot]:>7}"
+                f"  {report.support[slot]:>7}  {report.overfill[slot]:>8}"
             )
         print(f"{'all (mean)':<{width}}  {report.mean_accuracy:>8.3f}")
         print(

@@ -1,9 +1,11 @@
 """Quantitative evaluation: slot accuracy, corpus statistics, agreement.
 
 Slot accuracy scores a slot on the turns where the gold side has a value;
-joint accuracy is the fraction of turns (among those with at least one
-gold value) where every gold-present slot is predicted correctly, so the
-joint-below-minimum relation holds whenever all slots share a turn set.
+a predicted value on a turn whose gold is empty is counted apart, as the
+slot's overfill, and never enters the accuracy. Joint accuracy is the
+fraction of turns (among those with at least one gold value) where every
+gold-present slot is predicted correctly, so the joint-below-minimum
+relation holds whenever all slots share a turn set.
 
 Kendall's tau is the tie-corrected tau-b variant, computed with a
 merge-based inversion count rather than pair enumeration so the test
@@ -33,6 +35,7 @@ class SlotReport:
     support: dict[str, int]
     joint_accuracy: float
     joint_support: int
+    overfill: dict[str, int]
 
     @property
     def mean_accuracy(self) -> float:
@@ -48,6 +51,7 @@ class SlotReport:
             "mean_accuracy": self.mean_accuracy,
             "joint_accuracy": self.joint_accuracy,
             "joint_support": self.joint_support,
+            "overfill": dict(sorted(self.overfill.items())),
         }
 
 
@@ -59,7 +63,8 @@ def slot_accuracy(
     """Per-slot and joint accuracy over aligned turn sequences.
 
     A turn counts toward a slot only when gold carries a value there; a
-    missing prediction against a present gold value scores as wrong.
+    missing prediction against a present gold value scores as wrong. A
+    predicted value where gold is empty counts toward the slot's overfill.
     """
     if len(predictions) != len(gold):
         raise AlignmentError(
@@ -67,6 +72,7 @@ def slot_accuracy(
         )
     correct = dict.fromkeys(slots, 0)
     support = dict.fromkeys(slots, 0)
+    overfill = dict.fromkeys(slots, 0)
     joint_correct = 0
     joint_support = 0
     for pred_row, gold_row in zip(predictions, gold):
@@ -75,6 +81,7 @@ def slot_accuracy(
         for slot in slots:
             gold_value = gold_row.get(slot)
             if gold_value is None:
+                overfill[slot] += pred_row.get(slot) is not None
                 continue
             scored_any = True
             support[slot] += 1
@@ -95,6 +102,7 @@ def slot_accuracy(
         support=support,
         joint_accuracy=(joint_correct / joint_support) if joint_support else 0.0,
         joint_support=joint_support,
+        overfill=overfill,
     )
 
 

@@ -378,7 +378,7 @@ class GoldAnnotations:
         _require(
             len(self.turn_states) == len(campaign.posts),
             "turn_states",
-            "must align with campaign posts",
+            f"{len(self.turn_states)} states for {len(campaign.posts)} posts",
         )
         for state, post in zip(self.turn_states, campaign.posts):
             _require(
@@ -393,6 +393,13 @@ class GoldAnnotations:
                     "turn_states",
                     f"state at post {post.index} contradicts the player profile",
                 )
+        for labels, post in zip(self.paragraph_labels, campaign.posts):
+            _require(
+                len(labels) == len(post.paragraphs),
+                "paragraph_labels",
+                f"{len(labels)} labels for the {len(post.paragraphs)}"
+                f" paragraphs of post {post.index}",
+            )
 
     def to_dict(self) -> dict[str, Any]:
         return {

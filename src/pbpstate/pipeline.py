@@ -5,10 +5,12 @@ classification, and IC/OOC labeling into one annotated record per campaign,
 including the per-turn slot view consumed by the fill models and the
 evaluation tools.
 
-Slot coverage follows the evidence available per turn: character slots are
-covered for every turn whose author earned a profile value, while the
-combat and action slots are covered only on turns that actually contain a
-roll. Turns without coverage are left for the slot-fill models.
+Every slot row is the turn state's own view: a character slot holds a
+value on every turn whose author earned a profile value, ``in_combat``
+comes from the combat spans on every turn, and ``action`` is empty on a
+turn without a roll. Only the slots in ``FILLABLE_SLOTS`` (class, race,
+pronouns) are left for the slot-fill models, where no profile value was
+earned.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .transcripts import campaign_from_record
 
 SLOT_KEYS = ("name", "character_class", "race", "pronouns", "in_combat", "action")
 
-FILLABLE_SLOTS = ("character_class", "race", "pronouns", "in_combat", "action")
+FILLABLE_SLOTS = ("character_class", "race", "pronouns")
 
 HEURISTIC = "heuristic"
 MODEL = "model"
@@ -133,14 +135,10 @@ def annotate_campaign(
         )
         states.append(state)
 
-        values = state_slot_values(state)
-        if not post.rolls:
-            # Combat state is evidenced only by a roll in the turn itself.
-            values["in_combat"] = None
         slot_values.append(
             {
                 key: (value, HEURISTIC) if value is not None else (None, None)
-                for key, value in values.items()
+                for key, value in state_slot_values(state).items()
             }
         )
 

@@ -1,13 +1,15 @@
-"""Fallback slot classifiers for turns the heuristics leave unvalued.
+"""Fallback classifiers for the profile slots the heuristics leave unvalued.
 
-One multinomial model per slot, sharing the IC/OOC featurizer, trained on
-the turns where the heuristic produced a value and using only the current
-post's text as input. Filling never overwrites a heuristic value: the
-models only propose labels for uncovered turns, and only when the
-posterior clears the confidence threshold.
+One multinomial model per slot in ``FILLABLE_SLOTS`` (class, race,
+pronouns), sharing the IC/OOC featurizer, trained on the turns where the
+heuristic produced a value and using only the current post's text as
+input. Filling never overwrites a heuristic value: the models only
+propose labels for uncovered turns, and only when the posterior clears
+the confidence threshold.
 
-Character name and inventory stay heuristic-only; there is no useful
-closed label set for them.
+Name and inventory have no useful closed label set. ``in_combat`` and
+``action`` need no model: the combat spans and the turn's own rolls
+decide them on every turn.
 """
 
 from __future__ import annotations
@@ -98,14 +100,3 @@ def fill_missing(
             new_rows.append(row)
         filled.append(ac.with_slot_values(new_rows))
     return filled
-
-
-def slot_coverage(annotated: AnnotatedCampaign) -> dict[str, float]:
-    """Fraction of turns holding a value, per slot, regardless of source."""
-    totals: dict[str, int] = {}
-    for row in annotated.slot_values:
-        for slot, (value, _) in row.items():
-            if value is not None:
-                totals[slot] = totals.get(slot, 0) + 1
-    n = len(annotated.slot_values)
-    return {slot: count / n for slot, count in sorted(totals.items())}

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from .dice import extract_rolls
 from .errors import FormatError
@@ -121,20 +121,13 @@ def dump_json_line(obj: Any) -> str:
 
 
 def write_campaigns(
-    path_or_handle: str | Path | IO[str],
+    path: str | Path,
     campaigns: Iterable[Campaign],
     include_rolls: bool = False,
 ) -> None:
     """Write campaigns in canonical form; write(load(x)) is byte-identical
     for files already canonical."""
-
-    def _write(handle: IO[str]) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
         for campaign in campaigns:
             handle.write(dump_json_line(campaign.to_dict(include_rolls=include_rolls)))
             handle.write("\n")
-
-    if isinstance(path_or_handle, (str, Path)):
-        with open(path_or_handle, "w", encoding="utf-8") as handle:
-            _write(handle)
-    else:
-        _write(path_or_handle)

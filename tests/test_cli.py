@@ -110,6 +110,25 @@ def test_annotate_eval_round_trip(synth_corpus, tmp_path, capsys):
     assert report["per_slot"]["character_class"] == 1.0
 
 
+def test_eval_gst_reports_overfill(synth_corpus, tmp_path, capsys):
+    corpus, gold = synth_corpus
+    annotated = tmp_path / "annotated.jsonl"
+    assert main(["annotate", "--in", str(corpus), "--out", str(annotated)]) == 0
+    capsys.readouterr()
+    code, report = _eval_json(annotated, gold, capsys)
+    assert code == 0
+    assert set(report["overfill"]) == set(report["per_slot"])
+    # A post without a roll keeps its action empty, as gold does.
+    assert report["overfill"]["action"] == 0
+    assert main(["eval-gst", "--pred", str(annotated), "--gold", str(gold)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["slot", "accuracy", "support", "overfill"]
+    table = {
+        row.split()[0]: int(row.split()[3]) for row in rows[: len(report["overfill"])]
+    }
+    assert table == report["overfill"]
+
+
 def _eval_json(pred, gold, capsys):
     code = main(["eval-gst", "--pred", str(pred), "--gold", str(gold), "--json"])
     return code, (json.loads(capsys.readouterr().out) if code == 0 else None)
@@ -381,6 +400,31 @@ def test_train_icooc_gold_campaign_missing_from_corpus(synth_corpus, tmp_path, c
         f"line 2: {gold}: campaign {missing!r} is not in {fewer}"
         in capsys.readouterr().err
     )
+
+
+def _cut_turns(record):
+    record["turn_states"] = record["turn_states"][:10]
+    record["paragraph_labels"] = record["paragraph_labels"][:10]
+    return "turn_states: 10 states for 30 posts"
+
+
+def _drop_a_label(record):
+    labels = record["paragraph_labels"][4]
+    record["paragraph_labels"][4] = labels[:-1]
+    return f"paragraph_labels: {len(labels) - 1} labels for the {len(labels)}"
+
+
+@pytest.mark.parametrize("edit", [_cut_turns, _drop_a_label])
+def test_train_icooc_gold_must_match_its_campaign(synth_corpus, tmp_path, capsys, edit):
+    corpus, gold = synth_corpus
+    records = [json.loads(line) for line in gold.read_text().splitlines()]
+    problem = edit(records[1])
+    edited = _write_jsonl(tmp_path / "edited.jsonl", records)
+    argv = ["train-icooc", "--corpus", str(corpus), "--gold", str(edited),
+            "--out", str(tmp_path / "m")]
+    assert main(argv) == 2
+    assert f"line 2: {edited}: {problem}" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 def test_classify_and_annotate_agree_on_a_blank_paragraph(synth_corpus, tmp_path):

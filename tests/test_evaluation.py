@@ -84,6 +84,26 @@ class TestSlotAccuracy:
         assert report.support["a"] == 1
         assert report.per_slot["a"] == 1.0
 
+    def test_overfill_counts_values_where_gold_is_empty(self):
+        gold = [
+            {"a": "g", "b": None},
+            {"a": None, "b": None},
+            {"a": None, "b": "g"},
+            {"a": None, "b": None},
+        ]
+        pred = [
+            {"a": "g", "b": "x"},
+            {"a": "y"},
+            {"a": None, "b": "g"},
+            {"a": "z", "b": None},
+        ]
+        report = slot_accuracy(pred, gold, ["a", "b"])
+        assert report.overfill == {"a": 2, "b": 1}
+        assert report.per_slot == {"a": 1.0, "b": 1.0}
+        assert report.support == {"a": 1, "b": 1}
+        assert (report.joint_accuracy, report.joint_support) == (1.0, 2)
+        assert report.to_dict()["overfill"] == {"a": 2, "b": 1}
+
     def test_missing_prediction_is_wrong(self):
         gold = [{"a": "g"}]
         report = slot_accuracy([{}], gold, ["a"])

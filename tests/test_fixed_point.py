@@ -1,8 +1,7 @@
 """Fixed points: annotate output bytes on small synthetic corpora.
 
-The digests were recorded before the per-post facts refactor and the
-count-table fit; any change to profiles, coverage, fill or model files
-moves them. Each case runs the real CLI in-process.
+Any change to profiles, coverage, slot rows, fill or model files moves
+the digests. Each case runs the real CLI in-process.
 """
 
 import hashlib
@@ -15,12 +14,12 @@ DENSE = ("--seed", "43", "--campaigns", "2", "--turns", "200")
 SPARSE = ("--seed", "43", "--campaigns", "8", "--turns", "50", "--signal-rate", "0.3")
 
 ANNOTATE_SHA256 = {
-    "dense": "fb8ffe06a41e3b858e4897b491d0a2d8f97cda8345176f4496376c93a4d59a6c",
-    "inventory-fallback": "2ba5a71d6bb76595aa70aedc8021d2aa0a5a9cc84d5a93c569159b0ae13c8333",
-    "no-fill": "263da41a5fb5c448dfbcf05b28c118fdb3b9fe5fc0fa7278643f5b0082c23934",
+    "dense": "ff1716c5b5d0e7c77774fed7ea94fd55dcc23848958301f76f6a6eb38a080297",
+    "inventory-fallback": "1c3a0c4f1c06c88cf8bcf5db3dd1d2045ad9a8cd22ed51b9ae87e7392afb2484",
+    "no-fill": "2923402070c8bb898092d2af67f702617e0aad71747fa77fd8bf4defb12deb7c",
 }
 SPARSE_MODEL_SHA256 = "0d34cf53ebfa8400b818f3db9566436adbaabf852d738425b6d65718bd90987e"
-SPARSE_ANNOTATE_SHA256 = "0d054e91dbda2f33888bd4076a7c730df7089c804aa9e6f262281364c370bb22"
+SPARSE_ANNOTATE_SHA256 = "8a79ede08f386dfe1c21ee933ef83c388a72a8845b0782f651828af7a1a73a65"
 
 
 def sha256(path):

@@ -45,15 +45,21 @@ def test_turn_states_consistent_with_profiles(gaz, synth_pairs):
         assert state.consistent_with(annotated.profiles[state.player_id])
 
 
-def test_in_combat_slot_covered_only_on_roll_posts(gaz, synth_pairs):
-    campaign, _ = synth_pairs[0]
-    annotated = annotate_campaign(campaign, gaz)
-    for post, row in zip(campaign.posts, annotated.slot_values):
-        value, source = row["in_combat"]
-        if post.rolls:
-            assert source == HEURISTIC and value in {"true", "false"}
-        else:
-            assert (value, source) == (None, None)
+def test_in_combat_slot_follows_spans_on_every_turn(gaz, synth_pairs):
+    campaigns = [c for c, _ in synth_pairs]
+    assert any(not post.rolls for c in campaigns for post in c.posts)
+    for annotated in annotate_corpus(campaigns, gaz):
+        for state, row in zip(annotated.turn_states, annotated.slot_values):
+            expected = "true" if state.in_combat else "false"
+            assert row["in_combat"] == (expected, HEURISTIC)
+
+
+def test_action_slot_empty_without_a_roll(gaz, synth_pairs):
+    campaigns = [c for c, _ in synth_pairs]
+    for campaign, annotated in zip(campaigns, annotate_corpus(campaigns, gaz)):
+        for post, row in zip(campaign.posts, annotated.slot_values):
+            if not post.rolls:
+                assert row["action"] == (None, None)
 
 
 def test_trained_icooc_model_drives_in_character(gaz, synth_pairs):

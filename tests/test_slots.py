@@ -1,6 +1,7 @@
 """Slot-fill models: precedence, thresholds, degenerate slots."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,7 +18,6 @@ from pbpstate.slots import (
     fill_missing,
     post_features,
     predict_slot,
-    slot_coverage,
     train_slot_models,
 )
 from pbpstate.synth import SignalRates, SynthConfig, generate
@@ -62,9 +62,10 @@ def test_models_train_per_slot(annotated_corpus):
     _, annotated = annotated_corpus
     features = post_features(annotated)
     models = train_slot_models(annotated, features)
-    assert "in_combat" in models
-    assert models["in_combat"].slot == "in_combat"
-    assert set(models["in_combat"].labels) == {"true", "false"}
+    assert set(models) <= set(FILLABLE_SLOTS)
+    assert "in_combat" not in models and "action" not in models
+    assert models["pronouns"].slot == "pronouns"
+    assert set(models["pronouns"].labels) == {"he/him", "she/her", "they/them"}
 
 
 def test_heuristic_values_never_overwritten(annotated_corpus):
@@ -79,14 +80,24 @@ def test_heuristic_values_never_overwritten(annotated_corpus):
                     assert row_after[slot] == (value, HEURISTIC)
 
 
+def valued_cells(annotated):
+    """Per slot, the number of turns holding a value, whatever its source."""
+    return Counter(
+        slot
+        for row in annotated.slot_values
+        for slot, (value, _) in row.items()
+        if value is not None
+    )
+
+
 def test_coverage_never_decreases(annotated_corpus):
     _, annotated = annotated_corpus
     features = post_features(annotated)
     models = train_slot_models(annotated, features)
     filled = fill_missing(annotated, models, features, min_score=0.5)
     for before, after in zip(annotated, filled):
-        cov_before = slot_coverage(before)
-        cov_after = slot_coverage(after)
+        cov_before = valued_cells(before)
+        cov_after = valued_cells(after)
         for slot in cov_before:
             assert cov_after[slot] >= cov_before[slot]
 
@@ -130,12 +141,12 @@ def test_slot_model_file_round_trip(annotated_corpus, tmp_path):
     _, annotated = annotated_corpus
     features = post_features(annotated)
     models = train_slot_models(annotated, features)
-    model = models["in_combat"]
+    model = models["pronouns"]
     path = tmp_path / "slot.txt"
     save_model(model, path)
     loaded = load_model(path)
-    assert loaded.slot == "in_combat"
-    features = featurize("the clash of steel rings out (1d20+2)[14] attack")
+    assert loaded.slot == "pronouns"
+    features = featurize("she raises her shield and he ducks behind it")
     assert predict_slot(loaded, features) == predict_slot(model, features)
 
 
