@@ -42,6 +42,7 @@ from .transcripts import (
     iter_jsonl,
     load_campaigns,
     write_campaigns,
+    write_lines,
 )
 
 log = logging.getLogger("pbpstate")
@@ -57,13 +58,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
-
-
-def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for line in lines:
-            handle.write(line)
-            handle.write("\n")
 
 
 def _stats_table(stats: CorpusStats) -> str:
@@ -113,7 +107,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     corpus = generate_corpus(synth_config)
     write_campaigns(args.out, (c for c, _ in corpus.pairs))
     if args.gold:
-        _write_lines(
+        write_lines(
             args.gold,
             [dump_json_line(gold_to_record(c, g)) for c, g in corpus.pairs],
         )
@@ -146,7 +140,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     # Self-validation: every record must parse back into valid domain types.
     for record in records:
         validate_record(record)
-    _write_lines(args.out, [dump_json_line(r) for r in records])
+    write_lines(args.out, [dump_json_line(r) for r in records])
     mean_coverage = (
         sum(ac.coverage for ac in annotated) / len(annotated) if annotated else 0.0
     )
@@ -219,18 +213,21 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                     }
                 )
             )
-    _write_lines(args.out, lines)
+    write_lines(args.out, lines)
     return 0
 
 
 def _cmd_serialize(args: argparse.Namespace) -> int:
     variant = ControlVariant(args.variant)
-    examples = []
-    for _, record in iter_jsonl(args.infile):
-        campaign_id, turns = turns_from_record(record)
-        examples.extend(build_examples(campaign_id, turns, variant, window=args.window))
-    write_examples(args.out, examples)
-    log.info("serialized %d examples (%s) -> %s", len(examples), variant.value, args.out)
+    examples = (
+        example
+        for _, record in iter_jsonl(args.infile)
+        for example in build_examples(
+            *turns_from_record(record), variant, window=args.window
+        )
+    )
+    count = write_examples(args.out, examples)
+    log.info("serialized %d examples (%s) -> %s", count, variant.value, args.out)
     return 0
 
 

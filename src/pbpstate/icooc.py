@@ -25,6 +25,7 @@ from .errors import (
     VersionMismatchError,
 )
 from .models import Post
+from .transcripts import write_lines
 
 MODEL_MAGIC = "ICOOC-MODEL v1"
 
@@ -233,7 +234,7 @@ def save_model(model: IcOocModel, path: str | Path) -> None:
     for token in sorted(model.weights):
         weights = model.weights[token]
         lines.append(token + "\t" + "\t".join(repr(w) for w in weights))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 def load_model(path: str | Path) -> IcOocModel:

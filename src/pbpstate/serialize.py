@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .models import DUNGEON_MASTER, Action, ActionKind, TurnState
-from .transcripts import dump_json_line
+from .transcripts import dump_json_line, write_lines
 
 
 class ControlVariant(Enum):
@@ -96,11 +97,18 @@ def render_turn_block(state: TurnState, text: str) -> str:
 
 @dataclass(frozen=True)
 class TurnEntry:
+    """One turn as it appears in examples, with or without its state.
+
+    ``build_examples`` makes one entry per turn and role and shares it
+    across every example that holds the turn, so its block is rendered
+    and its JSON encoded at most once.
+    """
+
     index: int
     text: str
     state: TurnState | None
 
-    @property
+    @cached_property
     def rendered(self) -> str:
         if self.state is None:
             return f"Text: {self.text}"
@@ -113,6 +121,10 @@ class TurnEntry:
             "state": self.state.to_dict() if self.state is not None else None,
             "rendered": self.rendered,
         }
+
+    @cached_property
+    def json(self) -> str:
+        return dump_json_line(self.to_dict())
 
 
 @dataclass(frozen=True)
@@ -135,14 +147,21 @@ class FinetuneExample:
         parts.append(f"TURN {len(self.context) + 1}:\n{self.target.rendered}")
         return "\n\n".join(parts)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "campaign_id": self.campaign_id,
-            "target_index": self.target_index,
-            "variant": self.variant.value,
-            "context": [entry.to_dict() for entry in self.context],
-            "target": self.target.to_dict(),
-        }
+    def json_line(self) -> str:
+        """The example as one canonical JSON line, without the newline.
+
+        An object of campaign_id, target_index, variant, context (a list
+        of turn objects) and target, spliced from the entries' own JSON.
+        """
+        head = dump_json_line(
+            {
+                "campaign_id": self.campaign_id,
+                "target_index": self.target_index,
+                "variant": self.variant.value,
+            }
+        )
+        context = ",".join(entry.json for entry in self.context)
+        return f'{head[:-1]},"context":[{context}],"target":{self.target.json}}}'
 
 
 def build_examples(
@@ -154,42 +173,37 @@ def build_examples(
     """One example per target turn index >= 1, sliding by one.
 
     Early targets use however many turns exist instead of being skipped.
+    Examples share their turns' entries.
     """
     if window < 1:
         raise ValueError("window: must be positive")
-    examples = []
-    for target_index in range(1, len(turns)):
-        start = max(0, target_index - window)
-        context_states = variant in (ControlVariant.ALL_CTRL, ControlVariant.PREV_CTRL)
-        target_state = variant in (ControlVariant.ALL_CTRL, ControlVariant.CURR_CTRL)
-        context = tuple(
-            TurnEntry(
-                index=i,
-                text=turns[i][0],
-                state=turns[i][1] if context_states else None,
-            )
-            for i in range(start, target_index)
+
+    def entries(with_state: bool) -> list[TurnEntry]:
+        return [
+            TurnEntry(index=i, text=text, state=state if with_state else None)
+            for i, (text, state) in enumerate(turns)
+        ]
+
+    context_states = variant in (ControlVariant.ALL_CTRL, ControlVariant.PREV_CTRL)
+    target_states = variant in (ControlVariant.ALL_CTRL, ControlVariant.CURR_CTRL)
+    context_entries = entries(context_states)
+    target_entries = (
+        context_entries if target_states == context_states else entries(target_states)
+    )
+    return [
+        FinetuneExample(
+            campaign_id=campaign_id,
+            target_index=target_index,
+            variant=variant,
+            context=tuple(context_entries[max(0, target_index - window) : target_index]),
+            target=target_entries[target_index],
         )
-        text, state = turns[target_index]
-        target = TurnEntry(
-            index=target_index, text=text, state=state if target_state else None
-        )
-        examples.append(
-            FinetuneExample(
-                campaign_id=campaign_id,
-                target_index=target_index,
-                variant=variant,
-                context=context,
-                target=target,
-            )
-        )
-    return examples
+        for target_index in range(1, len(turns))
+    ]
 
 
 def write_examples(
     path: str | Path, examples: Iterable[FinetuneExample]
-) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for example in examples:
-            handle.write(dump_json_line(example.to_dict()))
-            handle.write("\n")
+) -> int:
+    """Write one JSON line per example, all or nothing; returns the count."""
+    return write_lines(path, (example.json_line() for example in examples))

@@ -5,7 +5,8 @@ pronouns), sharing the IC/OOC featurizer, trained on the turns where the
 heuristic produced a value and using only the current post's text as
 input. Filling never overwrites a heuristic value: the models only
 propose labels for uncovered turns, and only when the posterior clears
-the confidence threshold.
+the confidence threshold. The DM's turns are neither learned from nor
+filled: the DM plays no character, so these slots stay empty there.
 
 Name and inventory have no useful closed label set. ``in_combat`` and
 ``action`` need no model: the combat spans and the turn's own rolls
@@ -40,7 +41,7 @@ def train_slot_models(
     annotated: Sequence[AnnotatedCampaign],
     features: Sequence[Sequence[dict[str, int]]],
 ) -> dict[str, IcOocModel]:
-    """Train each fillable slot on its heuristic-covered turns.
+    """Train each fillable slot on its heuristic-covered player turns.
 
     ``features`` comes from ``post_features(annotated)``. A slot with fewer
     than two observed labels gets no model.
@@ -49,7 +50,11 @@ def train_slot_models(
         s: [] for s in FILLABLE_SLOTS
     }
     for ac, campaign_features in zip(annotated, features):
-        for feats, slot_row in zip(campaign_features, ac.slot_values):
+        for feats, slot_row, post in zip(
+            campaign_features, ac.slot_values, ac.campaign.posts
+        ):
+            if ac.profiles[post.author_id].is_dm:
+                continue
             for slot in FILLABLE_SLOTS:
                 value, source = slot_row.get(slot, (None, None))
                 if source == HEURISTIC and value is not None:
@@ -80,16 +85,22 @@ def fill_missing(
     features: Sequence[Sequence[dict[str, int]]],
     min_score: float = 0.5,
 ) -> list[AnnotatedCampaign]:
-    """Fill uncovered slots with model labels scoring at least min_score.
+    """Fill uncovered slots of player turns with model labels scoring at
+    least min_score.
 
     ``features`` comes from ``post_features(annotated)``. Heuristic values
-    are never touched; filled cells carry source "model".
+    and the DM's turns are never touched; filled cells carry source "model".
     """
     filled: list[AnnotatedCampaign] = []
     for ac, campaign_features in zip(annotated, features):
         new_rows: list[dict[str, SlotValue]] = []
-        for feats, slot_row in zip(campaign_features, ac.slot_values):
+        for feats, slot_row, post in zip(
+            campaign_features, ac.slot_values, ac.campaign.posts
+        ):
             row = dict(slot_row)
+            new_rows.append(row)
+            if ac.profiles[post.author_id].is_dm:
+                continue
             for slot, model in models.items():
                 value, source = row.get(slot, (None, None))
                 if source is not None or value is not None:
@@ -97,6 +108,5 @@ def fill_missing(
                 label, score = predict_slot(model, feats)
                 if score >= min_score:
                     row[slot] = (label, MODEL)
-            new_rows.append(row)
         filled.append(ac.with_slot_values(new_rows))
     return filled

@@ -13,8 +13,9 @@ keeps memory flat on large corpora.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, TextIO
 
 from .dice import extract_rolls
 from .errors import FormatError
@@ -120,6 +121,42 @@ def dump_json_line(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
+def write_lines(path: str | Path, lines: Iterable[str]) -> int:
+    """Write each line and a newline to ``path``, all or nothing.
+
+    The lines go to a new file beside the target, which then replaces it,
+    so the target is left either as it was or complete; if ``lines``
+    raises, the new file is deleted and the exception propagates. The new
+    file gets ``open(path, "w")``'s mode, 0o666 less the umask. A symlink
+    is followed, so the file it names is replaced, not the link. A target
+    that exists but is not a regular file (a FIFO, a device) is written
+    in place. Returns the number of lines written.
+    """
+    path = Path(path).resolve()
+    if path.exists() and not path.is_file():
+        with open(path, "w", encoding="utf-8") as handle:
+            return _write_to(handle, lines)
+    temp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            count = _write_to(handle, lines)
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
+    return count
+
+
+def _write_to(handle: TextIO, lines: Iterable[str]) -> int:
+    count = 0
+    for line in lines:
+        handle.write(line)
+        handle.write("\n")
+        count += 1
+    return count
+
+
 def write_campaigns(
     path: str | Path,
     campaigns: Iterable[Campaign],
@@ -127,7 +164,7 @@ def write_campaigns(
 ) -> None:
     """Write campaigns in canonical form; write(load(x)) is byte-identical
     for files already canonical."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for campaign in campaigns:
-            handle.write(dump_json_line(campaign.to_dict(include_rolls=include_rolls)))
-            handle.write("\n")
+    write_lines(
+        path,
+        (dump_json_line(c.to_dict(include_rolls=include_rolls)) for c in campaigns),
+    )

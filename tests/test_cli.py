@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 
 import pytest
 
@@ -275,6 +276,25 @@ def test_serialize_variants(synth_corpus, tmp_path):
             blocks = sum(1 for t in row["context"] if t["state"] is not None)
             blocks += 1 if row["target"]["state"] is not None else 0
             assert blocks == expected_blocks
+
+
+def test_serialize_bad_record_leaves_old_output(synth_corpus, tmp_path, capsys):
+    corpus, _ = synth_corpus
+    annotated = tmp_path / "annotated.jsonl"
+    assert main(["annotate", "--in", str(corpus), "--out", str(annotated)]) == 0
+    lines = annotated.read_text(encoding="utf-8").splitlines()
+    broken = json.loads(lines[2])
+    del broken["turn_states"]
+    lines[2] = json.dumps(broken)
+    annotated.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "examples.jsonl"
+    out.write_bytes(b"previous run\n")
+    assert main(["serialize", "--in", str(annotated), "--out", str(out)]) == 2
+    assert "turn_states" in capsys.readouterr().err
+    assert out.read_bytes() == b"previous run\n"
+    assert os.listdir(out_dir) == ["examples.jsonl"]
 
 
 def test_agreement_command(tmp_path, capsys):

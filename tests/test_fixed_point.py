@@ -1,7 +1,9 @@
-"""Fixed points: annotate output bytes on small synthetic corpora.
+"""Fixed points: annotate and serialize output bytes on small synthetic
+corpora.
 
-Any change to profiles, coverage, slot rows, fill or model files moves
-the digests. Each case runs the real CLI in-process.
+Any change to profiles, coverage, slot rows, fill, model files or the
+fine-tuning examples moves the digests. Each case runs the real CLI
+in-process.
 """
 
 import hashlib
@@ -14,12 +16,18 @@ DENSE = ("--seed", "43", "--campaigns", "2", "--turns", "200")
 SPARSE = ("--seed", "43", "--campaigns", "8", "--turns", "50", "--signal-rate", "0.3")
 
 ANNOTATE_SHA256 = {
-    "dense": "ff1716c5b5d0e7c77774fed7ea94fd55dcc23848958301f76f6a6eb38a080297",
-    "inventory-fallback": "1c3a0c4f1c06c88cf8bcf5db3dd1d2045ad9a8cd22ed51b9ae87e7392afb2484",
+    # Every player earns a profile value on the dense corpus and the DM's
+    # turns are not filled, so fill changes nothing there.
+    "dense": "2923402070c8bb898092d2af67f702617e0aad71747fa77fd8bf4defb12deb7c",
+    "inventory-fallback": "61e159f405667cc901d4ca2385276a9ccabdb60bf1c76f8daf1fb0143bf79733",
     "no-fill": "2923402070c8bb898092d2af67f702617e0aad71747fa77fd8bf4defb12deb7c",
 }
 SPARSE_MODEL_SHA256 = "0d34cf53ebfa8400b818f3db9566436adbaabf852d738425b6d65718bd90987e"
-SPARSE_ANNOTATE_SHA256 = "8a79ede08f386dfe1c21ee933ef83c388a72a8845b0782f651828af7a1a73a65"
+SPARSE_ANNOTATE_SHA256 = "d87b6b266a59c2da96d38c26608ab7cc28ee628d6ebe140671f41220992a6807"
+SERIALIZE_SHA256 = {
+    ("all", "7"): "df7bba0ada13d579df6c4571f48e61df0cf90443856ac13247995572844f5536",
+    ("curr", "3"): "e5a6974176d8eec3fb025ca0ec0f23a62ba6e3feb2c3707b2c89ea98a89522a4",
+}
 
 
 def sha256(path):
@@ -45,6 +53,17 @@ def test_dense_annotate_bytes(dense_corpus, tmp_path, case, flags):
     out = tmp_path / "annotated.jsonl"
     assert main(["annotate", "--in", str(dense_corpus), "--out", str(out), *flags]) == 0
     assert sha256(out) == ANNOTATE_SHA256[case]
+
+
+@pytest.mark.parametrize("variant, window", sorted(SERIALIZE_SHA256))
+def test_dense_serialize_bytes(dense_corpus, tmp_path, variant, window):
+    annotated, out = tmp_path / "annotated.jsonl", tmp_path / "finetune.jsonl"
+    assert main(["annotate", "--in", str(dense_corpus), "--out", str(annotated)]) == 0
+    assert main(
+        ["serialize", "--in", str(annotated), "--out", str(out),
+         "--variant", variant, "--window", window]
+    ) == 0
+    assert sha256(out) == SERIALIZE_SHA256[variant, window]
 
 
 def test_sparse_annotate_with_icooc_model_bytes(tmp_path):

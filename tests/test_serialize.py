@@ -1,6 +1,8 @@
 """Turn-block rendering and example building, golden-file pinned."""
 
 import io
+import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from pbpstate.models import (
     DiceRoll,
     TurnState,
 )
+from pbpstate import serialize
 from pbpstate.serialize import (
     ControlVariant,
     FinetuneExample,
@@ -231,7 +234,7 @@ def _serialized_bytes(variant):
     examples = build_examples("golden", fixture_turns(), variant)
     buffer = io.StringIO()
     for example in examples:
-        buffer.write(dump_json_line(example.to_dict()))
+        buffer.write(example.json_line())
         buffer.write("\n")
     return buffer.getvalue().encode("utf-8")
 
@@ -253,3 +256,73 @@ class TestGoldenFiles:
         )
         golden = DATA_DIR / "finetune_all.jsonl"
         assert out.read_bytes() == golden.read_bytes()
+
+
+AWKWARD = 'a "quote", a \\ backslash,\na newline,\ta tab, it\u2019s caf\u00e9 \U0001f409'
+
+
+def awkward_turns():
+    return [(f"{AWKWARD} #{i}", state) for i, (_, state) in enumerate(fixture_turns())]
+
+
+def expected_entry(index, text, state):
+    return {
+        "index": index,
+        "text": text,
+        "state": state.to_dict() if state is not None else None,
+        "rendered": (
+            render_turn_block(state, text) if state is not None else f"Text: {text}"
+        ),
+    }
+
+
+@pytest.mark.parametrize("variant", list(ControlVariant))
+def test_written_lines_decode_to_the_example_structure(tmp_path, variant):
+    turns = awkward_turns()
+    campaign_id = f"camp {AWKWARD}"
+    out = tmp_path / "out.jsonl"
+    count = write_examples(out, build_examples(campaign_id, turns, variant, window=3))
+    lines = out.read_text(encoding="utf-8").split("\n")
+    assert lines.pop() == "" and len(lines) == count == len(turns) - 1
+    context_states = variant in (ControlVariant.ALL_CTRL, ControlVariant.PREV_CTRL)
+    target_states = variant in (ControlVariant.ALL_CTRL, ControlVariant.CURR_CTRL)
+    for target_index, line in enumerate(lines, start=1):
+        expected = {
+            "campaign_id": campaign_id,
+            "target_index": target_index,
+            "variant": variant.value,
+            "context": [
+                expected_entry(i, turns[i][0], turns[i][1] if context_states else None)
+                for i in range(max(0, target_index - 3), target_index)
+            ],
+            "target": expected_entry(
+                target_index,
+                turns[target_index][0],
+                turns[target_index][1] if target_states else None,
+            ),
+        }
+        assert json.loads(line) == expected
+        assert line == dump_json_line(expected)
+
+
+@pytest.mark.parametrize(
+    "variant, renders",
+    [
+        (ControlVariant.NONE, lambda n: 0),
+        (ControlVariant.ALL_CTRL, lambda n: n),
+        (ControlVariant.PREV_CTRL, lambda n: n - 1),
+        (ControlVariant.CURR_CTRL, lambda n: n - 1),
+    ],
+)
+def test_each_turn_block_renders_at_most_once(tmp_path, monkeypatch, variant, renders):
+    calls = Counter()
+
+    def counting_render(state, text):
+        calls[text] += 1
+        return render_turn_block(state, text)
+
+    monkeypatch.setattr(serialize, "render_turn_block", counting_render)
+    turns = fixture_turns()
+    write_examples(tmp_path / "out.jsonl", build_examples("c", turns, variant))
+    assert max(calls.values(), default=0) <= 1
+    assert sum(calls.values()) == renders(len(turns))

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from pbpstate.combat import CombatDetectorConfig
+from pbpstate.models import DUNGEON_MASTER
 from pbpstate.icooc import featurize
 from pbpstate.pipeline import (
     FILLABLE_SLOTS,
@@ -26,18 +27,28 @@ from pbpstate.icooc import load_model, save_model
 from conftest import make_campaign
 
 
-@pytest.fixture(scope="module")
-def annotated_corpus(gaz):
+def annotate_synth(gaz, signal_rate):
     config = SynthConfig(seed=21, num_campaigns=6, players_per_campaign=5,
                          turns_per_campaign=60, combat_density=0.05,
                          loose_check_rate=0.08,
-                         signal_rates=SignalRates.uniform(0.6))
+                         signal_rates=SignalRates.uniform(signal_rate))
     pairs = generate(config)
     annotated = [
         annotate_campaign(c, gaz, CombatDetectorConfig(gap_turns=config.gap_turns))
         for c, _ in pairs
     ]
     return pairs, annotated
+
+
+@pytest.fixture(scope="module")
+def annotated_corpus(gaz):
+    return annotate_synth(gaz, 0.6)
+
+
+@pytest.fixture(scope="module")
+def sparse_annotated_corpus(gaz):
+    """Some players here earn no profile value, so their turns get filled."""
+    return annotate_synth(gaz, 0.3)
 
 
 def test_single_label_slot_gets_no_model(gaz):
@@ -111,20 +122,43 @@ def test_threshold_blocks_low_confidence(annotated_corpus):
         assert before.slot_values == after.slot_values
 
 
-def test_filled_cells_are_tagged_model(annotated_corpus):
-    _, annotated = annotated_corpus
+def is_dm_turn(ac, index):
+    return ac.profiles[ac.campaign.posts[index].author_id].is_dm
+
+
+def test_filled_cells_are_tagged_model(sparse_annotated_corpus):
+    _, annotated = sparse_annotated_corpus
     features = post_features(annotated)
     models = train_slot_models(annotated, features)
     filled = fill_missing(annotated, models, features, min_score=0.0)
     model_cells = 0
     for before, after in zip(annotated, filled):
-        for row_before, row_after in zip(before.slot_values, after.slot_values):
+        rows = enumerate(zip(before.slot_values, after.slot_values))
+        for index, (row_before, row_after) in rows:
+            if is_dm_turn(before, index):
+                continue
             for slot in FILLABLE_SLOTS:
                 if row_before[slot] == (None, None) and slot in models:
                     value, source = row_after[slot]
                     assert source == MODEL and value is not None
                     model_cells += 1
     assert model_cells > 0
+
+
+def test_dm_turns_are_never_filled(sparse_annotated_corpus):
+    _, annotated = sparse_annotated_corpus
+    features = post_features(annotated)
+    models = train_slot_models(annotated, features)
+    filled = fill_missing(annotated, models, features, min_score=0.0)
+    dm_turns = 0
+    for before, after in zip(annotated, filled):
+        for index, row in enumerate(after.slot_values):
+            if is_dm_turn(after, index):
+                dm_turns += 1
+                assert row == before.slot_values[index]
+                assert all(source != MODEL for _, source in row.values())
+    assert dm_turns > 0
+    assert DUNGEON_MASTER not in models["character_class"].labels
 
 
 def test_fill_determinism(annotated_corpus):

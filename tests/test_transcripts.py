@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+import threading
 
 import pytest
 
@@ -8,6 +11,7 @@ from pbpstate.transcripts import (
     dump_json_line,
     load_campaigns,
     write_campaigns,
+    write_lines,
 )
 
 
@@ -144,3 +148,67 @@ def test_duplicate_campaign_id_rejected(tmp_path):
     _write(path, [CAMPAIGN_LINE, CAMPAIGN_LINE])
     with pytest.raises(FormatError, match="line 2: duplicate campaign_id 'c1'"):
         list(load_campaigns(path))
+
+
+def test_write_lines_writes_each_line_and_counts(tmp_path):
+    out = tmp_path / "out.jsonl"
+    assert write_lines(out, iter(["a", "b"])) == 2
+    assert out.read_bytes() == b"a\nb\n"
+    assert write_lines(out, []) == 0
+    assert out.read_bytes() == b""
+
+
+def _raising_after(count):
+    for i in range(count):
+        yield f"line {i}"
+    raise ValueError("boom")
+
+
+def test_write_lines_failure_leaves_old_file_and_no_temp(tmp_path):
+    out = tmp_path / "out.jsonl"
+    out.write_bytes(b"old contents\n")
+    with pytest.raises(ValueError, match="boom"):
+        write_lines(out, _raising_after(3))
+    assert out.read_bytes() == b"old contents\n"
+    assert os.listdir(tmp_path) == ["out.jsonl"]
+
+
+def test_write_lines_failure_creates_no_file(tmp_path):
+    with pytest.raises(ValueError):
+        write_lines(tmp_path / "out.jsonl", _raising_after(2))
+    assert os.listdir(tmp_path) == []
+
+
+def test_write_lines_gives_open_mode(tmp_path):
+    out = tmp_path / "out.jsonl"
+    old_umask = os.umask(0o027)
+    try:
+        write_lines(out, ["x"])
+    finally:
+        os.umask(old_umask)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+
+def test_write_lines_writes_into_a_fifo(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader.start()
+    try:
+        assert write_lines(fifo, ["a", "b"]) == 2
+    finally:
+        reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [b"a\nb\n"]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
+
+
+def test_write_lines_writes_through_a_symlink(tmp_path):
+    real, link = tmp_path / "real.jsonl", tmp_path / "link.jsonl"
+    real.write_bytes(b"old\n")
+    link.symlink_to(real)
+    write_lines(link, ["new"])
+    assert link.is_symlink()
+    assert real.read_bytes() == b"new\n"
