@@ -16,16 +16,15 @@ from pathlib import Path
 from pbpstate.combat import CombatDetectorConfig
 from pbpstate.evaluation import corpus_stats, slot_accuracy
 from pbpstate.gazetteers import load_gazetteers
-from pbpstate.icooc import predict, train
-from pbpstate.pipeline import (
+from pbpstate.icooc import labeled_paragraphs, predict, train
+from pbpstate.pipeline import annotate_corpus, annotated_to_record
+from pbpstate.records import (
     SLOT_KEYS,
-    annotate_corpus,
-    annotated_to_record,
     gold_to_record,
     slot_rows_from_record,
     state_slot_values,
 )
-from pbpstate.synth import SignalRates, SynthConfig, generate, labeled_paragraphs
+from pbpstate.synth import SignalRates, SynthConfig, generate
 from pbpstate.transcripts import dump_json_line, write_campaigns
 
 

@@ -8,47 +8,35 @@ flag's default is in its argparse declaration.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
-import logging
 import sys
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
+# Each command loads only the modules it runs: a command function imports
+# the package modules it needs in its own body, and this module imports
+# only what the parser and the error handling need. (The docstring above
+# is the parser's --help text.)
 from . import __version__
-from .combat import CombatDetectorConfig
 from .errors import AlignmentError, FormatError, PbpError
-from .evaluation import (
-    CorpusStats,
-    corpus_stats,
-    kendall_tau,
-    pairwise_agreement,
-    randolph_kappa,
-    slot_accuracy,
-)
-from .gazetteers import load_gazetteers
-from .icooc import IC, LabeledParagraph, label_turn, load_model, save_model, train
-from .pipeline import (
-    SLOT_KEYS,
-    annotate_corpus,
-    annotated_to_record,
-    gold_to_record,
-    slot_rows_from_record,
-    turns_from_record,
-    validate_record,
-)
-from .serialize import ControlVariant, build_examples, write_examples
-from .synth import SignalRates, SynthConfig, generate_corpus, labeled_paragraphs
-from .transcripts import (
-    dump_json_line,
-    iter_jsonl,
-    load_campaigns,
-    write_campaigns,
-    write_lines,
-)
+from .models import SLOT_KEYS, ControlVariant
 
-log = logging.getLogger("pbpstate")
+if TYPE_CHECKING:
+    from .evaluation import CorpusStats
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
+
+# The benchmark's tests read these functions through this module
+# (``cli.annotated_to_record``). Each is looked up in the module named here
+# on access, so importing this module does not load that one.
+_FORWARDED = {"annotated_to_record": "pipeline", "dump_json_line": "transcripts"}
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _FORWARDED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__package__}.{_FORWARDED[name]}"), name)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,6 +46,12 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
+
+
+def _info(args: argparse.Namespace, message: str) -> None:
+    """With ``-v``, report progress on stderr as ``INFO <message>``."""
+    if args.verbose:
+        print(f"INFO {message}", file=sys.stderr)
 
 
 def _stats_table(stats: CorpusStats) -> str:
@@ -76,13 +70,18 @@ def _stats_table(stats: CorpusStats) -> str:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
+    from .transcripts import load_campaigns, write_campaigns
+
     campaigns = list(load_campaigns(args.infile))
     write_campaigns(args.out, campaigns, include_rolls=True)
-    log.info("ingested %d campaigns -> %s", len(campaigns), args.out)
+    _info(args, f"ingested {len(campaigns)} campaigns -> {args.out}")
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from .evaluation import corpus_stats
+    from .transcripts import load_campaigns
+
     stats = corpus_stats(load_campaigns(args.infile))
     if args.json:
         print(json.dumps(stats.to_dict(), indent=2))
@@ -92,6 +91,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .records import gold_to_record
+    from .synth import SignalRates, SynthConfig, generate_corpus
+    from .transcripts import dump_json_line, write_campaigns, write_lines
+
     synth_config = SynthConfig(
         seed=args.seed,
         num_campaigns=args.campaigns,
@@ -111,16 +114,21 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             args.gold,
             [dump_json_line(gold_to_record(c, g)) for c, g in corpus.pairs],
         )
-    log.info(
-        "generated %d campaigns (%d turns) -> %s",
-        len(corpus.pairs),
-        int(corpus.expected_stats["total_turns"]),
-        args.out,
+    total_turns = int(corpus.expected_stats["total_turns"])
+    _info(
+        args,
+        f"generated {len(corpus.pairs)} campaigns ({total_turns} turns) -> {args.out}",
     )
     return 0
 
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
+    from .combat import CombatDetectorConfig
+    from .gazetteers import load_gazetteers
+    from .icooc import load_model
+    from .pipeline import annotate_corpus, annotated_to_record, validate_record
+    from .transcripts import dump_json_line, load_campaigns, write_lines
+
     gazetteers = load_gazetteers(args.gazetteers)
     combat_config = CombatDetectorConfig(
         gap_turns=args.gap_turns, attack_window_chars=args.attack_window
@@ -144,11 +152,10 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     mean_coverage = (
         sum(ac.coverage for ac in annotated) / len(annotated) if annotated else 0.0
     )
-    log.info(
-        "annotated %d campaigns (mean heuristic coverage %.3f) -> %s",
-        len(annotated),
-        mean_coverage,
-        args.out,
+    _info(
+        args,
+        f"annotated {len(annotated)} campaigns"
+        f" (mean heuristic coverage {mean_coverage:.3f}) -> {args.out}",
     )
     return 0
 
@@ -165,6 +172,10 @@ def _bad_record(path: str, lineno: int, record: Any, exc: Exception) -> FormatEr
 
 
 def _cmd_train_icooc(args: argparse.Namespace) -> int:
+    from .icooc import LabeledParagraph, labeled_paragraphs, save_model, train
+    from .models import GoldAnnotations
+    from .transcripts import iter_jsonl, load_campaigns
+
     data: list[LabeledParagraph] = []
     if args.labeled:
         for lineno, record in iter_jsonl(args.labeled):
@@ -175,8 +186,6 @@ def _cmd_train_icooc(args: argparse.Namespace) -> int:
             except (KeyError, TypeError, ValueError) as exc:
                 raise _bad_record(args.labeled, lineno, record, exc) from exc
     else:
-        from .models import GoldAnnotations
-
         campaigns = {c.campaign_id: c for c in load_campaigns(args.corpus)}
         for lineno, record in iter_jsonl(args.gold):
             try:
@@ -192,11 +201,14 @@ def _cmd_train_icooc(args: argparse.Namespace) -> int:
                 raise _bad_record(args.gold, lineno, record, exc) from exc
     model = train(data, smoothing=args.smoothing)
     save_model(model, args.out)
-    log.info("trained IC/OOC model on %d paragraphs -> %s", len(data), args.out)
+    _info(args, f"trained IC/OOC model on {len(data)} paragraphs -> {args.out}")
     return 0
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from .icooc import IC, label_turn, load_model
+    from .transcripts import dump_json_line, load_campaigns, write_lines
+
     model = load_model(args.model)
     lines = []
     for campaign in load_campaigns(args.infile):
@@ -218,6 +230,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_serialize(args: argparse.Namespace) -> int:
+    from .records import turns_from_record
+    from .serialize import build_examples, write_examples
+    from .transcripts import iter_jsonl
+
     variant = ControlVariant(args.variant)
     examples = (
         example
@@ -227,12 +243,15 @@ def _cmd_serialize(args: argparse.Namespace) -> int:
         )
     )
     count = write_examples(args.out, examples)
-    log.info("serialized %d examples (%s) -> %s", count, variant.value, args.out)
+    _info(args, f"serialized {count} examples ({variant.value}) -> {args.out}")
     return 0
 
 
 def _slot_rows_by_campaign(path: str) -> dict[str, list[dict[str, Any]]]:
     """campaign_id -> per-turn slot rows, in file order; ids must be unique."""
+    from .records import slot_rows_from_record
+    from .transcripts import iter_jsonl
+
     rows: dict[str, list[dict[str, Any]]] = {}
     for lineno, record in iter_jsonl(path):
         campaign_id = record.get("campaign_id") if isinstance(record, dict) else None
@@ -247,6 +266,8 @@ def _slot_rows_by_campaign(path: str) -> dict[str, list[dict[str, Any]]]:
 
 
 def _cmd_eval_gst(args: argparse.Namespace) -> int:
+    from .evaluation import slot_accuracy
+
     pred_by_id = _slot_rows_by_campaign(args.pred)
     gold_by_id = _slot_rows_by_campaign(args.gold)
     extra = [cid for cid in pred_by_id if cid not in gold_by_id]
@@ -284,14 +305,61 @@ def _cmd_eval_gst(args: argparse.Namespace) -> int:
     return 0
 
 
+def _label_row(path: str, lineno: int, labels: Any) -> list[Any]:
+    """One item's labels: a list of two or more, none an array or object."""
+    if not isinstance(labels, list) or any(
+        isinstance(v, (list, dict)) for v in labels
+    ):
+        raise FormatError(f"{path}: labels is not a list of labels", line=lineno)
+    if len(labels) < 2:
+        raise FormatError(
+            f"{path}: labels: found {len(labels)}, need at least two (one per rater)",
+            line=lineno,
+        )
+    return labels
+
+
+def _score_row(path: str, lineno: int, scores: Any, raters: int | None) -> list[float]:
+    """One item's scores as floats: a list of two or more numbers, as many
+    as ``raters`` (the first scored line's count) when that is known."""
+    if not isinstance(scores, list):
+        raise FormatError(f"{path}: scores is not a list", line=lineno)
+    try:
+        row = [float(v) for v in scores]
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: scores: {exc}", line=lineno) from exc
+    if len(row) < 2:
+        raise FormatError(
+            f"{path}: scores: found {len(row)}, need at least two (one per rater)",
+            line=lineno,
+        )
+    if raters is not None and len(row) != raters:
+        raise FormatError(
+            f"{path}: scores: {len(row)} scores, but the first scored line has"
+            f" {raters}",
+            line=lineno,
+        )
+    return row
+
+
 def _cmd_agreement(args: argparse.Namespace) -> int:
+    from .evaluation import kendall_tau, pairwise_agreement, randolph_kappa
+    from .transcripts import iter_jsonl
+
     label_items: list[list[Any]] = []
     score_items: list[list[float]] = []
-    for _, record in iter_jsonl(args.infile):
+    for lineno, record in iter_jsonl(args.infile):
+        if not isinstance(record, dict):
+            raise FormatError(
+                f"{args.infile}: record is not a JSON object", line=lineno
+            )
         if "labels" in record:
-            label_items.append(record["labels"])
+            label_items.append(_label_row(args.infile, lineno, record["labels"]))
         if "scores" in record:
-            score_items.append([float(v) for v in record["scores"]])
+            raters = len(score_items[0]) if score_items else None
+            score_items.append(
+                _score_row(args.infile, lineno, record["scores"], raters)
+            )
     result: dict[str, Any] = {}
     if label_items:
         observed = pairwise_agreement(label_items)
@@ -429,11 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(message)s",
-    )
     if args.command == "train-icooc" and args.corpus and not args.gold:
         parser.error("--corpus requires --gold")
     try:

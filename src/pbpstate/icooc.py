@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
+from typing import Iterable
 
 from .dice import contains_dice_expr
 from .errors import (
@@ -24,7 +25,7 @@ from .errors import (
     ModelIOError,
     VersionMismatchError,
 )
-from .models import Post
+from .models import Campaign, GoldAnnotations, Post
 from .transcripts import write_lines
 
 MODEL_MAGIC = "ICOOC-MODEL v1"
@@ -49,6 +50,19 @@ class LabeledParagraph:
             raise ValueError("text: must be a non-empty string")
         if self.label not in (IC, OOC):
             raise ValueError(f"label: must be {IC!r} or {OOC!r}")
+
+
+def labeled_paragraphs(
+    pairs: Iterable[tuple[Campaign, GoldAnnotations]],
+) -> list[LabeledParagraph]:
+    """Flatten campaigns and their gold paragraph labels into labeled IC/OOC
+    training paragraphs."""
+    out: list[LabeledParagraph] = []
+    for campaign, gold in pairs:
+        for post, labels in zip(campaign.posts, gold.paragraph_labels):
+            for paragraph, label in zip(post.paragraphs, labels):
+                out.append(LabeledParagraph(text=paragraph, label=label))
+    return out
 
 
 def _digit_bucket(text: str) -> str:

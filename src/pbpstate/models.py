@@ -16,12 +16,25 @@ DUNGEON_MASTER = "Dungeon Master"
 
 PRONOUN_LABELS = ("he/him", "she/her", "they/them")
 
+# The slots of a turn state's comparison view, in report order.
+SLOT_KEYS = ("name", "character_class", "race", "pronouns", "in_combat", "action")
+
 
 class ActionKind(Enum):
     ATTACK = "attack"
     SKILL_CHECK = "skill_check"
     DAMAGE_OR_HEAL = "damage_or_heal"
     UNKNOWN_CHECK = "unknown_check"
+
+
+class ControlVariant(Enum):
+    """Where a fine-tuning example carries per-turn state blocks (see
+    ``pbpstate.serialize``)."""
+
+    NONE = "none"
+    ALL_CTRL = "all"
+    PREV_CTRL = "prev"
+    CURR_CTRL = "curr"
 
 
 def _require(condition: bool, field_name: str, message: str) -> None:

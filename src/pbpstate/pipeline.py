@@ -3,7 +3,8 @@
 Couples the per-player property heuristics, the combat state machine, roll
 classification, and IC/OOC labeling into one annotated record per campaign,
 including the per-turn slot view consumed by the fill models and the
-evaluation tools.
+evaluation tools. The record format itself, which the downstream commands
+read without loading any of this, is in ``pbpstate.records``.
 
 Every slot row is the turn state's own view: a character slot holds a
 value on every turn whose author earned a profile value, ``in_combat``
@@ -28,44 +29,16 @@ from .combat import (
 from .errors import FormatError
 from .gazetteers import Gazetteers
 from .icooc import IC, IcOocModel, label_turn, rule_based_turn_label
-from .models import (
-    Action,
-    Campaign,
-    CharacterProfile,
-    CombatSpan,
-    GoldAnnotations,
-    TurnState,
-)
-from .transcripts import campaign_from_record
-
-SLOT_KEYS = ("name", "character_class", "race", "pronouns", "in_combat", "action")
+from .models import Campaign, CharacterProfile, CombatSpan, TurnState
+from .records import SLOT_KEYS  # re-exported: the keys of every slot row
+from .records import slot_rows_from_record, state_slot_values, turns_from_record
 
 FILLABLE_SLOTS = ("character_class", "race", "pronouns")
 
 HEURISTIC = "heuristic"
 MODEL = "model"
-GOLD = "gold"
 
 SlotValue = tuple[str | None, str | None]
-
-
-def action_slot_value(actions: Sequence[Action]) -> str | None:
-    """Canonical slot value for a turn's actions: kinds in roll order."""
-    if not actions:
-        return None
-    return ",".join(a.kind.value for a in actions)
-
-
-def state_slot_values(state: TurnState) -> dict[str, str | None]:
-    """Flatten a TurnState into the per-slot comparison view."""
-    return {
-        "name": state.character_name,
-        "character_class": state.character_class,
-        "race": state.race,
-        "pronouns": state.pronouns,
-        "in_combat": "true" if state.in_combat else "false",
-        "action": action_slot_value(state.actions),
-    }
 
 
 @dataclass(frozen=True)
@@ -212,51 +185,6 @@ def annotated_to_record(annotated: AnnotatedCampaign) -> dict[str, Any]:
         for slots in annotated.slot_values
     ]
     return record
-
-
-def gold_to_record(campaign: Campaign, gold: GoldAnnotations) -> dict[str, Any]:
-    """Gold annotations in the same slot-record shape the evaluator reads."""
-    record: dict[str, Any] = {"campaign_id": campaign.campaign_id}
-    record.update(gold.to_dict())
-    record["turn_slots"] = [
-        {
-            key: {"value": value, "source": GOLD}
-            for key, value in sorted(state_slot_values(state).items())
-        }
-        for state in gold.turn_states
-    ]
-    return record
-
-
-def slot_rows_from_record(record: Mapping[str, Any]) -> list[dict[str, str | None]]:
-    """Per-turn slot values from an annotated or gold JSONL record."""
-    try:
-        turn_slots = record["turn_slots"]
-    except KeyError as exc:
-        raise FormatError("record carries no turn_slots") from exc
-    return [
-        {key: cell["value"] for key, cell in slots.items()} for slots in turn_slots
-    ]
-
-
-def turns_from_record(
-    record: Mapping[str, Any],
-) -> tuple[str, list[tuple[str, TurnState]]]:
-    """(campaign_id, [(turn text, state), ...]) from an annotated record."""
-    try:
-        campaign = campaign_from_record(
-            {"campaign_id": record["campaign_id"], "posts": record["posts"]}
-        )
-        states = [TurnState.from_dict(t) for t in record["turn_states"]]
-    except KeyError as exc:
-        raise FormatError(f"annotated record missing field {exc}") from exc
-    if len(states) != len(campaign.posts):
-        raise FormatError("turn_states do not align with posts")
-    turns = [
-        (" ".join(post.paragraphs), state)
-        for post, state in zip(campaign.posts, states)
-    ]
-    return campaign.campaign_id, turns
 
 
 def validate_record(record: Mapping[str, Any]) -> None:

@@ -1,0 +1,85 @@
+"""The per-campaign JSONL record format read by serialize, eval-gst and synth.
+
+An annotated or gold record carries the campaign's posts, one turn state
+per post and, under ``turn_slots``, each turn's slot view: one
+``{"value", "source"}`` cell per name in ``SLOT_KEYS``. This module reads
+and writes that format without any of the annotation code, so the
+commands that only consume records load none of it.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Mapping, Sequence
+
+from .errors import FormatError
+from .models import SLOT_KEYS, Action, Campaign, GoldAnnotations, TurnState
+from .transcripts import campaign_from_record
+
+# SLOT_KEYS, the slot names of this format, is defined beside TurnState
+# so that the CLI's parser can list the slots without loading this module.
+
+GOLD = "gold"
+
+
+def action_slot_value(actions: Sequence[Action]) -> str | None:
+    """Canonical slot value for a turn's actions: kinds in roll order."""
+    if not actions:
+        return None
+    return ",".join(a.kind.value for a in actions)
+
+
+def state_slot_values(state: TurnState) -> dict[str, str | None]:
+    """Flatten a TurnState into the per-slot comparison view."""
+    return {
+        "name": state.character_name,
+        "character_class": state.character_class,
+        "race": state.race,
+        "pronouns": state.pronouns,
+        "in_combat": "true" if state.in_combat else "false",
+        "action": action_slot_value(state.actions),
+    }
+
+
+def gold_to_record(campaign: Campaign, gold: GoldAnnotations) -> dict[str, Any]:
+    """Gold annotations in the same slot-record shape the evaluator reads."""
+    record: dict[str, Any] = {"campaign_id": campaign.campaign_id}
+    record.update(gold.to_dict())
+    record["turn_slots"] = [
+        {
+            key: {"value": value, "source": GOLD}
+            for key, value in sorted(state_slot_values(state).items())
+        }
+        for state in gold.turn_states
+    ]
+    return record
+
+
+def slot_rows_from_record(record: Mapping[str, Any]) -> list[dict[str, str | None]]:
+    """Per-turn slot values from an annotated or gold JSONL record."""
+    try:
+        turn_slots = record["turn_slots"]
+    except KeyError as exc:
+        raise FormatError("record carries no turn_slots") from exc
+    return [
+        {key: cell["value"] for key, cell in slots.items()} for slots in turn_slots
+    ]
+
+
+def turns_from_record(
+    record: Mapping[str, Any],
+) -> tuple[str, list[tuple[str, TurnState]]]:
+    """(campaign_id, [(turn text, state), ...]) from an annotated record."""
+    try:
+        campaign = campaign_from_record(
+            {"campaign_id": record["campaign_id"], "posts": record["posts"]}
+        )
+        states = [TurnState.from_dict(t) for t in record["turn_states"]]
+    except KeyError as exc:
+        raise FormatError(f"annotated record missing field {exc}") from exc
+    if len(states) != len(campaign.posts):
+        raise FormatError("turn_states do not align with posts")
+    turns = [
+        (" ".join(post.paragraphs), state)
+        for post, state in zip(campaign.posts, states)
+    ]
+    return campaign.campaign_id, turns

@@ -16,20 +16,12 @@ files, so fixtures can be golden-tested.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .models import DUNGEON_MASTER, Action, ActionKind, TurnState
+from .models import DUNGEON_MASTER, Action, ActionKind, ControlVariant, TurnState
 from .transcripts import dump_json_line, write_lines
-
-
-class ControlVariant(Enum):
-    NONE = "none"
-    ALL_CTRL = "all"
-    PREV_CTRL = "prev"
-    CURR_CTRL = "curr"
 
 
 _ABSENT = "N/A"

@@ -24,13 +24,16 @@ from .pipeline import FILLABLE_SLOTS, HEURISTIC, MODEL, AnnotatedCampaign, SlotV
 def post_features(
     annotated: Sequence[AnnotatedCampaign],
 ) -> list[list[dict[str, int]]]:
-    """Per campaign, the featurized text of each post ({} for a blank one).
+    """Per campaign, the featurized text of each post: {} for a blank post
+    and for the DM's posts, which training and filling skip.
 
     Computed once and shared by training and filling.
     """
     return [
         [
-            featurize(text) if (text := post.text()).strip() else {}
+            {}
+            if ac.profiles[post.author_id].is_dm or not (text := post.text()).strip()
+            else featurize(text)
             for post in ac.campaign.posts
         ]
         for ac in annotated

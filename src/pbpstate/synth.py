@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .dice import extract_rolls, format_dice_expr
 from .errors import ConfigError
-from .icooc import IC, OOC, LabeledParagraph
+from .icooc import IC, OOC
 from .models import (
     DUNGEON_MASTER,
     Action,
@@ -568,14 +567,3 @@ def generate_corpus(config: SynthConfig) -> SynthCorpus:
     }
     return SynthCorpus(pairs=tuple(pairs), expected_stats=stats)
 
-
-def labeled_paragraphs(
-    pairs: Iterable[tuple[Campaign, GoldAnnotations]],
-) -> list[LabeledParagraph]:
-    """Flatten generated campaigns into labeled IC/OOC training paragraphs."""
-    out: list[LabeledParagraph] = []
-    for campaign, gold in pairs:
-        for post, labels in zip(campaign.posts, gold.paragraph_labels):
-            for paragraph, label in zip(post.paragraphs, labels):
-                out.append(LabeledParagraph(text=paragraph, label=label))
-    return out

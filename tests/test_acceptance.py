@@ -21,7 +21,7 @@ from pbpstate.evaluation import (
     randolph_kappa,
     slot_accuracy,
 )
-from pbpstate.icooc import predict, train
+from pbpstate.icooc import labeled_paragraphs, predict, train
 from pbpstate.models import DiceRoll
 from pbpstate.pipeline import (
     FILLABLE_SLOTS,
@@ -31,7 +31,7 @@ from pbpstate.pipeline import (
 )
 from pbpstate.serialize import ControlVariant, build_examples
 from pbpstate.slots import fill_missing, post_features, train_slot_models
-from pbpstate.synth import SynthConfig, generate, generate_corpus, labeled_paragraphs
+from pbpstate.synth import SynthConfig, generate, generate_corpus
 from pbpstate.transcripts import load_campaigns, write_campaigns
 
 from test_evaluation import brute_force_tau_b

@@ -3,6 +3,8 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -469,3 +471,183 @@ def test_classify_and_annotate_agree_on_a_blank_paragraph(synth_corpus, tmp_path
         for state in json.loads(line)["turn_states"]
     ]
     assert [row["in_character"] for row in rows] == states
+
+
+@pytest.mark.parametrize(
+    "rows, line, problem",
+    [
+        pytest.param(
+            [{"labels": ["a", "b"]}, {"scores": [4]}, {"scores": [2]}],
+            2,
+            "scores: found 1, need at least two (one per rater)",
+            id="one-score-per-item",
+        ),
+        pytest.param(
+            [{"scores": [1, 2, 3]}, {"scores": [2, 3, 1]}, {"scores": [3, 1]}],
+            3,
+            "scores: 2 scores, but the first scored line has 3",
+            id="rows-of-different-lengths",
+        ),
+        pytest.param(
+            [{"scores": [1, 2]}, {"scores": [2, "high"]}],
+            2,
+            "scores: could not convert string to float: 'high'",
+            id="non-numeric-score",
+        ),
+        pytest.param(
+            [{"scores": [1, 2]}, {"labels": "ab"}], 2, "labels is not a list of labels",
+            id="labels-not-a-list",
+        ),
+        pytest.param(
+            [{"labels": ["a", "b"]}, {"labels": [["a"], ["b"]]}],
+            2,
+            "labels is not a list of labels",
+            id="label-is-an-array",
+        ),
+        pytest.param(
+            [{"labels": ["a", "b"]}, {"labels": ["a"]}],
+            2,
+            "labels: found 1, need at least two (one per rater)",
+            id="one-label-per-item",
+        ),
+        pytest.param([[1, 2]], 1, "record is not a JSON object", id="not-an-object"),
+    ],
+)
+def test_agreement_bad_ratings_name_the_line(tmp_path, capsys, rows, line, problem):
+    ratings = tmp_path / "ratings.jsonl"
+    ratings.write_text(
+        "".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8"
+    )
+    assert main(["agreement", "--in", str(ratings)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"pbpstate: error: line {line}: {ratings}: {problem}\n"
+    )
+
+
+def _paragraph_count(gold):
+    return sum(
+        len(labels)
+        for line in gold.read_text(encoding="utf-8").splitlines()
+        for labels in json.loads(line)["paragraph_labels"]
+    )
+
+
+@pytest.mark.parametrize("verbose", [True, False])
+def test_verbose_progress_lines(synth_corpus, tmp_path, capsys, verbose):
+    corpus, gold = synth_corpus
+    annotated = tmp_path / "annotated.jsonl"
+    assert main(["annotate", "--in", str(corpus), "--out", str(annotated)]) == 0
+    capsys.readouterr()
+    flag = ["-v"] if verbose else []
+    ingested, examples, model = (
+        tmp_path / "ingested.jsonl", tmp_path / "examples.jsonl", tmp_path / "m.txt"
+    )
+    commands = [
+        (
+            ["ingest", "--in", str(corpus), "--out", str(ingested)],
+            f"INFO ingested 3 campaigns -> {ingested}\n",
+        ),
+        (
+            ["serialize", "--in", str(annotated), "--variant", "all",
+             "--out", str(examples)],
+            f"INFO serialized {3 * 29} examples (all) -> {examples}\n",
+        ),
+        (
+            ["train-icooc", "--corpus", str(corpus), "--gold", str(gold),
+             "--out", str(model)],
+            f"INFO trained IC/OOC model on {_paragraph_count(gold)} paragraphs"
+            f" -> {model}\n",
+        ),
+    ]
+    for argv, line in commands:
+        assert main(flag + argv) == 0
+        assert capsys.readouterr().err == (line if verbose else ""), argv[0]
+
+
+# Runs one command in a fresh interpreter; writes the pbpstate modules it
+# loaded, and whether it loaded logging, to the file named first.
+_LOADED_MODULES_PROBE = """
+import json, sys
+from pbpstate.cli import main
+code = main(sys.argv[2:])
+with open(sys.argv[1], "w", encoding="utf-8") as handle:
+    json.dump(sorted(sys.modules), handle)
+sys.exit(code)
+"""
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    work = tmp_path_factory.mktemp("inputs")
+    paths = {
+        name: str(work / file)
+        for name, file in [
+            ("corpus", "corpus.jsonl"), ("gold", "gold.jsonl"),
+            ("model", "model.txt"), ("annotated", "annotated.jsonl"),
+            ("ratings", "ratings.jsonl"), ("out", "out.jsonl"),
+        ]
+    }
+    assert main(["synth", "--seed", "3", "--campaigns", "2", "--turns", "20",
+                 "--out", paths["corpus"], "--gold", paths["gold"]]) == 0
+    assert main(["train-icooc", "--corpus", paths["corpus"], "--gold",
+                 paths["gold"], "--out", paths["model"]]) == 0
+    assert main(["annotate", "--in", paths["corpus"],
+                 "--out", paths["annotated"]]) == 0
+    (work / "ratings.jsonl").write_text(
+        '{"labels": ["a", "a"], "scores": [1, 2]}\n'
+        '{"labels": ["a", "b"], "scores": [2, 1]}\n',
+        encoding="utf-8",
+    )
+    return work, paths
+
+
+_NOT_LOADED = {
+    "train-icooc": {"synth", "pipeline", "characters", "combat"},
+    "classify": {"synth", "pipeline", "characters", "combat"},
+    "serialize": {"characters", "combat", "gazetteers", "icooc", "synth"},
+    "eval-gst": {"characters", "combat", "gazetteers", "icooc", "synth"},
+    "annotate": {"synth", "serialize", "evaluation"},
+}
+
+_ARGV = {
+    "ingest": ["ingest", "--in", "{corpus}", "--out", "{out}"],
+    "stats": ["stats", "--in", "{corpus}"],
+    "synth": ["synth", "--campaigns", "1", "--turns", "10", "--out", "{out}",
+              "--gold", "{gold}.new"],
+    "annotate": ["annotate", "--in", "{corpus}", "--out", "{out}",
+                 "--icooc-model", "{model}"],
+    "train-icooc": ["train-icooc", "--corpus", "{corpus}", "--gold", "{gold}",
+                    "--out", "{out}"],
+    "classify": ["classify", "--model", "{model}", "--in", "{corpus}",
+                 "--out", "{out}"],
+    "serialize": ["serialize", "--in", "{annotated}", "--out", "{out}"],
+    "eval-gst": ["eval-gst", "--pred", "{annotated}", "--gold", "{gold}"],
+    "agreement": ["agreement", "--in", "{ratings}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ARGV))
+def test_each_command_loads_only_what_it_runs(command_inputs, command):
+    work, paths = command_inputs
+    import pbpstate
+
+    probe_out = work / f"modules-{command}.json"
+    argv = [arg.format(**paths) for arg in _ARGV[command]]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(pbpstate.__file__))]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES_PROBE, str(probe_out), *argv],
+        env=env, cwd=work, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(probe_out.read_text(encoding="utf-8")))
+    ours = {m.split(".", 1)[1] for m in loaded if m.startswith("pbpstate.")}
+    assert "logging" not in loaded
+    if command == "ingest":
+        assert ours == {"cli", "errors", "models", "dice", "transcripts"}
+    assert not ours & _NOT_LOADED.get(command, set())

@@ -4,18 +4,20 @@ import pytest
 
 from pbpstate.combat import CombatDetectorConfig
 from pbpstate import slots
-from pbpstate.icooc import featurize, train
+from pbpstate.icooc import featurize, labeled_paragraphs, train
 from pbpstate.pipeline import (
     HEURISTIC,
     annotate_campaign,
     annotate_corpus,
     annotated_to_record,
+)
+from pbpstate.records import (
     gold_to_record,
     slot_rows_from_record,
     state_slot_values,
     turns_from_record,
 )
-from pbpstate.synth import SynthConfig, generate, labeled_paragraphs
+from pbpstate.synth import SynthConfig, generate
 
 from conftest import make_campaign
 
@@ -120,9 +122,15 @@ def test_fill_featurizes_each_post_once(gaz, synth_pairs, monkeypatch):
         return featurize(text)
 
     monkeypatch.setattr(slots, "featurize", counting_featurize)
-    campaigns = [c for c, _ in synth_pairs]
-    annotate_corpus(campaigns, gaz)
-    texts = [p.text() for c in campaigns for p in c.posts if p.text().strip()]
+    annotate_corpus([c for c, _ in synth_pairs], gaz)
+    # Training and filling skip the DM's turns, so only player posts are read.
+    texts = [
+        p.text()
+        for c, gold in synth_pairs
+        for p in c.posts
+        if p.text().strip() and not gold.profiles[p.author_id].is_dm
+    ]
+    assert len(texts) < sum(len(c.posts) for c, _ in synth_pairs)
     assert sorted(calls) == sorted(texts)
 
 

@@ -5,15 +5,9 @@ import pytest
 from pbpstate.characters import build_profiles, text_signals
 from pbpstate.combat import CombatDetectorConfig, detect_combat_spans, extract_monsters
 from pbpstate.errors import ConfigError
-from pbpstate.icooc import IC, OOC
+from pbpstate.icooc import IC, OOC, labeled_paragraphs
 from pbpstate.models import validate_spans
-from pbpstate.synth import (
-    SignalRates,
-    SynthConfig,
-    generate,
-    generate_corpus,
-    labeled_paragraphs,
-)
+from pbpstate.synth import SignalRates, SynthConfig, generate, generate_corpus
 
 SMALL = SynthConfig(seed=7, num_campaigns=3, players_per_campaign=4,
                     turns_per_campaign=40, combat_density=0.06)
@@ -157,7 +151,7 @@ def test_labeled_paragraph_export():
 
 def test_gold_record_round_trip():
     from pbpstate.models import GoldAnnotations
-    from pbpstate.pipeline import gold_to_record
+    from pbpstate.records import gold_to_record
 
     for campaign, gold in generate(SMALL):
         record = gold_to_record(campaign, gold)
