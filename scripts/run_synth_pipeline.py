@@ -45,7 +45,6 @@ def run_rate(rate: float, args, gazetteers, out_dir: Path) -> None:
         (campaign for campaign, _ in pairs),
         gazetteers,
         CombatDetectorConfig(gap_turns=config.gap_turns),
-        fill=True,
     )
     elapsed = time.perf_counter() - started
 

@@ -160,11 +160,9 @@ class PostFacts:
     """Every cue the character heuristics read from one post.
 
     ``races`` pairs each term with its offset. ``pronouns`` lists the
-    pronoun-set labels in offset order. ``items`` and ``fallback_items``
-    hold lowercased (possessive, next word) pairs whose gap is whitespace:
-    the first when the word is a gazetteer item, the second when it is any
-    other alphabetic non-stopword, which only the inventory fallback reads.
-    ``spells`` are the title-cased phrases after each cast verb.
+    pronoun-set labels in offset order. ``items`` holds lowercased
+    (possessive, gazetteer item) pairs whose gap is whitespace. ``spells``
+    are the title-cased phrases after each cast verb.
     """
 
     index: int
@@ -173,11 +171,10 @@ class PostFacts:
     races: tuple[tuple[str, int], ...]
     pronouns: tuple[str, ...]
     items: tuple[tuple[str, str], ...]
-    fallback_items: tuple[tuple[str, str], ...]
     spells: tuple[str, ...]
 
     def cues(self) -> set[str]:
-        """The cue families that fire; fallback-only words are no cue."""
+        """The cue families that fire."""
         families = (
             ("name", self.names),
             ("class", self.classes),
@@ -191,12 +188,11 @@ class PostFacts:
 
 def _possessions(
     text: str, tokens: Sequence[Token], gazetteers: Gazetteers
-) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
-    """(items, fallback_items) pairs as described on ``PostFacts``."""
+) -> list[tuple[str, str]]:
+    """The ``items`` pairs described on ``PostFacts``."""
     possessives = gazetteers.all_possessives
     item_words = gazetteers.item_words
     items: list[tuple[str, str]] = []
-    fallback: list[tuple[str, str]] = []
     for (surface, _, end, _), (nxt_surface, nxt_start, _, _) in zip(
         tokens, islice(tokens, 1, None)
     ):
@@ -206,9 +202,7 @@ def _possessions(
         word = nxt_surface.lower()
         if word in item_words:
             items.append((possessive, word))
-        elif word not in gazetteers.stopwords and word.isalpha():
-            fallback.append((possessive, word))
-    return items, fallback
+    return items
 
 
 def _cast_phrases(
@@ -263,15 +257,13 @@ def post_facts(
         for label, matcher in gazetteers.pronoun_matchers
         for _, start in matcher.finditer(text)
     )
-    items, fallback_items = _possessions(text, tokens, gazetteers)
     return PostFacts(
         index=index,
         names=tuple(extract_proper_names(text, gazetteers, tokens)),
         classes=tuple(term for term, _ in gazetteers.class_matcher.finditer(text)),
         races=tuple(gazetteers.race_matcher.finditer(text)),
         pronouns=tuple(label for _, label in pronoun_hits),
-        items=tuple(items),
-        fallback_items=tuple(fallback_items),
+        items=tuple(_possessions(text, tokens, gazetteers)),
         spells=tuple(
             _cast_phrases(text, tokens, paragraphs, gazetteers.stopwords)
         ),
@@ -302,23 +294,16 @@ def _race(facts: Sequence[PostFacts]) -> str | None:
 
 
 def _inventory(
-    facts: Iterable[PostFacts],
-    pronouns: str | None,
-    gazetteers: Gazetteers,
-    fallback: bool,
+    facts: Iterable[PostFacts], pronouns: str | None, gazetteers: Gazetteers
 ) -> frozenset[str]:
-    """Items named right after a possessive pronoun ("her sword").
+    """Gazetteer items named right after a possessive pronoun ("her sword").
 
     First-person possessives always count; third-person ones only for the
-    player's own pronoun set. By default only gazetteer items are captured;
-    with ``fallback`` any following noun-like token is taken.
+    player's own pronoun set.
     """
     wanted = gazetteers.possessives_for(pronouns)
     return frozenset(
-        word
-        for f in facts
-        for possessive, word in (f.items + f.fallback_items if fallback else f.items)
-        if possessive in wanted
+        word for f in facts for possessive, word in f.items if possessive in wanted
     )
 
 
@@ -334,7 +319,6 @@ def text_signals(text: str, gazetteers: Gazetteers) -> set[str]:
 def build_profiles(
     campaign: Campaign,
     gazetteers: Gazetteers,
-    inventory_fallback: bool = False,
     facts: Sequence[PostFacts] | None = None,
 ) -> dict[str, CharacterProfile]:
     """Run all property heuristics per player; the DM profile is scrubbed.
@@ -373,9 +357,7 @@ def build_profiles(
             character_class=_most_mentioned(player_facts, lambda f: f.classes),
             race=_race(player_facts),
             pronouns=pronouns,
-            inventory=_inventory(
-                player_facts, pronouns, gazetteers, inventory_fallback
-            ),
+            inventory=_inventory(player_facts, pronouns, gazetteers),
             spells=frozenset(spell for f in player_facts for spell in f.spells),
         )
     return profiles

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error. Diagnostics go to
 stderr; data goes to files or stdout. Every setting is a flag, and each
-flag's default is in its argparse declaration.
+flag's default is in its argparse declaration. ``annotate`` has one
+configuration: it always fills what it can, and each slot cell's source
+says whether the heuristics or a fill model set it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import argparse
 import importlib
 import json
 import sys
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 # Each command loads only the modules it runs: a command function imports
 # the package modules it needs in its own body, and this module imports
@@ -23,6 +25,7 @@ from .models import SLOT_KEYS, ControlVariant
 
 if TYPE_CHECKING:
     from .evaluation import CorpusStats
+    from .models import TurnState
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -72,9 +75,8 @@ def _stats_table(stats: CorpusStats) -> str:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     from .transcripts import load_campaigns, write_campaigns
 
-    campaigns = list(load_campaigns(args.infile))
-    write_campaigns(args.out, campaigns, include_rolls=True)
-    _info(args, f"ingested {len(campaigns)} campaigns -> {args.out}")
+    count = write_campaigns(args.out, load_campaigns(args.infile), include_rolls=True)
+    _info(args, f"ingested {count} campaigns -> {args.out}")
     return 0
 
 
@@ -129,26 +131,22 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     from .pipeline import annotate_corpus, annotated_to_record, validate_record
     from .transcripts import dump_json_line, load_campaigns, write_lines
 
-    gazetteers = load_gazetteers(args.gazetteers)
-    combat_config = CombatDetectorConfig(
-        gap_turns=args.gap_turns, attack_window_chars=args.attack_window
-    )
-    icooc_model = load_model(args.icooc_model) if args.icooc_model else None
-
     annotated = annotate_corpus(
         load_campaigns(args.infile),
-        gazetteers,
-        combat_config,
-        icooc_model=icooc_model,
-        inventory_fallback=args.inventory_fallback,
-        fill=not args.no_fill,
-        fill_threshold=args.fill_threshold,
+        load_gazetteers(args.gazetteers),
+        CombatDetectorConfig(gap_turns=args.gap_turns),
+        icooc_model=load_model(args.icooc_model) if args.icooc_model else None,
     )
-    records = [annotated_to_record(ac) for ac in annotated]
-    # Self-validation: every record must parse back into valid domain types.
-    for record in records:
-        validate_record(record)
-    write_lines(args.out, [dump_json_line(r) for r in records])
+
+    def lines() -> Iterator[str]:
+        for ac in annotated:
+            record = annotated_to_record(ac)
+            # Self-validation: the record must parse back into valid domain
+            # types before its line is written.
+            validate_record(record)
+            yield dump_json_line(record)
+
+    write_lines(args.out, lines())
     mean_coverage = (
         sum(ac.coverage for ac in annotated) / len(annotated) if annotated else 0.0
     )
@@ -210,12 +208,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     from .transcripts import dump_json_line, load_campaigns, write_lines
 
     model = load_model(args.model)
-    lines = []
-    for campaign in load_campaigns(args.infile):
-        for post in campaign.posts:
-            paragraph_labels, turn_label = label_turn(model, post)
-            lines.append(
-                dump_json_line(
+
+    def lines() -> Iterator[str]:
+        for campaign in load_campaigns(args.infile):
+            for post in campaign.posts:
+                paragraph_labels, turn_label = label_turn(model, post)
+                yield dump_json_line(
                     {
                         "campaign_id": campaign.campaign_id,
                         "post_id": post.post_id,
@@ -224,8 +222,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                         "in_character": turn_label == IC,
                     }
                 )
-            )
-    write_lines(args.out, lines)
+
+    write_lines(args.out, lines())
     return 0
 
 
@@ -234,13 +232,19 @@ def _cmd_serialize(args: argparse.Namespace) -> int:
     from .serialize import build_examples, write_examples
     from .transcripts import iter_jsonl
 
+    def turns() -> Iterator[tuple[str, list[tuple[str, TurnState]]]]:
+        for lineno, record in iter_jsonl(args.infile):
+            try:
+                campaign_turns = turns_from_record(record)
+            except FormatError as exc:
+                raise _bad_record(args.infile, lineno, record, exc) from exc
+            yield campaign_turns
+
     variant = ControlVariant(args.variant)
     examples = (
         example
-        for _, record in iter_jsonl(args.infile)
-        for example in build_examples(
-            *turns_from_record(record), variant, window=args.window
-        )
+        for campaign_turns in turns()
+        for example in build_examples(*campaign_turns, variant, window=args.window)
     )
     count = write_examples(args.out, examples)
     _info(args, f"serialized {count} examples ({variant.value}) -> {args.out}")
@@ -261,7 +265,10 @@ def _slot_rows_by_campaign(path: str) -> dict[str, list[dict[str, Any]]]:
             raise FormatError(
                 f"{path}: duplicate campaign_id {campaign_id!r}", line=lineno
             )
-        rows[campaign_id] = slot_rows_from_record(record)
+        try:
+            rows[campaign_id] = slot_rows_from_record(record)
+        except FormatError as exc:
+            raise _bad_record(path, lineno, record, exc) from exc
     return rows
 
 
@@ -442,11 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--gazetteers")
     p.add_argument("--gap-turns", type=int, default=3)
-    p.add_argument("--attack-window", type=int, default=100)
     p.add_argument("--icooc-model")
-    p.add_argument("--no-fill", action="store_true")
-    p.add_argument("--fill-threshold", type=float, default=0.5)
-    p.add_argument("--inventory-fallback", action="store_true")
     p.set_defaults(func=_cmd_annotate)
 
     p = sub.add_parser("train-icooc", help="train the IC/OOC paragraph classifier")

@@ -39,54 +39,45 @@ _NUMBER_WORD_RE = re.compile(
 )
 
 
+# A keyword is near a roll, and a number near a monster mention, when
+# their offsets differ by at most this many characters.
+WINDOW_CHARS = 100
+
+
 @dataclass(frozen=True)
 class CombatDetectorConfig:
     gap_turns: int = 3
-    attack_window_chars: int = 100
 
     def __post_init__(self) -> None:
         if self.gap_turns < 1:
             raise ConfigError("gap_turns must be at least 1")
-        if self.attack_window_chars < 1:
-            raise ConfigError("attack_window_chars must be at least 1")
 
 
-def _within_window(
-    positions: list[int], offset: int, window: int
-) -> bool:
-    return any(abs(pos - offset) <= window for pos in positions)
+def _within_window(positions: list[int], offset: int) -> bool:
+    return any(abs(pos - offset) <= WINDOW_CHARS for pos in positions)
 
 
-def is_initiative_roll(
-    roll: DiceRoll, context: str, config: CombatDetectorConfig = CombatDetectorConfig()
-) -> bool:
+def is_initiative_roll(roll: DiceRoll, context: str) -> bool:
     """A d20 with the word "initiative" near it in its paragraph."""
     if roll.faces != 20:
         return False
     positions = [m.start() for m in _INITIATIVE_RE.finditer(context)]
-    return _within_window(positions, roll.char_offset, config.attack_window_chars)
+    return _within_window(positions, roll.char_offset)
 
 
-def is_attack_roll(
-    roll: DiceRoll,
-    context: str,
-    gazetteers: Gazetteers,
-    config: CombatDetectorConfig = CombatDetectorConfig(),
-) -> bool:
+def is_attack_roll(roll: DiceRoll, context: str, gazetteers: Gazetteers) -> bool:
     """A d20 with an attack keyword near it in its paragraph."""
     if roll.faces != 20:
         return False
     positions = [p for _, p in gazetteers.attack_matcher.finditer(context)]
-    return _within_window(positions, roll.char_offset, config.attack_window_chars)
+    return _within_window(positions, roll.char_offset)
 
 
-def _post_opens_combat(
-    post, gazetteers: Gazetteers, config: CombatDetectorConfig
-) -> bool:
+def _post_opens_combat(post, gazetteers: Gazetteers) -> bool:
     for roll in post.rolls:
         context = post.paragraphs[roll.paragraph_index]
-        if is_initiative_roll(roll, context, config) or is_attack_roll(
-            roll, context, gazetteers, config
+        if is_initiative_roll(roll, context) or is_attack_roll(
+            roll, context, gazetteers
         ):
             return True
     return False
@@ -111,7 +102,7 @@ def detect_combat_spans(
     for post in campaign.posts:
         has_roll = bool(post.rolls)
         if not in_combat:
-            if _post_opens_combat(post, gazetteers, config):
+            if _post_opens_combat(post, gazetteers):
                 in_combat = True
                 span_start = post.index
                 last_roll_index = post.index
@@ -133,10 +124,7 @@ def detect_combat_spans(
 
 
 def extract_monsters(
-    campaign: Campaign,
-    span: CombatSpan,
-    gazetteers: Gazetteers,
-    config: CombatDetectorConfig = CombatDetectorConfig(),
+    campaign: Campaign, span: CombatSpan, gazetteers: Gazetteers
 ) -> list[tuple[str, int]]:
     """Monsters mentioned inside the span with a guessed headcount.
 
@@ -153,23 +141,19 @@ def extract_monsters(
                 if monster not in counts:
                     counts[monster] = 1
                     order.append(monster)
-                window = config.attack_window_chars
                 best = counts[monster]
                 for m in _NUMERAL_RE.finditer(paragraph):
-                    if abs(m.start() - offset) <= window:
+                    if abs(m.start() - offset) <= WINDOW_CHARS:
                         best = max(best, int(m.group(0)))
                 for m in _NUMBER_WORD_RE.finditer(paragraph):
-                    if abs(m.start() - offset) <= window:
+                    if abs(m.start() - offset) <= WINDOW_CHARS:
                         best = max(best, NUMBER_WORDS[m.group(0).lower()])
                 counts[monster] = best
     return [(name, counts[name]) for name in order]
 
 
 def classify_roll_action(
-    roll: DiceRoll,
-    context: str,
-    gazetteers: Gazetteers,
-    config: CombatDetectorConfig = CombatDetectorConfig(),
+    roll: DiceRoll, context: str, gazetteers: Gazetteers
 ) -> Action | None:
     """Classify one roll from the keywords around it.
 
@@ -178,15 +162,14 @@ def classify_roll_action(
     keyword it is an unclassified check. Other dice yield a damage/heal
     action only when a damage keyword is nearby, otherwise nothing.
     """
-    window = config.attack_window_chars
     offset = roll.char_offset
     if roll.faces == 20:
         candidates: list[tuple[int, int, str, str | None]] = []
         for _, pos in gazetteers.attack_matcher.finditer(context):
-            if abs(pos - offset) <= window:
+            if abs(pos - offset) <= WINDOW_CHARS:
                 candidates.append((abs(pos - offset), pos, "attack", None))
         for skill, pos in gazetteers.skill_matcher.finditer(context):
-            if abs(pos - offset) <= window:
+            if abs(pos - offset) <= WINDOW_CHARS:
                 candidates.append((abs(pos - offset), pos, "skill", skill))
         if not candidates:
             return Action(kind=ActionKind.UNKNOWN_CHECK, source_roll=roll)
@@ -195,15 +178,13 @@ def classify_roll_action(
             return Action(kind=ActionKind.ATTACK, source_roll=roll)
         return Action(kind=ActionKind.SKILL_CHECK, source_roll=roll, skill=skill)
     positions = [p for _, p in gazetteers.damage_matcher.finditer(context)]
-    if _within_window(positions, offset, window):
+    if _within_window(positions, offset):
         return Action(kind=ActionKind.DAMAGE_OR_HEAL, source_roll=roll)
     return None
 
 
 def annotate_turn_actions(
-    campaign: Campaign,
-    gazetteers: Gazetteers,
-    config: CombatDetectorConfig = CombatDetectorConfig(),
+    campaign: Campaign, gazetteers: Gazetteers
 ) -> list[list[Action]]:
     """Per-post action lists for the whole campaign."""
     actions_per_post: list[list[Action]] = []
@@ -211,7 +192,7 @@ def annotate_turn_actions(
         actions = []
         for roll in post.rolls:
             context = post.paragraphs[roll.paragraph_index]
-            action = classify_roll_action(roll, context, gazetteers, config)
+            action = classify_roll_action(roll, context, gazetteers)
             if action is not None:
                 actions.append(action)
         actions_per_post.append(actions)

@@ -106,7 +106,6 @@ class IcOocModel:
     priors: tuple[float, ...]
     weights: dict[str, tuple[float, ...]]
     smoothing: float
-    slot: str | None = None
 
     def scores(self, features: dict[str, int]) -> tuple[float, ...]:
         totals = list(self.priors)
@@ -144,7 +143,6 @@ def train(
         [(featurize(p.text), p.label) for p in data],
         labels=labels,
         smoothing=smoothing,
-        slot=None,
         constrain_dice=True,
     )
 
@@ -153,7 +151,6 @@ def fit_from_features(
     featurized: list[tuple[dict[str, int], str]],
     labels: tuple[str, ...],
     smoothing: float,
-    slot: str | None,
     constrain_dice: bool = False,
 ) -> IcOocModel:
     if smoothing <= 0:
@@ -202,11 +199,7 @@ def fit_from_features(
             weights[DICE_FEATURE] = tuple(w)
 
     return IcOocModel(
-        labels=labels,
-        priors=priors,
-        weights=weights,
-        smoothing=smoothing,
-        slot=slot,
+        labels=labels, priors=priors, weights=weights, smoothing=smoothing
     )
 
 
@@ -240,8 +233,6 @@ def rule_based_turn_label(post: Post) -> str:
 def save_model(model: IcOocModel, path: str | Path) -> None:
     lines = [MODEL_MAGIC]
     lines.append("labels\t" + "\t".join(model.labels))
-    if model.slot is not None:
-        lines.append(f"slot\t{model.slot}")
     lines.append(f"smoothing\t{model.smoothing!r}")
     lines.append("priors\t" + "\t".join(repr(p) for p in model.priors))
     lines.append(f"tokens\t{len(model.weights)}")
@@ -265,10 +256,6 @@ def load_model(path: str | Path) -> IcOocModel:
             raise ModelIOError(f"expected labels line, found {lines[cursor]!r}")
         labels = tuple(parts[1:])
         cursor += 1
-        slot = None
-        if lines[cursor].startswith("slot\t"):
-            slot = lines[cursor].split("\t", 1)[1]
-            cursor += 1
         smoothing = float(lines[cursor].split("\t", 1)[1])
         cursor += 1
         priors = tuple(float(v) for v in lines[cursor].split("\t")[1:])
@@ -288,9 +275,5 @@ def load_model(path: str | Path) -> IcOocModel:
     except (IndexError, ValueError) as exc:
         raise ModelIOError(f"truncated or corrupt model file: {exc}") from exc
     return IcOocModel(
-        labels=labels,
-        priors=priors,
-        weights=weights,
-        smoothing=smoothing,
-        slot=slot,
+        labels=labels, priors=priors, weights=weights, smoothing=smoothing
     )

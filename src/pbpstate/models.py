@@ -42,6 +42,48 @@ def _require(condition: bool, field_name: str, message: str) -> None:
         raise ValueError(f"{field_name}: {message}")
 
 
+_MISSING = object()
+_OPTIONAL_STR = (str, type(None))
+_KIND_NAMES: dict[Any, str] = {
+    str: "a string",
+    _OPTIONAL_STR: "a string or null",
+    bool: "true or false",
+    int: "an integer",
+    list: "a list",
+    dict: "an object",
+}
+
+
+def _typed(d: Any, key: str, kind: Any, default: Any = _MISSING) -> Any:
+    """``d[key]``, or ``default`` when absent, which must be a ``kind``.
+
+    Decoded JSON is checked before it is converted, so that a string
+    inventory or a string ``in_combat`` is rejected, not coerced.
+    """
+    if key not in d:
+        _require(default is not _MISSING, key, "missing")
+        return default
+    value = d[key]
+    _require(
+        isinstance(value, kind),
+        key,
+        f"must be {_KIND_NAMES[kind]}, not {type(value).__name__}",
+    )
+    return value
+
+
+def _typed_list(d: Any, key: str, item_kind: type) -> list[Any]:
+    """``d[key]`` (empty when absent): a list whose items are ``item_kind``."""
+    items = _typed(d, key, list, [])
+    for item in items:
+        _require(
+            isinstance(item, item_kind),
+            key,
+            f"items must be {_KIND_NAMES[item_kind]}, not {type(item).__name__}",
+        )
+    return items
+
+
 @dataclass(frozen=True)
 class DiceRoll:
     """One parsed dice expression plus the result recorded in the post.
@@ -84,12 +126,12 @@ class DiceRoll:
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "DiceRoll":
         return cls(
-            count=d["count"],
-            faces=d["faces"],
-            modifier=d["modifier"],
-            result=d["result"],
-            paragraph_index=d.get("paragraph_index", 0),
-            char_offset=d.get("char_offset", 0),
+            count=_typed(d, "count", int),
+            faces=_typed(d, "faces", int),
+            modifier=_typed(d, "modifier", int),
+            result=_typed(d, "result", int),
+            paragraph_index=_typed(d, "paragraph_index", int, 0),
+            char_offset=_typed(d, "char_offset", int, 0),
         )
 
 
@@ -243,9 +285,9 @@ class Action:
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "Action":
         return cls(
-            kind=ActionKind(d["kind"]),
-            skill=d.get("skill"),
-            source_roll=DiceRoll.from_dict(d["roll"]),
+            kind=ActionKind(_typed(d, "kind", str)),
+            skill=_typed(d, "skill", _OPTIONAL_STR, None),
+            source_roll=DiceRoll.from_dict(_typed(d, "roll", dict)),
         )
 
 
@@ -292,16 +334,24 @@ class TurnState:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "TurnState":
+        """A state from its decoded JSON; a missing or mistyped field
+        raises ValueError naming the field."""
+        if not isinstance(d, dict):
+            raise ValueError(
+                f"a turn state must be an object, not {type(d).__name__}"
+            )
         return cls(
-            player_id=d["player_id"],
-            character_name=d.get("character_name"),
-            character_class=d.get("character_class"),
-            race=d.get("race"),
-            pronouns=d.get("pronouns"),
-            inventory=frozenset(d.get("inventory", ())),
-            in_combat=d.get("in_combat", False),
-            in_character=d.get("in_character", True),
-            actions=tuple(Action.from_dict(a) for a in d.get("actions", ())),
+            player_id=_typed(d, "player_id", str),
+            character_name=_typed(d, "character_name", _OPTIONAL_STR, None),
+            character_class=_typed(d, "character_class", _OPTIONAL_STR, None),
+            race=_typed(d, "race", _OPTIONAL_STR, None),
+            pronouns=_typed(d, "pronouns", _OPTIONAL_STR, None),
+            inventory=frozenset(_typed_list(d, "inventory", str)),
+            in_combat=_typed(d, "in_combat", bool, False),
+            in_character=_typed(d, "in_character", bool, True),
+            actions=tuple(
+                Action.from_dict(a) for a in _typed_list(d, "actions", dict)
+            ),
         )
 
 

@@ -11,7 +11,10 @@ value on every turn whose author earned a profile value, ``in_combat``
 comes from the combat spans on every turn, and ``action`` is empty on a
 turn without a roll. Only the slots in ``FILLABLE_SLOTS`` (class, race,
 pronouns) are left for the slot-fill models, where no profile value was
-earned.
+earned. ``annotate_corpus`` always trains and applies those models, and
+each cell names its source: ``HEURISTIC`` for the turn state's own value,
+``MODEL`` for a fill, ``None`` for an empty cell. The heuristic-only view
+is the cells whose source is ``HEURISTIC``.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ def annotate_campaign(
     gazetteers: Gazetteers,
     combat_config: CombatDetectorConfig = CombatDetectorConfig(),
     icooc_model: IcOocModel | None = None,
-    inventory_fallback: bool = False,
 ) -> AnnotatedCampaign:
     """Run every heuristic over one campaign.
 
@@ -71,19 +73,17 @@ def annotate_campaign(
     character cue.
     """
     facts = [post_facts(p.paragraphs, gazetteers, p.index) for p in campaign.posts]
-    profiles = build_profiles(
-        campaign, gazetteers, inventory_fallback=inventory_fallback, facts=facts
-    )
+    profiles = build_profiles(campaign, gazetteers, facts=facts)
     bare_spans = detect_combat_spans(campaign, gazetteers, combat_config)
     spans = tuple(
         CombatSpan(
             start_index=s.start_index,
             end_index=s.end_index,
-            monsters=tuple(extract_monsters(campaign, s, gazetteers, combat_config)),
+            monsters=tuple(extract_monsters(campaign, s, gazetteers)),
         )
         for s in bare_spans
     )
-    actions_per_post = annotate_turn_actions(campaign, gazetteers, combat_config)
+    actions_per_post = annotate_turn_actions(campaign, gazetteers)
 
     states: list[TurnState] = []
     slot_values: list[dict[str, SlotValue]] = []
@@ -133,37 +133,27 @@ def annotate_corpus(
     gazetteers: Gazetteers,
     combat_config: CombatDetectorConfig = CombatDetectorConfig(),
     icooc_model: IcOocModel | None = None,
-    inventory_fallback: bool = False,
-    fill: bool = True,
-    fill_threshold: float = 0.5,
 ) -> list[AnnotatedCampaign]:
     """Annotate many campaigns in input order, then train and apply the
     slot-fill models.
 
     Fill models are trained on the corpus's own heuristic-covered turns,
     mirroring how the fallback classifiers are meant to be bootstrapped;
-    slots with a single observed label get no model. Each post is
-    featurized once, and the features live only until filling ends.
+    slots with a single observed label get no model. A model fills a cell
+    only when its label's posterior is at least 0.5, and the cell's source
+    says which cells it filled. Each post is featurized once, and the
+    features live only until filling ends.
     """
     from .slots import fill_missing, post_features, train_slot_models
 
     annotated = [
-        annotate_campaign(
-            campaign,
-            gazetteers,
-            combat_config,
-            icooc_model=icooc_model,
-            inventory_fallback=inventory_fallback,
-        )
+        annotate_campaign(campaign, gazetteers, combat_config, icooc_model)
         for campaign in campaigns
     ]
-    if fill and annotated:
-        features = post_features(annotated)
-        models = train_slot_models(annotated, features)
-        if models:
-            annotated = fill_missing(
-                annotated, models, features, min_score=fill_threshold
-            )
+    features = post_features(annotated)
+    models = train_slot_models(annotated, features)
+    if models:
+        annotated = fill_missing(annotated, models, features)
     return annotated
 
 

@@ -55,27 +55,61 @@ def gold_to_record(campaign: Campaign, gold: GoldAnnotations) -> dict[str, Any]:
 
 
 def slot_rows_from_record(record: Mapping[str, Any]) -> list[dict[str, str | None]]:
-    """Per-turn slot values from an annotated or gold JSONL record."""
+    """Per-turn slot values from an annotated or gold JSONL record.
+
+    ``turn_slots`` must be a list of objects whose cells are objects with a
+    string or null ``value``; anything else raises FormatError.
+    """
     try:
         turn_slots = record["turn_slots"]
     except KeyError as exc:
         raise FormatError("record carries no turn_slots") from exc
-    return [
-        {key: cell["value"] for key, cell in slots.items()} for slots in turn_slots
-    ]
+    if not isinstance(turn_slots, list):
+        raise FormatError("turn_slots: must be a list")
+    rows = []
+    for index, slots in enumerate(turn_slots):
+        if not isinstance(slots, dict):
+            raise FormatError(f"turn_slots[{index}]: must be an object")
+        row = {}
+        for key, cell in slots.items():
+            if not (
+                isinstance(cell, dict)
+                and "value" in cell
+                and isinstance(cell["value"], (str, type(None)))
+            ):
+                raise FormatError(
+                    f"turn_slots[{index}].{key}: must be an object with a"
+                    " string or null value"
+                )
+            row[key] = cell["value"]
+        rows.append(row)
+    return rows
 
 
 def turns_from_record(
     record: Mapping[str, Any],
 ) -> tuple[str, list[tuple[str, TurnState]]]:
-    """(campaign_id, [(turn text, state), ...]) from an annotated record."""
+    """(campaign_id, [(turn text, state), ...]) from an annotated record.
+
+    A missing or mistyped field raises FormatError naming it.
+    """
+    if not isinstance(record, dict):
+        raise FormatError("record must be an object")
     try:
         campaign = campaign_from_record(
             {"campaign_id": record["campaign_id"], "posts": record["posts"]}
         )
-        states = [TurnState.from_dict(t) for t in record["turn_states"]]
+        raw_states = record["turn_states"]
     except KeyError as exc:
         raise FormatError(f"annotated record missing field {exc}") from exc
+    if not isinstance(raw_states, list):
+        raise FormatError("turn_states: must be a list")
+    states = []
+    for index, raw in enumerate(raw_states):
+        try:
+            states.append(TurnState.from_dict(raw))
+        except ValueError as exc:
+            raise FormatError(f"turn_states[{index}]: {exc}") from exc
     if len(states) != len(campaign.posts):
         raise FormatError("turn_states do not align with posts")
     turns = [

@@ -67,9 +67,7 @@ def train_slot_models(
     for slot, featurized in training.items():
         labels = tuple(sorted({label for _, label in featurized}))
         if len(labels) >= 2:
-            models[slot] = fit_from_features(
-                featurized, labels=labels, smoothing=1.0, slot=slot
-            )
+            models[slot] = fit_from_features(featurized, labels=labels, smoothing=1.0)
     return models
 
 

@@ -161,10 +161,10 @@ def write_campaigns(
     path: str | Path,
     campaigns: Iterable[Campaign],
     include_rolls: bool = False,
-) -> None:
-    """Write campaigns in canonical form; write(load(x)) is byte-identical
-    for files already canonical."""
-    write_lines(
+) -> int:
+    """Write campaigns in canonical form and return how many; write(load(x))
+    is byte-identical for files already canonical."""
+    return write_lines(
         path,
         (dump_json_line(c.to_dict(include_rolls=include_rolls)) for c in campaigns),
     )

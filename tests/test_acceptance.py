@@ -67,7 +67,6 @@ def clean_corpus(gaz):
         (c for c, _ in pairs),
         gaz,
         CombatDetectorConfig(gap_turns=CLEAN_CONFIG.gap_turns),
-        fill=True,
     )
     elapsed = time.perf_counter() - start
     return pairs, annotated, elapsed
@@ -80,7 +79,6 @@ def distractor_corpus(gaz):
         (c for c, _ in pairs),
         gaz,
         CombatDetectorConfig(gap_turns=DISTRACTOR_CONFIG.gap_turns),
-        fill=True,
     )
     return pairs, annotated
 

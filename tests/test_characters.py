@@ -15,12 +15,12 @@ from pbpstate.pipeline import annotate_campaign
 from conftest import make_campaign
 
 
-def profile_for(gaz, *texts, inventory_fallback=False):
+def profile_for(gaz, *texts):
     """Player p1's profile when p1 writes ``texts`` after one DM post."""
     campaign = make_campaign(
         [("dm", "The night is calm.")] + [("p1", text) for text in texts]
     )
-    return build_profiles(campaign, gaz, inventory_fallback=inventory_fallback)["p1"]
+    return build_profiles(campaign, gaz)["p1"]
 
 
 class TestMentionCounts:
@@ -171,12 +171,6 @@ class TestInventory:
         assert profile.pronouns == "he/him"
         assert profile.inventory == set()
 
-    def test_non_gazetteer_noun_needs_fallback(self, gaz):
-        assert profile_for(gaz, "his courage held").inventory == set()
-        fallback = profile_for(gaz, "his courage held", inventory_fallback=True)
-        assert fallback.pronouns == "he/him"
-        assert fallback.inventory == {"courage"}
-
 
 class TestSpells:
     def test_capitalized_spell(self, gaz):
@@ -275,11 +269,11 @@ class TestPostFacts:
             "name", "class", "race", "pronouns", "inventory", "spells"
         }
 
-    def test_fallback_words_are_kept_but_are_no_cue(self, gaz):
+    def test_non_item_words_are_no_cue(self, gaz):
         facts = post_facts(["I keep my courage."], gaz)
         assert facts.items == ()
-        assert facts.fallback_items == (("my", "courage"),)
         assert facts.cues() == set()
+        assert profile_for(gaz, "his courage held").inventory == set()
 
     def test_cast_phrase_stops_at_a_paragraph_break(self, gaz):
         paragraphs = ["and then i cast", "sacred flame at the door."]

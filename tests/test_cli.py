@@ -299,6 +299,65 @@ def test_serialize_bad_record_leaves_old_output(synth_corpus, tmp_path, capsys):
     assert os.listdir(out_dir) == ["examples.jsonl"]
 
 
+@pytest.mark.parametrize(
+    "state, problem",
+    [
+        ({"inventory": "sword"}, "inventory: must be a list, not str"),
+        ({"in_combat": "false"}, "in_combat: must be true or false, not str"),
+        ({"player_id": 7}, "player_id: must be a string, not int"),
+        ("p1", "a turn state must be an object, not str"),
+        (
+            {"actions": [{"kind": "attack", "roll": {"count": "1", "faces": 20}}]},
+            "count: must be an integer, not str",
+        ),
+    ],
+)
+def test_serialize_rejects_a_mistyped_turn_state(
+    synth_corpus, tmp_path, capsys, state, problem
+):
+    corpus, _ = synth_corpus
+    annotated = tmp_path / "annotated.jsonl"
+    assert main(["annotate", "--in", str(corpus), "--out", str(annotated)]) == 0
+    records = [json.loads(line) for line in annotated.read_text().splitlines()]
+    states = records[1]["turn_states"]
+    states[0] = {**states[0], **state} if isinstance(state, dict) else state
+    edited = _write_jsonl(tmp_path / "edited.jsonl", records)
+    out = tmp_path / "examples.jsonl"
+    capsys.readouterr()
+    argv = ["serialize", "--in", str(edited), "--out", str(out), "--variant", "all"]
+    assert main(argv) == 2
+    assert f"line 2: {edited}: turn_states[0]: {problem}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "first_row, problem",
+    [
+        (["name", "race"], "turn_slots[0]: must be an object"),
+        (
+            {"race": "elf"},
+            "turn_slots[0].race: must be an object with a string or null value",
+        ),
+        (None, "record carries no turn_slots"),
+    ],
+)
+def test_eval_gst_rejects_malformed_turn_slots(
+    synth_corpus, tmp_path, capsys, first_row, problem
+):
+    corpus, gold = synth_corpus
+    annotated = tmp_path / "annotated.jsonl"
+    assert main(["annotate", "--in", str(corpus), "--out", str(annotated)]) == 0
+    records = [json.loads(line) for line in annotated.read_text().splitlines()]
+    if first_row is None:
+        del records[2]["turn_slots"]
+    else:
+        records[2]["turn_slots"][0] = first_row
+    edited = _write_jsonl(tmp_path / "edited.jsonl", records)
+    capsys.readouterr()
+    assert main(["eval-gst", "--pred", str(edited), "--gold", str(gold)]) == 2
+    assert f"line 3: {edited}: {problem}" in capsys.readouterr().err
+
+
 def test_agreement_command(tmp_path, capsys):
     ratings = tmp_path / "ratings.jsonl"
     lines = [
@@ -343,10 +402,7 @@ def test_public_flags():
             "--signal-rate", "--ooc-fraction", "--distractor-rate",
             "--loose-check-rate", "--gap-turns", "--out", "--gold",
         },
-        "annotate": {
-            "--in", "--out", "--gazetteers", "--gap-turns", "--attack-window",
-            "--icooc-model", "--no-fill", "--fill-threshold", "--inventory-fallback",
-        },
+        "annotate": {"--in", "--out", "--gazetteers", "--gap-turns", "--icooc-model"},
         "train-icooc": {"--labeled", "--corpus", "--gold", "--smoothing", "--out"},
         "classify": {"--model", "--in", "--out"},
         "serialize": {"--in", "--out", "--variant", "--window"},
@@ -363,12 +419,7 @@ def test_public_flags():
 def test_setting_flags_defaults():
     parser = build_parser()
     annotate = parser.parse_args(["annotate", "--in", "x", "--out", "y"])
-    assert (
-        annotate.gazetteers,
-        annotate.gap_turns,
-        annotate.attack_window,
-        annotate.fill_threshold,
-    ) == (None, 3, 100, 0.5)
+    assert (annotate.gazetteers, annotate.gap_turns) == (None, 3)
     serialize = parser.parse_args(["serialize", "--in", "x", "--out", "y"])
     assert (serialize.variant, serialize.window) == ("none", 7)
 
@@ -436,7 +487,12 @@ def _drop_a_label(record):
     return f"paragraph_labels: {len(labels) - 1} labels for the {len(labels)}"
 
 
-@pytest.mark.parametrize("edit", [_cut_turns, _drop_a_label])
+def _string_in_combat(record):
+    record["turn_states"][3]["in_combat"] = "false"
+    return "in_combat: must be true or false, not str"
+
+
+@pytest.mark.parametrize("edit", [_cut_turns, _drop_a_label, _string_in_combat])
 def test_train_icooc_gold_must_match_its_campaign(synth_corpus, tmp_path, capsys, edit):
     corpus, gold = synth_corpus
     records = [json.loads(line) for line in gold.read_text().splitlines()]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pbpstate.combat import (
+    WINDOW_CHARS,
     CombatDetectorConfig,
     annotate_turn_actions,
     classify_roll_action,
@@ -37,8 +38,6 @@ def roll_and_context(text):
 def test_config_validation():
     with pytest.raises(ConfigError):
         CombatDetectorConfig(gap_turns=0)
-    with pytest.raises(ConfigError):
-        CombatDetectorConfig(attack_window_chars=0)
 
 
 class TestInitiativeAndAttack:
@@ -67,10 +66,13 @@ class TestInitiativeAndAttack:
         assert not is_attack_roll(roll, context, gaz)
 
     def test_keyword_outside_window(self, gaz):
-        config = CombatDetectorConfig(attack_window_chars=5)
-        text = "initiative" + " " * 30 + "(1d20)[9]"
-        roll = extract_rolls([text])[0]
-        assert not is_initiative_roll(roll, text, config)
+        # A keyword exactly WINDOW_CHARS before the roll counts; one more
+        # character of distance puts it outside.
+        for gap, near in [(WINDOW_CHARS, True), (WINDOW_CHARS + 1, False)]:
+            text = "initiative" + " " * (gap - len("initiative")) + "(1d20)[9]"
+            roll = extract_rolls([text])[0]
+            assert roll.char_offset == gap
+            assert is_initiative_roll(roll, text) is near
 
 
 class TestDetectSpans:
@@ -173,11 +175,14 @@ class TestMonsters:
         assert extract_monsters(campaign, CombatSpan(0, 0), gaz) == [("goblin", 2)]
 
     def test_numbers_outside_window_ignored(self, gaz):
-        config = CombatDetectorConfig(attack_window_chars=10)
-        campaign = campaign_of(["goblins here" + " " * 40 + "5 somethings"])
-        assert extract_monsters(campaign, CombatSpan(0, 0), gaz, config) == [
-            ("goblin", 1)
-        ]
+        # A number exactly WINDOW_CHARS after the mention counts; one more
+        # character of distance puts it outside.
+        for gap, count in [(WINDOW_CHARS, 5), (WINDOW_CHARS + 1, 1)]:
+            text = "goblins" + " " * (gap - len("goblins")) + "5 somethings"
+            assert text.index("5") == gap
+            assert extract_monsters(campaign_of([text]), CombatSpan(0, 0), gaz) == [
+                ("goblin", count)
+            ]
 
 
 class TestClassifyRoll:

@@ -16,11 +16,7 @@ DENSE = ("--seed", "43", "--campaigns", "2", "--turns", "200")
 SPARSE = ("--seed", "43", "--campaigns", "8", "--turns", "50", "--signal-rate", "0.3")
 
 ANNOTATE_SHA256 = {
-    # Every player earns a profile value on the dense corpus and the DM's
-    # turns are not filled, so fill changes nothing there.
     "dense": "2923402070c8bb898092d2af67f702617e0aad71747fa77fd8bf4defb12deb7c",
-    "inventory-fallback": "61e159f405667cc901d4ca2385276a9ccabdb60bf1c76f8daf1fb0143bf79733",
-    "no-fill": "2923402070c8bb898092d2af67f702617e0aad71747fa77fd8bf4defb12deb7c",
 }
 SPARSE_MODEL_SHA256 = "0d34cf53ebfa8400b818f3db9566436adbaabf852d738425b6d65718bd90987e"
 SPARSE_ANNOTATE_SHA256 = "d87b6b266a59c2da96d38c26608ab7cc28ee628d6ebe140671f41220992a6807"
@@ -45,10 +41,7 @@ def dense_corpus(tmp_path_factory):
     return synth(tmp_path_factory.mktemp("dense"), "dense", DENSE)[0]
 
 
-@pytest.mark.parametrize(
-    "case, flags",
-    [("dense", []), ("inventory-fallback", ["--inventory-fallback"]), ("no-fill", ["--no-fill"])],
-)
+@pytest.mark.parametrize("case, flags", [("dense", [])])
 def test_dense_annotate_bytes(dense_corpus, tmp_path, case, flags):
     out = tmp_path / "annotated.jsonl"
     assert main(["annotate", "--in", str(dense_corpus), "--out", str(out), *flags]) == 0

@@ -271,14 +271,13 @@ def test_count_table_fit_equals_reference_loop(seed, smoothing, tmp_path):
     ]
     for labels, constrain, featurized in cases:
         model = fit_from_features(
-            featurized, labels=labels, smoothing=smoothing, slot="s",
-            constrain_dice=constrain,
+            featurized, labels=labels, smoothing=smoothing, constrain_dice=constrain,
         )
         priors, weights = reference_fit(featurized, labels, smoothing, constrain)
         assert model.priors == priors
         assert model.weights == weights
         save_model(model, tmp_path / "fit.model")
-        reference = IcOocModel(labels, priors, weights, smoothing, slot="s")
+        reference = IcOocModel(labels, priors, weights, smoothing)
         save_model(reference, tmp_path / "reference.model")
         assert (tmp_path / "fit.model").read_bytes() == (
             tmp_path / "reference.model"

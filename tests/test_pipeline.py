@@ -1,12 +1,18 @@
 """Annotation pipeline composition and record round trips."""
 
+import json
+
 import pytest
 
+from pbpstate.cli import main
 from pbpstate.combat import CombatDetectorConfig
 from pbpstate import slots
 from pbpstate.icooc import featurize, labeled_paragraphs, train
+from pbpstate.models import TurnState
 from pbpstate.pipeline import (
+    FILLABLE_SLOTS,
     HEURISTIC,
+    MODEL,
     annotate_campaign,
     annotate_corpus,
     annotated_to_record,
@@ -108,9 +114,13 @@ def test_gold_record_slot_rows(synth_pairs):
 
 
 def test_corpus_without_fill_is_campaigns_in_input_order(gaz, synth_pairs):
+    # Everything but the slot rows, which fill may change.
+    def unfilled(ac):
+        return ac.campaign, ac.profiles, ac.combat_spans, ac.turn_states, ac.coverage
+
     campaigns = [c for c, _ in reversed(synth_pairs)]
-    assert annotate_corpus(campaigns, gaz, fill=False) == [
-        annotate_campaign(c, gaz) for c in campaigns
+    assert [unfilled(ac) for ac in annotate_corpus(campaigns, gaz)] == [
+        unfilled(annotate_campaign(c, gaz)) for c in campaigns
     ]
 
 
@@ -154,10 +164,27 @@ def test_coverage_ignores_cast_phrases_across_paragraphs(gaz):
     assert annotate_campaign(campaign, gaz).coverage == 0.0
 
 
-def test_fill_respects_no_fill(gaz, synth_pairs):
-    campaigns = [c for c, _ in synth_pairs]
-    without = annotate_corpus(campaigns, gaz, fill=False)
-    for annotated in without:
-        for row in annotated.slot_values:
-            for value, source in row.values():
-                assert source in (None, HEURISTIC)
+def test_source_tag_splits_the_written_cells(tmp_path):
+    """The heuristic-only view is the cells whose source is "heuristic"."""
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "annotated.jsonl"
+    assert main(["synth", "--seed", "43", "--campaigns", "8", "--turns", "50",
+                 "--signal-rate", "0.3", "--out", str(corpus)]) == 0
+    assert main(["annotate", "--in", str(corpus), "--out", str(out)]) == 0
+    sources = set()
+    for line in out.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        for raw_state, cells in zip(record["turn_states"], record["turn_slots"]):
+            heuristic = state_slot_values(TurnState.from_dict(raw_state))
+            assert set(cells) == set(heuristic)
+            for slot, cell in cells.items():
+                sources.add(cell["source"])
+                if cell["source"] == HEURISTIC:
+                    assert cell["value"] is not None
+                    assert cell["value"] == heuristic[slot]
+                elif cell["source"] == MODEL:
+                    assert slot in FILLABLE_SLOTS and heuristic[slot] is None
+                    assert cell["value"] is not None
+                else:
+                    assert cell == {"value": None, "source": None}
+                    assert heuristic[slot] is None
+    assert sources == {HEURISTIC, MODEL, None}

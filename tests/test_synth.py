@@ -137,7 +137,7 @@ def test_detector_matches_gold_spans_and_monsters(gaz):
             (s.start_index, s.end_index) for s in spans
         ] == [(s.start_index, s.end_index) for s in gold.combat_spans]
         for span, gold_span in zip(spans, gold.combat_spans):
-            monsters = extract_monsters(campaign, span, gaz, detector_config)
+            monsters = extract_monsters(campaign, span, gaz)
             assert tuple(monsters) == gold_span.monsters
 
 
