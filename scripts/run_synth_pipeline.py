@@ -13,7 +13,6 @@ import random
 import time
 from pathlib import Path
 
-from pbpstate.combat import CombatDetectorConfig
 from pbpstate.evaluation import corpus_stats, slot_accuracy
 from pbpstate.gazetteers import load_gazetteers
 from pbpstate.icooc import labeled_paragraphs, predict, train
@@ -44,7 +43,7 @@ def run_rate(rate: float, args, gazetteers, out_dir: Path) -> None:
     annotated = annotate_corpus(
         (campaign for campaign, _ in pairs),
         gazetteers,
-        CombatDetectorConfig(gap_turns=config.gap_turns),
+        gap_turns=config.gap_turns,
     )
     elapsed = time.perf_counter() - started
 

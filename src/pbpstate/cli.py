@@ -25,7 +25,6 @@ from .models import SLOT_KEYS, ControlVariant
 
 if TYPE_CHECKING:
     from .evaluation import CorpusStats
-    from .models import TurnState
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -125,7 +124,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
-    from .combat import CombatDetectorConfig
     from .gazetteers import load_gazetteers
     from .icooc import load_model
     from .pipeline import annotate_corpus, annotated_to_record, validate_record
@@ -134,7 +132,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     annotated = annotate_corpus(
         load_campaigns(args.infile),
         load_gazetteers(args.gazetteers),
-        CombatDetectorConfig(gap_turns=args.gap_turns),
+        gap_turns=args.gap_turns,
         icooc_model=load_model(args.icooc_model) if args.icooc_model else None,
     )
 
@@ -158,45 +156,28 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bad_record(path: str, lineno: int, record: Any, exc: Exception) -> FormatError:
-    """A FormatError naming the file, the line and what is wrong there."""
-    if not isinstance(record, dict):
-        problem = "record is not a JSON object"
-    elif isinstance(exc, KeyError):
-        problem = f"record has no {exc} field"
-    else:
-        problem = str(exc)
-    return FormatError(f"{path}: {problem}", line=lineno)
-
-
 def _cmd_train_icooc(args: argparse.Namespace) -> int:
     from .icooc import LabeledParagraph, labeled_paragraphs, save_model, train
     from .models import GoldAnnotations
-    from .transcripts import iter_jsonl, load_campaigns
+    from .transcripts import load_campaigns, read_jsonl
 
-    data: list[LabeledParagraph] = []
+    data: list[LabeledParagraph]
     if args.labeled:
-        for lineno, record in iter_jsonl(args.labeled):
-            try:
-                data.append(
-                    LabeledParagraph(text=record["text"], label=record["label"])
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise _bad_record(args.labeled, lineno, record, exc) from exc
+        data = list(
+            read_jsonl(args.labeled, lambda r: LabeledParagraph(r["text"], r["label"]))
+        )
     else:
         campaigns = {c.campaign_id: c for c in load_campaigns(args.corpus)}
-        for lineno, record in iter_jsonl(args.gold):
-            try:
-                campaign_id = record["campaign_id"]
-                if campaign_id not in campaigns:
-                    raise ValueError(
-                        f"campaign {campaign_id!r} is not in {args.corpus}"
-                    )
-                gold = GoldAnnotations.from_dict(record)
-                gold.validate_against(campaigns[campaign_id])
-                data.extend(labeled_paragraphs([(campaigns[campaign_id], gold)]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise _bad_record(args.gold, lineno, record, exc) from exc
+
+        def gold_paragraphs(record: dict[str, Any]) -> list[LabeledParagraph]:
+            campaign_id = record["campaign_id"]
+            if campaign_id not in campaigns:
+                raise ValueError(f"campaign {campaign_id!r} is not in {args.corpus}")
+            gold = GoldAnnotations.from_dict(record)
+            gold.validate_against(campaigns[campaign_id])
+            return labeled_paragraphs([(campaigns[campaign_id], gold)])
+
+        data = [p for ps in read_jsonl(args.gold, gold_paragraphs) for p in ps]
     model = train(data, smoothing=args.smoothing)
     save_model(model, args.out)
     _info(args, f"trained IC/OOC model on {len(data)} paragraphs -> {args.out}")
@@ -230,20 +211,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_serialize(args: argparse.Namespace) -> int:
     from .records import turns_from_record
     from .serialize import build_examples, write_examples
-    from .transcripts import iter_jsonl
-
-    def turns() -> Iterator[tuple[str, list[tuple[str, TurnState]]]]:
-        for lineno, record in iter_jsonl(args.infile):
-            try:
-                campaign_turns = turns_from_record(record)
-            except FormatError as exc:
-                raise _bad_record(args.infile, lineno, record, exc) from exc
-            yield campaign_turns
+    from .transcripts import read_jsonl
 
     variant = ControlVariant(args.variant)
     examples = (
         example
-        for campaign_turns in turns()
+        for campaign_turns in read_jsonl(args.infile, turns_from_record)
         for example in build_examples(*campaign_turns, variant, window=args.window)
     )
     count = write_examples(args.out, examples)
@@ -254,21 +227,20 @@ def _cmd_serialize(args: argparse.Namespace) -> int:
 def _slot_rows_by_campaign(path: str) -> dict[str, list[dict[str, Any]]]:
     """campaign_id -> per-turn slot rows, in file order; ids must be unique."""
     from .records import slot_rows_from_record
-    from .transcripts import iter_jsonl
+    from .transcripts import read_jsonl
 
     rows: dict[str, list[dict[str, Any]]] = {}
-    for lineno, record in iter_jsonl(path):
-        campaign_id = record.get("campaign_id") if isinstance(record, dict) else None
+
+    def decode(record: dict[str, Any]) -> tuple[str, list[dict[str, Any]]]:
+        campaign_id = record.get("campaign_id")
         if not isinstance(campaign_id, str):
-            raise FormatError(f"{path}: record has no string campaign_id", line=lineno)
+            raise FormatError("record has no string campaign_id")
         if campaign_id in rows:
-            raise FormatError(
-                f"{path}: duplicate campaign_id {campaign_id!r}", line=lineno
-            )
-        try:
-            rows[campaign_id] = slot_rows_from_record(record)
-        except FormatError as exc:
-            raise _bad_record(path, lineno, record, exc) from exc
+            raise FormatError(f"duplicate campaign_id {campaign_id!r}")
+        return campaign_id, slot_rows_from_record(record)
+
+    for campaign_id, turn_rows in read_jsonl(path, decode):
+        rows[campaign_id] = turn_rows
     return rows
 
 
@@ -312,61 +284,55 @@ def _cmd_eval_gst(args: argparse.Namespace) -> int:
     return 0
 
 
-def _label_row(path: str, lineno: int, labels: Any) -> list[Any]:
+def _label_row(labels: Any) -> list[Any]:
     """One item's labels: a list of two or more, none an array or object."""
     if not isinstance(labels, list) or any(
         isinstance(v, (list, dict)) for v in labels
     ):
-        raise FormatError(f"{path}: labels is not a list of labels", line=lineno)
+        raise FormatError("labels is not a list of labels")
     if len(labels) < 2:
         raise FormatError(
-            f"{path}: labels: found {len(labels)}, need at least two (one per rater)",
-            line=lineno,
+            f"labels: found {len(labels)}, need at least two (one per rater)"
         )
     return labels
 
 
-def _score_row(path: str, lineno: int, scores: Any, raters: int | None) -> list[float]:
+def _score_row(scores: Any, raters: int | None) -> list[float]:
     """One item's scores as floats: a list of two or more numbers, as many
     as ``raters`` (the first scored line's count) when that is known."""
     if not isinstance(scores, list):
-        raise FormatError(f"{path}: scores is not a list", line=lineno)
+        raise FormatError("scores is not a list")
     try:
         row = [float(v) for v in scores]
     except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: scores: {exc}", line=lineno) from exc
+        raise FormatError(f"scores: {exc}") from exc
     if len(row) < 2:
         raise FormatError(
-            f"{path}: scores: found {len(row)}, need at least two (one per rater)",
-            line=lineno,
+            f"scores: found {len(row)}, need at least two (one per rater)"
         )
     if raters is not None and len(row) != raters:
         raise FormatError(
-            f"{path}: scores: {len(row)} scores, but the first scored line has"
-            f" {raters}",
-            line=lineno,
+            f"scores: {len(row)} scores, but the first scored line has {raters}"
         )
     return row
 
 
 def _cmd_agreement(args: argparse.Namespace) -> int:
     from .evaluation import kendall_tau, pairwise_agreement, randolph_kappa
-    from .transcripts import iter_jsonl
+    from .transcripts import read_jsonl
 
     label_items: list[list[Any]] = []
     score_items: list[list[float]] = []
-    for lineno, record in iter_jsonl(args.infile):
-        if not isinstance(record, dict):
-            raise FormatError(
-                f"{args.infile}: record is not a JSON object", line=lineno
-            )
+
+    def read_item(record: dict[str, Any]) -> None:
         if "labels" in record:
-            label_items.append(_label_row(args.infile, lineno, record["labels"]))
+            label_items.append(_label_row(record["labels"]))
         if "scores" in record:
             raters = len(score_items[0]) if score_items else None
-            score_items.append(
-                _score_row(args.infile, lineno, record["scores"], raters)
-            )
+            score_items.append(_score_row(record["scores"], raters))
+
+    for _ in read_jsonl(args.infile, read_item):
+        pass  # read_item keeps each line's ratings
     result: dict[str, Any] = {}
     if label_items:
         observed = pairwise_agreement(label_items)
@@ -491,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("agreement", help="rater agreement statistics")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--categories", type=int)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_agreement)
 
     return parser

@@ -14,7 +14,6 @@ action at all.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ConfigError
 from .gazetteers import Gazetteers
@@ -42,15 +41,6 @@ _NUMBER_WORD_RE = re.compile(
 # A keyword is near a roll, and a number near a monster mention, when
 # their offsets differ by at most this many characters.
 WINDOW_CHARS = 100
-
-
-@dataclass(frozen=True)
-class CombatDetectorConfig:
-    gap_turns: int = 3
-
-    def __post_init__(self) -> None:
-        if self.gap_turns < 1:
-            raise ConfigError("gap_turns must be at least 1")
 
 
 def _within_window(positions: list[int], offset: int) -> bool:
@@ -86,13 +76,16 @@ def _post_opens_combat(post, gazetteers: Gazetteers) -> bool:
 def detect_combat_spans(
     campaign: Campaign,
     gazetteers: Gazetteers,
-    config: CombatDetectorConfig = CombatDetectorConfig(),
+    gap_turns: int = 3,
 ) -> list[CombatSpan]:
-    """Run the combat state machine over posts in order.
+    """Run the combat state machine over posts in order; a span closes
+    after ``gap_turns`` posts without a roll.
 
     Returned spans are disjoint, sorted, and carry no monsters; use
     extract_monsters to fill those in.
     """
+    if gap_turns < 1:
+        raise ConfigError("gap_turns must be at least 1")
     spans: list[CombatSpan] = []
     in_combat = False
     span_start = 0
@@ -113,7 +106,7 @@ def detect_combat_spans(
             quiet_posts = 0
         else:
             quiet_posts += 1
-            if quiet_posts >= config.gap_turns:
+            if quiet_posts >= gap_turns:
                 spans.append(
                     CombatSpan(start_index=span_start, end_index=last_roll_index)
                 )

@@ -77,9 +77,6 @@ class TermMatcher:
                 surface = base
             yield self._canonical[surface], m.start()
 
-    def search(self, text: str) -> bool:
-        return self._pattern is not None and self._pattern.search(text) is not None
-
 
 @dataclass(frozen=True)
 class Gazetteers:
@@ -207,11 +204,16 @@ def parse_gazetteers(text: str) -> Gazetteers:
 
 
 def load_gazetteers(path: str | Path | None = None) -> Gazetteers:
-    """Load a gazetteer file, or the bundled defaults when no path given."""
+    """Load a gazetteer file, or the bundled defaults when no path given.
+
+    A malformed file raises ConfigError naming the file and the line.
+    """
     if path is None:
         text = (
             resources.files("pbpstate").joinpath("data/gazetteers.txt").read_text("utf-8")
         )
-    else:
-        text = Path(path).read_text("utf-8")
-    return parse_gazetteers(text)
+        return parse_gazetteers(text)
+    try:
+        return parse_gazetteers(Path(path).read_text("utf-8"))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

@@ -243,17 +243,22 @@ def save_model(model: IcOocModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> IcOocModel:
+    """Read a model file written by ``save_model``; a malformed one raises
+    an error naming the file."""
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines or lines[0] != MODEL_MAGIC:
         raise VersionMismatchError(
-            f"expected header {MODEL_MAGIC!r}, found {(lines[0] if lines else '')!r}"
+            f"{path}: expected header {MODEL_MAGIC!r},"
+            f" found {(lines[0] if lines else '')!r}"
         )
     try:
         cursor = 1
         parts = lines[cursor].split("\t")
         if parts[0] != "labels":
-            raise ModelIOError(f"expected labels line, found {lines[cursor]!r}")
+            raise ModelIOError(
+                f"{path}: expected labels line, found {lines[cursor]!r}"
+            )
         labels = tuple(parts[1:])
         cursor += 1
         smoothing = float(lines[cursor].split("\t", 1)[1])
@@ -266,14 +271,14 @@ def load_model(path: str | Path) -> IcOocModel:
         for line in lines[cursor : cursor + token_count]:
             fields = line.split("\t")
             if len(fields) != 1 + len(labels):
-                raise ModelIOError(f"malformed weight line {line!r}")
+                raise ModelIOError(f"{path}: malformed weight line {line!r}")
             weights[fields[0]] = tuple(float(v) for v in fields[1:])
         if len(weights) != token_count:
             raise ModelIOError(
-                f"expected {token_count} tokens, found {len(weights)}"
+                f"{path}: expected {token_count} tokens, found {len(weights)}"
             )
     except (IndexError, ValueError) as exc:
-        raise ModelIOError(f"truncated or corrupt model file: {exc}") from exc
+        raise ModelIOError(f"{path}: truncated or corrupt model file: {exc}") from exc
     return IcOocModel(
         labels=labels, priors=priors, weights=weights, smoothing=smoothing
     )

@@ -72,6 +72,13 @@ def _typed(d: Any, key: str, kind: Any, default: Any = _MISSING) -> Any:
     return value
 
 
+def _object(d: Any, what: str) -> Mapping[str, Any]:
+    """``d``, which must be a decoded JSON object; ``what`` names it."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be an object, not {type(d).__name__}")
+    return d
+
+
 def _typed_list(d: Any, key: str, item_kind: type) -> list[Any]:
     """``d[key]`` (empty when absent): a list whose items are ``item_kind``."""
     items = _typed(d, key, list, [])
@@ -249,15 +256,18 @@ class CharacterProfile:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "CharacterProfile":
+        """A profile from its decoded JSON; a missing or mistyped field
+        raises ValueError naming the field."""
+        d = _object(d, "a profile")
         return cls(
-            player_id=d["player_id"],
-            is_dm=d.get("is_dm", False),
-            name=d.get("name"),
-            character_class=d.get("character_class"),
-            race=d.get("race"),
-            pronouns=d.get("pronouns"),
-            inventory=frozenset(d.get("inventory", ())),
-            spells=frozenset(d.get("spells", ())),
+            player_id=_typed(d, "player_id", str),
+            is_dm=_typed(d, "is_dm", bool, False),
+            name=_typed(d, "name", _OPTIONAL_STR, None),
+            character_class=_typed(d, "character_class", _OPTIONAL_STR, None),
+            race=_typed(d, "race", _OPTIONAL_STR, None),
+            pronouns=_typed(d, "pronouns", _OPTIONAL_STR, None),
+            inventory=frozenset(_typed_list(d, "inventory", str)),
+            spells=frozenset(_typed_list(d, "spells", str)),
         )
 
 
@@ -336,10 +346,7 @@ class TurnState:
     def from_dict(cls, d: Mapping[str, Any]) -> "TurnState":
         """A state from its decoded JSON; a missing or mistyped field
         raises ValueError naming the field."""
-        if not isinstance(d, dict):
-            raise ValueError(
-                f"a turn state must be an object, not {type(d).__name__}"
-            )
+        d = _object(d, "a turn state")
         return cls(
             player_id=_typed(d, "player_id", str),
             character_name=_typed(d, "character_name", _OPTIONAL_STR, None),
@@ -372,7 +379,11 @@ class CombatSpan:
             "must not precede start_index",
         )
         for name, count in self.monsters:
-            _require(count >= 1, "monsters", f"count for {name!r} must be positive")
+            _require(
+                isinstance(count, int) and count >= 1,
+                "monsters",
+                f"count for {name!r} must be a positive integer",
+            )
 
     def contains(self, index: int) -> bool:
         return self.start_index <= index <= self.end_index
@@ -386,10 +397,13 @@ class CombatSpan:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "CombatSpan":
+        """A span from its decoded JSON; a missing or mistyped field
+        raises ValueError naming the field."""
+        d = _object(d, "a combat span")
         return cls(
-            start_index=d["start_index"],
-            end_index=d["end_index"],
-            monsters=tuple((n, c) for n, c in d.get("monsters", ())),
+            start_index=_typed(d, "start_index", int),
+            end_index=_typed(d, "end_index", int),
+            monsters=tuple((n, c) for n, c in _typed_list(d, "monsters", list)),
         )
 
 
@@ -479,7 +493,7 @@ class GoldAnnotations:
             turn_states=tuple(TurnState.from_dict(t) for t in d["turn_states"]),
             profiles={
                 pid: CharacterProfile.from_dict(p)
-                for pid, p in d.get("profiles", {}).items()
+                for pid, p in _typed(d, "profiles", dict, {}).items()
             },
             combat_spans=tuple(
                 CombatSpan.from_dict(s) for s in d.get("combat_spans", ())

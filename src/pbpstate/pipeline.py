@@ -23,13 +23,8 @@ from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping, Sequence
 
 from .characters import build_profiles, post_facts
-from .combat import (
-    CombatDetectorConfig,
-    annotate_turn_actions,
-    detect_combat_spans,
-    extract_monsters,
-)
-from .errors import FormatError
+from .combat import annotate_turn_actions, detect_combat_spans, extract_monsters
+from .errors import ConfigError, FormatError
 from .gazetteers import Gazetteers
 from .icooc import IC, IcOocModel, label_turn, rule_based_turn_label
 from .models import Campaign, CharacterProfile, CombatSpan, TurnState
@@ -62,7 +57,7 @@ class AnnotatedCampaign:
 def annotate_campaign(
     campaign: Campaign,
     gazetteers: Gazetteers,
-    combat_config: CombatDetectorConfig = CombatDetectorConfig(),
+    gap_turns: int = 3,
     icooc_model: IcOocModel | None = None,
 ) -> AnnotatedCampaign:
     """Run every heuristic over one campaign.
@@ -74,7 +69,7 @@ def annotate_campaign(
     """
     facts = [post_facts(p.paragraphs, gazetteers, p.index) for p in campaign.posts]
     profiles = build_profiles(campaign, gazetteers, facts=facts)
-    bare_spans = detect_combat_spans(campaign, gazetteers, combat_config)
+    bare_spans = detect_combat_spans(campaign, gazetteers, gap_turns)
     spans = tuple(
         CombatSpan(
             start_index=s.start_index,
@@ -131,7 +126,7 @@ def annotate_campaign(
 def annotate_corpus(
     campaigns: Iterable[Campaign],
     gazetteers: Gazetteers,
-    combat_config: CombatDetectorConfig = CombatDetectorConfig(),
+    gap_turns: int = 3,
     icooc_model: IcOocModel | None = None,
 ) -> list[AnnotatedCampaign]:
     """Annotate many campaigns in input order, then train and apply the
@@ -146,8 +141,11 @@ def annotate_corpus(
     """
     from .slots import fill_missing, post_features, train_slot_models
 
+    # Checked here too, so that an empty corpus does not hide a bad value.
+    if gap_turns < 1:
+        raise ConfigError("gap_turns must be at least 1")
     annotated = [
-        annotate_campaign(campaign, gazetteers, combat_config, icooc_model)
+        annotate_campaign(campaign, gazetteers, gap_turns, icooc_model)
         for campaign in campaigns
     ]
     features = post_features(annotated)

@@ -91,10 +91,9 @@ def turns_from_record(
 ) -> tuple[str, list[tuple[str, TurnState]]]:
     """(campaign_id, [(turn text, state), ...]) from an annotated record.
 
-    A missing or mistyped field raises FormatError naming it.
+    A missing or mistyped field, or a turn state whose player is not its
+    post's author, raises FormatError naming it.
     """
-    if not isinstance(record, dict):
-        raise FormatError("record must be an object")
     try:
         campaign = campaign_from_record(
             {"campaign_id": record["campaign_id"], "posts": record["posts"]}
@@ -104,16 +103,18 @@ def turns_from_record(
         raise FormatError(f"annotated record missing field {exc}") from exc
     if not isinstance(raw_states, list):
         raise FormatError("turn_states: must be a list")
-    states = []
-    for index, raw in enumerate(raw_states):
+    if len(raw_states) != len(campaign.posts):
+        raise FormatError("turn_states do not align with posts")
+    turns = []
+    for index, (post, raw) in enumerate(zip(campaign.posts, raw_states)):
         try:
-            states.append(TurnState.from_dict(raw))
+            state = TurnState.from_dict(raw)
         except ValueError as exc:
             raise FormatError(f"turn_states[{index}]: {exc}") from exc
-    if len(states) != len(campaign.posts):
-        raise FormatError("turn_states do not align with posts")
-    turns = [
-        (" ".join(post.paragraphs), state)
-        for post, state in zip(campaign.posts, states)
-    ]
+        if state.player_id != post.author_id:
+            raise FormatError(
+                f"turn_states[{index}]: player_id {state.player_id!r} is not"
+                f" the author of post {index}, {post.author_id!r}"
+            )
+        turns.append((" ".join(post.paragraphs), state))
     return campaign.campaign_id, turns

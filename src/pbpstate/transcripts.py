@@ -8,6 +8,10 @@ The canonical transcript format holds one campaign per line:
 Dice rolls are recovered from inline notation on load rather than stored;
 the annotated output format adds a ``rolls`` array per post. Streaming
 keeps memory flat on large corpora.
+
+Every JSONL input of the package, not only transcripts, is read through
+``read_jsonl``: it decodes each line with a caller's function and reports
+a bad line once, as ``line N: PATH: problem``.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
 
 from .dice import extract_rolls
 from .errors import FormatError
@@ -24,24 +28,23 @@ from .models import Campaign, Post
 
 _TYPE_NAMES = {str: "a string", list: "a list", dict: "an object"}
 
+T = TypeVar("T")
 
-def _field(
-    obj: dict[str, Any], key: str, kind: type, where: str, line: int | None
-) -> Any:
+
+def _field(obj: dict[str, Any], key: str, kind: type, where: str) -> Any:
     """obj[key], which must be of type ``kind``; FormatError otherwise."""
     if key not in obj:
-        raise FormatError(f"{where}missing field {key!r}", line=line)
+        raise FormatError(f"{where}missing field {key!r}")
     value = obj[key]
     if not isinstance(value, kind):
         raise FormatError(
             f"{where}field {key!r} must be {_TYPE_NAMES[kind]},"
-            f" not {type(value).__name__}",
-            line=line,
+            f" not {type(value).__name__}"
         )
     return value
 
 
-def campaign_from_record(record: dict[str, Any], line: int | None = None) -> Campaign:
+def campaign_from_record(record: dict[str, Any]) -> Campaign:
     """Build a Campaign from one decoded JSONL record.
 
     Ids are strings, ``posts`` is a list of objects and each post's
@@ -49,53 +52,61 @@ def campaign_from_record(record: dict[str, Any], line: int | None = None) -> Cam
     Posts are re-indexed 0..n-1 in file order and inline dice notation is
     materialized into rolls.
     """
-    if not isinstance(record, dict):
-        raise FormatError(
-            f"record must be an object, not {type(record).__name__}", line=line
-        )
-    campaign_id = _field(record, "campaign_id", str, "", line)
-    raw_posts = _field(record, "posts", list, f"campaign {campaign_id!r}: ", line)
+    campaign_id = _field(record, "campaign_id", str, "")
+    raw_posts = _field(record, "posts", list, f"campaign {campaign_id!r}: ")
     posts = []
     for index, raw in enumerate(raw_posts):
         where = f"post {index} of campaign {campaign_id!r}: "
         if not isinstance(raw, dict):
             raise FormatError(
-                f"{where}post must be an object, not {type(raw).__name__}",
-                line=line,
+                f"{where}post must be an object, not {type(raw).__name__}"
             )
-        paragraphs = tuple(_field(raw, "paragraphs", list, where, line))
+        paragraphs = tuple(_field(raw, "paragraphs", list, where))
         if not all(isinstance(p, str) for p in paragraphs):
-            raise FormatError(
-                f"{where}field 'paragraphs' must be a list of strings", line=line
-            )
+            raise FormatError(f"{where}field 'paragraphs' must be a list of strings")
         try:
             post = Post(
-                post_id=_field(raw, "post_id", str, where, line),
-                author_id=_field(raw, "author_id", str, where, line),
+                post_id=_field(raw, "post_id", str, where),
+                author_id=_field(raw, "author_id", str, where),
                 index=index,
                 paragraphs=paragraphs,
                 rolls=tuple(extract_rolls(paragraphs)),
             )
         except ValueError as exc:
-            raise FormatError(f"{where}{exc}", line=line) from exc
+            raise FormatError(f"{where}{exc}") from exc
         posts.append(post)
     try:
         return Campaign(campaign_id=campaign_id, posts=tuple(posts))
     except ValueError as exc:
-        raise FormatError(f"campaign {campaign_id!r}: {exc}", line=line) from exc
+        raise FormatError(f"campaign {campaign_id!r}: {exc}") from exc
 
 
-def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
-    """Yield (line_number, decoded_object) pairs; malformed lines raise."""
+def read_jsonl(path: str | Path, decode: Callable[[dict[str, Any]], T]) -> Iterator[T]:
+    """Yield ``decode(record)`` for each JSON object line of ``path``, in order.
+
+    Blank lines are skipped. A line that is not valid JSON or not an
+    object, or whose ``decode`` raises FormatError, ValueError, KeyError
+    or TypeError, raises one FormatError reading ``line N: PATH: problem``.
+    This is the one place that says where in a file a bad record is.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             if not raw.strip():
                 continue
             try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON ({exc.msg})", line=lineno) from exc
-            yield lineno, obj
+                record = json.loads(raw)
+                if not isinstance(record, dict):
+                    raise FormatError("record is not a JSON object")
+                value = decode(record)
+            except (FormatError, ValueError, KeyError, TypeError) as exc:
+                if isinstance(exc, json.JSONDecodeError):
+                    problem = f"invalid JSON ({exc.msg})"
+                elif isinstance(exc, KeyError):
+                    problem = f"record has no {exc} field"
+                else:
+                    problem = str(exc)
+                raise FormatError(f"{path}: {problem}", line=lineno) from exc
+            yield value
 
 
 def load_campaigns(path: str | Path) -> Iterator[Campaign]:
@@ -103,17 +114,16 @@ def load_campaigns(path: str | Path) -> Iterator[Campaign]:
 
     A campaign_id seen on an earlier line raises FormatError.
     """
-    first_line: dict[str, int] = {}
-    for lineno, record in iter_jsonl(path):
-        campaign = campaign_from_record(record, line=lineno)
-        seen = first_line.setdefault(campaign.campaign_id, lineno)
-        if seen != lineno:
-            raise FormatError(
-                f"duplicate campaign_id {campaign.campaign_id!r}"
-                f" (first on line {seen})",
-                line=lineno,
-            )
-        yield campaign
+    seen: set[str] = set()
+
+    def decode(record: dict[str, Any]) -> Campaign:
+        campaign = campaign_from_record(record)
+        if campaign.campaign_id in seen:
+            raise FormatError(f"duplicate campaign_id {campaign.campaign_id!r}")
+        seen.add(campaign.campaign_id)
+        return campaign
+
+    return read_jsonl(path, decode)
 
 
 def dump_json_line(obj: Any) -> str:

@@ -11,7 +11,6 @@ from contextlib import contextmanager
 
 import pytest
 
-from pbpstate.combat import CombatDetectorConfig
 from pbpstate.dice import format_dice_expr, parse_dice_expr
 from pbpstate.evaluation import (
     baseline_predictions,
@@ -66,7 +65,7 @@ def clean_corpus(gaz):
     annotated = annotate_corpus(
         (c for c, _ in pairs),
         gaz,
-        CombatDetectorConfig(gap_turns=CLEAN_CONFIG.gap_turns),
+        gap_turns=CLEAN_CONFIG.gap_turns,
     )
     elapsed = time.perf_counter() - start
     return pairs, annotated, elapsed
@@ -78,7 +77,7 @@ def distractor_corpus(gaz):
     annotated = annotate_corpus(
         (c for c, _ in pairs),
         gaz,
-        CombatDetectorConfig(gap_turns=DISTRACTOR_CONFIG.gap_turns),
+        gap_turns=DISTRACTOR_CONFIG.gap_turns,
     )
     return pairs, annotated
 
@@ -309,7 +308,7 @@ def test_criterion_9_slot_filler(gaz, distractor_corpus):
             turns_per_campaign=30, combat_density=0.08, loose_check_rate=0.1,
         )
         campaign, _ = generate(config)[0]
-        base = annotate_campaign(campaign, gaz, CombatDetectorConfig())
+        base = annotate_campaign(campaign, gaz)
         models = train_slot_models([base], post_features([base]))
         labels = {slot: model.labels for slot, model in models.items()}
         assert labels

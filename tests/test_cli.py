@@ -310,6 +310,7 @@ def test_serialize_bad_record_leaves_old_output(synth_corpus, tmp_path, capsys):
             {"actions": [{"kind": "attack", "roll": {"count": "1", "faces": 20}}]},
             "count: must be an integer, not str",
         ),
+        ({"player_id": "nobody"}, "player_id 'nobody' is not the author of post 0"),
     ],
 )
 def test_serialize_rejects_a_mistyped_turn_state(
@@ -407,7 +408,7 @@ def test_public_flags():
         "classify": {"--model", "--in", "--out"},
         "serialize": {"--in", "--out", "--variant", "--window"},
         "eval-gst": {"--pred", "--gold", "--slots", "--json"},
-        "agreement": {"--in", "--categories", "--json"},
+        "agreement": {"--in", "--categories"},
     }
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     subparsers = sub.choices
@@ -492,7 +493,40 @@ def _string_in_combat(record):
     return "in_combat: must be true or false, not str"
 
 
-@pytest.mark.parametrize("edit", [_cut_turns, _drop_a_label, _string_in_combat])
+def _player_profile(record):
+    return next(p for p in record["profiles"].values() if not p["is_dm"])
+
+
+def _string_inventory(record):
+    _player_profile(record)["inventory"] = "sword"
+    return "inventory: must be a list, not str"
+
+
+def _string_is_dm(record):
+    _player_profile(record)["is_dm"] = "no"
+    return "is_dm: must be true or false, not str"
+
+
+def _string_monster_count(record):
+    record["combat_spans"] = [
+        {"start_index": 0, "end_index": 1, "monsters": [["goblin", "2"]]}
+    ]
+    return "monsters: count for 'goblin' must be a positive integer"
+
+
+def _string_start_index(record):
+    record["combat_spans"] = [{"start_index": "0", "end_index": 1, "monsters": []}]
+    return "start_index: must be an integer, not str"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _cut_turns, _drop_a_label, _string_in_combat,
+        _string_inventory, _string_is_dm, _string_start_index,
+        _string_monster_count,
+    ],
+)
 def test_train_icooc_gold_must_match_its_campaign(synth_corpus, tmp_path, capsys, edit):
     corpus, gold = synth_corpus
     records = [json.loads(line) for line in gold.read_text().splitlines()]
@@ -642,7 +676,8 @@ def command_inputs(tmp_path_factory):
         for name, file in [
             ("corpus", "corpus.jsonl"), ("gold", "gold.jsonl"),
             ("model", "model.txt"), ("annotated", "annotated.jsonl"),
-            ("ratings", "ratings.jsonl"), ("out", "out.jsonl"),
+            ("ratings", "ratings.jsonl"), ("labeled", "labeled.jsonl"),
+            ("out", "out.jsonl"),
         ]
     }
     assert main(["synth", "--seed", "3", "--campaigns", "2", "--turns", "20",
@@ -655,6 +690,10 @@ def command_inputs(tmp_path_factory):
         '{"labels": ["a", "a"], "scores": [1, 2]}\n'
         '{"labels": ["a", "b"], "scores": [2, 1]}\n',
         encoding="utf-8",
+    )
+    _write_jsonl(
+        work / "labeled.jsonl",
+        [{"text": "the road bends", "label": "IC"}, {"text": "brb", "label": "OOC"}],
     )
     return work, paths
 
@@ -707,3 +746,77 @@ def test_each_command_loads_only_what_it_runs(command_inputs, command):
     if command == "ingest":
         assert ours == {"cli", "errors", "models", "dice", "transcripts"}
     assert not ours & _NOT_LOADED.get(command, set())
+
+
+@pytest.mark.parametrize(
+    "bad_line, problem",
+    [('{"campaign_id": ', "invalid JSON ("), ("[1, 2]", "record is not a JSON object")],
+    ids=["invalid-json", "not-an-object"],
+)
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("ingest", "--in"), ("stats", "--in"), ("annotate", "--in"),
+        ("classify", "--in"), ("train-icooc", "--corpus"), ("train-icooc", "--gold"),
+        ("train-icooc", "--labeled"), ("serialize", "--in"), ("eval-gst", "--pred"),
+        ("eval-gst", "--gold"), ("agreement", "--in"),
+    ],
+)
+def test_a_bad_jsonl_line_names_its_file_and_line(
+    command_inputs, tmp_path, capsys, command, flag, bad_line, problem
+):
+    """Every JSONL input reports a bad line 2 as ``line 2: FILE: problem``."""
+    _, paths = command_inputs
+    if flag == "--labeled":
+        template = ["train-icooc", "--labeled", "{labeled}", "--out", "{out}"]
+    else:
+        template = _ARGV[command]
+    argv = [arg.format(**{**paths, "out": str(tmp_path / "out")}) for arg in template]
+    position = argv.index(flag) + 1
+    with open(argv[position], encoding="utf-8") as handle:
+        first_line = handle.readline()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(f"{first_line}{bad_line}\n", encoding="utf-8")
+    argv[position] = str(bad)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        f"pbpstate: error: line 2: {bad}: {problem}"
+    )
+
+
+def test_annotate_names_a_bad_gazetteer_file(synth_corpus, tmp_path, capsys):
+    corpus, _ = synth_corpus
+    gazetteers = tmp_path / "gz.txt"
+    gazetteers.write_text("[classes]\nwizard\n[bogus]\n", encoding="utf-8")
+    argv = ["annotate", "--in", str(corpus), "--out", str(tmp_path / "out"),
+            "--gazetteers", str(gazetteers)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"pbpstate: error: {gazetteers}: line 3: unknown section 'bogus'\n"
+    )
+
+
+def test_annotate_names_a_bad_model_file(synth_corpus, tmp_path, capsys):
+    corpus, _ = synth_corpus
+    model = tmp_path / "model.txt"
+    model.write_text("junk\n", encoding="utf-8")
+    argv = ["annotate", "--in", str(corpus), "--out", str(tmp_path / "out"),
+            "--icooc-model", str(model)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"pbpstate: error: {model}: expected header 'ICOOC-MODEL v1', found 'junk'\n"
+    )
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["corpus", "empty-corpus"])
+def test_annotate_rejects_a_gap_of_zero_turns(synth_corpus, tmp_path, capsys, empty):
+    corpus, _ = synth_corpus
+    if empty:
+        corpus = tmp_path / "empty.jsonl"
+        corpus.write_text("", encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    argv = ["annotate", "--in", str(corpus), "--out", str(out), "--gap-turns", "0"]
+    assert main(argv) == 2
+    assert "gap_turns must be at least 1" in capsys.readouterr().err
+    assert not out.exists()

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from pbpstate.combat import (
     WINDOW_CHARS,
-    CombatDetectorConfig,
     annotate_turn_actions,
     classify_roll_action,
     detect_combat_spans,
@@ -35,9 +34,9 @@ def roll_and_context(text):
     return rolls[0], text
 
 
-def test_config_validation():
-    with pytest.raises(ConfigError):
-        CombatDetectorConfig(gap_turns=0)
+def test_config_validation(gaz):
+    with pytest.raises(ConfigError, match="gap_turns must be at least 1"):
+        detect_combat_spans(campaign_of([INITIATIVE]), gaz, gap_turns=0)
 
 
 class TestInitiativeAndAttack:
@@ -78,9 +77,7 @@ class TestInitiativeAndAttack:
 class TestDetectSpans:
     def test_hand_traced_span(self, gaz):
         texts = [NO_ROLL, NO_ROLL, INITIATIVE, ATTACK, ATTACK] + [NO_ROLL] * 4
-        spans = detect_combat_spans(
-            campaign_of(texts), gaz, CombatDetectorConfig(gap_turns=3)
-        )
+        spans = detect_combat_spans(campaign_of(texts), gaz, gap_turns=3)
         assert [(s.start_index, s.end_index) for s in spans] == [(2, 4)]
 
     def test_no_rolls_no_spans(self, gaz):
@@ -97,23 +94,17 @@ class TestDetectSpans:
 
     def test_check_roll_sustains_open_combat(self, gaz):
         texts = [INITIATIVE, CHECK, CHECK, NO_ROLL, NO_ROLL, NO_ROLL]
-        spans = detect_combat_spans(
-            campaign_of(texts), gaz, CombatDetectorConfig(gap_turns=3)
-        )
+        spans = detect_combat_spans(campaign_of(texts), gaz, gap_turns=3)
         assert [(s.start_index, s.end_index) for s in spans] == [(0, 2)]
 
     def test_span_end_is_last_roll_before_gap(self, gaz):
         texts = [INITIATIVE, NO_ROLL, ATTACK] + [NO_ROLL] * 3 + [INITIATIVE, NO_ROLL]
-        spans = detect_combat_spans(
-            campaign_of(texts), gaz, CombatDetectorConfig(gap_turns=3)
-        )
+        spans = detect_combat_spans(campaign_of(texts), gaz, gap_turns=3)
         assert [(s.start_index, s.end_index) for s in spans] == [(0, 2), (6, 6)]
 
     def test_gap_one_closes_immediately(self, gaz):
         texts = [INITIATIVE, NO_ROLL, ATTACK, NO_ROLL]
-        spans = detect_combat_spans(
-            campaign_of(texts), gaz, CombatDetectorConfig(gap_turns=1)
-        )
+        spans = detect_combat_spans(campaign_of(texts), gaz, gap_turns=1)
         # The single quiet post at index 1 already closes the span; the
         # attack at index 2 then opens a fresh one.
         assert [(s.start_index, s.end_index) for s in spans] == [(0, 0), (2, 2)]
@@ -137,9 +128,7 @@ def test_span_invariants_and_gap_monotonicity(gaz, pattern, gap):
     def bounds(g):
         return [
             (s.start_index, s.end_index)
-            for s in detect_combat_spans(
-                campaign, gaz, CombatDetectorConfig(gap_turns=g)
-            )
+            for s in detect_combat_spans(campaign, gaz, gap_turns=g)
         ]
 
     spans = bounds(gap)

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from pbpstate.cli import main
-from pbpstate.combat import CombatDetectorConfig
 from pbpstate import slots
 from pbpstate.icooc import featurize, labeled_paragraphs, train
 from pbpstate.models import TurnState
@@ -38,7 +37,7 @@ def synth_pairs():
 
 def test_annotated_structure(gaz, synth_pairs):
     campaign, gold = synth_pairs[0]
-    annotated = annotate_campaign(campaign, gaz, CombatDetectorConfig(gap_turns=3))
+    annotated = annotate_campaign(campaign, gaz, gap_turns=3)
     assert len(annotated.turn_states) == len(campaign.posts)
     assert len(annotated.slot_values) == len(campaign.posts)
     assert 0.0 <= annotated.coverage <= 1.0

@@ -5,7 +5,6 @@ from collections import Counter
 
 import pytest
 
-from pbpstate.combat import CombatDetectorConfig
 from pbpstate.models import DUNGEON_MASTER
 from pbpstate.icooc import featurize
 from pbpstate.pipeline import (
@@ -34,7 +33,7 @@ def annotate_synth(gaz, signal_rate):
                          signal_rates=SignalRates.uniform(signal_rate))
     pairs = generate(config)
     annotated = [
-        annotate_campaign(c, gaz, CombatDetectorConfig(gap_turns=config.gap_turns))
+        annotate_campaign(c, gaz, gap_turns=config.gap_turns)
         for c, _ in pairs
     ]
     return pairs, annotated
@@ -190,7 +189,7 @@ def test_randomized_annotations_never_overwritten(gaz):
                          turns_per_campaign=30, combat_density=0.08,
                          loose_check_rate=0.1)
     campaign, _ = generate(config)[0]
-    base = annotate_campaign(campaign, gaz, CombatDetectorConfig())
+    base = annotate_campaign(campaign, gaz)
     models = train_slot_models([base], post_features([base]))
     labels = {slot: model.labels for slot, model in models.items()}
     for _ in range(50):

@@ -3,7 +3,7 @@
 import pytest
 
 from pbpstate.characters import build_profiles, text_signals
-from pbpstate.combat import CombatDetectorConfig, detect_combat_spans, extract_monsters
+from pbpstate.combat import detect_combat_spans, extract_monsters
 from pbpstate.errors import ConfigError
 from pbpstate.icooc import IC, OOC, labeled_paragraphs
 from pbpstate.models import validate_spans
@@ -131,8 +131,7 @@ def test_full_rate_corpus_recovers_all_players(gaz):
 
 def test_detector_matches_gold_spans_and_monsters(gaz):
     for campaign, gold in generate(SMALL):
-        detector_config = CombatDetectorConfig(gap_turns=SMALL.gap_turns)
-        spans = detect_combat_spans(campaign, gaz, detector_config)
+        spans = detect_combat_spans(campaign, gaz, gap_turns=SMALL.gap_turns)
         assert [
             (s.start_index, s.end_index) for s in spans
         ] == [(s.start_index, s.end_index) for s in gold.combat_spans]

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 import threading
 
@@ -10,6 +11,7 @@ from pbpstate.transcripts import (
     campaign_from_record,
     dump_json_line,
     load_campaigns,
+    read_jsonl,
     write_campaigns,
     write_lines,
 )
@@ -115,39 +117,84 @@ def _record(**post_fields):
 
 def test_string_paragraphs_rejected_not_split():
     record = _record(paragraphs="Roll initiative! (1d20+2)[15]")
-    with pytest.raises(FormatError, match="line 4: .*'paragraphs' must be a list"):
-        campaign_from_record(record, line=4)
+    with pytest.raises(FormatError, match="'paragraphs' must be a list"):
+        campaign_from_record(record)
 
 
 def test_non_string_paragraph_rejected():
     with pytest.raises(FormatError, match="'paragraphs' must be a list of strings"):
-        campaign_from_record(_record(paragraphs=["ok", 7]), line=1)
+        campaign_from_record(_record(paragraphs=["ok", 7]))
 
 
 def test_integer_author_id_rejected():
-    with pytest.raises(FormatError, match="line 2: .*'author_id' must be a string"):
-        campaign_from_record(_record(author_id=5), line=2)
+    with pytest.raises(FormatError, match="'author_id' must be a string, not int"):
+        campaign_from_record(_record(author_id=5))
 
 
 @pytest.mark.parametrize("field", ["campaign_id", "posts"])
 def test_wrong_campaign_field_type_named(field):
     record = _record()
     record[field] = {"a": 1}
-    with pytest.raises(FormatError, match=f"line 3: .*'{field}' must be") as excinfo:
-        campaign_from_record(record, line=3)
+    with pytest.raises(FormatError, match=f"field '{field}' must be") as excinfo:
+        campaign_from_record(record)
     assert "missing" not in str(excinfo.value)
 
 
-def test_non_object_record_rejected():
-    with pytest.raises(FormatError, match="line 5: record must be an object"):
-        campaign_from_record(["c1"], line=5)
+def test_non_object_record_rejected(tmp_path):
+    path = tmp_path / "list.jsonl"
+    _write(path, [CAMPAIGN_LINE, '["c1"]'])
+    with pytest.raises(
+        FormatError, match=re.escape(f"line 2: {path}: record is not a JSON object")
+    ):
+        list(load_campaigns(path))
 
 
 def test_duplicate_campaign_id_rejected(tmp_path):
     path = tmp_path / "dup.jsonl"
     _write(path, [CAMPAIGN_LINE, CAMPAIGN_LINE])
-    with pytest.raises(FormatError, match="line 2: duplicate campaign_id 'c1'"):
+    with pytest.raises(
+        FormatError, match=re.escape(f"line 2: {path}: duplicate campaign_id 'c1'")
+    ):
         list(load_campaigns(path))
+
+
+def _decode_or_raise(record):
+    if "error" in record:
+        raise {"key": KeyError, "type": TypeError, "value": ValueError}[
+            record["error"]
+        ]("label")
+    return record["n"]
+
+
+@pytest.mark.parametrize(
+    "bad_line, problem",
+    [
+        ('{"n": ', "invalid JSON (Expecting value)"),
+        ("[1, 2]", "record is not a JSON object"),
+        ("7", "record is not a JSON object"),
+        ('{"error": "key"}', "record has no 'label' field"),
+        ('{"error": "type"}', "label"),
+        ('{"error": "value"}', "label"),
+        ('{"m": 1}', "record has no 'n' field"),
+    ],
+)
+def test_read_jsonl_names_the_line_and_the_file(tmp_path, bad_line, problem):
+    path = tmp_path / "in.jsonl"
+    # Blank lines are skipped but still counted.
+    _write(path, ['{"n": 1}', "", "   ", bad_line, '{"n": 2}'])
+    values = []
+    with pytest.raises(FormatError) as excinfo:
+        for value in read_jsonl(path, _decode_or_raise):
+            values.append(value)
+    assert str(excinfo.value) == f"line 4: {path}: {problem}"
+    assert excinfo.value.line == 4
+    assert values == [1]
+
+
+def test_read_jsonl_yields_each_decoded_record_in_order(tmp_path):
+    path = tmp_path / "in.jsonl"
+    _write(path, ['{"n": 1}', "", '{"n": 2}'])
+    assert list(read_jsonl(path, _decode_or_raise)) == [1, 2]
 
 
 def test_write_lines_writes_each_line_and_counts(tmp_path):
