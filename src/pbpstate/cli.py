@@ -13,6 +13,7 @@ import argparse
 import importlib
 import json
 import sys
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 # Each command loads only the modules it runs: a command function imports
@@ -158,7 +159,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
 
 def _cmd_train_icooc(args: argparse.Namespace) -> int:
     from .icooc import LabeledParagraph, labeled_paragraphs, save_model, train
-    from .models import GoldAnnotations
+    from .models import GoldAnnotations, _typed
     from .transcripts import load_campaigns, read_jsonl
 
     data: list[LabeledParagraph]
@@ -169,15 +170,18 @@ def _cmd_train_icooc(args: argparse.Namespace) -> int:
     else:
         campaigns = {c.campaign_id: c for c in load_campaigns(args.corpus)}
 
-        def gold_paragraphs(record: dict[str, Any]) -> list[LabeledParagraph]:
-            campaign_id = record["campaign_id"]
+        def gold_paragraphs(
+            record: dict[str, Any],
+        ) -> tuple[str, list[LabeledParagraph]]:
+            campaign_id = _typed(record, "campaign_id", str)
             if campaign_id not in campaigns:
                 raise ValueError(f"campaign {campaign_id!r} is not in {args.corpus}")
             gold = GoldAnnotations.from_dict(record)
             gold.validate_against(campaigns[campaign_id])
-            return labeled_paragraphs([(campaigns[campaign_id], gold)])
+            return campaign_id, labeled_paragraphs([(campaigns[campaign_id], gold)])
 
-        data = [p for ps in read_jsonl(args.gold, gold_paragraphs) for p in ps]
+        gold_records = read_jsonl(args.gold, gold_paragraphs, itemgetter(0))
+        data = [p for _, ps in gold_records for p in ps]
     model = train(data, smoothing=args.smoothing)
     save_model(model, args.out)
     _info(args, f"trained IC/OOC model on {len(data)} paragraphs -> {args.out}")
@@ -216,7 +220,7 @@ def _cmd_serialize(args: argparse.Namespace) -> int:
     variant = ControlVariant(args.variant)
     examples = (
         example
-        for campaign_turns in read_jsonl(args.infile, turns_from_record)
+        for campaign_turns in read_jsonl(args.infile, turns_from_record, itemgetter(0))
         for example in build_examples(*campaign_turns, variant, window=args.window)
     )
     count = write_examples(args.out, examples)
@@ -226,22 +230,14 @@ def _cmd_serialize(args: argparse.Namespace) -> int:
 
 def _slot_rows_by_campaign(path: str) -> dict[str, list[dict[str, Any]]]:
     """campaign_id -> per-turn slot rows, in file order; ids must be unique."""
+    from .models import _typed
     from .records import slot_rows_from_record
     from .transcripts import read_jsonl
 
-    rows: dict[str, list[dict[str, Any]]] = {}
-
     def decode(record: dict[str, Any]) -> tuple[str, list[dict[str, Any]]]:
-        campaign_id = record.get("campaign_id")
-        if not isinstance(campaign_id, str):
-            raise FormatError("record has no string campaign_id")
-        if campaign_id in rows:
-            raise FormatError(f"duplicate campaign_id {campaign_id!r}")
-        return campaign_id, slot_rows_from_record(record)
+        return _typed(record, "campaign_id", str), slot_rows_from_record(record)
 
-    for campaign_id, turn_rows in read_jsonl(path, decode):
-        rows[campaign_id] = turn_rows
-    return rows
+    return dict(read_jsonl(path, decode, itemgetter(0)))
 
 
 def _cmd_eval_gst(args: argparse.Namespace) -> int:

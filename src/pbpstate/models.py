@@ -4,13 +4,21 @@ Everything here is a plain value object: construction validates invariants
 and raises ValueError naming the offending field, and all collections are
 frozen so instances can be shared freely across threads. Inference lives in
 the other modules.
+
+Decoded JSON is checked by ``_typed``, ``_typed_list`` and ``_object``, the
+package's only field checkers: a bad field reads ``field: must be ...``
+after a location prefix such as ``turn_states[3]: ``. The decoder of each
+record kind: transcript, ``transcripts.campaign_from_record``; annotated,
+``records.turns_from_record`` with ``profiles_and_spans``; gold,
+``GoldAnnotations.from_dict``; turn slots, ``records.slot_rows_from_record``.
+``check_turn_states`` is the one check of turn states against their posts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 DUNGEON_MASTER = "Dungeon Master"
 
@@ -43,6 +51,7 @@ def _require(condition: bool, field_name: str, message: str) -> None:
 
 
 _MISSING = object()
+T = TypeVar("T")
 _OPTIONAL_STR = (str, type(None))
 _KIND_NAMES: dict[Any, str] = {
     str: "a string",
@@ -54,6 +63,22 @@ _KIND_NAMES: dict[Any, str] = {
 }
 
 
+def _is(value: Any, kind: Any, where: str = "") -> Any:
+    """``value``, which must be a ``kind``; else ValueError, after ``where: ``."""
+    if not isinstance(value, kind):
+        message = f"must be {_KIND_NAMES[kind]}, not {type(value).__name__}"
+        raise ValueError(f"{where}: {message}" if where else message)
+    return value
+
+
+def _at(where: str, decode: Callable[..., T], *args: Any) -> T:
+    """``decode(*args)``; a ValueError it raises gains the prefix ``where: ``."""
+    try:
+        return decode(*args)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 def _typed(d: Any, key: str, kind: Any, default: Any = _MISSING) -> Any:
     """``d[key]``, or ``default`` when absent, which must be a ``kind``.
 
@@ -63,13 +88,7 @@ def _typed(d: Any, key: str, kind: Any, default: Any = _MISSING) -> Any:
     if key not in d:
         _require(default is not _MISSING, key, "missing")
         return default
-    value = d[key]
-    _require(
-        isinstance(value, kind),
-        key,
-        f"must be {_KIND_NAMES[kind]}, not {type(value).__name__}",
-    )
-    return value
+    return _is(d[key], kind, key)
 
 
 def _object(d: Any, what: str) -> Mapping[str, Any]:
@@ -79,16 +98,25 @@ def _object(d: Any, what: str) -> Mapping[str, Any]:
     return d
 
 
-def _typed_list(d: Any, key: str, item_kind: type) -> list[Any]:
-    """``d[key]`` (empty when absent): a list whose items are ``item_kind``."""
-    items = _typed(d, key, list, [])
-    for item in items:
-        _require(
-            isinstance(item, item_kind),
-            key,
-            f"items must be {_KIND_NAMES[item_kind]}, not {type(item).__name__}",
-        )
-    return items
+def _items(
+    d: Any, key: str, decode: Callable[[Any], T], default: Any = _MISSING
+) -> tuple[T, ...]:
+    """``decode`` of each item of the list ``d[key]``, or ``default`` when
+    absent; a bad item is named ``key[i]``."""
+    return tuple(
+        _at(f"{key}[{i}]", decode, item)
+        for i, item in enumerate(_typed(d, key, list, default))
+    )
+
+
+def _typed_list(
+    d: Any, key: str, item_kind: type, default: Any = _MISSING
+) -> tuple[Any, ...]:
+    """``d[key]``, or ``default`` when absent: a list of ``item_kind``."""
+    items = _typed(d, key, list, default)
+    for i, item in enumerate(items):
+        _is(item, item_kind, f"{key}[{i}]")
+    return tuple(items)
 
 
 @dataclass(frozen=True)
@@ -266,8 +294,8 @@ class CharacterProfile:
             character_class=_typed(d, "character_class", _OPTIONAL_STR, None),
             race=_typed(d, "race", _OPTIONAL_STR, None),
             pronouns=_typed(d, "pronouns", _OPTIONAL_STR, None),
-            inventory=frozenset(_typed_list(d, "inventory", str)),
-            spells=frozenset(_typed_list(d, "spells", str)),
+            inventory=frozenset(_typed_list(d, "inventory", str, ())),
+            spells=frozenset(_typed_list(d, "spells", str, ())),
         )
 
 
@@ -353,11 +381,11 @@ class TurnState:
             character_class=_typed(d, "character_class", _OPTIONAL_STR, None),
             race=_typed(d, "race", _OPTIONAL_STR, None),
             pronouns=_typed(d, "pronouns", _OPTIONAL_STR, None),
-            inventory=frozenset(_typed_list(d, "inventory", str)),
+            inventory=frozenset(_typed_list(d, "inventory", str, ())),
             in_combat=_typed(d, "in_combat", bool, False),
             in_character=_typed(d, "in_character", bool, True),
             actions=tuple(
-                Action.from_dict(a) for a in _typed_list(d, "actions", dict)
+                Action.from_dict(a) for a in _typed_list(d, "actions", dict, ())
             ),
         )
 
@@ -403,7 +431,7 @@ class CombatSpan:
         return cls(
             start_index=_typed(d, "start_index", int),
             end_index=_typed(d, "end_index", int),
-            monsters=tuple((n, c) for n, c in _typed_list(d, "monsters", list)),
+            monsters=tuple((n, c) for n, c in _typed_list(d, "monsters", list, ())),
         )
 
 
@@ -417,6 +445,49 @@ def validate_spans(spans: Iterable[CombatSpan]) -> None:
             f"span starting at {span.start_index} overlaps or is out of order",
         )
         previous_end = span.end_index
+
+
+def profiles_and_spans(
+    d: Mapping[str, Any],
+) -> tuple[dict[str, CharacterProfile], tuple[CombatSpan, ...]]:
+    """The ``profiles`` object and ``combat_spans`` list of a gold or
+    annotated record, each empty when absent; the spans must be sorted and
+    disjoint."""
+    profiles = {
+        pid: CharacterProfile.from_dict(p)
+        for pid, p in _typed(d, "profiles", dict, {}).items()
+    }
+    spans = tuple(CombatSpan.from_dict(s) for s in _typed(d, "combat_spans", list, []))
+    validate_spans(spans)
+    return profiles, spans
+
+
+def check_turn_states(
+    states: Sequence[TurnState],
+    posts: Sequence[Post],
+    profiles: Mapping[str, CharacterProfile],
+) -> None:
+    """Reject states that are not one per post, each by its post's author
+    and consistent with the author's profile where ``profiles`` has one."""
+    _require(
+        len(states) == len(posts),
+        "turn_states",
+        f"{len(states)} states for {len(posts)} posts",
+    )
+    for state, post in zip(states, posts):
+        where = f"turn_states[{post.index}]"
+        _require(
+            state.player_id == post.author_id,
+            where,
+            f"player_id {state.player_id!r} is not the author of post"
+            f" {post.index}, {post.author_id!r}",
+        )
+        profile = profiles.get(state.player_id)
+        _require(
+            profile is None or state.consistent_with(profile),
+            where,
+            f"contradicts the profile of {state.player_id!r}",
+        )
 
 
 @dataclass(frozen=True)
@@ -452,24 +523,7 @@ class GoldAnnotations:
         _require(dm_count == 1, "profiles", "exactly one DM profile required")
 
     def validate_against(self, campaign: Campaign) -> None:
-        _require(
-            len(self.turn_states) == len(campaign.posts),
-            "turn_states",
-            f"{len(self.turn_states)} states for {len(campaign.posts)} posts",
-        )
-        for state, post in zip(self.turn_states, campaign.posts):
-            _require(
-                state.player_id == post.author_id,
-                "turn_states",
-                f"player mismatch at post {post.index}",
-            )
-            profile = self.profiles.get(state.player_id)
-            if profile is not None:
-                _require(
-                    state.consistent_with(profile),
-                    "turn_states",
-                    f"state at post {post.index} contradicts the player profile",
-                )
+        check_turn_states(self.turn_states, campaign.posts, self.profiles)
         for labels, post in zip(self.paragraph_labels, campaign.posts):
             _require(
                 len(labels) == len(post.paragraphs),
@@ -489,17 +543,18 @@ class GoldAnnotations:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "GoldAnnotations":
+        """Gold annotations from a decoded gold record; a missing or
+        mistyped field raises ValueError naming the field."""
+        profiles, spans = profiles_and_spans(d)
         return cls(
-            turn_states=tuple(TurnState.from_dict(t) for t in d["turn_states"]),
-            profiles={
-                pid: CharacterProfile.from_dict(p)
-                for pid, p in _typed(d, "profiles", dict, {}).items()
-            },
-            combat_spans=tuple(
-                CombatSpan.from_dict(s) for s in d.get("combat_spans", ())
+            turn_states=_items(d, "turn_states", TurnState.from_dict),
+            profiles=profiles,
+            combat_spans=spans,
+            paragraph_labels=_items(
+                d,
+                "paragraph_labels",
+                lambda labels: tuple(_is(label, str) for label in _is(labels, list)),
+                (),
             ),
-            paragraph_labels=tuple(
-                tuple(p) for p in d.get("paragraph_labels", ())
-            ),
-            cue_posts=tuple(d.get("cue_posts", ())),
+            cue_posts=_typed_list(d, "cue_posts", int, ()),
         )

@@ -24,10 +24,11 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .characters import build_profiles, post_facts
 from .combat import annotate_turn_actions, detect_combat_spans, extract_monsters
-from .errors import ConfigError, FormatError
+from .errors import ConfigError
 from .gazetteers import Gazetteers
 from .icooc import IC, IcOocModel, label_turn, rule_based_turn_label
 from .models import Campaign, CharacterProfile, CombatSpan, TurnState
+from .models import profiles_and_spans
 from .records import SLOT_KEYS  # re-exported: the keys of every slot row
 from .records import slot_rows_from_record, state_slot_values, turns_from_record
 
@@ -176,25 +177,9 @@ def annotated_to_record(annotated: AnnotatedCampaign) -> dict[str, Any]:
 
 
 def validate_record(record: Mapping[str, Any]) -> None:
-    """Reconstruct every domain type in an annotated record.
-
-    Constructors enforce the type invariants, so a clean pass means the
-    record is structurally sound; used by the CLI before it reports
-    success.
-    """
-    from .models import validate_spans
-
-    _, turns = turns_from_record(record)
-    profiles = {
-        pid: CharacterProfile.from_dict(p)
-        for pid, p in record.get("profiles", {}).items()
-    }
-    spans = [CombatSpan.from_dict(s) for s in record.get("combat_spans", ())]
-    validate_spans(spans)
-    for _, state in turns:
-        profile = profiles.get(state.player_id)
-        if profile is not None and not state.consistent_with(profile):
-            raise FormatError(
-                f"turn state for {state.player_id!r} contradicts its profile"
-            )
+    """Decode every field of an annotated record and check its turn states
+    against its posts and profiles; a bad field raises naming it. Run by
+    ``annotate`` on each record before it is written."""
+    profiles, _ = profiles_and_spans(record)
+    turns_from_record(record, profiles)
     slot_rows_from_record(record)

@@ -5,14 +5,18 @@ per post and, under ``turn_slots``, each turn's slot view: one
 ``{"value", "source"}`` cell per name in ``SLOT_KEYS``. This module reads
 and writes that format without any of the annotation code, so the
 commands that only consume records load none of it.
+
+Decoders: ``turns_from_record`` for an annotated record's posts and turn
+states, ``slot_rows_from_record`` for any record's ``turn_slots``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
-from .errors import FormatError
-from .models import SLOT_KEYS, Action, Campaign, GoldAnnotations, TurnState
+from .models import SLOT_KEYS, Action, Campaign, CharacterProfile, GoldAnnotations
+from .models import TurnState, check_turn_states
+from .models import _OPTIONAL_STR, _at, _is, _items, _typed  # the field checkers
 from .transcripts import campaign_from_record
 
 # SLOT_KEYS, the slot names of this format, is defined beside TurnState
@@ -55,66 +59,38 @@ def gold_to_record(campaign: Campaign, gold: GoldAnnotations) -> dict[str, Any]:
 
 
 def slot_rows_from_record(record: Mapping[str, Any]) -> list[dict[str, str | None]]:
-    """Per-turn slot values from an annotated or gold JSONL record.
+    """Decode the per-turn slot values of an annotated or gold record.
 
     ``turn_slots`` must be a list of objects whose cells are objects with a
-    string or null ``value``; anything else raises FormatError.
+    string or null ``value``; anything else raises ValueError naming the
+    turn and the slot, as ``turn_slots[i].slot``.
     """
-    try:
-        turn_slots = record["turn_slots"]
-    except KeyError as exc:
-        raise FormatError("record carries no turn_slots") from exc
-    if not isinstance(turn_slots, list):
-        raise FormatError("turn_slots: must be a list")
     rows = []
-    for index, slots in enumerate(turn_slots):
-        if not isinstance(slots, dict):
-            raise FormatError(f"turn_slots[{index}]: must be an object")
-        row = {}
-        for key, cell in slots.items():
-            if not (
-                isinstance(cell, dict)
-                and "value" in cell
-                and isinstance(cell["value"], (str, type(None)))
-            ):
-                raise FormatError(
-                    f"turn_slots[{index}].{key}: must be an object with a"
-                    " string or null value"
-                )
-            row[key] = cell["value"]
-        rows.append(row)
+    for index, slots in enumerate(_typed(record, "turn_slots", list)):
+        where = f"turn_slots[{index}]"
+        rows.append(
+            {
+                key: _at(f"{where}.{key}", _slot_value, cell)
+                for key, cell in _at(where, _is, slots, dict).items()
+            }
+        )
     return rows
 
 
+def _slot_value(cell: Any) -> str | None:
+    return _typed(_is(cell, dict), "value", _OPTIONAL_STR)
+
+
 def turns_from_record(
-    record: Mapping[str, Any],
+    record: Mapping[str, Any], profiles: Mapping[str, CharacterProfile] = {}
 ) -> tuple[str, list[tuple[str, TurnState]]]:
     """(campaign_id, [(turn text, state), ...]) from an annotated record.
 
-    A missing or mistyped field, or a turn state whose player is not its
-    post's author, raises FormatError naming it.
+    A missing or mistyped field raises naming it, as does a state that
+    ``check_turn_states`` rejects against the posts and ``profiles``.
     """
-    try:
-        campaign = campaign_from_record(
-            {"campaign_id": record["campaign_id"], "posts": record["posts"]}
-        )
-        raw_states = record["turn_states"]
-    except KeyError as exc:
-        raise FormatError(f"annotated record missing field {exc}") from exc
-    if not isinstance(raw_states, list):
-        raise FormatError("turn_states: must be a list")
-    if len(raw_states) != len(campaign.posts):
-        raise FormatError("turn_states do not align with posts")
-    turns = []
-    for index, (post, raw) in enumerate(zip(campaign.posts, raw_states)):
-        try:
-            state = TurnState.from_dict(raw)
-        except ValueError as exc:
-            raise FormatError(f"turn_states[{index}]: {exc}") from exc
-        if state.player_id != post.author_id:
-            raise FormatError(
-                f"turn_states[{index}]: player_id {state.player_id!r} is not"
-                f" the author of post {index}, {post.author_id!r}"
-            )
-        turns.append((" ".join(post.paragraphs), state))
+    campaign = campaign_from_record(record)
+    states = _items(record, "turn_states", TurnState.from_dict)
+    check_turn_states(states, campaign.posts, profiles)
+    turns = [(" ".join(post.paragraphs), s) for post, s in zip(campaign.posts, states)]
     return campaign.campaign_id, turns

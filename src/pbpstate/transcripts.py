@@ -9,9 +9,11 @@ Dice rolls are recovered from inline notation on load rather than stored;
 the annotated output format adds a ``rolls`` array per post. Streaming
 keeps memory flat on large corpora.
 
-Every JSONL input of the package, not only transcripts, is read through
-``read_jsonl``: it decodes each line with a caller's function and reports
-a bad line once, as ``line N: PATH: problem``.
+A transcript record is decoded by ``campaign_from_record``. Every JSONL
+input of the package, not only transcripts, is read through
+``read_jsonl``: it decodes each line with a caller's function, rejects a
+repeated ``campaign_id`` when the caller names it, and reports a bad line
+once, as ``line N: PATH: problem``.
 """
 
 from __future__ import annotations
@@ -23,72 +25,58 @@ from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
 
 from .dice import extract_rolls
 from .errors import FormatError
-from .models import Campaign, Post
-
-
-_TYPE_NAMES = {str: "a string", list: "a list", dict: "an object"}
+from .models import Campaign, Post, _at, _object, _typed, _typed_list
 
 T = TypeVar("T")
 
 
-def _field(obj: dict[str, Any], key: str, kind: type, where: str) -> Any:
-    """obj[key], which must be of type ``kind``; FormatError otherwise."""
-    if key not in obj:
-        raise FormatError(f"{where}missing field {key!r}")
-    value = obj[key]
-    if not isinstance(value, kind):
-        raise FormatError(
-            f"{where}field {key!r} must be {_TYPE_NAMES[kind]},"
-            f" not {type(value).__name__}"
-        )
-    return value
-
-
 def campaign_from_record(record: dict[str, Any]) -> Campaign:
-    """Build a Campaign from one decoded JSONL record.
+    """Decode one transcript record into a Campaign.
 
     Ids are strings, ``posts`` is a list of objects and each post's
-    ``paragraphs`` a list of strings; anything else raises FormatError.
-    Posts are re-indexed 0..n-1 in file order and inline dice notation is
-    materialized into rolls.
+    ``paragraphs`` a list of strings; anything else raises FormatError
+    naming the post and the field. Posts are re-indexed 0..n-1 in file
+    order and inline dice notation is materialized into rolls.
     """
-    campaign_id = _field(record, "campaign_id", str, "")
-    raw_posts = _field(record, "posts", list, f"campaign {campaign_id!r}: ")
-    posts = []
-    for index, raw in enumerate(raw_posts):
-        where = f"post {index} of campaign {campaign_id!r}: "
-        if not isinstance(raw, dict):
-            raise FormatError(
-                f"{where}post must be an object, not {type(raw).__name__}"
-            )
-        paragraphs = tuple(_field(raw, "paragraphs", list, where))
-        if not all(isinstance(p, str) for p in paragraphs):
-            raise FormatError(f"{where}field 'paragraphs' must be a list of strings")
-        try:
-            post = Post(
-                post_id=_field(raw, "post_id", str, where),
-                author_id=_field(raw, "author_id", str, where),
-                index=index,
-                paragraphs=paragraphs,
-                rolls=tuple(extract_rolls(paragraphs)),
-            )
-        except ValueError as exc:
-            raise FormatError(f"{where}{exc}") from exc
-        posts.append(post)
     try:
-        return Campaign(campaign_id=campaign_id, posts=tuple(posts))
+        campaign_id = _typed(record, "campaign_id", str)
+        where = f"campaign {campaign_id!r}"
+        posts = tuple(
+            _at(f"post {index} of {where}", _post, raw, index)
+            for index, raw in enumerate(_at(where, _typed, record, "posts", list))
+        )
+        return _at(where, Campaign, campaign_id, posts)
     except ValueError as exc:
-        raise FormatError(f"campaign {campaign_id!r}: {exc}") from exc
+        raise FormatError(str(exc)) from exc
 
 
-def read_jsonl(path: str | Path, decode: Callable[[dict[str, Any]], T]) -> Iterator[T]:
+def _post(raw: Any, index: int) -> Post:
+    raw = _object(raw, "a post")
+    paragraphs = _typed_list(raw, "paragraphs", str)
+    return Post(
+        post_id=_typed(raw, "post_id", str),
+        author_id=_typed(raw, "author_id", str),
+        index=index,
+        paragraphs=paragraphs,
+        rolls=tuple(extract_rolls(paragraphs)),
+    )
+
+
+def read_jsonl(
+    path: str | Path,
+    decode: Callable[[dict[str, Any]], T],
+    campaign_id: Callable[[T], str] | None = None,
+) -> Iterator[T]:
     """Yield ``decode(record)`` for each JSON object line of ``path``, in order.
 
     Blank lines are skipped. A line that is not valid JSON or not an
     object, or whose ``decode`` raises FormatError, ValueError, KeyError
     or TypeError, raises one FormatError reading ``line N: PATH: problem``.
     This is the one place that says where in a file a bad record is.
+    Given ``campaign_id``, which names a decoded record's campaign, a
+    campaign seen on an earlier line is such a problem.
     """
+    seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             if not raw.strip():
@@ -98,6 +86,11 @@ def read_jsonl(path: str | Path, decode: Callable[[dict[str, Any]], T]) -> Itera
                 if not isinstance(record, dict):
                     raise FormatError("record is not a JSON object")
                 value = decode(record)
+                if campaign_id is not None:
+                    key = campaign_id(value)
+                    if key in seen:
+                        raise FormatError(f"duplicate campaign_id {key!r}")
+                    seen.add(key)
             except (FormatError, ValueError, KeyError, TypeError) as exc:
                 if isinstance(exc, json.JSONDecodeError):
                     problem = f"invalid JSON ({exc.msg})"
@@ -114,16 +107,7 @@ def load_campaigns(path: str | Path) -> Iterator[Campaign]:
 
     A campaign_id seen on an earlier line raises FormatError.
     """
-    seen: set[str] = set()
-
-    def decode(record: dict[str, Any]) -> Campaign:
-        campaign = campaign_from_record(record)
-        if campaign.campaign_id in seen:
-            raise FormatError(f"duplicate campaign_id {campaign.campaign_id!r}")
-        seen.add(campaign.campaign_id)
-        return campaign
-
-    return read_jsonl(path, decode)
+    return read_jsonl(path, campaign_from_record, lambda c: c.campaign_id)
 
 
 def dump_json_line(obj: Any) -> str:

@@ -331,15 +331,32 @@ def test_serialize_rejects_a_mistyped_turn_state(
     assert not out.exists()
 
 
+def test_serialize_rejects_fewer_states_than_posts(synth_corpus, tmp_path, capsys):
+    corpus, _ = synth_corpus
+    annotated = tmp_path / "annotated.jsonl"
+    assert main(["annotate", "--in", str(corpus), "--out", str(annotated)]) == 0
+    records = [json.loads(line) for line in annotated.read_text().splitlines()]
+    records[1]["turn_states"].pop()
+    edited = _write_jsonl(tmp_path / "edited.jsonl", records)
+    out = tmp_path / "examples.jsonl"
+    capsys.readouterr()
+    assert main(["serialize", "--in", str(edited), "--out", str(out)]) == 2
+    assert (
+        f"line 2: {edited}: turn_states: 29 states for 30 posts"
+        in capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "first_row, problem",
     [
         (["name", "race"], "turn_slots[0]: must be an object"),
         (
             {"race": "elf"},
-            "turn_slots[0].race: must be an object with a string or null value",
+            "turn_slots[0].race: must be an object, not str",
         ),
-        (None, "record carries no turn_slots"),
+        (None, "turn_slots: missing"),
     ],
 )
 def test_eval_gst_rejects_malformed_turn_slots(
@@ -490,7 +507,7 @@ def _drop_a_label(record):
 
 def _string_in_combat(record):
     record["turn_states"][3]["in_combat"] = "false"
-    return "in_combat: must be true or false, not str"
+    return "turn_states[3]: in_combat: must be true or false, not str"
 
 
 def _player_profile(record):
@@ -519,12 +536,58 @@ def _string_start_index(record):
     return "start_index: must be an integer, not str"
 
 
+def _states_not_a_list(record):
+    record["turn_states"] = {"p1": record["turn_states"][0]}
+    return "turn_states: must be a list, not dict"
+
+
+def _spans_not_a_list(record):
+    record["combat_spans"] = {"x": 1}
+    return "combat_spans: must be a list, not dict"
+
+
+def _string_labels(record):
+    record["paragraph_labels"][3] = "IC"
+    return "paragraph_labels[3]: must be a list, not str"
+
+
+def _string_cue_posts(record):
+    record["cue_posts"] = "abc"
+    return "cue_posts: must be a list, not str"
+
+
+def _first_player_turn(record):
+    """Index and state of the first turn whose author has a named profile."""
+    named = {pid for pid, p in record["profiles"].items() if p["name"]}
+    return next(
+        (i, s) for i, s in enumerate(record["turn_states"]) if s["player_id"] in named
+    )
+
+
+def _foreign_player(record):
+    index, state = _first_player_turn(record)
+    author = state["player_id"]
+    other = next(pid for pid in record["profiles"] if pid != author)
+    state["player_id"] = other
+    return (
+        f"turn_states[{index}]: player_id {other!r} is not the author of post"
+        f" {index}, {author!r}"
+    )
+
+
+def _contradicted_profile(record):
+    index, state = _first_player_turn(record)
+    state["character_name"] = "Nobody In Particular"
+    return f"turn_states[{index}]: contradicts the profile of {state['player_id']!r}"
+
+
 @pytest.mark.parametrize(
     "edit",
     [
         _cut_turns, _drop_a_label, _string_in_combat,
         _string_inventory, _string_is_dm, _string_start_index,
-        _string_monster_count,
+        _string_monster_count, _states_not_a_list, _spans_not_a_list,
+        _string_labels, _string_cue_posts, _foreign_player, _contradicted_profile,
     ],
 )
 def test_train_icooc_gold_must_match_its_campaign(synth_corpus, tmp_path, capsys, edit):
@@ -782,6 +845,35 @@ def test_a_bad_jsonl_line_names_its_file_and_line(
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(
         f"pbpstate: error: line 2: {bad}: {problem}"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("ingest", "--in"), ("stats", "--in"), ("annotate", "--in"),
+        ("classify", "--in"), ("train-icooc", "--corpus"), ("train-icooc", "--gold"),
+        ("serialize", "--in"), ("eval-gst", "--pred"), ("eval-gst", "--gold"),
+    ],
+)
+def test_a_repeated_campaign_id_names_its_file_and_line(
+    command_inputs, tmp_path, capsys, command, flag
+):
+    """Every campaign-keyed input rejects a campaign seen on an earlier line."""
+    _, paths = command_inputs
+    paths = {**paths, "out": str(tmp_path / "out")}
+    argv = [arg.format(**paths) for arg in _ARGV[command]]
+    position = argv.index(flag) + 1
+    with open(argv[position], encoding="utf-8") as handle:
+        first_line = handle.readline()
+    repeated = tmp_path / "repeated.jsonl"
+    repeated.write_text(first_line * 2, encoding="utf-8")
+    argv[position] = str(repeated)
+    campaign_id = json.loads(first_line)["campaign_id"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"pbpstate: error: line 2: {repeated}: duplicate campaign_id {campaign_id!r}\n"
     )
 
 

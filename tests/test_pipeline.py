@@ -1,6 +1,7 @@
 """Annotation pipeline composition and record round trips."""
 
 import json
+import re
 
 import pytest
 
@@ -15,6 +16,7 @@ from pbpstate.pipeline import (
     annotate_campaign,
     annotate_corpus,
     annotated_to_record,
+    validate_record,
 )
 from pbpstate.records import (
     gold_to_record,
@@ -90,6 +92,39 @@ def test_record_round_trip(gaz, synth_pairs):
     assert turns[0][1] == annotated.turn_states[0]
     rows = slot_rows_from_record(record)
     assert len(rows) == len(campaign.posts)
+
+
+def _contradict_a_profile(record):
+    named = {pid for pid, p in record["profiles"].items() if p["name"]}
+    index, state = next(
+        (i, s) for i, s in enumerate(record["turn_states"]) if s["player_id"] in named
+    )
+    state["character_name"] = "Nobody In Particular"
+    return f"turn_states[{index}]: contradicts the profile of {state['player_id']!r}"
+
+
+def _profiles_not_an_object(record):
+    record["profiles"] = list(record["profiles"])
+    return "profiles: must be an object, not list"
+
+
+def _overlapping_spans(record):
+    record["combat_spans"] = [
+        {"start_index": 0, "end_index": 3, "monsters": []},
+        {"start_index": 2, "end_index": 5, "monsters": []},
+    ]
+    return "spans: span starting at 2 overlaps or is out of order"
+
+
+@pytest.mark.parametrize(
+    "edit", [_contradict_a_profile, _profiles_not_an_object, _overlapping_spans]
+)
+def test_validate_record_rejects_a_bad_record(gaz, synth_pairs, edit):
+    record = annotated_to_record(annotate_campaign(synth_pairs[0][0], gaz))
+    validate_record(record)
+    problem = edit(record)
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        validate_record(record)
 
 
 def test_record_posts_carry_rolls_and_actions(gaz, synth_pairs):

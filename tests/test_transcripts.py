@@ -117,17 +117,20 @@ def _record(**post_fields):
 
 def test_string_paragraphs_rejected_not_split():
     record = _record(paragraphs="Roll initiative! (1d20+2)[15]")
-    with pytest.raises(FormatError, match="'paragraphs' must be a list"):
+    problem = "post 0 of campaign 'c1': paragraphs: must be a list, not str"
+    with pytest.raises(FormatError, match=re.escape(problem)):
         campaign_from_record(record)
 
 
 def test_non_string_paragraph_rejected():
-    with pytest.raises(FormatError, match="'paragraphs' must be a list of strings"):
+    problem = "post 0 of campaign 'c1': paragraphs[1]: must be a string, not int"
+    with pytest.raises(FormatError, match=re.escape(problem)):
         campaign_from_record(_record(paragraphs=["ok", 7]))
 
 
 def test_integer_author_id_rejected():
-    with pytest.raises(FormatError, match="'author_id' must be a string, not int"):
+    problem = "post 0 of campaign 'c1': author_id: must be a string, not int"
+    with pytest.raises(FormatError, match=re.escape(problem)):
         campaign_from_record(_record(author_id=5))
 
 
@@ -135,7 +138,7 @@ def test_integer_author_id_rejected():
 def test_wrong_campaign_field_type_named(field):
     record = _record()
     record[field] = {"a": 1}
-    with pytest.raises(FormatError, match=f"field '{field}' must be") as excinfo:
+    with pytest.raises(FormatError, match=f"{field}: must be a") as excinfo:
         campaign_from_record(record)
     assert "missing" not in str(excinfo.value)
 
