@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any, Iterator, Sequence
 # is the parser's --help text.)
 from . import __version__
 from .errors import AlignmentError, FormatError, PbpError
-from .models import SLOT_KEYS, ControlVariant
+from .models import _NUMBER, SLOT_KEYS, ControlVariant, _typed, _typed_list
 
 if TYPE_CHECKING:
     from .evaluation import CorpusStats
@@ -159,7 +159,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
 
 def _cmd_train_icooc(args: argparse.Namespace) -> int:
     from .icooc import LabeledParagraph, labeled_paragraphs, save_model, train
-    from .models import GoldAnnotations, _typed
+    from .models import GoldAnnotations
     from .transcripts import load_campaigns, read_jsonl
 
     data: list[LabeledParagraph]
@@ -230,7 +230,6 @@ def _cmd_serialize(args: argparse.Namespace) -> int:
 
 def _slot_rows_by_campaign(path: str) -> dict[str, list[dict[str, Any]]]:
     """campaign_id -> per-turn slot rows, in file order; ids must be unique."""
-    from .models import _typed
     from .records import slot_rows_from_record
     from .transcripts import read_jsonl
 
@@ -293,15 +292,17 @@ def _label_row(labels: Any) -> list[Any]:
     return labels
 
 
-def _score_row(scores: Any, raters: int | None) -> list[float]:
-    """One item's scores as floats: a list of two or more numbers, as many
-    as ``raters`` (the first scored line's count) when that is known."""
-    if not isinstance(scores, list):
-        raise FormatError("scores is not a list")
+def _score_row(record: dict[str, Any], raters: int | None) -> list[float]:
+    """One item's ``scores`` as floats: a list of two or more JSON numbers,
+    as many as ``raters`` (the first scored line's count) when that is
+    known. A string is no number, even one that reads as one, and
+    neither is ``true`` or ``false``."""
+    scores = _typed(record, "scores", list)
     try:
         row = [float(v) for v in scores]
     except (TypeError, ValueError) as exc:
         raise FormatError(f"scores: {exc}") from exc
+    _typed_list(record, "scores", _NUMBER)
     if len(row) < 2:
         raise FormatError(
             f"scores: found {len(row)}, need at least two (one per rater)"
@@ -325,7 +326,7 @@ def _cmd_agreement(args: argparse.Namespace) -> int:
             label_items.append(_label_row(record["labels"]))
         if "scores" in record:
             raters = len(score_items[0]) if score_items else None
-            score_items.append(_score_row(record["scores"], raters))
+            score_items.append(_score_row(record, raters))
 
     for _ in read_jsonl(args.infile, read_item):
         pass  # read_item keeps each line's ratings

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .dice import contains_dice_expr
 from .errors import (
@@ -153,32 +153,53 @@ def fit_from_features(
     smoothing: float,
     constrain_dice: bool = False,
 ) -> IcOocModel:
+    """Fit from (features, label) documents; see ``fit_from_counts``."""
+    docs: dict[str, list[dict[str, int]]] = {label: [] for label in labels}
+    for features, label in featurized:
+        docs[label].append(features)
+    pair_counts = {
+        label: Counter(chain.from_iterable(map(dict.items, label_docs)))
+        for label, label_docs in docs.items()
+    }
+    doc_counts = {label: len(label_docs) for label, label_docs in docs.items()}
+    return fit_from_counts(pair_counts, doc_counts, labels, smoothing, constrain_dice)
+
+
+def fit_from_counts(
+    pair_counts: Mapping[str, Counter[tuple[str, int]]],
+    doc_counts: Mapping[str, int],
+    labels: tuple[str, ...],
+    smoothing: float,
+    constrain_dice: bool = False,
+) -> IcOocModel:
+    """Fit from per-label counts of documents and of (token, count) items.
+
+    ``pair_counts[label][(token, n)]`` is the number of ``label``
+    documents in which ``token`` occurs ``n`` times; ``doc_counts[label]``
+    is the number of ``label`` documents. Folding a document in is
+    ``pair_counts[label].update(features.items())``, which runs in C, so
+    a caller can count documents as they stream by and drop them. The
+    sums are integers, so the model does not depend on the order in which
+    documents were counted.
+    """
     if smoothing <= 0:
         raise ValueError("smoothing: must be positive")
-    observed = {label for _, label in featurized}
-    missing = [label for label in labels if label not in observed]
+    missing = [label for label in labels if not doc_counts.get(label)]
     if missing or len(labels) < 2:
         raise DegenerateDataError(
             f"need examples for every label; missing {missing or labels}"
         )
 
-    docs: dict[str, list[dict[str, int]]] = {label: [] for label in labels}
-    for features, label in featurized:
-        docs[label].append(features)
-
-    # Per label, token -> summed count. Counting the distinct
-    # (token, count) items runs in C; the counts are integers, so the sums
-    # are exact whatever the order.
+    # Per label, token -> summed count.
     tables: dict[str, dict[str, int]] = {}
-    for label, label_docs in docs.items():
+    for label in labels:
         table: dict[str, int] = {}
-        items = Counter(chain.from_iterable(map(dict.items, label_docs)))
-        for (token, count), documents in items.items():
+        for (token, count), documents in pair_counts.get(label, {}).items():
             table[token] = table.get(token, 0) + count * documents
         tables[label] = table
 
-    total_docs = len(featurized)
-    priors = tuple(math.log(len(docs[lab]) / total_docs) for lab in labels)
+    total_docs = sum(doc_counts[label] for label in labels)
+    priors = tuple(math.log(doc_counts[lab] / total_docs) for lab in labels)
     vocabulary = sorted(set().union(*tables.values()))
     denominators = [
         sum(tables[lab].values()) + smoothing * len(vocabulary) for lab in labels

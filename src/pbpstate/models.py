@@ -7,8 +7,10 @@ the other modules.
 
 Decoded JSON is checked by ``_typed``, ``_typed_list`` and ``_object``, the
 package's only field checkers: a bad field reads ``field: must be ...``
-after a location prefix such as ``turn_states[3]: ``. The decoder of each
-record kind: transcript, ``transcripts.campaign_from_record``; annotated,
+after a location prefix such as ``turn_states[3]: ``, which is built only
+when a check fails. A JSON ``true`` or ``false`` is no integer. The
+decoder of each record kind: transcript,
+``transcripts.campaign_from_record``; annotated,
 ``records.turns_from_record`` with ``profiles_and_spans``; gold,
 ``GoldAnnotations.from_dict``; turn slots, ``records.slot_rows_from_record``.
 ``check_turn_states`` is the one check of turn states against their posts.
@@ -53,19 +55,25 @@ def _require(condition: bool, field_name: str, message: str) -> None:
 _MISSING = object()
 T = TypeVar("T")
 _OPTIONAL_STR = (str, type(None))
+_NUMBER = (int, float)
 _KIND_NAMES: dict[Any, str] = {
     str: "a string",
     _OPTIONAL_STR: "a string or null",
     bool: "true or false",
     int: "an integer",
+    _NUMBER: "a number",
     list: "a list",
     dict: "an object",
 }
 
 
 def _is(value: Any, kind: Any, where: str = "") -> Any:
-    """``value``, which must be a ``kind``; else ValueError, after ``where: ``."""
-    if not isinstance(value, kind):
+    """``value``, which must be a ``kind``; else ValueError, after ``where: ``.
+
+    JSON ``true`` and ``false`` are ``bool`` only, although Python's
+    ``bool`` is an ``int``: they are no integer and no number.
+    """
+    if not isinstance(value, kind) or (type(value) is bool and kind is not bool):
         message = f"must be {_KIND_NAMES[kind]}, not {type(value).__name__}"
         raise ValueError(f"{where}: {message}" if where else message)
     return value
@@ -77,6 +85,21 @@ def _at(where: str, decode: Callable[..., T], *args: Any) -> T:
         return decode(*args)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
+
+
+def _each(
+    items: Iterable[Any], decode: Callable[[Any], T], where: Callable[[int], str]
+) -> tuple[T, ...]:
+    """``decode`` of each item; a ValueError raised for item ``i`` gains the
+    prefix ``where(i): ``, which is built only then."""
+    decoded = []
+    i = 0
+    try:
+        for i, item in enumerate(items):
+            decoded.append(decode(item))
+    except ValueError as exc:
+        raise ValueError(f"{where(i)}: {exc}") from exc
+    return tuple(decoded)
 
 
 def _typed(d: Any, key: str, kind: Any, default: Any = _MISSING) -> Any:
@@ -103,19 +126,21 @@ def _items(
 ) -> tuple[T, ...]:
     """``decode`` of each item of the list ``d[key]``, or ``default`` when
     absent; a bad item is named ``key[i]``."""
-    return tuple(
-        _at(f"{key}[{i}]", decode, item)
-        for i, item in enumerate(_typed(d, key, list, default))
-    )
+    return _each(_typed(d, key, list, default), decode, lambda i: f"{key}[{i}]")
 
 
 def _typed_list(
-    d: Any, key: str, item_kind: type, default: Any = _MISSING
+    d: Any, key: str, item_kind: Any, default: Any = _MISSING
 ) -> tuple[Any, ...]:
-    """``d[key]``, or ``default`` when absent: a list of ``item_kind``."""
+    """``d[key]``, or ``default`` when absent: a list of ``item_kind``; a
+    bad item is named ``key[i]``."""
     items = _typed(d, key, list, default)
-    for i, item in enumerate(items):
-        _is(item, item_kind, f"{key}[{i}]")
+    i = 0
+    try:
+        for i, item in enumerate(items):
+            _is(item, item_kind)
+    except ValueError as exc:
+        raise ValueError(f"{key}[{i}]: {exc}") from exc
     return tuple(items)
 
 
@@ -408,7 +433,7 @@ class CombatSpan:
         )
         for name, count in self.monsters:
             _require(
-                isinstance(count, int) and count >= 1,
+                isinstance(count, int) and type(count) is not bool and count >= 1,
                 "monsters",
                 f"count for {name!r} must be a positive integer",
             )

@@ -137,10 +137,11 @@ def annotate_corpus(
     mirroring how the fallback classifiers are meant to be bootstrapped;
     slots with a single observed label get no model. A model fills a cell
     only when its label's posterior is at least 0.5, and the cell's source
-    says which cells it filled. Each post is featurized once, and the
-    features live only until filling ends.
+    says which cells it filled. Each player post is featurized once;
+    training keeps only per-label counts of the features, and only the
+    posts with an empty fillable cell keep theirs until filling ends.
     """
-    from .slots import fill_missing, post_features, train_slot_models
+    from .slots import fill_inputs, fill_missing, train_slot_models
 
     # Checked here too, so that an empty corpus does not hide a bad value.
     if gap_turns < 1:
@@ -149,10 +150,10 @@ def annotate_corpus(
         annotate_campaign(campaign, gazetteers, gap_turns, icooc_model)
         for campaign in campaigns
     ]
-    features = post_features(annotated)
-    models = train_slot_models(annotated, features)
+    inputs = fill_inputs(annotated)
+    models = train_slot_models(inputs)
     if models:
-        annotated = fill_missing(annotated, models, features)
+        annotated = fill_missing(annotated, models, inputs)
     return annotated
 
 

@@ -16,7 +16,7 @@ from typing import Any, Mapping, Sequence
 
 from .models import SLOT_KEYS, Action, Campaign, CharacterProfile, GoldAnnotations
 from .models import TurnState, check_turn_states
-from .models import _OPTIONAL_STR, _at, _is, _items, _typed  # the field checkers
+from .models import _OPTIONAL_STR, _is, _items, _typed  # the field checkers
 from .transcripts import campaign_from_record
 
 # SLOT_KEYS, the slot names of this format, is defined beside TurnState
@@ -67,18 +67,16 @@ def slot_rows_from_record(record: Mapping[str, Any]) -> list[dict[str, str | Non
     """
     rows = []
     for index, slots in enumerate(_typed(record, "turn_slots", list)):
-        where = f"turn_slots[{index}]"
-        rows.append(
-            {
-                key: _at(f"{where}.{key}", _slot_value, cell)
-                for key, cell in _at(where, _is, slots, dict).items()
-            }
-        )
+        row: dict[str, str | None] = {}
+        key = None
+        try:
+            for key, cell in _is(slots, dict).items():
+                row[key] = _typed(_is(cell, dict), "value", _OPTIONAL_STR)
+        except ValueError as exc:
+            where = f"turn_slots[{index}]" + ("" if key is None else f".{key}")
+            raise ValueError(f"{where}: {exc}") from exc
+        rows.append(row)
     return rows
-
-
-def _slot_value(cell: Any) -> str | None:
-    return _typed(_is(cell, dict), "value", _OPTIONAL_STR)
 
 
 def turns_from_record(

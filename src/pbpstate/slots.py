@@ -8,6 +8,12 @@ propose labels for uncovered turns, and only when the posterior clears
 the confidence threshold. The DM's turns are neither learned from nor
 filled: the DM plays no character, so these slots stay empty there.
 
+``fill_inputs`` reads each player post once. It folds the post's
+features into per-slot, per-label counts, which are all that training
+needs, and keeps the features only of the posts that have an empty
+fillable cell, the only posts filling reads. So memory grows with the
+vocabulary and the posts left to fill, not with the text.
+
 Name and inventory have no useful closed label set. ``in_combat`` and
 ``action`` need no model: the combat spans and the turn's own rolls
 decide them on every turn.
@@ -15,59 +21,72 @@ decide them on every turn.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .icooc import IcOocModel, fit_from_features, featurize
+from .icooc import IcOocModel, featurize, fit_from_counts
 from .pipeline import FILLABLE_SLOTS, HEURISTIC, MODEL, AnnotatedCampaign, SlotValue
 
+_EMPTY: SlotValue = (None, None)
 
-def post_features(
-    annotated: Sequence[AnnotatedCampaign],
-) -> list[list[dict[str, int]]]:
-    """Per campaign, the featurized text of each post: {} for a blank post
-    and for the DM's posts, which training and filling skip.
 
-    Computed once and shared by training and filling.
+@dataclass(frozen=True)
+class FillInputs:
+    """What training and filling read of a corpus, from ``fill_inputs``.
+
+    ``pair_counts[slot][label]`` and ``doc_counts[slot][label]`` are the
+    ``fit_from_counts`` counts of the player turns whose ``slot`` holds
+    the heuristic value ``label``. ``pending[c][i]`` holds the features
+    of post ``i`` of campaign ``c`` (by position in the corpus) when that
+    post is a player's and has an empty fillable cell: ``{}`` for a blank
+    post, which is never featurized.
     """
-    return [
-        [
-            {}
-            if ac.profiles[post.author_id].is_dm or not (text := post.text()).strip()
-            else featurize(text)
-            for post in ac.campaign.posts
-        ]
-        for ac in annotated
-    ]
+
+    pair_counts: dict[str, dict[str, Counter[tuple[str, int]]]]
+    doc_counts: dict[str, Counter[str]]
+    pending: dict[int, dict[int, dict[str, int]]]
 
 
-def train_slot_models(
-    annotated: Sequence[AnnotatedCampaign],
-    features: Sequence[Sequence[dict[str, int]]],
-) -> dict[str, IcOocModel]:
-    """Train each fillable slot on its heuristic-covered player turns.
-
-    ``features`` comes from ``post_features(annotated)``. A slot with fewer
-    than two observed labels gets no model.
-    """
-    training: dict[str, list[tuple[dict[str, int], str]]] = {
-        s: [] for s in FILLABLE_SLOTS
-    }
-    for ac, campaign_features in zip(annotated, features):
-        for feats, slot_row, post in zip(
-            campaign_features, ac.slot_values, ac.campaign.posts
-        ):
+def fill_inputs(annotated: Sequence[AnnotatedCampaign]) -> FillInputs:
+    """Featurize each non-blank player post once: fold its features into
+    the counts of the slots it has a heuristic value for, and keep them
+    only if it has an empty fillable cell. The DM's posts are skipped."""
+    pair_counts = {slot: defaultdict(Counter) for slot in FILLABLE_SLOTS}
+    doc_counts: dict[str, Counter[str]] = {slot: Counter() for slot in FILLABLE_SLOTS}
+    pending: dict[int, dict[int, dict[str, int]]] = {}
+    for c, ac in enumerate(annotated):
+        for i, (post, row) in enumerate(zip(ac.campaign.posts, ac.slot_values)):
             if ac.profiles[post.author_id].is_dm:
                 continue
+            text = post.text()
+            features = featurize(text) if text.strip() else {}
+            empty = False
             for slot in FILLABLE_SLOTS:
-                value, source = slot_row.get(slot, (None, None))
+                value, source = row.get(slot, _EMPTY)
                 if source == HEURISTIC and value is not None:
-                    training[slot].append((feats, value))
+                    pair_counts[slot][value].update(features.items())
+                    doc_counts[slot][value] += 1
+                elif source is None and value is None:
+                    empty = True
+            if empty:
+                pending.setdefault(c, {})[i] = features
+    return FillInputs(pair_counts, doc_counts, pending)
 
+
+def train_slot_models(inputs: FillInputs) -> dict[str, IcOocModel]:
+    """Train each fillable slot on its heuristic-covered player turns.
+
+    ``inputs`` comes from ``fill_inputs``. A slot with fewer than two
+    observed labels gets no model.
+    """
     models: dict[str, IcOocModel] = {}
-    for slot, featurized in training.items():
-        labels = tuple(sorted({label for _, label in featurized}))
+    for slot, doc_counts in inputs.doc_counts.items():
+        labels = tuple(sorted(doc_counts))
         if len(labels) >= 2:
-            models[slot] = fit_from_features(featurized, labels=labels, smoothing=1.0)
+            models[slot] = fit_from_counts(
+                inputs.pair_counts[slot], doc_counts, labels, smoothing=1.0
+            )
     return models
 
 
@@ -83,31 +102,28 @@ def predict_slot(
 def fill_missing(
     annotated: Sequence[AnnotatedCampaign],
     models: Mapping[str, IcOocModel],
-    features: Sequence[Sequence[dict[str, int]]],
+    inputs: FillInputs,
     min_score: float = 0.5,
 ) -> list[AnnotatedCampaign]:
     """Fill uncovered slots of player turns with model labels scoring at
     least min_score.
 
-    ``features`` comes from ``post_features(annotated)``. Heuristic values
-    and the DM's turns are never touched; filled cells carry source "model".
+    Only the posts ``inputs.pending`` holds are read; ``inputs`` comes
+    from ``fill_inputs(annotated)``. Heuristic values and the DM's turns
+    are never touched; filled cells carry source "model". A campaign with
+    no cell filled is returned as it is.
     """
     filled: list[AnnotatedCampaign] = []
-    for ac, campaign_features in zip(annotated, features):
-        new_rows: list[dict[str, SlotValue]] = []
-        for feats, slot_row, post in zip(
-            campaign_features, ac.slot_values, ac.campaign.posts
-        ):
-            row = dict(slot_row)
-            new_rows.append(row)
-            if ac.profiles[post.author_id].is_dm:
-                continue
+    for c, ac in enumerate(annotated):
+        rows: list[dict[str, SlotValue]] | None = None
+        for i, features in inputs.pending.get(c, {}).items():
             for slot, model in models.items():
-                value, source = row.get(slot, (None, None))
-                if source is not None or value is not None:
+                if ac.slot_values[i].get(slot, _EMPTY) != _EMPTY:
                     continue
-                label, score = predict_slot(model, feats)
+                label, score = predict_slot(model, features)
                 if score >= min_score:
-                    row[slot] = (label, MODEL)
-        filled.append(ac.with_slot_values(new_rows))
+                    if rows is None:
+                        rows = list(ac.slot_values)
+                    rows[i] = {**rows[i], slot: (label, MODEL)}
+        filled.append(ac if rows is None else ac.with_slot_values(rows))
     return filled

@@ -25,7 +25,7 @@ from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
 
 from .dice import extract_rolls
 from .errors import FormatError
-from .models import Campaign, Post, _at, _object, _typed, _typed_list
+from .models import Campaign, Post, _at, _each, _object, _typed, _typed_list
 
 T = TypeVar("T")
 
@@ -41,16 +41,18 @@ def campaign_from_record(record: dict[str, Any]) -> Campaign:
     try:
         campaign_id = _typed(record, "campaign_id", str)
         where = f"campaign {campaign_id!r}"
-        posts = tuple(
-            _at(f"post {index} of {where}", _post, raw, index)
-            for index, raw in enumerate(_at(where, _typed, record, "posts", list))
+        posts = _each(
+            enumerate(_at(where, _typed, record, "posts", list)),
+            _post,
+            lambda index: f"post {index} of {where}",
         )
         return _at(where, Campaign, campaign_id, posts)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
 
-def _post(raw: Any, index: int) -> Post:
+def _post(indexed: tuple[int, Any]) -> Post:
+    index, raw = indexed
     raw = _object(raw, "a post")
     paragraphs = _typed_list(raw, "paragraphs", str)
     return Post(

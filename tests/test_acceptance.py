@@ -29,7 +29,7 @@ from pbpstate.pipeline import (
     annotate_corpus,
 )
 from pbpstate.serialize import ControlVariant, build_examples
-from pbpstate.slots import fill_missing, post_features, train_slot_models
+from pbpstate.slots import fill_inputs, fill_missing, train_slot_models
 from pbpstate.synth import SynthConfig, generate, generate_corpus
 from pbpstate.transcripts import load_campaigns, write_campaigns
 
@@ -309,7 +309,7 @@ def test_criterion_9_slot_filler(gaz, distractor_corpus):
         )
         campaign, _ = generate(config)[0]
         base = annotate_campaign(campaign, gaz)
-        models = train_slot_models([base], post_features([base]))
+        models = train_slot_models(fill_inputs([base]))
         labels = {slot: model.labels for slot, model in models.items()}
         assert labels
         rng = random.Random(9)
@@ -325,7 +325,7 @@ def test_criterion_9_slot_filler(gaz, distractor_corpus):
                 rows.append(row)
             doctored = base.with_slot_values(rows)
             filled = fill_missing(
-                [doctored], models, post_features([doctored]), min_score=0.0
+                [doctored], models, fill_inputs([doctored]), min_score=0.0
             )[0]
             for row, filled_row in zip(rows, filled.slot_values):
                 for slot, cell in row.items():

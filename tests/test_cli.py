@@ -556,6 +556,11 @@ def _string_cue_posts(record):
     return "cue_posts: must be a list, not str"
 
 
+def _bool_cue_posts(record):
+    record["cue_posts"] = [True]
+    return "cue_posts[0]: must be an integer, not bool"
+
+
 def _first_player_turn(record):
     """Index and state of the first turn whose author has a named profile."""
     named = {pid for pid, p in record["profiles"].items() if p["name"]}
@@ -587,7 +592,8 @@ def _contradicted_profile(record):
         _cut_turns, _drop_a_label, _string_in_combat,
         _string_inventory, _string_is_dm, _string_start_index,
         _string_monster_count, _states_not_a_list, _spans_not_a_list,
-        _string_labels, _string_cue_posts, _foreign_player, _contradicted_profile,
+        _string_labels, _string_cue_posts, _bool_cue_posts, _foreign_player,
+        _contradicted_profile,
     ],
 )
 def test_train_icooc_gold_must_match_its_campaign(synth_corpus, tmp_path, capsys, edit):
@@ -664,6 +670,22 @@ def test_classify_and_annotate_agree_on_a_blank_paragraph(synth_corpus, tmp_path
             id="one-label-per-item",
         ),
         pytest.param([[1, 2]], 1, "record is not a JSON object", id="not-an-object"),
+        pytest.param(
+            [{"scores": ["3", True]}, {"scores": [1, 2]}],
+            1,
+            "scores[0]: must be a number, not str",
+            id="string-number-score",
+        ),
+        pytest.param(
+            [{"scores": [1, 2]}, {"scores": [3, False]}],
+            2,
+            "scores[1]: must be a number, not bool",
+            id="boolean-score",
+        ),
+        pytest.param(
+            [{"scores": "12"}], 1, "scores: must be a list, not str",
+            id="scores-not-a-list",
+        ),
     ],
 )
 def test_agreement_bad_ratings_name_the_line(tmp_path, capsys, rows, line, problem):

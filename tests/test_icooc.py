@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from pbpstate.icooc import (
     IcOocModel,
     LabeledParagraph,
     featurize,
+    fit_from_counts,
     fit_from_features,
     label_turn,
     load_model,
@@ -260,16 +262,20 @@ def random_documents(rng, labels, n):
     ] + [({"w0": 1}, label) for label in labels]
 
 
-@pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("smoothing", [0.5, 1.0])
-def test_count_table_fit_equals_reference_loop(seed, smoothing, tmp_path):
+def fit_cases(seed):
+    """(labels, constrain_dice, featurized documents) to fit."""
     rng = random.Random(seed)
-    cases = [
+    return [
         ((IC, OOC), True, [(featurize(p.text), p.label) for p in TRAIN_SET]),
         ((IC, OOC), True, random_documents(rng, (IC, OOC), 200)),
         (("a", "b", "c", "d"), False, random_documents(rng, ("a", "b", "c", "d"), 300)),
     ]
-    for labels, constrain, featurized in cases:
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("smoothing", [0.5, 1.0])
+def test_count_table_fit_equals_reference_loop(seed, smoothing, tmp_path):
+    for labels, constrain, featurized in fit_cases(seed):
         model = fit_from_features(
             featurized, labels=labels, smoothing=smoothing, constrain_dice=constrain,
         )
@@ -282,3 +288,34 @@ def test_count_table_fit_equals_reference_loop(seed, smoothing, tmp_path):
         assert (tmp_path / "fit.model").read_bytes() == (
             tmp_path / "reference.model"
         ).read_bytes()
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("smoothing", [0.5, 1.0])
+def test_fit_from_counts_equals_fit_from_features(seed, smoothing, tmp_path):
+    for labels, constrain, featurized in fit_cases(seed):
+        # Documents folded in one at a time, in reverse order, as a
+        # streaming caller would count them.
+        pair_counts = {label: Counter() for label in labels}
+        doc_counts = Counter()
+        for features, label in reversed(featurized):
+            pair_counts[label].update(features.items())
+            doc_counts[label] += 1
+        counted = fit_from_counts(
+            pair_counts, doc_counts, labels, smoothing, constrain_dice=constrain
+        )
+        model = fit_from_features(
+            featurized, labels=labels, smoothing=smoothing, constrain_dice=constrain,
+        )
+        assert counted == model
+        save_model(counted, tmp_path / "counted.model")
+        save_model(model, tmp_path / "fit.model")
+        assert (tmp_path / "counted.model").read_bytes() == (
+            tmp_path / "fit.model"
+        ).read_bytes()
+
+
+def test_fit_from_counts_needs_every_label():
+    pair_counts = {IC: Counter({("sword", 1): 2}), OOC: Counter()}
+    with pytest.raises(DegenerateDataError):
+        fit_from_counts(pair_counts, Counter({IC: 2}), (IC, OOC), 1.0)

@@ -186,3 +186,52 @@ def test_turn_state_dict_round_trip():
 def test_combat_span_dict_round_trip():
     span = CombatSpan(start_index=2, end_index=5, monsters=(("goblin", 3),))
     assert CombatSpan.from_dict(span.to_dict()) == span
+
+
+@pytest.mark.parametrize(
+    "decode, d, problem",
+    [
+        pytest.param(
+            DiceRoll.from_dict,
+            {"count": True, "faces": 20, "modifier": 0, "result": 5},
+            "count: must be an integer, not bool",
+            id="roll-count",
+        ),
+        pytest.param(
+            DiceRoll.from_dict,
+            {"count": 1, "faces": 20, "modifier": False, "result": 5},
+            "modifier: must be an integer, not bool",
+            id="roll-modifier",
+        ),
+        pytest.param(
+            CombatSpan.from_dict,
+            {"start_index": False, "end_index": 1},
+            "start_index: must be an integer, not bool",
+            id="span-start",
+        ),
+        pytest.param(
+            CombatSpan.from_dict,
+            {"start_index": 0, "end_index": 1, "monsters": [["goblin", True]]},
+            "monsters: count for 'goblin' must be a positive integer",
+            id="monster-count",
+        ),
+        pytest.param(
+            GoldAnnotations.from_dict,
+            {"turn_states": [], "cue_posts": [0, True]},
+            "cue_posts[1]: must be an integer, not bool",
+            id="cue-posts",
+        ),
+    ],
+)
+def test_json_booleans_are_not_integers(decode, d, problem):
+    with pytest.raises(ValueError) as excinfo:
+        decode(d)
+    assert str(excinfo.value) == problem
+
+
+def test_boolean_fields_still_take_booleans():
+    state = TurnState.from_dict({"player_id": "p1", "in_combat": True})
+    assert state.in_combat is True
+    profile = CharacterProfile.from_dict({"player_id": "dm", "is_dm": True,
+                                          "character_class": DUNGEON_MASTER})
+    assert profile.is_dm is True

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from pbpstate import slots
 from pbpstate.models import DUNGEON_MASTER
 from pbpstate.icooc import featurize
 from pbpstate.pipeline import (
@@ -15,8 +16,8 @@ from pbpstate.pipeline import (
     annotate_corpus,
 )
 from pbpstate.slots import (
+    fill_inputs,
     fill_missing,
-    post_features,
     predict_slot,
     train_slot_models,
 )
@@ -63,15 +64,15 @@ def test_single_label_slot_gets_no_model(gaz):
         row["race"] for row in annotated[0].slot_values if row["race"][1] == HEURISTIC
     }
     assert covered == {("elf", HEURISTIC)}
-    models = train_slot_models(annotated, post_features(annotated))
+    models = train_slot_models(fill_inputs(annotated))
     assert "race" not in models
     assert "character_class" in models
 
 
 def test_models_train_per_slot(annotated_corpus):
     _, annotated = annotated_corpus
-    features = post_features(annotated)
-    models = train_slot_models(annotated, features)
+    inputs = fill_inputs(annotated)
+    models = train_slot_models(inputs)
     assert set(models) <= set(FILLABLE_SLOTS)
     assert "in_combat" not in models and "action" not in models
     assert set(models["pronouns"].labels) == {"he/him", "she/her", "they/them"}
@@ -79,9 +80,9 @@ def test_models_train_per_slot(annotated_corpus):
 
 def test_heuristic_values_never_overwritten(annotated_corpus):
     _, annotated = annotated_corpus
-    features = post_features(annotated)
-    models = train_slot_models(annotated, features)
-    filled = fill_missing(annotated, models, features, min_score=0.0)
+    inputs = fill_inputs(annotated)
+    models = train_slot_models(inputs)
+    filled = fill_missing(annotated, models, inputs, min_score=0.0)
     for before, after in zip(annotated, filled):
         for row_before, row_after in zip(before.slot_values, after.slot_values):
             for slot, (value, source) in row_before.items():
@@ -101,9 +102,9 @@ def valued_cells(annotated):
 
 def test_coverage_never_decreases(annotated_corpus):
     _, annotated = annotated_corpus
-    features = post_features(annotated)
-    models = train_slot_models(annotated, features)
-    filled = fill_missing(annotated, models, features, min_score=0.5)
+    inputs = fill_inputs(annotated)
+    models = train_slot_models(inputs)
+    filled = fill_missing(annotated, models, inputs, min_score=0.5)
     for before, after in zip(annotated, filled):
         cov_before = valued_cells(before)
         cov_after = valued_cells(after)
@@ -113,9 +114,9 @@ def test_coverage_never_decreases(annotated_corpus):
 
 def test_threshold_blocks_low_confidence(annotated_corpus):
     _, annotated = annotated_corpus
-    features = post_features(annotated)
-    models = train_slot_models(annotated, features)
-    strict = fill_missing(annotated, models, features, min_score=1.1)
+    inputs = fill_inputs(annotated)
+    models = train_slot_models(inputs)
+    strict = fill_missing(annotated, models, inputs, min_score=1.1)
     for before, after in zip(annotated, strict):
         assert before.slot_values == after.slot_values
 
@@ -126,9 +127,9 @@ def is_dm_turn(ac, index):
 
 def test_filled_cells_are_tagged_model(sparse_annotated_corpus):
     _, annotated = sparse_annotated_corpus
-    features = post_features(annotated)
-    models = train_slot_models(annotated, features)
-    filled = fill_missing(annotated, models, features, min_score=0.0)
+    inputs = fill_inputs(annotated)
+    models = train_slot_models(inputs)
+    filled = fill_missing(annotated, models, inputs, min_score=0.0)
     model_cells = 0
     for before, after in zip(annotated, filled):
         rows = enumerate(zip(before.slot_values, after.slot_values))
@@ -145,9 +146,9 @@ def test_filled_cells_are_tagged_model(sparse_annotated_corpus):
 
 def test_dm_turns_are_never_filled(sparse_annotated_corpus):
     _, annotated = sparse_annotated_corpus
-    features = post_features(annotated)
-    models = train_slot_models(annotated, features)
-    filled = fill_missing(annotated, models, features, min_score=0.0)
+    inputs = fill_inputs(annotated)
+    models = train_slot_models(inputs)
+    filled = fill_missing(annotated, models, inputs, min_score=0.0)
     dm_turns = 0
     for before, after in zip(annotated, filled):
         for index, row in enumerate(after.slot_values):
@@ -161,18 +162,18 @@ def test_dm_turns_are_never_filled(sparse_annotated_corpus):
 
 def test_fill_determinism(annotated_corpus):
     _, annotated = annotated_corpus
-    features = post_features(annotated)
-    models = train_slot_models(annotated, features)
-    once = fill_missing(annotated, models, features, min_score=0.5)
-    twice = fill_missing(annotated, models, features, min_score=0.5)
+    inputs = fill_inputs(annotated)
+    models = train_slot_models(inputs)
+    once = fill_missing(annotated, models, inputs, min_score=0.5)
+    twice = fill_missing(annotated, models, inputs, min_score=0.5)
     for a, b in zip(once, twice):
         assert a.slot_values == b.slot_values
 
 
 def test_slot_model_file_round_trip(annotated_corpus, tmp_path):
     _, annotated = annotated_corpus
-    features = post_features(annotated)
-    models = train_slot_models(annotated, features)
+    inputs = fill_inputs(annotated)
+    models = train_slot_models(inputs)
     model = models["pronouns"]
     path = tmp_path / "slot.txt"
     save_model(model, path)
@@ -190,7 +191,7 @@ def test_randomized_annotations_never_overwritten(gaz):
                          loose_check_rate=0.1)
     campaign, _ = generate(config)[0]
     base = annotate_campaign(campaign, gaz)
-    models = train_slot_models([base], post_features([base]))
+    models = train_slot_models(fill_inputs([base]))
     labels = {slot: model.labels for slot, model in models.items()}
     for _ in range(50):
         rows = []
@@ -204,9 +205,74 @@ def test_randomized_annotations_never_overwritten(gaz):
             rows.append(row)
         doctored = base.with_slot_values(rows)
         filled = fill_missing(
-            [doctored], models, post_features([doctored]), min_score=0.0
+            [doctored], models, fill_inputs([doctored]), min_score=0.0
         )[0]
         for row, filled_row in zip(rows, filled.slot_values):
             for slot, cell in row.items():
                 if cell[1] == HEURISTIC:
                     assert filled_row[slot] == cell
+
+
+def player_posts(ac):
+    return [
+        i for i, post in enumerate(ac.campaign.posts)
+        if not ac.profiles[post.author_id].is_dm
+    ]
+
+
+def test_nothing_retained_when_every_player_cell_is_valued(annotated_corpus):
+    _, annotated = annotated_corpus
+    inputs = fill_inputs(annotated)
+    assert inputs.pending == {}
+    models = train_slot_models(inputs)
+    assert models
+    filled = fill_missing(annotated, models, inputs, min_score=0.0)
+    assert all(after is before for after, before in zip(filled, annotated))
+
+
+def test_retained_posts_are_the_player_posts_with_an_empty_cell(annotated_corpus):
+    _, annotated = annotated_corpus
+    base = annotated[1]
+    players = player_posts(base)
+    chosen = players[3:60:7]
+    assert len(chosen) > 1
+    rows = [dict(row) for row in base.slot_values]
+    for n, i in enumerate(chosen):
+        rows[i][FILLABLE_SLOTS[n % len(FILLABLE_SLOTS)]] = (None, None)
+    dm_posts = [i for i in range(len(rows)) if i not in players]
+    assert dm_posts
+    for i in dm_posts:
+        rows[i] = {slot: (None, None) for slot in rows[i]}
+    doctored = base.with_slot_values(rows)
+    inputs = fill_inputs([annotated[0], doctored])
+    assert set(inputs.pending) == {1}
+    assert sorted(inputs.pending[1]) == chosen
+    for i in chosen:
+        assert inputs.pending[1][i] == featurize(base.campaign.posts[i].text())
+
+
+def test_blank_posts_are_never_featurized(gaz, monkeypatch):
+    campaign = make_campaign(
+        [
+            ("dm", "The road is long. (1d20+1)[12]"),
+            ("p1", "Kessa the elf wizard follows. (1d20+3)[9]"),
+            ("p2", "Brom the dwarf fighter keeps pace."),
+            ("p3", "   "),
+            ("p1", ["", " "]),
+        ]
+    )
+    texts = []
+
+    def counting_featurize(text):
+        texts.append(text)
+        return featurize(text)
+
+    monkeypatch.setattr(slots, "featurize", counting_featurize)
+    inputs = fill_inputs([annotate_campaign(campaign, gaz)])
+    assert sorted(texts) == sorted(campaign.posts[i].text() for i in (1, 2))
+    # No post names a pronoun, so every player post is kept for filling;
+    # a blank one with no features, to be scored on the priors alone.
+    assert sorted(inputs.pending[0]) == [1, 2, 3, 4]
+    assert inputs.pending[0][3] == inputs.pending[0][4] == {}
+    # p1's blank post is still a training document for p1's race.
+    assert inputs.doc_counts["race"] == {"elf": 2, "dwarf": 1}
