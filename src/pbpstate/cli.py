@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error. Diagnostics go to
 stderr; data goes to files or stdout. Every setting is a flag, and each
-flag's default is in its argparse declaration. ``annotate`` has one
-configuration: it always fills what it can, and each slot cell's source
-says whether the heuristics or a fill model set it.
+flag's default is in its argparse declaration; a value out of its range
+(``--window 0``, ``--smoothing nan``) is a data error. ``annotate`` has
+one configuration: it always fills what it can, and each slot cell's
+source says whether the turn state or a fill model set it.
 """
 
 from __future__ import annotations
@@ -359,13 +360,15 @@ def _cmd_agreement(args: argparse.Namespace) -> int:
 
 
 def _slot_names(value: str) -> list[str]:
-    """``--slots``: comma-separated names, each one of ``SLOT_KEYS``."""
+    """``--slots``: comma-separated names from ``SLOT_KEYS``, none twice."""
     slots = value.split(",")
-    for slot in slots:
+    for n, slot in enumerate(slots):
         if slot not in SLOT_KEYS:
             raise argparse.ArgumentTypeError(
                 f"unknown slot {slot!r}; choose from {', '.join(SLOT_KEYS)}"
             )
+        if slot in slots[:n]:
+            raise argparse.ArgumentTypeError(f"slot {slot!r} given twice")
     return slots
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 
 from .errors import ConfigError
-from .gazetteers import Gazetteers
+from .gazetteers import Gazetteers, fold
 from .models import Action, ActionKind, Campaign, CombatSpan, DiceRoll
 
 _INITIATIVE_RE = re.compile(r"(?<!\w)initiative(?!\w)", re.IGNORECASE)
@@ -140,7 +140,7 @@ def extract_monsters(
                         best = max(best, int(m.group(0)))
                 for m in _NUMBER_WORD_RE.finditer(paragraph):
                     if abs(m.start() - offset) <= WINDOW_CHARS:
-                        best = max(best, NUMBER_WORDS[m.group(0).lower()])
+                        best = max(best, NUMBER_WORDS[fold(m.group(0))])
                 counts[monster] = best
     return [(name, counts[name]) for name in order]
 

@@ -22,7 +22,7 @@ class FormatError(PbpError):
         self.line = line
 
 
-class ConfigError(PbpError):
+class ConfigError(PbpError, ValueError):
     """A configuration value is out of range or otherwise unusable."""
 
 

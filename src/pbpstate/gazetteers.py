@@ -41,6 +41,14 @@ FIRST_PERSON_POSSESSIVES = ("my", "our")
 DEFAULT_ATTACK_WORDS = ("attack",)
 DEFAULT_DAMAGE_WORDS = ("damage", "dmg", "cure", "heal", "healing", "points")
 
+# re.IGNORECASE matches the dotted and dotless i to "i"; casefold() does not.
+_TURKIC_I = str.maketrans("\u0130\u0131", "ii")
+
+
+def fold(text: str) -> str:
+    """The lookup key of a ``re.IGNORECASE`` match: ``ſix`` folds to ``six``."""
+    return text.translate(_TURKIC_I).casefold()
+
 
 class TermMatcher:
     """Case-insensitive whole-word matcher over a fixed term list.
@@ -51,8 +59,7 @@ class TermMatcher:
     """
 
     def __init__(self, terms: tuple[str, ...], plural: bool = False):
-        self.terms = terms
-        self._canonical = {t.lower(): t.lower() for t in terms}
+        self._canonical = {fold(t): t.lower() for t in terms}
         if not terms:
             self._pattern = None
             return
@@ -62,14 +69,13 @@ class TermMatcher:
         self._pattern = re.compile(
             rf"(?<!\w)(?:{body}){suffix}(?!\w)", re.IGNORECASE
         )
-        self._plural = plural
 
     def finditer(self, text: str):
         """Yield (canonical_term, start_offset) in document order."""
         if self._pattern is None:
             return
         for m in self._pattern.finditer(text):
-            surface = m.group(0).lower()
+            surface = fold(m.group(0))
             if surface not in self._canonical:
                 base = surface[:-1] if surface.endswith("s") else surface
                 if base not in self._canonical and base.endswith("e"):

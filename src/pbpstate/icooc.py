@@ -20,6 +20,7 @@ from typing import Iterable, Mapping
 
 from .dice import contains_dice_expr
 from .errors import (
+    ConfigError,
     DegenerateDataError,
     EmptyInputError,
     ModelIOError,
@@ -182,8 +183,8 @@ def fit_from_counts(
     sums are integers, so the model does not depend on the order in which
     documents were counted.
     """
-    if smoothing <= 0:
-        raise ValueError("smoothing: must be positive")
+    if not 0 < smoothing < math.inf:
+        raise ConfigError("smoothing: must be positive and finite")
     missing = [label for label in labels if not doc_counts.get(label)]
     if missing or len(labels) < 2:
         raise DegenerateDataError(
@@ -264,8 +265,8 @@ def save_model(model: IcOocModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> IcOocModel:
-    """Read a model file written by ``save_model``; a malformed one raises
-    an error naming the file."""
+    """Read a model file written by ``save_model``; a malformed one, or
+    one holding a non-finite number, raises an error naming the file."""
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines or lines[0] != MODEL_MAGIC:
@@ -300,6 +301,8 @@ def load_model(path: str | Path) -> IcOocModel:
             )
     except (IndexError, ValueError) as exc:
         raise ModelIOError(f"{path}: truncated or corrupt model file: {exc}") from exc
+    if not all(map(math.isfinite, chain([smoothing], priors, *weights.values()))):
+        raise ModelIOError(f"{path}: holds a number that is not finite")
     return IcOocModel(
         labels=labels, priors=priors, weights=weights, smoothing=smoothing
     )

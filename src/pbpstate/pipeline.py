@@ -1,26 +1,26 @@
 """End-to-end heuristic annotation of campaigns.
 
 Couples the per-player property heuristics, the combat state machine, roll
-classification, and IC/OOC labeling into one annotated record per campaign,
-including the per-turn slot view consumed by the fill models and the
-evaluation tools. The record format itself, which the downstream commands
-read without loading any of this, is in ``pbpstate.records``.
+classification, and IC/OOC labeling into one annotated record per campaign.
+The turn states are its one per-turn record: the slot view the evaluation
+tools read is written from them. The record format itself, which the
+downstream commands read without loading any of this, is in
+``pbpstate.records``.
 
-Every slot row is the turn state's own view: a character slot holds a
-value on every turn whose author earned a profile value, ``in_combat``
-comes from the combat spans on every turn, and ``action`` is empty on a
-turn without a roll. Only the slots in ``FILLABLE_SLOTS`` (class, race,
-pronouns) are left for the slot-fill models, where no profile value was
-earned. ``annotate_corpus`` always trains and applies those models, and
-each cell names its source: ``HEURISTIC`` for the turn state's own value,
-``MODEL`` for a fill, ``None`` for an empty cell. The heuristic-only view
-is the cells whose source is ``HEURISTIC``.
+A turn's slot view is its state's own: a character slot holds a value on
+every turn whose author earned a profile value, ``in_combat`` comes from
+the combat spans on every turn, and ``action`` is empty on a turn without
+a roll. Only the slots in ``FILLABLE_SLOTS`` (class, race, pronouns) are
+left for the slot-fill models, where no profile value was earned;
+``annotate_corpus`` always applies them, and keeps what they set apart,
+as the campaign's ``fills``. Each cell names its source: ``HEURISTIC`` for
+the state's own value, ``MODEL`` for a fill, ``None`` for an empty cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Iterable, Mapping
 
 from .characters import build_profiles, post_facts
 from .combat import annotate_turn_actions, detect_combat_spans, extract_monsters
@@ -37,8 +37,6 @@ FILLABLE_SLOTS = ("character_class", "race", "pronouns")
 HEURISTIC = "heuristic"
 MODEL = "model"
 
-SlotValue = tuple[str | None, str | None]
-
 
 @dataclass(frozen=True)
 class AnnotatedCampaign:
@@ -46,13 +44,9 @@ class AnnotatedCampaign:
     profiles: dict[str, CharacterProfile]
     combat_spans: tuple[CombatSpan, ...]
     turn_states: tuple[TurnState, ...]
-    slot_values: tuple[dict[str, SlotValue], ...]
     coverage: float
-
-    def with_slot_values(
-        self, slot_values: Sequence[Mapping[str, SlotValue]]
-    ) -> "AnnotatedCampaign":
-        return replace(self, slot_values=tuple(dict(sv) for sv in slot_values))
+    # post index -> {slot: label} for the cells slots.fill_missing set
+    fills: Mapping[int, Mapping[str, str]] = field(default_factory=dict)
 
 
 def annotate_campaign(
@@ -82,7 +76,6 @@ def annotate_campaign(
     actions_per_post = annotate_turn_actions(campaign, gazetteers)
 
     states: list[TurnState] = []
-    slot_values: list[dict[str, SlotValue]] = []
     covered_posts = 0
     for post, facts_of_post, actions in zip(campaign.posts, facts, actions_per_post):
         profile = profiles[post.author_id]
@@ -103,14 +96,6 @@ def annotate_campaign(
             actions=tuple(actions),
         )
         states.append(state)
-
-        slot_values.append(
-            {
-                key: (value, HEURISTIC) if value is not None else (None, None)
-                for key, value in state_slot_values(state).items()
-            }
-        )
-
         if post.rolls or facts_of_post.cues():
             covered_posts += 1
 
@@ -119,7 +104,6 @@ def annotate_campaign(
         profiles=profiles,
         combat_spans=spans,
         turn_states=tuple(states),
-        slot_values=tuple(slot_values),
         coverage=covered_posts / len(campaign.posts),
     )
 
@@ -136,8 +120,8 @@ def annotate_corpus(
     Fill models are trained on the corpus's own heuristic-covered turns,
     mirroring how the fallback classifiers are meant to be bootstrapped;
     slots with a single observed label get no model. A model fills a cell
-    only when its label's posterior is at least 0.5, and the cell's source
-    says which cells it filled. Each player post is featurized once;
+    only when its label's posterior is at least 0.5; the filled cells are
+    the campaign's ``fills``. Each player post is featurized once;
     training keeps only per-label counts of the features, and only the
     posts with an empty fillable cell keep theirs until filling ends.
     """
@@ -167,13 +151,16 @@ def annotated_to_record(annotated: AnnotatedCampaign) -> dict[str, Any]:
     }
     record["combat_spans"] = [s.to_dict() for s in annotated.combat_spans]
     record["turn_states"] = [t.to_dict() for t in annotated.turn_states]
-    record["turn_slots"] = [
-        {
-            key: {"value": value, "source": source}
-            for key, (value, source) in sorted(slots.items())
-        }
-        for slots in annotated.slot_values
-    ]
+    record["turn_slots"] = []
+    for index, state in enumerate(annotated.turn_states):
+        filled = annotated.fills.get(index, {})
+        cells = {}
+        for key, value in sorted(state_slot_values(state).items()):
+            source = None if value is None else HEURISTIC
+            if key in filled:
+                value, source = filled[key], MODEL
+            cells[key] = {"value": value, "source": source}
+        record["turn_slots"].append(cells)
     return record
 
 

@@ -20,6 +20,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
+from .errors import ConfigError
 from .models import DUNGEON_MASTER, Action, ActionKind, ControlVariant, TurnState
 from .transcripts import dump_json_line, write_lines
 
@@ -168,7 +169,7 @@ def build_examples(
     Examples share their turns' entries.
     """
     if window < 1:
-        raise ValueError("window: must be positive")
+        raise ConfigError("window: must be positive")
 
     def entries(with_state: bool) -> list[TurnEntry]:
         return [

@@ -7,6 +7,8 @@ input. Filling never overwrites a heuristic value: the models only
 propose labels for uncovered turns, and only when the posterior clears
 the confidence threshold. The DM's turns are neither learned from nor
 filled: the DM plays no character, so these slots stay empty there.
+A slot's heuristic value is its ``TurnState`` field, and a fill is kept
+apart from the states, in the campaign's ``fills``.
 
 ``fill_inputs`` reads each player post once. It folds the post's
 features into per-slot, per-label counts, which are all that training
@@ -22,13 +24,11 @@ decide them on every turn.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .icooc import IcOocModel, featurize, fit_from_counts
-from .pipeline import FILLABLE_SLOTS, HEURISTIC, MODEL, AnnotatedCampaign, SlotValue
-
-_EMPTY: SlotValue = (None, None)
+from .pipeline import FILLABLE_SLOTS, AnnotatedCampaign
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,8 @@ class FillInputs:
     ``fit_from_counts`` counts of the player turns whose ``slot`` holds
     the heuristic value ``label``. ``pending[c][i]`` holds the features
     of post ``i`` of campaign ``c`` (by position in the corpus) when that
-    post is a player's and has an empty fillable cell: ``{}`` for a blank
-    post, which is never featurized.
+    post is a player's and leaves a fillable slot empty: ``{}`` for a
+    blank post, which is never featurized.
     """
 
     pair_counts: dict[str, dict[str, Counter[tuple[str, int]]]]
@@ -50,25 +50,25 @@ class FillInputs:
 
 def fill_inputs(annotated: Sequence[AnnotatedCampaign]) -> FillInputs:
     """Featurize each non-blank player post once: fold its features into
-    the counts of the slots it has a heuristic value for, and keep them
-    only if it has an empty fillable cell. The DM's posts are skipped."""
+    the counts of the slots its state holds a value for, and keep them
+    only if it leaves a fillable slot empty. The DM's posts are skipped."""
     pair_counts = {slot: defaultdict(Counter) for slot in FILLABLE_SLOTS}
     doc_counts: dict[str, Counter[str]] = {slot: Counter() for slot in FILLABLE_SLOTS}
     pending: dict[int, dict[int, dict[str, int]]] = {}
     for c, ac in enumerate(annotated):
-        for i, (post, row) in enumerate(zip(ac.campaign.posts, ac.slot_values)):
+        for i, (post, state) in enumerate(zip(ac.campaign.posts, ac.turn_states)):
             if ac.profiles[post.author_id].is_dm:
                 continue
             text = post.text()
             features = featurize(text) if text.strip() else {}
             empty = False
             for slot in FILLABLE_SLOTS:
-                value, source = row.get(slot, _EMPTY)
-                if source == HEURISTIC and value is not None:
+                value = getattr(state, slot)
+                if value is None:
+                    empty = True
+                else:
                     pair_counts[slot][value].update(features.items())
                     doc_counts[slot][value] += 1
-                elif source is None and value is None:
-                    empty = True
             if empty:
                 pending.setdefault(c, {})[i] = features
     return FillInputs(pair_counts, doc_counts, pending)
@@ -105,25 +105,24 @@ def fill_missing(
     inputs: FillInputs,
     min_score: float = 0.5,
 ) -> list[AnnotatedCampaign]:
-    """Fill uncovered slots of player turns with model labels scoring at
+    """Fill the empty slots of player turns with model labels scoring at
     least min_score.
 
     Only the posts ``inputs.pending`` holds are read; ``inputs`` comes
-    from ``fill_inputs(annotated)``. Heuristic values and the DM's turns
-    are never touched; filled cells carry source "model". A campaign with
-    no cell filled is returned as it is.
+    from ``fill_inputs(annotated)``. A campaign with a cell filled comes
+    back with those cells, and only those, as its ``fills``; one with
+    none is returned as it is. The turn states are never touched, so a
+    heuristic value and the DM's turns keep their own cells.
     """
     filled: list[AnnotatedCampaign] = []
     for c, ac in enumerate(annotated):
-        rows: list[dict[str, SlotValue]] | None = None
+        fills: dict[int, dict[str, str]] = {}
         for i, features in inputs.pending.get(c, {}).items():
             for slot, model in models.items():
-                if ac.slot_values[i].get(slot, _EMPTY) != _EMPTY:
+                if getattr(ac.turn_states[i], slot) is not None:
                     continue
                 label, score = predict_slot(model, features)
                 if score >= min_score:
-                    if rows is None:
-                        rows = list(ac.slot_values)
-                    rows[i] = {**rows[i], slot: (label, MODEL)}
-        filled.append(ac if rows is None else ac.with_slot_values(rows))
+                    fills.setdefault(i, {})[slot] = label
+        filled.append(replace(ac, fills=fills) if fills else ac)
     return filled

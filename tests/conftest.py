@@ -9,6 +9,17 @@ def gaz():
     return load_gazetteers()
 
 
+def slot_cells(annotated):
+    """The slot view ``annotate`` writes for an AnnotatedCampaign, as one
+    ``{slot: (value, source)}`` row per turn."""
+    from pbpstate.pipeline import annotated_to_record
+
+    return [
+        {slot: (cell["value"], cell["source"]) for slot, cell in row.items()}
+        for row in annotated_to_record(annotated)["turn_slots"]
+    ]
+
+
 def make_post(index, text, author="p1", post_id=None):
     from pbpstate.dice import extract_rolls
 

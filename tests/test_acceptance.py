@@ -8,6 +8,7 @@ shared across criteria through module-scoped fixtures.
 import random
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 
@@ -33,6 +34,7 @@ from pbpstate.slots import fill_inputs, fill_missing, train_slot_models
 from pbpstate.synth import SynthConfig, generate, generate_corpus
 from pbpstate.transcripts import load_campaigns, write_campaigns
 
+from conftest import slot_cells
 from test_evaluation import brute_force_tau_b
 from test_serialize import _serialized_bytes, fixture_turns, magnus_turn
 from pbpstate.serialize import render_turn_block
@@ -314,20 +316,20 @@ def test_criterion_9_slot_filler(gaz, distractor_corpus):
         assert labels
         rng = random.Random(9)
         for _ in range(1_000):
-            rows = []
-            for _ in base.slot_values:
-                row = {}
+            states = []
+            for state in base.turn_states:
+                values = {}
                 for slot in FILLABLE_SLOTS:
                     if slot in labels and rng.random() < 0.5:
-                        row[slot] = (rng.choice(labels[slot]), HEURISTIC)
+                        values[slot] = rng.choice(labels[slot])
                     else:
-                        row[slot] = (None, None)
-                rows.append(row)
-            doctored = base.with_slot_values(rows)
+                        values[slot] = None
+                states.append(replace(state, **values))
+            doctored = replace(base, turn_states=tuple(states))
             filled = fill_missing(
                 [doctored], models, fill_inputs([doctored]), min_score=0.0
             )[0]
-            for row, filled_row in zip(rows, filled.slot_values):
+            for row, filled_row in zip(slot_cells(doctored), slot_cells(filled)):
                 for slot, cell in row.items():
                     if cell[1] == HEURISTIC:
                         assert filled_row[slot] == cell
@@ -336,7 +338,7 @@ def test_criterion_9_slot_filler(gaz, distractor_corpus):
         correct = wrong = 0
         for (campaign, gold), ac in zip(pairs, annotated):
             for post, row, state in zip(
-                campaign.posts, ac.slot_values, gold.turn_states
+                campaign.posts, slot_cells(ac), gold.turn_states
             ):
                 if post.rolls:
                     continue

@@ -9,6 +9,9 @@ import sys
 import pytest
 
 from pbpstate.cli import build_parser, main
+from pbpstate.transcripts import write_campaigns
+
+from conftest import make_campaign
 
 
 def run(argv, capsys=None):
@@ -444,13 +447,17 @@ def test_setting_flags_defaults():
 
 def test_eval_gst_unknown_slot_is_usage_error(synth_corpus, capsys):
     corpus, gold = synth_corpus
-    with pytest.raises(SystemExit) as excinfo:
-        main(["eval-gst", "--pred", str(gold), "--gold", str(gold),
-              "--slots", "name,rase"])
-    assert excinfo.value.code == 1
-    err = capsys.readouterr().err
-    assert "'rase'" in err
-    assert "name, character_class, race, pronouns, in_combat, action" in err
+    cases = [
+        ("name,rase", "unknown slot 'rase'; choose from "
+                      "name, character_class, race, pronouns, in_combat, action"),
+        ("race,race", "slot 'race' given twice"),
+    ]
+    for slots, problem in cases:
+        with pytest.raises(SystemExit) as excinfo:
+            main(["eval-gst", "--pred", str(gold), "--gold", str(gold),
+                  "--slots", slots])
+        assert excinfo.value.code == 1
+        assert problem in capsys.readouterr().err
 
 
 def _write_jsonl(path, records):
@@ -934,3 +941,65 @@ def test_annotate_rejects_a_gap_of_zero_turns(synth_corpus, tmp_path, capsys, em
     assert main(argv) == 2
     assert "gap_turns must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("window", ["0", "-3"])
+def test_serialize_rejects_a_window_below_one(synth_corpus, tmp_path, capsys, window):
+    corpus, _ = synth_corpus
+    annotated, out = tmp_path / "annotated.jsonl", tmp_path / "out.jsonl"
+    assert main(["annotate", "--in", str(corpus), "--out", str(annotated)]) == 0
+    argv = ["serialize", "--in", str(annotated), "--window", window, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "pbpstate: error: window: must be positive\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("smoothing", ["0", "-1", "nan", "inf"])
+def test_train_icooc_rejects_a_smoothing_that_is_not_positive_and_finite(
+    synth_corpus, tmp_path, capsys, smoothing
+):
+    corpus, gold = synth_corpus
+    out = tmp_path / "model.txt"
+    argv = ["train-icooc", "--corpus", str(corpus), "--gold", str(gold),
+            "--smoothing", smoothing, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "pbpstate: error: smoothing: must be positive and finite\n"
+    )
+    assert not out.exists()
+
+
+def test_classify_rejects_a_model_holding_a_non_finite_number(
+    synth_corpus, tmp_path, capsys
+):
+    corpus, gold = synth_corpus
+    model = tmp_path / "model.txt"
+    assert main(["train-icooc", "--corpus", str(corpus), "--gold", str(gold),
+                 "--out", str(model)]) == 0
+    lines = model.read_text(encoding="utf-8").splitlines()
+    lines[5] = lines[5].rsplit("\t", 1)[0] + "\tnan"  # a token's OOC weight
+    model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "labels.jsonl"
+    assert main(["classify", "--model", str(model), "--in", str(corpus),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"pbpstate: error: {model}: holds a number that is not finite\n"
+    )
+    assert not out.exists()
+
+
+def test_annotate_reads_a_long_s_as_an_s(tmp_path):
+    # re.IGNORECASE matches "ſ" (U+017F) to "s" where str.lower() does not;
+    # a class and a number word spelled with it are read as their s forms.
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "annotated.jsonl"
+    write_campaigns(corpus, [
+        make_campaign([("dm", "The road is long."), ("p1", "The ſorcerer waits.")],
+                      campaign_id="class"),
+        make_campaign([("dm", ["Roll initiative! (1d20+2)[14]",
+                               "ſix goblins creep closer."]),
+                       ("p1", "Kessa dodges.")], campaign_id="monsters"),
+    ])
+    assert main(["annotate", "--in", str(corpus), "--out", str(out)]) == 0
+    first, second = map(json.loads, out.read_text(encoding="utf-8").splitlines())
+    assert first["profiles"]["p1"]["character_class"] == "sorcerer"
+    assert [span["monsters"] for span in second["combat_spans"]] == [[["goblin", 6]]]

@@ -81,6 +81,18 @@ def test_plural_matcher_reports_singular():
     ]
 
 
+@pytest.mark.parametrize(
+    "text, term",
+    [("the ſorcerer", "sorcerer"), ("the wızard", "wizard"),
+     ("the WİZARD", "wizard"), ("the \u212aNIGHT", "knight")],
+)
+def test_every_spelling_the_pattern_matches_is_reported_canonically(text, term):
+    # re.IGNORECASE matches the long s, the dotless and dotted i and the
+    # Kelvin sign to ASCII letters, which str.lower() leaves as they are.
+    matcher = TermMatcher(("sorcerer", "wizard", "knight"))
+    assert list(matcher.finditer(text)) == [(term, 4)]
+
+
 def test_empty_matcher_matches_nothing():
     matcher = TermMatcher(())
     assert list(matcher.finditer("anything at all")) == []

@@ -1,11 +1,13 @@
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbpstate.errors import (
+    ConfigError,
     DegenerateDataError,
     EmptyInputError,
     ModelIOError,
@@ -208,6 +210,28 @@ class TestModelIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_model(tmp_path / "absent.txt")
+
+    @pytest.mark.parametrize(
+        "field, value", [("smoothing", "nan"), ("priors", "inf"), ("__dice__", "-inf")]
+    )
+    def test_non_finite_number_names_the_file(self, tmp_path, field, value):
+        path = tmp_path / "model.txt"
+        save_model(trained(), path)
+        lines = [
+            line.rsplit("\t", 1)[0] + "\t" + value if line.startswith(field + "\t")
+            else line
+            for line in path.read_text(encoding="utf-8").splitlines()
+        ]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        problem = f"{path}: holds a number that is not finite"
+        with pytest.raises(ModelIOError, match=f"^{re.escape(problem)}$"):
+            load_model(path)
+
+
+@pytest.mark.parametrize("smoothing", [0.0, -1.0, math.nan, math.inf])
+def test_smoothing_must_be_positive_and_finite(smoothing):
+    with pytest.raises(ConfigError, match="smoothing: must be positive and finite"):
+        train(TRAIN_SET, smoothing=smoothing)
 
 
 @settings(max_examples=30)

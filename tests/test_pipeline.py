@@ -26,7 +26,7 @@ from pbpstate.records import (
 )
 from pbpstate.synth import SynthConfig, generate
 
-from conftest import make_campaign
+from conftest import make_campaign, slot_cells
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +41,8 @@ def test_annotated_structure(gaz, synth_pairs):
     campaign, gold = synth_pairs[0]
     annotated = annotate_campaign(campaign, gaz, gap_turns=3)
     assert len(annotated.turn_states) == len(campaign.posts)
-    assert len(annotated.slot_values) == len(campaign.posts)
+    assert len(slot_cells(annotated)) == len(campaign.posts)
+    assert annotated.fills == {}
     assert 0.0 <= annotated.coverage <= 1.0
     dm = campaign.posts[0].author_id
     assert annotated.profiles[dm].is_dm
@@ -58,7 +59,7 @@ def test_in_combat_slot_follows_spans_on_every_turn(gaz, synth_pairs):
     campaigns = [c for c, _ in synth_pairs]
     assert any(not post.rolls for c in campaigns for post in c.posts)
     for annotated in annotate_corpus(campaigns, gaz):
-        for state, row in zip(annotated.turn_states, annotated.slot_values):
+        for state, row in zip(annotated.turn_states, slot_cells(annotated)):
             expected = "true" if state.in_combat else "false"
             assert row["in_combat"] == (expected, HEURISTIC)
 
@@ -66,7 +67,7 @@ def test_in_combat_slot_follows_spans_on_every_turn(gaz, synth_pairs):
 def test_action_slot_empty_without_a_roll(gaz, synth_pairs):
     campaigns = [c for c, _ in synth_pairs]
     for campaign, annotated in zip(campaigns, annotate_corpus(campaigns, gaz)):
-        for post, row in zip(campaign.posts, annotated.slot_values):
+        for post, row in zip(campaign.posts, slot_cells(annotated)):
             if not post.rolls:
                 assert row["action"] == (None, None)
 

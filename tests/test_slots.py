@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +16,7 @@ from pbpstate.pipeline import (
     annotate_campaign,
     annotate_corpus,
 )
+from pbpstate.records import state_slot_values
 from pbpstate.slots import (
     fill_inputs,
     fill_missing,
@@ -24,7 +26,7 @@ from pbpstate.slots import (
 from pbpstate.synth import SignalRates, SynthConfig, generate
 from pbpstate.icooc import load_model, save_model
 
-from conftest import make_campaign
+from conftest import make_campaign, slot_cells
 
 
 def annotate_synth(gaz, signal_rate):
@@ -61,7 +63,7 @@ def test_single_label_slot_gets_no_model(gaz):
     )
     annotated = [annotate_campaign(campaign, gaz)]
     covered = {
-        row["race"] for row in annotated[0].slot_values if row["race"][1] == HEURISTIC
+        row["race"] for row in slot_cells(annotated[0]) if row["race"][1] == HEURISTIC
     }
     assert covered == {("elf", HEURISTIC)}
     models = train_slot_models(fill_inputs(annotated))
@@ -84,7 +86,7 @@ def test_heuristic_values_never_overwritten(annotated_corpus):
     models = train_slot_models(inputs)
     filled = fill_missing(annotated, models, inputs, min_score=0.0)
     for before, after in zip(annotated, filled):
-        for row_before, row_after in zip(before.slot_values, after.slot_values):
+        for row_before, row_after in zip(slot_cells(before), slot_cells(after)):
             for slot, (value, source) in row_before.items():
                 if source == HEURISTIC:
                     assert row_after[slot] == (value, HEURISTIC)
@@ -94,7 +96,7 @@ def valued_cells(annotated):
     """Per slot, the number of turns holding a value, whatever its source."""
     return Counter(
         slot
-        for row in annotated.slot_values
+        for row in slot_cells(annotated)
         for slot, (value, _) in row.items()
         if value is not None
     )
@@ -118,7 +120,7 @@ def test_threshold_blocks_low_confidence(annotated_corpus):
     models = train_slot_models(inputs)
     strict = fill_missing(annotated, models, inputs, min_score=1.1)
     for before, after in zip(annotated, strict):
-        assert before.slot_values == after.slot_values
+        assert after is before
 
 
 def is_dm_turn(ac, index):
@@ -132,7 +134,7 @@ def test_filled_cells_are_tagged_model(sparse_annotated_corpus):
     filled = fill_missing(annotated, models, inputs, min_score=0.0)
     model_cells = 0
     for before, after in zip(annotated, filled):
-        rows = enumerate(zip(before.slot_values, after.slot_values))
+        rows = enumerate(zip(slot_cells(before), slot_cells(after)))
         for index, (row_before, row_after) in rows:
             if is_dm_turn(before, index):
                 continue
@@ -151,10 +153,12 @@ def test_dm_turns_are_never_filled(sparse_annotated_corpus):
     filled = fill_missing(annotated, models, inputs, min_score=0.0)
     dm_turns = 0
     for before, after in zip(annotated, filled):
-        for index, row in enumerate(after.slot_values):
+        rows_before = slot_cells(before)
+        for index, row in enumerate(slot_cells(after)):
             if is_dm_turn(after, index):
                 dm_turns += 1
-                assert row == before.slot_values[index]
+                assert index not in after.fills
+                assert row == rows_before[index]
                 assert all(source != MODEL for _, source in row.values())
     assert dm_turns > 0
     assert DUNGEON_MASTER not in models["character_class"].labels
@@ -167,7 +171,8 @@ def test_fill_determinism(annotated_corpus):
     once = fill_missing(annotated, models, inputs, min_score=0.5)
     twice = fill_missing(annotated, models, inputs, min_score=0.5)
     for a, b in zip(once, twice):
-        assert a.slot_values == b.slot_values
+        assert a.fills == b.fills
+        assert slot_cells(a) == slot_cells(b)
 
 
 def test_slot_model_file_round_trip(annotated_corpus, tmp_path):
@@ -194,20 +199,20 @@ def test_randomized_annotations_never_overwritten(gaz):
     models = train_slot_models(fill_inputs([base]))
     labels = {slot: model.labels for slot, model in models.items()}
     for _ in range(50):
-        rows = []
-        for _ in base.slot_values:
-            row = {}
+        states = []
+        for state in base.turn_states:
+            values = {}
             for slot in FILLABLE_SLOTS:
                 if rng.random() < 0.5 and slot in labels:
-                    row[slot] = (rng.choice(labels[slot]), HEURISTIC)
+                    values[slot] = rng.choice(labels[slot])
                 else:
-                    row[slot] = (None, None)
-            rows.append(row)
-        doctored = base.with_slot_values(rows)
+                    values[slot] = None
+            states.append(replace(state, **values))
+        doctored = replace(base, turn_states=tuple(states))
         filled = fill_missing(
             [doctored], models, fill_inputs([doctored]), min_score=0.0
         )[0]
-        for row, filled_row in zip(rows, filled.slot_values):
+        for row, filled_row in zip(slot_cells(doctored), slot_cells(filled)):
             for slot, cell in row.items():
                 if cell[1] == HEURISTIC:
                     assert filled_row[slot] == cell
@@ -236,14 +241,15 @@ def test_retained_posts_are_the_player_posts_with_an_empty_cell(annotated_corpus
     players = player_posts(base)
     chosen = players[3:60:7]
     assert len(chosen) > 1
-    rows = [dict(row) for row in base.slot_values]
+    states = list(base.turn_states)
     for n, i in enumerate(chosen):
-        rows[i][FILLABLE_SLOTS[n % len(FILLABLE_SLOTS)]] = (None, None)
-    dm_posts = [i for i in range(len(rows)) if i not in players]
+        slot = FILLABLE_SLOTS[n % len(FILLABLE_SLOTS)]
+        states[i] = replace(states[i], **{slot: None})
+    dm_posts = [i for i in range(len(states)) if i not in players]
     assert dm_posts
     for i in dm_posts:
-        rows[i] = {slot: (None, None) for slot in rows[i]}
-    doctored = base.with_slot_values(rows)
+        states[i] = replace(states[i], **dict.fromkeys(FILLABLE_SLOTS))
+    doctored = replace(base, turn_states=tuple(states))
     inputs = fill_inputs([annotated[0], doctored])
     assert set(inputs.pending) == {1}
     assert sorted(inputs.pending[1]) == chosen
@@ -276,3 +282,29 @@ def test_blank_posts_are_never_featurized(gaz, monkeypatch):
     assert inputs.pending[0][3] == inputs.pending[0][4] == {}
     # p1's blank post is still a training document for p1's race.
     assert inputs.doc_counts["race"] == {"elf": 2, "dwarf": 1}
+
+
+def test_written_cells_are_the_states_but_for_the_fills(sparse_annotated_corpus):
+    """Every written cell is the turn state's own value, with source
+    heuristic or null, except exactly the ``fills`` cells, which are the
+    model's; a fill lands only on a player turn whose state leaves the
+    slot empty."""
+    _, annotated = sparse_annotated_corpus
+    inputs = fill_inputs(annotated)
+    filled = fill_missing(annotated, train_slot_models(inputs), inputs)
+    model_cells = 0
+    for ac in filled:
+        for index, (state, row) in enumerate(zip(ac.turn_states, slot_cells(ac))):
+            own = state_slot_values(state)
+            fills = ac.fills.get(index, {})
+            assert not (fills and is_dm_turn(ac, index))
+            assert set(row) == set(own)
+            for slot, (value, source) in row.items():
+                if slot in fills:
+                    assert slot in FILLABLE_SLOTS and own[slot] is None
+                    assert (value, source) == (fills[slot], MODEL)
+                    model_cells += 1
+                else:
+                    assert value == own[slot]
+                    assert source == (None if value is None else HEURISTIC)
+    assert model_cells > 0
