@@ -14,6 +14,7 @@ import argparse
 import importlib
 import json
 import sys
+from itertools import combinations
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
@@ -22,8 +23,8 @@ from typing import TYPE_CHECKING, Any, Iterator, Sequence
 # only what the parser and the error handling need. (The docstring above
 # is the parser's --help text.)
 from . import __version__
-from .errors import AlignmentError, FormatError, PbpError
-from .models import _NUMBER, SLOT_KEYS, ControlVariant, _typed, _typed_list
+from .errors import AlignmentError, ConfigError, FormatError, PbpError
+from .models import SLOT_KEYS, ControlVariant, _typed
 
 if TYPE_CHECKING:
     from .evaluation import CorpusStats
@@ -165,9 +166,7 @@ def _cmd_train_icooc(args: argparse.Namespace) -> int:
 
     data: list[LabeledParagraph]
     if args.labeled:
-        data = list(
-            read_jsonl(args.labeled, lambda r: LabeledParagraph(r["text"], r["label"]))
-        )
+        data = list(read_jsonl(args.labeled, LabeledParagraph.from_dict))
     else:
         campaigns = {c.campaign_id: c for c in load_campaigns(args.corpus)}
 
@@ -219,6 +218,9 @@ def _cmd_serialize(args: argparse.Namespace) -> int:
     from .transcripts import read_jsonl
 
     variant = ControlVariant(args.variant)
+    # Checked here too, so that an empty file does not hide a bad value.
+    if args.window < 1:
+        raise ConfigError("window: must be positive")
     examples = (
         example
         for campaign_turns in read_jsonl(args.infile, turns_from_record, itemgetter(0))
@@ -280,57 +282,23 @@ def _cmd_eval_gst(args: argparse.Namespace) -> int:
     return 0
 
 
-def _label_row(labels: Any) -> list[Any]:
-    """One item's labels: a list of two or more, none an array or object."""
-    if not isinstance(labels, list) or any(
-        isinstance(v, (list, dict)) for v in labels
-    ):
-        raise FormatError("labels is not a list of labels")
-    if len(labels) < 2:
-        raise FormatError(
-            f"labels: found {len(labels)}, need at least two (one per rater)"
-        )
-    return labels
-
-
-def _score_row(record: dict[str, Any], raters: int | None) -> list[float]:
-    """One item's ``scores`` as floats: a list of two or more JSON numbers,
-    as many as ``raters`` (the first scored line's count) when that is
-    known. A string is no number, even one that reads as one, and
-    neither is ``true`` or ``false``."""
-    scores = _typed(record, "scores", list)
-    try:
-        row = [float(v) for v in scores]
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"scores: {exc}") from exc
-    _typed_list(record, "scores", _NUMBER)
-    if len(row) < 2:
-        raise FormatError(
-            f"scores: found {len(row)}, need at least two (one per rater)"
-        )
-    if raters is not None and len(row) != raters:
-        raise FormatError(
-            f"scores: {len(row)} scores, but the first scored line has {raters}"
-        )
-    return row
-
-
 def _cmd_agreement(args: argparse.Namespace) -> int:
     from .evaluation import kendall_tau, pairwise_agreement, randolph_kappa
+    from .evaluation import ratings_from_record
     from .transcripts import read_jsonl
 
-    label_items: list[list[Any]] = []
-    score_items: list[list[float]] = []
+    label_items: list[tuple[Any, ...]] = []
+    score_items: list[tuple[float, ...]] = []
 
-    def read_item(record: dict[str, Any]) -> None:
-        if "labels" in record:
-            label_items.append(_label_row(record["labels"]))
-        if "scores" in record:
-            raters = len(score_items[0]) if score_items else None
-            score_items.append(_score_row(record, raters))
+    def ratings(record: dict[str, Any]) -> tuple[Any, Any]:
+        # read_jsonl is lazy: score_items holds every earlier line's scores.
+        return ratings_from_record(record, len(score_items[0]) if score_items else None)
 
-    for _ in read_jsonl(args.infile, read_item):
-        pass  # read_item keeps each line's ratings
+    for labels, scores in read_jsonl(args.infile, ratings):
+        if labels is not None:
+            label_items.append(labels)
+        if scores is not None:
+            score_items.append(scores)
     result: dict[str, Any] = {}
     if label_items:
         observed = pairwise_agreement(label_items)
@@ -341,16 +309,7 @@ def _cmd_agreement(args: argparse.Namespace) -> int:
         result["categories"] = categories
         result["randolph_kappa"] = randolph_kappa(observed, categories)
     if score_items:
-        raters = len(score_items[0])
-        taus = []
-        for i in range(raters):
-            for j in range(i + 1, raters):
-                taus.append(
-                    kendall_tau(
-                        [item[i] for item in score_items],
-                        [item[j] for item in score_items],
-                    )
-                )
+        taus = [kendall_tau(*pair) for pair in combinations(zip(*score_items), 2)]
         result["kendall_tau_mean"] = sum(taus) / len(taus)
         result["kendall_tau_pairs"] = len(taus)
     if not result:

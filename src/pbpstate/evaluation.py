@@ -15,9 +15,10 @@ suite's brute-force oracle stays an independent check.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     AlignmentError,
@@ -26,7 +27,7 @@ from .errors import (
     EmptySlotError,
     TooFewRatersError,
 )
-from .models import Campaign
+from .models import _NUMBER, Campaign, _is, _items
 
 
 @dataclass(frozen=True)
@@ -192,6 +193,45 @@ def corpus_stats(campaigns: Iterable[Campaign]) -> CorpusStats:
         avg_rolls_per_campaign=total_rolls / n,
         total_rolls=total_rolls,
     )
+
+
+def ratings_from_record(
+    record: Mapping[str, Any], raters: int | None
+) -> tuple[tuple[Any, ...] | None, tuple[float, ...] | None]:
+    """A ratings line's ``labels`` and ``scores``, each None when absent,
+    else two or more, one per rater (``raters`` scores, when given). A label
+    is any JSON value but an array or an object, a score a finite number;
+    a bad field raises ValueError naming it, as ``scores[1]: must be ...``."""
+    labels = _ratings(record, "labels", _label)
+    scores = _ratings(record, "scores", _score)
+    if scores is not None and raters is not None and len(scores) != raters:
+        raise ValueError(
+            f"scores: {len(scores)} scores, but the first scored line has {raters}"
+        )
+    return labels, scores
+
+
+def _ratings(record: Mapping[str, Any], key: str, decode: Callable) -> Any:
+    if key not in record:
+        return None
+    row = _items(record, key, decode)
+    if len(row) < 2:
+        raise ValueError(f"{key}: found {len(row)}, need at least two (one per rater)")
+    return row
+
+
+def _label(value: Any) -> Any:
+    # ``_is`` cannot state this rule: a label may be ``true`` or ``false``.
+    if isinstance(value, (list, dict)):
+        raise ValueError(f"must be a scalar, not {type(value).__name__}")
+    return value
+
+
+def _score(value: Any) -> float:
+    # NaN, the infinities and an integer beyond a float's range fail this.
+    if not abs(_is(value, _NUMBER)) <= sys.float_info.max:
+        raise ValueError(f"must be a finite number, not {value}")
+    return float(value)
 
 
 def pairwise_agreement(ratings: Sequence[Sequence[object]]) -> float:

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from .dice import contains_dice_expr
 from .errors import (
@@ -26,7 +26,7 @@ from .errors import (
     ModelIOError,
     VersionMismatchError,
 )
-from .models import Campaign, GoldAnnotations, Post
+from .models import Campaign, GoldAnnotations, Post, _typed
 from .transcripts import write_lines
 
 MODEL_MAGIC = "ICOOC-MODEL v1"
@@ -47,10 +47,14 @@ class LabeledParagraph:
     label: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.text, str) or not self.text.strip():
+        if not self.text.strip():
             raise ValueError("text: must be a non-empty string")
         if self.label not in (IC, OOC):
             raise ValueError(f"label: must be {IC!r} or {OOC!r}")
+
+    @classmethod
+    def from_dict(cls, d: Mapping[str, Any]) -> "LabeledParagraph":
+        return cls(text=_typed(d, "text", str), label=_typed(d, "label", str))
 
 
 def labeled_paragraphs(
@@ -301,6 +305,8 @@ def load_model(path: str | Path) -> IcOocModel:
             )
     except (IndexError, ValueError) as exc:
         raise ModelIOError(f"{path}: truncated or corrupt model file: {exc}") from exc
+    if len(set(labels)) < max(2, len(labels)) or len(priors) != len(labels):
+        raise ModelIOError(f"{path}: needs two or more distinct labels, one prior each")
     if not all(map(math.isfinite, chain([smoothing], priors, *weights.values()))):
         raise ModelIOError(f"{path}: holds a number that is not finite")
     return IcOocModel(

@@ -5,15 +5,18 @@ and raises ValueError naming the offending field, and all collections are
 frozen so instances can be shared freely across threads. Inference lives in
 the other modules.
 
-Decoded JSON is checked by ``_typed``, ``_typed_list`` and ``_object``, the
-package's only field checkers: a bad field reads ``field: must be ...``
-after a location prefix such as ``turn_states[3]: ``, which is built only
-when a check fails. A JSON ``true`` or ``false`` is no integer. The
-decoder of each record kind: transcript,
-``transcripts.campaign_from_record``; annotated,
+Decoded JSON is checked by ``_is``, ``_typed``, ``_items``, ``_at`` and
+``_object``, the package's only field checkers: a bad field reads ``field:
+must be ..., not ...`` after its path, as in ``turn_states[3]: actions[0]:
+roll: count: ...``; a list item's index is formatted only when a check
+fails. A JSON ``true`` or ``false`` is no integer and no number. The
+decoders: transcript, ``transcripts.campaign_from_record``; annotated,
 ``records.turns_from_record`` with ``profiles_and_spans``; gold,
-``GoldAnnotations.from_dict``; turn slots, ``records.slot_rows_from_record``.
-``check_turn_states`` is the one check of turn states against their posts.
+``GoldAnnotations.from_dict``; turn slots, ``records.slot_rows_from_record``;
+labeled paragraph, ``icooc.LabeledParagraph.from_dict``; ratings,
+``evaluation.ratings_from_record``; and the IC/OOC model file, not JSON,
+``icooc.load_model``. ``check_turn_states`` is the one check of turn
+states against their posts.
 """
 
 from __future__ import annotations
@@ -79,6 +82,10 @@ def _is(value: Any, kind: Any, where: str = "") -> Any:
     return value
 
 
+def _string(value: Any) -> str:
+    return _is(value, str)
+
+
 def _at(where: str, decode: Callable[..., T], *args: Any) -> T:
     """``decode(*args)``; a ValueError it raises gains the prefix ``where: ``."""
     try:
@@ -127,21 +134,6 @@ def _items(
     """``decode`` of each item of the list ``d[key]``, or ``default`` when
     absent; a bad item is named ``key[i]``."""
     return _each(_typed(d, key, list, default), decode, lambda i: f"{key}[{i}]")
-
-
-def _typed_list(
-    d: Any, key: str, item_kind: Any, default: Any = _MISSING
-) -> tuple[Any, ...]:
-    """``d[key]``, or ``default`` when absent: a list of ``item_kind``; a
-    bad item is named ``key[i]``."""
-    items = _typed(d, key, list, default)
-    i = 0
-    try:
-        for i, item in enumerate(items):
-            _is(item, item_kind)
-    except ValueError as exc:
-        raise ValueError(f"{key}[{i}]: {exc}") from exc
-    return tuple(items)
 
 
 @dataclass(frozen=True)
@@ -319,8 +311,8 @@ class CharacterProfile:
             character_class=_typed(d, "character_class", _OPTIONAL_STR, None),
             race=_typed(d, "race", _OPTIONAL_STR, None),
             pronouns=_typed(d, "pronouns", _OPTIONAL_STR, None),
-            inventory=frozenset(_typed_list(d, "inventory", str, ())),
-            spells=frozenset(_typed_list(d, "spells", str, ())),
+            inventory=_items(d, "inventory", _string, ()),
+            spells=_items(d, "spells", _string, ()),
         )
 
 
@@ -347,10 +339,11 @@ class Action:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "Action":
+        d = _is(d, dict)
         return cls(
-            kind=ActionKind(_typed(d, "kind", str)),
+            kind=_at("kind", ActionKind, _typed(d, "kind", str)),
             skill=_typed(d, "skill", _OPTIONAL_STR, None),
-            source_roll=DiceRoll.from_dict(_typed(d, "roll", dict)),
+            source_roll=_at("roll", DiceRoll.from_dict, _typed(d, "roll", dict)),
         )
 
 
@@ -406,12 +399,10 @@ class TurnState:
             character_class=_typed(d, "character_class", _OPTIONAL_STR, None),
             race=_typed(d, "race", _OPTIONAL_STR, None),
             pronouns=_typed(d, "pronouns", _OPTIONAL_STR, None),
-            inventory=frozenset(_typed_list(d, "inventory", str, ())),
+            inventory=_items(d, "inventory", _string, ()),
             in_combat=_typed(d, "in_combat", bool, False),
             in_character=_typed(d, "in_character", bool, True),
-            actions=tuple(
-                Action.from_dict(a) for a in _typed_list(d, "actions", dict, ())
-            ),
+            actions=_items(d, "actions", Action.from_dict, ()),
         )
 
 
@@ -432,11 +423,7 @@ class CombatSpan:
             "must not precede start_index",
         )
         for name, count in self.monsters:
-            _require(
-                isinstance(count, int) and type(count) is not bool and count >= 1,
-                "monsters",
-                f"count for {name!r} must be a positive integer",
-            )
+            _require(count >= 1, "monsters", f"count for {name!r} must be at least 1")
 
     def contains(self, index: int) -> bool:
         return self.start_index <= index <= self.end_index
@@ -456,8 +443,14 @@ class CombatSpan:
         return cls(
             start_index=_typed(d, "start_index", int),
             end_index=_typed(d, "end_index", int),
-            monsters=tuple((n, c) for n, c in _typed_list(d, "monsters", list, ())),
+            monsters=_items(d, "monsters", _monster, ()),
         )
+
+
+def _monster(pair: Any) -> tuple[str, int]:
+    if len(_is(pair, list)) != 2:
+        raise ValueError(f"must be a [name, count] pair, not {len(pair)} items")
+    return _is(pair[0], str, "name"), _is(pair[1], int, "count")
 
 
 def validate_spans(spans: Iterable[CombatSpan]) -> None:
@@ -476,15 +469,22 @@ def profiles_and_spans(
     d: Mapping[str, Any],
 ) -> tuple[dict[str, CharacterProfile], tuple[CombatSpan, ...]]:
     """The ``profiles`` object and ``combat_spans`` list of a gold or
-    annotated record, each empty when absent; the spans must be sorted and
-    disjoint."""
+    annotated record, each empty when absent; each profile is filed under
+    its ``player_id``, and the spans must be sorted and disjoint."""
     profiles = {
-        pid: CharacterProfile.from_dict(p)
+        pid: _at(f"profiles[{pid!r}]", _filed_profile, pid, p)
         for pid, p in _typed(d, "profiles", dict, {}).items()
     }
-    spans = tuple(CombatSpan.from_dict(s) for s in _typed(d, "combat_spans", list, []))
+    spans = _items(d, "combat_spans", CombatSpan.from_dict, ())
     validate_spans(spans)
     return profiles, spans
+
+
+def _filed_profile(key: str, d: Any) -> CharacterProfile:
+    profile = CharacterProfile.from_dict(d)
+    if profile.player_id != key:
+        raise ValueError(f"player_id: must be {key!r}, not {profile.player_id!r}")
+    return profile
 
 
 def check_turn_states(
@@ -576,10 +576,7 @@ class GoldAnnotations:
             profiles=profiles,
             combat_spans=spans,
             paragraph_labels=_items(
-                d,
-                "paragraph_labels",
-                lambda labels: tuple(_is(label, str) for label in _is(labels, list)),
-                (),
+                d, "paragraph_labels", lambda p: tuple(map(_string, _is(p, list))), ()
             ),
-            cue_posts=_typed_list(d, "cue_posts", int, ()),
+            cue_posts=_items(d, "cue_posts", lambda v: _is(v, int), ()),
         )

@@ -4,10 +4,8 @@ An annotated or gold record carries the campaign's posts, one turn state
 per post and, under ``turn_slots``, each turn's slot view: one
 ``{"value", "source"}`` cell per name in ``SLOT_KEYS``. This module reads
 and writes that format without any of the annotation code, so the
-commands that only consume records load none of it.
-
-Decoders: ``turns_from_record`` for an annotated record's posts and turn
-states, ``slot_rows_from_record`` for any record's ``turn_slots``.
+commands that only consume records load none of it. Its decoders are
+listed, with every other, in ``pbpstate.models``.
 """
 
 from __future__ import annotations

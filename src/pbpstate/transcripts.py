@@ -25,7 +25,7 @@ from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
 
 from .dice import extract_rolls
 from .errors import FormatError
-from .models import Campaign, Post, _at, _each, _object, _typed, _typed_list
+from .models import Campaign, Post, _at, _each, _items, _object, _string, _typed
 
 T = TypeVar("T")
 
@@ -54,7 +54,7 @@ def campaign_from_record(record: dict[str, Any]) -> Campaign:
 def _post(indexed: tuple[int, Any]) -> Post:
     index, raw = indexed
     raw = _object(raw, "a post")
-    paragraphs = _typed_list(raw, "paragraphs", str)
+    paragraphs = _items(raw, "paragraphs", _string)
     return Post(
         post_id=_typed(raw, "post_id", str),
         author_id=_typed(raw, "author_id", str),

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -309,9 +310,10 @@ def test_serialize_bad_record_leaves_old_output(synth_corpus, tmp_path, capsys):
         ({"in_combat": "false"}, "in_combat: must be true or false, not str"),
         ({"player_id": 7}, "player_id: must be a string, not int"),
         ("p1", "a turn state must be an object, not str"),
-        (
+        pytest.param(
             {"actions": [{"kind": "attack", "roll": {"count": "1", "faces": 20}}]},
-            "count: must be an integer, not str",
+            "actions[0]: roll: count: must be an integer, not str",
+            id="roll-count-is-a-string",
         ),
         ({"player_id": "nobody"}, "player_id 'nobody' is not the author of post 0"),
     ],
@@ -468,9 +470,12 @@ def _write_jsonl(path, records):
 @pytest.mark.parametrize(
     "bad, problem",
     [
-        ({"label": "IC"}, "record has no 'text' field"),
+        pytest.param({"label": "IC"}, "text: missing", id="no-text"),
         ({"text": "you roll a 12", "label": "X"}, "label: must be 'IC' or 'OOC'"),
-        ({"text": 12, "label": "OOC"}, "text: must be a non-empty string"),
+        pytest.param(
+            {"text": 12, "label": "OOC"}, "text: must be a string, not int",
+            id="text-not-a-string",
+        ),
         (["you roll a 12", "OOC"], "record is not a JSON object"),
     ],
 )
@@ -522,25 +527,62 @@ def _player_profile(record):
 
 
 def _string_inventory(record):
-    _player_profile(record)["inventory"] = "sword"
-    return "inventory: must be a list, not str"
+    profile = _player_profile(record)
+    profile["inventory"] = "sword"
+    return f"profiles[{profile['player_id']!r}]: inventory: must be a list, not str"
 
 
 def _string_is_dm(record):
-    _player_profile(record)["is_dm"] = "no"
-    return "is_dm: must be true or false, not str"
+    profile = _player_profile(record)
+    profile["is_dm"] = "no"
+    return f"profiles[{profile['player_id']!r}]: is_dm: must be true or false, not str"
+
+
+def _profile_under_another_key(record):
+    profile = _player_profile(record)
+    key = profile["player_id"]
+    other = next(pid for pid in record["profiles"] if pid != key)
+    profile["player_id"] = other
+    return f"profiles[{key!r}]: player_id: must be {key!r}, not {other!r}"
+
+
+def _one_monster(record, monster):
+    record["combat_spans"] = [
+        {"start_index": 0, "end_index": 1, "monsters": [monster]}
+    ]
 
 
 def _string_monster_count(record):
-    record["combat_spans"] = [
-        {"start_index": 0, "end_index": 1, "monsters": [["goblin", "2"]]}
-    ]
-    return "monsters: count for 'goblin' must be a positive integer"
+    _one_monster(record, ["goblin", "2"])
+    return "combat_spans[0]: monsters[0]: count: must be an integer, not str"
+
+
+def _number_monster_name(record):
+    _one_monster(record, [3, 2])
+    return "combat_spans[0]: monsters[0]: name: must be a string, not int"
+
+
+def _object_monster_name(record):
+    _one_monster(record, [{"x": 1}, 2])
+    return "combat_spans[0]: monsters[0]: name: must be a string, not dict"
+
+
+def _three_item_monster(record):
+    _one_monster(record, ["goblin", 2, 9])
+    return "combat_spans[0]: monsters[0]: must be a [name, count] pair, not 3 items"
 
 
 def _string_start_index(record):
     record["combat_spans"] = [{"start_index": "0", "end_index": 1, "monsters": []}]
-    return "start_index: must be an integer, not str"
+    return "combat_spans[0]: start_index: must be an integer, not str"
+
+
+def _second_span_string_start_index(record):
+    record["combat_spans"] = [
+        {"start_index": 0, "end_index": 1, "monsters": []},
+        {"start_index": "5", "end_index": 6, "monsters": []},
+    ]
+    return "combat_spans[1]: start_index: must be an integer, not str"
 
 
 def _states_not_a_list(record):
@@ -597,8 +639,10 @@ def _contradicted_profile(record):
     "edit",
     [
         _cut_turns, _drop_a_label, _string_in_combat,
-        _string_inventory, _string_is_dm, _string_start_index,
-        _string_monster_count, _states_not_a_list, _spans_not_a_list,
+        _string_inventory, _string_is_dm, _profile_under_another_key,
+        _string_start_index, _second_span_string_start_index,
+        _string_monster_count, _number_monster_name, _object_monster_name,
+        _three_item_monster, _states_not_a_list, _spans_not_a_list,
         _string_labels, _string_cue_posts, _bool_cue_posts, _foreign_player,
         _contradicted_profile,
     ],
@@ -657,17 +701,37 @@ def test_classify_and_annotate_agree_on_a_blank_paragraph(synth_corpus, tmp_path
         pytest.param(
             [{"scores": [1, 2]}, {"scores": [2, "high"]}],
             2,
-            "scores: could not convert string to float: 'high'",
+            "scores[1]: must be a number, not str",
             id="non-numeric-score",
         ),
         pytest.param(
-            [{"scores": [1, 2]}, {"labels": "ab"}], 2, "labels is not a list of labels",
+            [{"scores": [1, 2]}, {"scores": [math.nan, 1]}],
+            2,
+            "scores[0]: must be a finite number, not nan",
+            id="nan-score",
+        ),
+        pytest.param(
+            [{"scores": [1, -math.inf]}],
+            1,
+            "scores[1]: must be a finite number, not -inf",
+            id="infinite-score",
+        ),
+        pytest.param(
+            [{"scores": [1, 2]}, {"scores": [3, 10**400]}],
+            2,
+            f"scores[1]: must be a finite number, not {10**400}",
+            id="score-beyond-a-float",
+        ),
+        pytest.param(
+            [{"scores": [1, 2]}, {"labels": "ab"}],
+            2,
+            "labels: must be a list, not str",
             id="labels-not-a-list",
         ),
         pytest.param(
             [{"labels": ["a", "b"]}, {"labels": [["a"], ["b"]]}],
             2,
-            "labels is not a list of labels",
+            "labels[0]: must be a scalar, not list",
             id="label-is-an-array",
         ),
         pytest.param(
@@ -943,11 +1007,23 @@ def test_annotate_rejects_a_gap_of_zero_turns(synth_corpus, tmp_path, capsys, em
     assert not out.exists()
 
 
-@pytest.mark.parametrize("window", ["0", "-3"])
-def test_serialize_rejects_a_window_below_one(synth_corpus, tmp_path, capsys, window):
+@pytest.mark.parametrize(
+    "window, empty",
+    [
+        pytest.param("0", False, id="0"),
+        pytest.param("-3", False, id="-3"),
+        pytest.param("0", True, id="0-empty"),
+    ],
+)
+def test_serialize_rejects_a_window_below_one(
+    synth_corpus, tmp_path, capsys, window, empty
+):
     corpus, _ = synth_corpus
     annotated, out = tmp_path / "annotated.jsonl", tmp_path / "out.jsonl"
-    assert main(["annotate", "--in", str(corpus), "--out", str(annotated)]) == 0
+    if empty:
+        annotated.write_text("", encoding="utf-8")
+    else:
+        assert main(["annotate", "--in", str(corpus), "--out", str(annotated)]) == 0
     argv = ["serialize", "--in", str(annotated), "--window", window, "--out", str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().err == "pbpstate: error: window: must be positive\n"

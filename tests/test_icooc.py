@@ -227,6 +227,22 @@ class TestModelIO:
         with pytest.raises(ModelIOError, match=f"^{re.escape(problem)}$"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "labels, priors",
+        [("IC\tOOC", "-0.5"), ("IC\tIC", "-0.5\t-0.9"), ("IC", "0.0")],
+        ids=["priors-one-short", "labels-repeated", "one-label"],
+    )
+    def test_labels_and_priors_must_agree(self, tmp_path, labels, priors):
+        path = tmp_path / "model.txt"
+        path.write_text(
+            f"ICOOC-MODEL v1\nlabels\t{labels}\nsmoothing\t1.0\npriors\t{priors}\n"
+            "tokens\t1\n__dice__" + "\t-1.5" * len(labels.split("\t")) + "\n",
+            encoding="utf-8",
+        )
+        problem = f"{path}: needs two or more distinct labels, one prior each"
+        with pytest.raises(ModelIOError, match=f"^{re.escape(problem)}$"):
+            load_model(path)
+
 
 @pytest.mark.parametrize("smoothing", [0.0, -1.0, math.nan, math.inf])
 def test_smoothing_must_be_positive_and_finite(smoothing):

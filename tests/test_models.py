@@ -1,6 +1,11 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
+from pbpstate.errors import FormatError
+from pbpstate.evaluation import ratings_from_record
+from pbpstate.icooc import LabeledParagraph
 from pbpstate.models import (
     DUNGEON_MASTER,
     Action,
@@ -14,6 +19,8 @@ from pbpstate.models import (
     TurnState,
     validate_spans,
 )
+from pbpstate.records import slot_rows_from_record
+from pbpstate.transcripts import campaign_from_record
 
 ROLL = DiceRoll(count=1, faces=20, modifier=0, result=11)
 
@@ -212,7 +219,7 @@ def test_combat_span_dict_round_trip():
         pytest.param(
             CombatSpan.from_dict,
             {"start_index": 0, "end_index": 1, "monsters": [["goblin", True]]},
-            "monsters: count for 'goblin' must be a positive integer",
+            "monsters[0]: count: must be an integer, not bool",
             id="monster-count",
         ),
         pytest.param(
@@ -227,6 +234,72 @@ def test_json_booleans_are_not_integers(decode, d, problem):
     with pytest.raises(ValueError) as excinfo:
         decode(d)
     assert str(excinfo.value) == problem
+
+
+ROLL_JSON = {"count": 1, "faces": 20, "modifier": 0, "result": 5}
+
+
+@pytest.mark.parametrize(
+    "decode, d, problem",
+    [
+        pytest.param(
+            DiceRoll.from_dict, {**ROLL_JSON, "result": "5"},
+            "result: must be an integer, not str", id="roll",
+        ),
+        pytest.param(
+            Action.from_dict, {"kind": "attack", "roll": {**ROLL_JSON, "faces": 2.5}},
+            "roll: faces: must be an integer, not float", id="action",
+        ),
+        pytest.param(
+            TurnState.from_dict,
+            {"player_id": "p1",
+             "actions": [{"kind": "attack", "roll": {**ROLL_JSON, "count": "1"}}]},
+            "actions[0]: roll: count: must be an integer, not str", id="turn-state",
+        ),
+        pytest.param(
+            CharacterProfile.from_dict, {"player_id": "p1", "spells": ["light", 3]},
+            "spells[1]: must be a string, not int", id="profile",
+        ),
+        pytest.param(
+            CombatSpan.from_dict,
+            {"start_index": 0, "end_index": 1, "monsters": [["goblin", "2"]]},
+            "monsters[0]: count: must be an integer, not str", id="span",
+        ),
+        pytest.param(
+            GoldAnnotations.from_dict,
+            {"turn_states": [],
+             "profiles": {"p1": {"player_id": "p1", "race": ["elf"]}}},
+            "profiles['p1']: race: must be a string or null, not list", id="gold",
+        ),
+        pytest.param(
+            LabeledParagraph.from_dict, {"text": "a road", "label": None},
+            "label: must be a string, not NoneType", id="labeled-paragraph",
+        ),
+        pytest.param(
+            campaign_from_record,
+            {"campaign_id": "c1", "posts": [
+                {"post_id": "a", "author_id": "p1", "paragraphs": ["hi", 7]}]},
+            "post 0 of campaign 'c1': paragraphs[1]: must be a string, not int",
+            id="transcript",
+        ),
+        pytest.param(
+            slot_rows_from_record, {"turn_slots": [{"race": {"value": 3}}]},
+            "turn_slots[0].race: value: must be a string or null, not int",
+            id="slot-rows",
+        ),
+        pytest.param(
+            lambda d: ratings_from_record(d, None), {"scores": [4, "5"]},
+            "scores[1]: must be a number, not str", id="ratings",
+        ),
+    ],
+)
+def test_each_decoder_names_the_path_to_a_mistyped_field(decode, d, problem):
+    # Every decoder checks types through the models field checkers, so a
+    # mistyped field reads "path: field: must be ..., not ...".
+    with pytest.raises((ValueError, FormatError)) as excinfo:
+        decode(d)
+    assert str(excinfo.value) == problem
+    assert re.fullmatch(r"(.+?: )+must be [^,]+, not \w+", problem)
 
 
 def test_boolean_fields_still_take_booleans():
