@@ -6,25 +6,26 @@ first occurrence so results are stable under appending new posts. Name
 candidates come from a capitalization heuristic rather than a neural NER
 model, which keeps the pipeline dependency-free and deterministic.
 
-Each post is read once: ``post_facts`` tokenizes it a single time and
-records every cue the heuristics use. Profiles aggregate those facts per
-player, and coverage accounting asks whether any cue fired.
+Each post is read once: ``post_facts`` tokenizes it a single time, looks
+its terms up with one ``Gazetteers.find`` per paragraph, and records every
+cue the heuristics use. Profiles aggregate those facts per player,
+coverage accounting asks whether any cue fired, and combat reads the
+paragraphs' term hits that the facts keep.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, islice
 from typing import Callable, Iterable, Sequence
 
-from .gazetteers import Gazetteers
+from .gazetteers import Gazetteers, Hits, pronoun_section
 from .models import DUNGEON_MASTER, Campaign, CharacterProfile
 
 # A word token, or (unnamed) a sentence-break character between words.
 _TOKEN_RE = re.compile(r"([A-Za-zÀ-ɏ]+(?:['’-][A-Za-zÀ-ɏ]+)*)|[.!?\n]")
-_CAST_RE = re.compile(r"(?<!\w)cast(?:s|ing)?(?!\w)", re.IGNORECASE)
 
 _MAX_SPELL_TOKENS = 4
 
@@ -162,7 +163,8 @@ class PostFacts:
     ``races`` pairs each term with its offset. ``pronouns`` lists the
     pronoun-set labels in offset order. ``items`` holds lowercased
     (possessive, gazetteer item) pairs whose gap is whitespace. ``spells``
-    are the title-cased phrases after each cast verb.
+    are the title-cased phrases after each cast verb. ``hits`` are each
+    paragraph's ``Gazetteers.find`` hits, offsets within the paragraph.
     """
 
     index: int
@@ -172,6 +174,7 @@ class PostFacts:
     pronouns: tuple[str, ...]
     items: tuple[tuple[str, str], ...]
     spells: tuple[str, ...]
+    hits: tuple[Hits, ...]
 
     def cues(self) -> set[str]:
         """The cue families that fire."""
@@ -208,29 +211,26 @@ def _possessions(
 def _cast_phrases(
     text: str,
     tokens: Sequence[Token],
-    paragraphs: Sequence[str],
+    verbs: Sequence[tuple[int, int]],
     stopwords: frozenset[str],
 ) -> list[str]:
     """Spell names following each cast verb in one post, title-cased.
 
+    ``verbs`` are each verb's end and its paragraph's end in ``text``.
     Capture runs over at most four word tokens and stops at a stopword,
     punctuation or a paragraph end, so "cast sacred flame at ..." yields
     "Sacred Flame". Paragraph ends come from the paragraphs themselves, so
     a newline inside a paragraph is whitespace, not a break.
     """
-    verbs = list(_CAST_RE.finditer(text))
     if not verbs:
         return []
     starts = [t[1] for t in tokens]
-    # Offset just past each paragraph's joining newline.
-    bounds = list(accumulate(len(p) + 1 for p in paragraphs))
     phrases: list[str] = []
-    for m in verbs:
-        paragraph_end = bounds[bisect_right(bounds, m.start())] - 1
+    for verb_end, paragraph_end in verbs:
         phrase: list[str] = []
-        previous_end = m.end()
+        previous_end = verb_end
         for surface, start, end, _ in islice(
-            tokens, bisect_left(starts, m.end()), None
+            tokens, bisect_left(starts, verb_end), None
         ):
             if (
                 start >= paragraph_end
@@ -249,24 +249,39 @@ def _cast_phrases(
 def post_facts(
     paragraphs: Sequence[str], gazetteers: Gazetteers, index: int = 0
 ) -> PostFacts:
-    """Read one post's paragraphs once; ``index`` is the post's index."""
+    """Read one post's paragraphs once; ``index`` is the post's index.
+    A paragraph's term hit lies in the post's text at the paragraph's offset."""
     text = "\n".join(paragraphs)
     tokens = _tokenize(text)
+    hits = tuple(gazetteers.find(p) for p in paragraphs)
+    offsets = [0, *accumulate(len(p) + 1 for p in paragraphs)]
+
+    def in_text(section: str) -> list[tuple[str, int]]:
+        return [
+            (term, start + offset)
+            for start, found in zip(offsets, hits)
+            for term, offset in found[section]
+        ]
+
     pronoun_hits = sorted(
-        (start, label)
-        for label, matcher in gazetteers.pronoun_matchers
-        for _, start in matcher.finditer(text)
+        (offset, label)
+        for i, (label, _) in enumerate(gazetteers.pronoun_sets)
+        for _, offset in in_text(pronoun_section(i))
     )
+    verbs = [
+        (start + offset + len(verb), start + len(paragraph))
+        for start, paragraph, found in zip(offsets, paragraphs, hits)
+        for verb, offset in found["cast"]
+    ]
     return PostFacts(
         index=index,
         names=tuple(extract_proper_names(text, gazetteers, tokens)),
-        classes=tuple(term for term, _ in gazetteers.class_matcher.finditer(text)),
-        races=tuple(gazetteers.race_matcher.finditer(text)),
+        classes=tuple(term for term, _ in in_text("classes")),
+        races=tuple(in_text("races")),
         pronouns=tuple(label for _, label in pronoun_hits),
         items=tuple(_possessions(text, tokens, gazetteers)),
-        spells=tuple(
-            _cast_phrases(text, tokens, paragraphs, gazetteers.stopwords)
-        ),
+        spells=tuple(_cast_phrases(text, tokens, verbs, gazetteers.stopwords)),
+        hits=hits,
     )
 
 

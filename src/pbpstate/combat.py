@@ -9,33 +9,23 @@ Action classification follows the die: a d20 is a check whose flavor comes
 from the nearest keyword in its paragraph, any other die is a damage or
 healing roll when a damage keyword sits nearby and otherwise yields no
 action at all.
+
+Keywords, monsters and number words are read from the post facts'
+per-paragraph ``Gazetteers.find`` hits, not from the text; a roll's
+``hits`` are those of its paragraph, where its ``char_offset`` lies.
 """
 
 from __future__ import annotations
 
 import re
+from typing import Sequence
 
+from .characters import PostFacts
 from .errors import ConfigError
-from .gazetteers import Gazetteers, fold
+from .gazetteers import NUMBER_WORDS, Hits
 from .models import Action, ActionKind, Campaign, CombatSpan, DiceRoll
 
-_INITIATIVE_RE = re.compile(r"(?<!\w)initiative(?!\w)", re.IGNORECASE)
 _NUMERAL_RE = re.compile(r"\d+")
-
-NUMBER_WORDS = {
-    word: value
-    for value, word in enumerate(
-        (
-            "one two three four five six seven eight nine ten "
-            "eleven twelve thirteen fourteen fifteen sixteen seventeen "
-            "eighteen nineteen twenty"
-        ).split(),
-        start=1,
-    )
-}
-_NUMBER_WORD_RE = re.compile(
-    r"(?<!\w)(?:" + "|".join(NUMBER_WORDS) + r")(?!\w)", re.IGNORECASE
-)
 
 
 # A keyword is near a roll, and a number near a monster mention, when
@@ -43,43 +33,28 @@ _NUMBER_WORD_RE = re.compile(
 WINDOW_CHARS = 100
 
 
-def _within_window(positions: list[int], offset: int) -> bool:
-    return any(abs(pos - offset) <= WINDOW_CHARS for pos in positions)
+def _near(section_hits: list[tuple[str, int]], offset: int) -> bool:
+    return any(abs(pos - offset) <= WINDOW_CHARS for _, pos in section_hits)
 
 
-def is_initiative_roll(roll: DiceRoll, context: str) -> bool:
+def is_initiative_roll(roll: DiceRoll, hits: Hits) -> bool:
     """A d20 with the word "initiative" near it in its paragraph."""
-    if roll.faces != 20:
-        return False
-    positions = [m.start() for m in _INITIATIVE_RE.finditer(context)]
-    return _within_window(positions, roll.char_offset)
+    return roll.faces == 20 and _near(hits["initiative"], roll.char_offset)
 
 
-def is_attack_roll(roll: DiceRoll, context: str, gazetteers: Gazetteers) -> bool:
+def is_attack_roll(roll: DiceRoll, hits: Hits) -> bool:
     """A d20 with an attack keyword near it in its paragraph."""
-    if roll.faces != 20:
-        return False
-    positions = [p for _, p in gazetteers.attack_matcher.finditer(context)]
-    return _within_window(positions, roll.char_offset)
-
-
-def _post_opens_combat(post, gazetteers: Gazetteers) -> bool:
-    for roll in post.rolls:
-        context = post.paragraphs[roll.paragraph_index]
-        if is_initiative_roll(roll, context) or is_attack_roll(
-            roll, context, gazetteers
-        ):
-            return True
-    return False
+    return roll.faces == 20 and _near(hits["attack_words"], roll.char_offset)
 
 
 def detect_combat_spans(
     campaign: Campaign,
-    gazetteers: Gazetteers,
+    facts: Sequence[PostFacts],
     gap_turns: int = 3,
 ) -> list[CombatSpan]:
     """Run the combat state machine over posts in order; a span closes
-    after ``gap_turns`` posts without a roll.
+    after ``gap_turns`` posts without a roll. ``facts`` are the posts'
+    facts, in post order.
 
     Returned spans are disjoint, sorted, and carry no monsters; use
     extract_monsters to fill those in.
@@ -92,10 +67,15 @@ def detect_combat_spans(
     last_roll_index = 0
     quiet_posts = 0
 
-    for post in campaign.posts:
+    for post, facts_of_post in zip(campaign.posts, facts):
         has_roll = bool(post.rolls)
         if not in_combat:
-            if _post_opens_combat(post, gazetteers):
+            hits = facts_of_post.hits
+            if any(
+                is_initiative_roll(roll, hits[roll.paragraph_index])
+                or is_attack_roll(roll, hits[roll.paragraph_index])
+                for roll in post.rolls
+            ):
                 in_combat = True
                 span_start = post.index
                 last_roll_index = post.index
@@ -117,51 +97,55 @@ def detect_combat_spans(
 
 
 def extract_monsters(
-    campaign: Campaign, span: CombatSpan, gazetteers: Gazetteers
+    campaign: Campaign, span: CombatSpan, facts: Sequence[PostFacts]
 ) -> list[tuple[str, int]]:
     """Monsters mentioned inside the span with a guessed headcount.
 
     The count is the largest numeral or number word within the keyword
     window of any mention, searched within the mention's own paragraph;
     with no number nearby the count defaults to one. Monsters are listed
-    in order of first mention.
+    in order of first mention. ``facts`` are the campaign's post facts,
+    in post order.
     """
     counts: dict[str, int] = {}
     order: list[str] = []
-    for post in campaign.posts[span.start_index : span.end_index + 1]:
-        for paragraph in post.paragraphs:
-            for monster, offset in gazetteers.monster_matcher.finditer(paragraph):
+    in_span = slice(span.start_index, span.end_index + 1)
+    for post, facts_of_post in zip(campaign.posts[in_span], facts[in_span]):
+        for paragraph, hits in zip(post.paragraphs, facts_of_post.hits):
+            if not hits["monsters"]:
+                continue
+            numerals = [(m[0], m.start()) for m in _NUMERAL_RE.finditer(paragraph)]
+            for monster, offset in hits["monsters"]:
                 if monster not in counts:
                     counts[monster] = 1
                     order.append(monster)
                 best = counts[monster]
-                for m in _NUMERAL_RE.finditer(paragraph):
-                    if abs(m.start() - offset) <= WINDOW_CHARS:
-                        best = max(best, int(m.group(0)))
-                for m in _NUMBER_WORD_RE.finditer(paragraph):
-                    if abs(m.start() - offset) <= WINDOW_CHARS:
-                        best = max(best, NUMBER_WORDS[fold(m.group(0))])
+                for digits, pos in numerals:
+                    if abs(pos - offset) <= WINDOW_CHARS:
+                        best = max(best, int(digits))
+                for word, pos in hits["number_words"]:
+                    if abs(pos - offset) <= WINDOW_CHARS:
+                        best = max(best, NUMBER_WORDS[word])
                 counts[monster] = best
     return [(name, counts[name]) for name in order]
 
 
-def classify_roll_action(
-    roll: DiceRoll, context: str, gazetteers: Gazetteers
-) -> Action | None:
+def classify_roll_action(roll: DiceRoll, hits: Hits) -> Action | None:
     """Classify one roll from the keywords around it.
 
     d20: nearest keyword in the window decides between an attack and a
     skill check (ties in distance go to the leftmost keyword); with no
     keyword it is an unclassified check. Other dice yield a damage/heal
     action only when a damage keyword is nearby, otherwise nothing.
+    ``hits`` are those of the roll's paragraph.
     """
     offset = roll.char_offset
     if roll.faces == 20:
         candidates: list[tuple[int, int, str, str | None]] = []
-        for _, pos in gazetteers.attack_matcher.finditer(context):
+        for _, pos in hits["attack_words"]:
             if abs(pos - offset) <= WINDOW_CHARS:
                 candidates.append((abs(pos - offset), pos, "attack", None))
-        for skill, pos in gazetteers.skill_matcher.finditer(context):
+        for skill, pos in hits["skills"]:
             if abs(pos - offset) <= WINDOW_CHARS:
                 candidates.append((abs(pos - offset), pos, "skill", skill))
         if not candidates:
@@ -170,22 +154,22 @@ def classify_roll_action(
         if kind == "attack":
             return Action(kind=ActionKind.ATTACK, source_roll=roll)
         return Action(kind=ActionKind.SKILL_CHECK, source_roll=roll, skill=skill)
-    positions = [p for _, p in gazetteers.damage_matcher.finditer(context)]
-    if _within_window(positions, offset):
+    if _near(hits["damage_words"], offset):
         return Action(kind=ActionKind.DAMAGE_OR_HEAL, source_roll=roll)
     return None
 
 
 def annotate_turn_actions(
-    campaign: Campaign, gazetteers: Gazetteers
+    campaign: Campaign, facts: Sequence[PostFacts]
 ) -> list[list[Action]]:
-    """Per-post action lists for the whole campaign."""
+    """Per-post action lists for the whole campaign; ``facts`` are its
+    post facts, in post order."""
     actions_per_post: list[list[Action]] = []
-    for post in campaign.posts:
+    for post, facts_of_post in zip(campaign.posts, facts):
         actions = []
         for roll in post.rolls:
-            context = post.paragraphs[roll.paragraph_index]
-            action = classify_roll_action(roll, context, gazetteers)
+            hits = facts_of_post.hits[roll.paragraph_index]
+            action = classify_roll_action(roll, hits)
             if action is not None:
                 actions.append(action)
         actions_per_post.append(actions)

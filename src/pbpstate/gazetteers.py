@@ -1,4 +1,4 @@
-"""Configured vocabularies used by the rule-based extractors.
+r"""Configured vocabularies used by the rule-based extractors.
 
 Gazetteers live in a plain-text config file (one term per line under
 ``[section]`` headers) rather than in code, so the shipped class/race/skill
@@ -9,29 +9,29 @@ nine races, and eighteen skills.
 Pronoun sets use the line form ``label: form1, form2, form3``. Possessive
 adjectives used for inventory matching are recognized from each set's forms
 against a fixed English list (his, her, their, its).
+
+``Gazetteers.find`` is the one term lookup. Each section is matched on
+its own, case-insensitively, as whole words by Python's ``\w`` (``dark-elf``
+holds ``elf``, ``3goblins`` no ``goblin``), longest term first; monsters
+also match a plural ``s``/``es``. One scan of the text's ``\w`` runs looks
+each run's fold up among the terms' first runs, and the section's pattern
+confirms a match there, so every term must start with a word character.
+Besides the configured sections, ``find`` reports three fixed
+vocabularies: ``initiative``, the cast verbs and the number words.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
 
-SECTIONS = (
-    "classes",
-    "races",
-    "skills",
-    "pronoun_sets",
-    "items",
-    "monsters",
-    "stopwords",
-    "attack_words",
-    "damage_words",
-)
+# The configured sections ``find`` matches, besides the pronoun sets.
+MATCHED = ("classes", "races", "skills", "monsters", "attack_words", "damage_words")
 
 POSSESSIVE_ADJECTIVES = frozenset({"his", "her", "their", "its"})
 
@@ -41,47 +41,79 @@ FIRST_PERSON_POSSESSIVES = ("my", "our")
 DEFAULT_ATTACK_WORDS = ("attack",)
 DEFAULT_DAMAGE_WORDS = ("damage", "dmg", "cure", "heal", "healing", "points")
 
+NUMBER_WORDS = {
+    word: value
+    for value, word in enumerate(
+        "one two three four five six seven eight nine ten eleven twelve thirteen"
+        " fourteen fifteen sixteen seventeen eighteen nineteen twenty".split(),
+        start=1,
+    )
+}
+
+# The fixed sections ``find`` reports besides the configured ones.
+FIXED_SECTIONS = {
+    "initiative": ("initiative",),
+    "cast": ("cast", "casts", "casting"),
+    "number_words": tuple(NUMBER_WORDS),
+}
+
+# (canonical term, offset) hits per section, in text order.
+Hits = dict[str, list[tuple[str, int]]]
+
 # re.IGNORECASE matches the dotted and dotless i to "i"; casefold() does not.
 _TURKIC_I = str.maketrans("\u0130\u0131", "ii")
+
+# U+0345 is the one character that re.IGNORECASE matches to word
+# characters (the iotas) without being one. Where a text spells a term's
+# iota so, its run ends there, or is that lone character.
+_IOTAS = frozenset("\u0345\u0399\u03b9\u1fbe")
+_RUN_RE = re.compile(r"\w+|\u0345")
+_TERM_RUN_RE = re.compile(r"[\w\u0345]*")
+_WORD_START_RE = re.compile(r"\w")
 
 
 def fold(text: str) -> str:
     """The lookup key of a ``re.IGNORECASE`` match: ``ſix`` folds to ``six``."""
+    if text.isascii():
+        return text.lower()
     return text.translate(_TURKIC_I).casefold()
 
 
-class TermMatcher:
-    """Case-insensitive whole-word matcher over a fixed term list.
+def pronoun_section(index: int) -> str:
+    """The ``find`` section of the ``index``-th pronoun set."""
+    return f"pronoun_sets[{index}]"
 
-    Longer terms win over their prefixes ("animal handling" before
-    "animal"); with ``plural=True`` a trailing ``s``/``es`` on the text is
-    accepted and the canonical singular is reported.
-    """
 
-    def __init__(self, terms: tuple[str, ...], plural: bool = False):
-        self._canonical = {fold(t): t.lower() for t in terms}
-        if not terms:
-            self._pattern = None
-            return
+class _Section:
+    """One section's whole-word pattern, longest term first ("animal
+    handling" before "animal"), and each match's canonical term by its
+    fold; with ``plural=True`` a trailing ``s``/``es`` names the singular."""
+
+    def __init__(self, terms: tuple[str, ...], plural: bool):
+        canonical = {fold(t): t.lower() for t in terms}
+        if plural:  # a whole term wins over an "s" plural, which wins over "es"
+            canonical = {
+                **{key + "es": term for key, term in canonical.items()},
+                **{key + "s": term for key, term in canonical.items()},
+                **canonical,
+            }
+        self.canonical = canonical
         ordered = sorted((t.lower() for t in terms), key=len, reverse=True)
         suffix = r"(?:e?s)?" if plural else ""
         body = "|".join(re.escape(t) for t in ordered)
-        self._pattern = re.compile(
+        self.pattern = re.compile(
             rf"(?<!\w)(?:{body}){suffix}(?!\w)", re.IGNORECASE
         )
-
-    def finditer(self, text: str):
-        """Yield (canonical_term, start_offset) in document order."""
-        if self._pattern is None:
-            return
-        for m in self._pattern.finditer(text):
-            surface = fold(m.group(0))
-            if surface not in self._canonical:
-                base = surface[:-1] if surface.endswith("s") else surface
-                if base not in self._canonical and base.endswith("e"):
-                    base = base[:-1]
-                surface = base
-            yield self._canonical[surface], m.start()
+        # The folds of every text run that a match can start with.
+        self.run_keys: set[str] = set()
+        for term in ordered:
+            run = _TERM_RUN_RE.match(term)[0]
+            self.run_keys.update(
+                fold(run[: max(i, 1)]) for i, c in enumerate(run) if c in _IOTAS
+            )
+            self.run_keys.add(fold(run))
+            if plural and run == term:
+                self.run_keys.update((fold(run + "s"), fold(run + "es")))
 
 
 @dataclass(frozen=True)
@@ -97,38 +129,48 @@ class Gazetteers:
     damage_words: tuple[str, ...] = DEFAULT_DAMAGE_WORDS
 
     @cached_property
-    def class_matcher(self) -> TermMatcher:
-        return TermMatcher(self.classes)
-
-    @cached_property
-    def race_matcher(self) -> TermMatcher:
-        return TermMatcher(self.races)
-
-    @cached_property
-    def skill_matcher(self) -> TermMatcher:
-        return TermMatcher(self.skills)
-
-    @cached_property
     def item_words(self) -> frozenset[str]:
         return frozenset(t.lower() for t in self.items)
 
     @cached_property
-    def monster_matcher(self) -> TermMatcher:
-        return TermMatcher(self.monsters, plural=True)
+    def _index(self) -> tuple[dict[str, _Section], dict[str, list[str]]]:
+        """Each section by name, and the sections whose terms a run's fold
+        can start, by that fold."""
+        vocabularies = {
+            **{name: getattr(self, name) for name in MATCHED},
+            **{pronoun_section(i): f for i, (_, f) in enumerate(self.pronoun_sets)},
+            **FIXED_SECTIONS,
+        }
+        sections: dict[str, _Section] = {}
+        starts: dict[str, list[str]] = {}
+        for name, terms in vocabularies.items():
+            sections[name] = _Section(terms, plural=name == "monsters")
+            for key in sections[name].run_keys:
+                starts.setdefault(key, []).append(name)
+        return sections, starts
 
-    @cached_property
-    def attack_matcher(self) -> TermMatcher:
-        return TermMatcher(self.attack_words)
-
-    @cached_property
-    def damage_matcher(self) -> TermMatcher:
-        return TermMatcher(self.damage_words)
-
-    @cached_property
-    def pronoun_matchers(self) -> tuple[tuple[str, TermMatcher], ...]:
-        return tuple(
-            (label, TermMatcher(forms)) for label, forms in self.pronoun_sets
-        )
+    def find(self, text: str) -> Hits:
+        """Every section's (canonical term, offset) hits in ``text``, in
+        text order: the hits ``pattern.finditer`` would give, for one scan
+        of the text's runs."""
+        sections, starts = self._index
+        sections_of = starts.get
+        hits: Hits = {name: [] for name in sections}
+        ends = dict.fromkeys(sections, 0)
+        for run in _RUN_RE.finditer(text):
+            names = sections_of(fold(run[0]))
+            if names is None:
+                continue
+            start = run.start()
+            for name in names:
+                if start < ends[name]:
+                    continue
+                section = sections[name]
+                m = section.pattern.match(text, start)
+                if m is not None:
+                    hits[name].append((section.canonical[fold(m[0])], start))
+                    ends[name] = m.end()
+        return hits
 
     @cached_property
     def name_blocklist(self) -> frozenset[str]:
@@ -149,32 +191,36 @@ class Gazetteers:
         return tuple(forms)
 
     @cached_property
-    def all_pronoun_forms(self) -> frozenset[str]:
-        return frozenset(
-            form for _, forms in self.pronoun_sets for form in forms
-        )
-
-    @cached_property
     def all_possessives(self) -> frozenset[str]:
         """Every possessive an inventory match can start with, whatever
         the player's pronouns."""
-        return frozenset(self.possessives_for(None)) | (
-            self.all_pronoun_forms & POSSESSIVE_ADJECTIVES
+        forms = {form for _, set_forms in self.pronoun_sets for form in set_forms}
+        return frozenset(FIRST_PERSON_POSSESSIVES) | (forms & POSSESSIVE_ADJECTIVES)
+
+
+def _term(text: str, lineno: int) -> str:
+    """``text`` lowercased. It must start with a word character: a match
+    starts where a ``\\w`` run does, and an item or stopword is a word."""
+    term = text.lower()
+    if not _WORD_START_RE.match(term):
+        raise ConfigError(
+            f"line {lineno}: term {text!r} does not start with a word character"
         )
+    return term
 
 
 def _parse_pronoun_line(line: str, lineno: int) -> tuple[str, tuple[str, ...]]:
     if ":" not in line:
         raise ConfigError(f"line {lineno}: pronoun set needs 'label: forms'")
     label, _, rest = line.partition(":")
-    forms = tuple(f.strip().lower() for f in rest.split(",") if f.strip())
+    forms = tuple(_term(f.strip(), lineno) for f in rest.split(",") if f.strip())
     if not forms:
         raise ConfigError(f"line {lineno}: pronoun set {label!r} has no forms")
     return label.strip(), forms
 
 
 def parse_gazetteers(text: str) -> Gazetteers:
-    sections: dict[str, list[str]] = {name: [] for name in SECTIONS}
+    sections: dict[str, list[str]] = {f.name: [] for f in fields(Gazetteers)}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -193,19 +239,19 @@ def parse_gazetteers(text: str) -> Gazetteers:
         _parse_pronoun_line(line, lineno) for line, lineno in sections["pronoun_sets"]
     )
 
-    def plain(name: str) -> tuple[str, ...]:
-        return tuple(line.lower() for line, _ in sections[name])
+    def terms(name: str) -> tuple[str, ...]:
+        return tuple(_term(line, lineno) for line, lineno in sections[name])
 
     return Gazetteers(
-        classes=plain("classes"),
-        races=plain("races"),
-        skills=plain("skills"),
+        classes=terms("classes"),
+        races=terms("races"),
+        skills=terms("skills"),
         pronoun_sets=pronoun_sets,
-        items=plain("items"),
-        monsters=plain("monsters"),
-        stopwords=frozenset(plain("stopwords")),
-        attack_words=plain("attack_words") or DEFAULT_ATTACK_WORDS,
-        damage_words=plain("damage_words") or DEFAULT_DAMAGE_WORDS,
+        items=terms("items"),
+        monsters=terms("monsters"),
+        stopwords=frozenset(terms("stopwords")),
+        attack_words=terms("attack_words") or DEFAULT_ATTACK_WORDS,
+        damage_words=terms("damage_words") or DEFAULT_DAMAGE_WORDS,
     )
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Mapping, NoReturn, Sequence, TypeVar
 
 DUNGEON_MASTER = "Dungeon Master"
 
@@ -50,9 +50,13 @@ class ControlVariant(Enum):
     CURR_CTRL = "curr"
 
 
+def _fail(field_name: str, message: str) -> NoReturn:
+    raise ValueError(f"{field_name}: {message}")
+
+
 def _require(condition: bool, field_name: str, message: str) -> None:
     if not condition:
-        raise ValueError(f"{field_name}: {message}")
+        _fail(field_name, message)
 
 
 _MISSING = object()
@@ -207,11 +211,10 @@ class Post:
             "may be empty only if rolls is non-empty",
         )
         for roll in self.rolls:
-            _require(
-                roll.paragraph_index < len(self.paragraphs),
-                "rolls",
-                f"paragraph_index {roll.paragraph_index} outside paragraphs",
-            )
+            if roll.paragraph_index >= len(self.paragraphs):
+                _fail(
+                    "rolls", f"paragraph_index {roll.paragraph_index} outside paragraphs"
+                )
 
     def text(self) -> str:
         return "\n".join(self.paragraphs)
@@ -238,11 +241,12 @@ class Campaign:
         object.__setattr__(self, "posts", tuple(self.posts))
         _require(len(self.posts) >= 1, "posts", "at least one post required")
         for expected, post in enumerate(self.posts):
-            _require(
-                post.index == expected,
-                "posts",
-                f"indices must be contiguous from 0 (found {post.index} at {expected})",
-            )
+            if post.index != expected:
+                _fail(
+                    "posts",
+                    f"indices must be contiguous from 0"
+                    f" (found {post.index} at {expected})",
+                )
 
     @property
     def player_ids(self) -> frozenset[str]:
@@ -494,25 +498,21 @@ def check_turn_states(
 ) -> None:
     """Reject states that are not one per post, each by its post's author
     and consistent with the author's profile where ``profiles`` has one."""
-    _require(
-        len(states) == len(posts),
-        "turn_states",
-        f"{len(states)} states for {len(posts)} posts",
-    )
+    if len(states) != len(posts):
+        _fail("turn_states", f"{len(states)} states for {len(posts)} posts")
     for state, post in zip(states, posts):
-        where = f"turn_states[{post.index}]"
-        _require(
-            state.player_id == post.author_id,
-            where,
-            f"player_id {state.player_id!r} is not the author of post"
-            f" {post.index}, {post.author_id!r}",
-        )
+        if state.player_id != post.author_id:
+            _fail(
+                f"turn_states[{post.index}]",
+                f"player_id {state.player_id!r} is not the author of post"
+                f" {post.index}, {post.author_id!r}",
+            )
         profile = profiles.get(state.player_id)
-        _require(
-            profile is None or state.consistent_with(profile),
-            where,
-            f"contradicts the profile of {state.player_id!r}",
-        )
+        if profile is not None and not state.consistent_with(profile):
+            _fail(
+                f"turn_states[{post.index}]",
+                f"contradicts the profile of {state.player_id!r}",
+            )
 
 
 @dataclass(frozen=True)

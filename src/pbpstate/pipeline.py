@@ -64,16 +64,16 @@ def annotate_campaign(
     """
     facts = [post_facts(p.paragraphs, gazetteers, p.index) for p in campaign.posts]
     profiles = build_profiles(campaign, gazetteers, facts=facts)
-    bare_spans = detect_combat_spans(campaign, gazetteers, gap_turns)
+    bare_spans = detect_combat_spans(campaign, facts, gap_turns)
     spans = tuple(
         CombatSpan(
             start_index=s.start_index,
             end_index=s.end_index,
-            monsters=tuple(extract_monsters(campaign, s, gazetteers)),
+            monsters=tuple(extract_monsters(campaign, s, facts)),
         )
         for s in bare_spans
     )
-    actions_per_post = annotate_turn_actions(campaign, gazetteers)
+    actions_per_post = annotate_turn_actions(campaign, facts)
 
     states: list[TurnState] = []
     covered_posts = 0

@@ -9,8 +9,10 @@ from pbpstate.characters import (
     post_facts,
     text_signals,
 )
+from pbpstate.gazetteers import Gazetteers
 from pbpstate.models import DUNGEON_MASTER
 from pbpstate.pipeline import annotate_campaign
+from pbpstate.synth import SynthConfig, generate
 
 from conftest import make_campaign
 
@@ -310,3 +312,21 @@ class TestReadEachPostOnce:
         annotate_campaign(sample_game, gaz)
         posts = len(sample_game.posts)
         assert calls == {"tokenize": posts, "names": posts}
+
+    def test_annotating_a_campaign_scans_each_paragraph_once(self, gaz, monkeypatch):
+        config = SynthConfig(seed=7, num_campaigns=1, players_per_campaign=4,
+                             turns_per_campaign=40, combat_density=0.06)
+        [(campaign, _)] = generate(config)
+        calls = []
+        find = Gazetteers.find
+
+        def counting_find(self, text):
+            calls.append(text)
+            return find(self, text)
+
+        monkeypatch.setattr(Gazetteers, "find", counting_find)
+        annotated = annotate_campaign(campaign, gaz)
+        # Combat, monsters and rolls are all read, from the same hits.
+        assert any(span.monsters for span in annotated.combat_spans)
+        assert any(state.actions for state in annotated.turn_states)
+        assert calls == [p for post in campaign.posts for p in post.paragraphs]

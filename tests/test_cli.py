@@ -982,6 +982,20 @@ def test_annotate_names_a_bad_gazetteer_file(synth_corpus, tmp_path, capsys):
     )
 
 
+def test_annotate_rejects_a_term_no_scan_can_start(synth_corpus, tmp_path, capsys):
+    corpus, _ = synth_corpus
+    gazetteers = tmp_path / "gz.txt"
+    gazetteers.write_text("[monsters]\ngoblin\n-goblin\n", encoding="utf-8")
+    argv = ["annotate", "--in", str(corpus), "--out", str(tmp_path / "out"),
+            "--gazetteers", str(gazetteers)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"pbpstate: error: {gazetteers}: line 3: term '-goblin'"
+        " does not start with a word character\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_annotate_names_a_bad_model_file(synth_corpus, tmp_path, capsys):
     corpus, _ = synth_corpus
     model = tmp_path / "model.txt"

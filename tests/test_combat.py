@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from pbpstate.characters import post_facts
 from pbpstate.combat import (
     WINDOW_CHARS,
     annotate_turn_actions,
@@ -28,6 +29,22 @@ def campaign_of(texts):
     return make_campaign([("p", t) for t in texts])
 
 
+def facts_of(campaign, gaz):
+    return [post_facts(p.paragraphs, gaz, p.index) for p in campaign.posts]
+
+
+def detect_spans(campaign, gaz, **kwargs):
+    return detect_combat_spans(campaign, facts_of(campaign, gaz), **kwargs)
+
+
+def monsters_of(campaign, span, gaz):
+    return extract_monsters(campaign, span, facts_of(campaign, gaz))
+
+
+def actions_of(campaign, gaz):
+    return annotate_turn_actions(campaign, facts_of(campaign, gaz))
+
+
 def roll_and_context(text):
     rolls = extract_rolls([text])
     assert len(rolls) == 1
@@ -36,33 +53,33 @@ def roll_and_context(text):
 
 def test_config_validation(gaz):
     with pytest.raises(ConfigError, match="gap_turns must be at least 1"):
-        detect_combat_spans(campaign_of([INITIATIVE]), gaz, gap_turns=0)
+        detect_spans(campaign_of([INITIATIVE]), gaz, gap_turns=0)
 
 
 class TestInitiativeAndAttack:
     def test_initiative_keyword_with_d20(self, gaz):
         roll, context = roll_and_context(INITIATIVE)
-        assert is_initiative_roll(roll, context)
+        assert is_initiative_roll(roll, gaz.find(context))
 
     def test_d20_without_keyword(self, gaz):
         roll, context = roll_and_context(CHECK)
-        assert not is_initiative_roll(roll, context)
+        assert not is_initiative_roll(roll, gaz.find(context))
 
     def test_non_d20_with_keyword(self, gaz):
         roll, context = roll_and_context("initiative bonus (1d6)[3]")
-        assert not is_initiative_roll(roll, context)
+        assert not is_initiative_roll(roll, gaz.find(context))
 
     def test_attack_keyword_with_d20(self, gaz):
         roll, context = roll_and_context(ATTACK)
-        assert is_attack_roll(roll, context, gaz)
+        assert is_attack_roll(roll, gaz.find(context))
 
     def test_skill_keyword_is_not_attack(self, gaz):
         roll, context = roll_and_context("athletics (1d20+1)[7]")
-        assert not is_attack_roll(roll, context, gaz)
+        assert not is_attack_roll(roll, gaz.find(context))
 
     def test_damage_die_with_attack_keyword(self, gaz):
         roll, context = roll_and_context("attack damage (1d8)[5]")
-        assert not is_attack_roll(roll, context, gaz)
+        assert not is_attack_roll(roll, gaz.find(context))
 
     def test_keyword_outside_window(self, gaz):
         # A keyword exactly WINDOW_CHARS before the roll counts; one more
@@ -71,40 +88,40 @@ class TestInitiativeAndAttack:
             text = "initiative" + " " * (gap - len("initiative")) + "(1d20)[9]"
             roll = extract_rolls([text])[0]
             assert roll.char_offset == gap
-            assert is_initiative_roll(roll, text) is near
+            assert is_initiative_roll(roll, gaz.find(text)) is near
 
 
 class TestDetectSpans:
     def test_hand_traced_span(self, gaz):
         texts = [NO_ROLL, NO_ROLL, INITIATIVE, ATTACK, ATTACK] + [NO_ROLL] * 4
-        spans = detect_combat_spans(campaign_of(texts), gaz, gap_turns=3)
+        spans = detect_spans(campaign_of(texts), gaz, gap_turns=3)
         assert [(s.start_index, s.end_index) for s in spans] == [(2, 4)]
 
     def test_no_rolls_no_spans(self, gaz):
-        assert detect_combat_spans(campaign_of([NO_ROLL] * 5), gaz) == []
+        assert detect_spans(campaign_of([NO_ROLL] * 5), gaz) == []
 
     def test_surprise_attack_runs_to_campaign_end(self, gaz):
         texts = [ATTACK, ATTACK, ATTACK, ATTACK, ATTACK, ATTACK]
-        spans = detect_combat_spans(campaign_of(texts), gaz)
+        spans = detect_spans(campaign_of(texts), gaz)
         assert [(s.start_index, s.end_index) for s in spans] == [(0, 5)]
 
     def test_check_roll_does_not_open_combat(self, gaz):
-        spans = detect_combat_spans(campaign_of([CHECK, CHECK, NO_ROLL]), gaz)
+        spans = detect_spans(campaign_of([CHECK, CHECK, NO_ROLL]), gaz)
         assert spans == []
 
     def test_check_roll_sustains_open_combat(self, gaz):
         texts = [INITIATIVE, CHECK, CHECK, NO_ROLL, NO_ROLL, NO_ROLL]
-        spans = detect_combat_spans(campaign_of(texts), gaz, gap_turns=3)
+        spans = detect_spans(campaign_of(texts), gaz, gap_turns=3)
         assert [(s.start_index, s.end_index) for s in spans] == [(0, 2)]
 
     def test_span_end_is_last_roll_before_gap(self, gaz):
         texts = [INITIATIVE, NO_ROLL, ATTACK] + [NO_ROLL] * 3 + [INITIATIVE, NO_ROLL]
-        spans = detect_combat_spans(campaign_of(texts), gaz, gap_turns=3)
+        spans = detect_spans(campaign_of(texts), gaz, gap_turns=3)
         assert [(s.start_index, s.end_index) for s in spans] == [(0, 2), (6, 6)]
 
     def test_gap_one_closes_immediately(self, gaz):
         texts = [INITIATIVE, NO_ROLL, ATTACK, NO_ROLL]
-        spans = detect_combat_spans(campaign_of(texts), gaz, gap_turns=1)
+        spans = detect_spans(campaign_of(texts), gaz, gap_turns=1)
         # The single quiet post at index 1 already closes the span; the
         # attack at index 2 then opens a fresh one.
         assert [(s.start_index, s.end_index) for s in spans] == [(0, 0), (2, 2)]
@@ -128,7 +145,7 @@ def test_span_invariants_and_gap_monotonicity(gaz, pattern, gap):
     def bounds(g):
         return [
             (s.start_index, s.end_index)
-            for s in detect_combat_spans(campaign, gaz, gap_turns=g)
+            for s in detect_spans(campaign, gaz, gap_turns=g)
         ]
 
     spans = bounds(gap)
@@ -148,20 +165,20 @@ def test_span_invariants_and_gap_monotonicity(gaz, pattern, gap):
 class TestMonsters:
     def test_number_word_count(self, gaz, sample_game):
         span = CombatSpan(start_index=7, end_index=11)
-        monsters = extract_monsters(sample_game, span, gaz)
+        monsters = monsters_of(sample_game, span, gaz)
         assert monsters == [("goblin", 3)]
 
     def test_count_defaults_to_one(self, gaz):
         campaign = campaign_of(["a goblin lurks."])
-        assert extract_monsters(campaign, CombatSpan(0, 0), gaz) == [("goblin", 1)]
+        assert monsters_of(campaign, CombatSpan(0, 0), gaz) == [("goblin", 1)]
 
     def test_no_gazetteer_monsters(self, gaz):
         campaign = campaign_of(["a large badger lurks."])
-        assert extract_monsters(campaign, CombatSpan(0, 0), gaz) == []
+        assert monsters_of(campaign, CombatSpan(0, 0), gaz) == []
 
     def test_largest_nearby_number_wins(self, gaz):
         campaign = campaign_of(["a few goblins close in. Two of the goblins charge."])
-        assert extract_monsters(campaign, CombatSpan(0, 0), gaz) == [("goblin", 2)]
+        assert monsters_of(campaign, CombatSpan(0, 0), gaz) == [("goblin", 2)]
 
     def test_numbers_outside_window_ignored(self, gaz):
         # A number exactly WINDOW_CHARS after the mention counts; one more
@@ -169,7 +186,7 @@ class TestMonsters:
         for gap, count in [(WINDOW_CHARS, 5), (WINDOW_CHARS + 1, 1)]:
             text = "goblins" + " " * (gap - len("goblins")) + "5 somethings"
             assert text.index("5") == gap
-            assert extract_monsters(campaign_of([text]), CombatSpan(0, 0), gaz) == [
+            assert monsters_of(campaign_of([text]), CombatSpan(0, 0), gaz) == [
                 ("goblin", count)
             ]
 
@@ -177,34 +194,34 @@ class TestMonsters:
 class TestClassifyRoll:
     def test_skill_check(self, gaz):
         roll, context = roll_and_context("Perception: (1d20+3)[15]")
-        action = classify_roll_action(roll, context, gaz)
+        action = classify_roll_action(roll, gaz.find(context))
         assert action.kind is ActionKind.SKILL_CHECK
         assert action.skill == "perception"
 
     def test_damage(self, gaz):
         roll, context = roll_and_context("Damage: (1d8+2)[10]")
-        action = classify_roll_action(roll, context, gaz)
+        action = classify_roll_action(roll, gaz.find(context))
         assert action.kind is ActionKind.DAMAGE_OR_HEAL
 
     def test_bare_d20_is_unknown_check(self, gaz):
         roll, context = roll_and_context("(1d20)[11]")
-        action = classify_roll_action(roll, context, gaz)
+        action = classify_roll_action(roll, gaz.find(context))
         assert action.kind is ActionKind.UNKNOWN_CHECK
 
     def test_heal_keyword(self, gaz):
         roll, context = roll_and_context("heal (2d4+2)[7]")
-        assert classify_roll_action(roll, context, gaz).kind is (
+        assert classify_roll_action(roll, gaz.find(context)).kind is (
             ActionKind.DAMAGE_OR_HEAL
         )
 
     def test_non_d20_without_damage_keyword_yields_nothing(self, gaz):
         roll, context = roll_and_context("rolling hard (2d6)[9]")
-        assert classify_roll_action(roll, context, gaz) is None
+        assert classify_roll_action(roll, gaz.find(context)) is None
 
     def test_nearest_keyword_wins(self, gaz):
         context = "athletics or not, attack now: (1d20)[12]"
         roll = extract_rolls([context])[0]
-        action = classify_roll_action(roll, context, gaz)
+        action = classify_roll_action(roll, gaz.find(context))
         assert action.kind is ActionKind.ATTACK
 
     def test_equidistant_keywords_take_leftmost(self, gaz):
@@ -215,7 +232,7 @@ class TestClassifyRoll:
         assert abs(context.index("arcana") - roll.char_offset) == abs(
             context.index("attack") - roll.char_offset
         )
-        action = classify_roll_action(roll, context, gaz)
+        action = classify_roll_action(roll, gaz.find(context))
         assert action.kind is ActionKind.SKILL_CHECK
         assert action.skill == "arcana"
 
@@ -225,24 +242,24 @@ class TestAnnotateTurnActions:
         campaign = campaign_of(
             ["I attack. Attack: (1d20+6)[20] Damage: (1d8+2)[10]"]
         )
-        actions = annotate_turn_actions(campaign, gaz)
+        actions = actions_of(campaign, gaz)
         assert [a.kind for a in actions[0]] == [
             ActionKind.ATTACK,
             ActionKind.DAMAGE_OR_HEAL,
         ]
 
     def test_roll_free_post(self, gaz):
-        assert annotate_turn_actions(campaign_of([NO_ROLL]), gaz) == [[]]
+        assert actions_of(campaign_of([NO_ROLL]), gaz) == [[]]
 
     def test_skill_check_outside_combat(self, gaz):
         campaign = campaign_of(["athletics try (1d20+1)[14]"])
-        actions = annotate_turn_actions(campaign, gaz)
+        actions = actions_of(campaign, gaz)
         assert [a.kind for a in actions[0]] == [ActionKind.SKILL_CHECK]
         assert actions[0][0].skill == "athletics"
 
     def test_actions_reference_their_posts_rolls(self, gaz):
         campaign = campaign_of([ATTACK, "Damage: (2d6+1)[8]"])
-        per_post = annotate_turn_actions(campaign, gaz)
+        per_post = actions_of(campaign, gaz)
         for post, actions in zip(campaign.posts, per_post):
             for action in actions:
                 assert action.source_roll in post.rolls

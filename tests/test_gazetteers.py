@@ -1,7 +1,163 @@
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pbpstate.errors import ConfigError
-from pbpstate.gazetteers import TermMatcher, load_gazetteers, parse_gazetteers
+from pbpstate.gazetteers import (
+    FIXED_SECTIONS,
+    MATCHED,
+    Gazetteers,
+    fold,
+    load_gazetteers,
+    parse_gazetteers,
+    pronoun_section,
+)
+
+
+class TermMatcher:
+    """The matcher every lookup used before ``Gazetteers.find``, kept
+    verbatim as the reference ``find`` must agree with."""
+
+    def __init__(self, terms: tuple[str, ...], plural: bool = False):
+        self._canonical = {fold(t): t.lower() for t in terms}
+        if not terms:
+            self._pattern = None
+            return
+        ordered = sorted((t.lower() for t in terms), key=len, reverse=True)
+        suffix = r"(?:e?s)?" if plural else ""
+        body = "|".join(re.escape(t) for t in ordered)
+        self._pattern = re.compile(
+            rf"(?<!\w)(?:{body}){suffix}(?!\w)", re.IGNORECASE
+        )
+
+    def finditer(self, text: str):
+        """Yield (canonical_term, start_offset) in document order."""
+        if self._pattern is None:
+            return
+        for m in self._pattern.finditer(text):
+            surface = fold(m.group(0))
+            if surface not in self._canonical:
+                base = surface[:-1] if surface.endswith("s") else surface
+                if base not in self._canonical and base.endswith("e"):
+                    base = base[:-1]
+                surface = base
+            yield self._canonical[surface], m.start()
+
+
+class RegexMatcher:
+    """The fixed vocabularies' module regexes before ``Gazetteers.find``,
+    kept verbatim; a match is reported by its fold."""
+
+    def __init__(self, pattern: str):
+        self._pattern = re.compile(pattern, re.IGNORECASE)
+
+    def finditer(self, text: str):
+        for m in self._pattern.finditer(text):
+            yield fold(m.group(0)), m.start()
+
+
+_NUMBER_WORDS = tuple(FIXED_SECTIONS["number_words"])
+REFERENCE_FIXED = {
+    "initiative": RegexMatcher(r"(?<!\w)initiative(?!\w)"),
+    "cast": RegexMatcher(r"(?<!\w)cast(?:s|ing)?(?!\w)"),
+    "number_words": RegexMatcher(
+        r"(?<!\w)(?:" + "|".join(_NUMBER_WORDS) + r")(?!\w)"
+    ),
+}
+
+
+def reference_matchers(gaz):
+    """Every ``find`` section's reference matcher, by section."""
+    matchers = {
+        name: TermMatcher(getattr(gaz, name), plural=name == "monsters")
+        for name in MATCHED
+    }
+    for i, (_, forms) in enumerate(gaz.pronoun_sets):
+        matchers[pronoun_section(i)] = TermMatcher(forms)
+    return {**matchers, **REFERENCE_FIXED}
+
+
+def gazetteers_with(**sections):
+    empty = dict(classes=(), races=(), skills=(), pronoun_sets=(), items=(), monsters=())
+    return Gazetteers(**{**empty, **sections})
+
+
+# A term in two sections ("hit", "elf"), non-ASCII terms, a term ending in
+# punctuation, multi-word terms, a form in two pronoun sets, and Greek
+# terms with an iota, which re.IGNORECASE matches to U+0345, and with
+# U+0345, which is no word character.
+CUSTOM = parse_gazetteers(
+    "[classes]\nstraße\nélan knight\nmr.\n"
+    "[races]\nelf\nhalf-elf\ndark elf\n"
+    "[skills]\nsleight of hand\nanimal handling\nanimal\n"
+    "[monsters]\nelf\nwolf\nιχώρ\nbus\nω\u0345δη\n"
+    "[attack_words]\nattack\nhit\n"
+    "[damage_words]\ndamage\nhit\n"
+    "[pronoun_sets]\nhe/him: he, him, his\nshe/her: she, her\nxe/her: xe, her\n"
+)
+
+GAZETTEERS = {"shipped": load_gazetteers(), "custom": CUSTOM}
+REFERENCES = {name: reference_matchers(gaz) for name, gaz in GAZETTEERS.items()}
+
+# Spellings that re.IGNORECASE matches to a term's letter besides its cases.
+SPELLINGS = {"s": "sSſ", "i": "iIıİ", "k": "kKK", "ι": "ιΙ\u0345", "\u0345": "\u0345ιΙ"}
+SUFFIXES = ("", "s", "es", "ves", "'s", "’s")
+GLUE = ("", " ", "  ", "-", "\n", ".", ",", "3", "_", "α", *"ſıİßẞﬁK\u0345")
+
+
+@st.composite
+def texts(draw, terms):
+    """Terms in random case and spelling, with suffixes and glue."""
+    rng = draw(st.randoms(use_true_random=True))
+    pieces = []
+    for _ in range(rng.randint(0, 8)):
+        if rng.random() < 0.5:
+            term = rng.choice(terms).replace(" ", rng.choice((" ", "  ")))
+            spelled = (rng.choice(SPELLINGS.get(c, c + c.upper())) for c in term)
+            pieces.append("".join(spelled) + rng.choice(SUFFIXES))
+        else:
+            pieces.append(rng.choice(GLUE))
+    return "".join(pieces)
+
+
+def every_term(gaz):
+    terms = [t for name in MATCHED for t in getattr(gaz, name)]
+    terms += [f for _, forms in gaz.pronoun_sets for f in forms]
+    return sorted({*terms, *(t for ts in FIXED_SECTIONS.values() for t in ts)})
+
+
+@pytest.mark.parametrize("which", sorted(GAZETTEERS))
+def test_find_agrees_with_the_reference_matchers(which):
+    gaz, references = GAZETTEERS[which], REFERENCES[which]
+
+    @settings(max_examples=1000, deadline=None)
+    @given(text=texts(every_term(gaz)))
+    def check(text):
+        found = gaz.find(text)
+        assert found.keys() == references.keys()
+        for section, matcher in references.items():
+            assert found[section] == list(matcher.finditer(text)), section
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "text, section, expected",
+    [
+        ("a dark-elf", "races", [("elf", 7)]),
+        ("the goblin's axe", "monsters", [("goblin", 4)]),
+        ("the goblin’s axe", "monsters", [("goblin", 4)]),
+        ("a half-elf's bow", "races", [("half-elf", 2)]),
+        ("3goblins", "monsters", []),
+        ("goblinα", "monsters", []),
+        ("_goblin", "monsters", []),
+        ("half-elves", "races", []),
+    ],
+)
+def test_word_boundaries(gaz, text, section, expected):
+    assert gaz.find(text)[section] == expected
+    assert list(reference_matchers(gaz)[section].finditer(text)) == expected
 
 
 def test_default_gazetteers_ship_complete(gaz):
@@ -58,44 +214,60 @@ def test_pronoun_line_needs_colon():
         parse_gazetteers("[pronoun_sets]\nhe him his\n")
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("[monsters]\ngoblin\n-goblin\n", "line 3: term '-goblin'"),
+        ("[classes]\n...\n", "line 2: term '...'"),
+        ("[attack_words]\n'tack\n", "line 2: term \"'tack\""),
+        ("[pronoun_sets]\nze/zir: ze, -zir\n", "line 2: term '-zir'"),
+        ("[items]\nrope\n-spare\n", "line 3: term '-spare'"),
+    ],
+)
+def test_term_must_start_with_a_word_character(text, line):
+    # A match starts where a \w run does, so no text could match these; an
+    # item or a stopword is looked up as a word.
+    with pytest.raises(ConfigError) as raised:
+        parse_gazetteers(text)
+    assert str(raised.value) == f"{line} does not start with a word character"
+
+
 def test_matcher_whole_word_case_insensitive():
-    matcher = TermMatcher(("elf", "half-elf"))
-    assert list(matcher.finditer("An Elf and a half-elf but not himself")) == [
+    gaz = gazetteers_with(races=("elf", "half-elf"))
+    assert gaz.find("An Elf and a half-elf but not himself")["races"] == [
         ("elf", 3),
         ("half-elf", 13),
     ]
 
 
 def test_matcher_prefers_longer_terms():
-    matcher = TermMatcher(("animal handling", "animal"))
-    assert list(matcher.finditer("an animal handling check")) == [
+    gaz = gazetteers_with(skills=("animal handling", "animal"))
+    assert gaz.find("an animal handling check")["skills"] == [
         ("animal handling", 3)
     ]
 
 
 def test_plural_matcher_reports_singular():
-    matcher = TermMatcher(("goblin", "wolf"), plural=True)
-    assert [t for t, _ in matcher.finditer("goblins and wolves? no, goblin")] == [
-        "goblin",
-        "goblin",
-    ]
+    gaz = gazetteers_with(monsters=("goblin", "wolf"))
+    found = gaz.find("goblins and wolves? no, goblin")["monsters"]
+    assert [t for t, _ in found] == ["goblin", "goblin"]
 
 
 @pytest.mark.parametrize(
     "text, term",
     [("the ſorcerer", "sorcerer"), ("the wızard", "wizard"),
-     ("the WİZARD", "wizard"), ("the \u212aNIGHT", "knight")],
+     ("the WİZARD", "wizard"), ("the KNIGHT", "knight")],
 )
 def test_every_spelling_the_pattern_matches_is_reported_canonically(text, term):
     # re.IGNORECASE matches the long s, the dotless and dotted i and the
     # Kelvin sign to ASCII letters, which str.lower() leaves as they are.
-    matcher = TermMatcher(("sorcerer", "wizard", "knight"))
-    assert list(matcher.finditer(text)) == [(term, 4)]
+    gaz = gazetteers_with(classes=("sorcerer", "wizard", "knight"))
+    assert gaz.find(text)["classes"] == [(term, 4)]
 
 
 def test_empty_matcher_matches_nothing():
-    matcher = TermMatcher(())
-    assert list(matcher.finditer("anything at all")) == []
+    gaz = gazetteers_with(classes=())
+    assert gaz.find("anything at all")["classes"] == []
 
 
 def test_possessives_for_pronoun_sets(gaz):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from pbpstate.characters import build_profiles, text_signals
+from pbpstate.characters import build_profiles, post_facts, text_signals
 from pbpstate.combat import detect_combat_spans, extract_monsters
 from pbpstate.errors import ConfigError
 from pbpstate.icooc import IC, OOC, labeled_paragraphs
@@ -131,12 +131,13 @@ def test_full_rate_corpus_recovers_all_players(gaz):
 
 def test_detector_matches_gold_spans_and_monsters(gaz):
     for campaign, gold in generate(SMALL):
-        spans = detect_combat_spans(campaign, gaz, gap_turns=SMALL.gap_turns)
+        facts = [post_facts(p.paragraphs, gaz, p.index) for p in campaign.posts]
+        spans = detect_combat_spans(campaign, facts, gap_turns=SMALL.gap_turns)
         assert [
             (s.start_index, s.end_index) for s in spans
         ] == [(s.start_index, s.end_index) for s in gold.combat_spans]
         for span, gold_span in zip(spans, gold.combat_spans):
-            monsters = extract_monsters(campaign, span, gaz)
+            monsters = extract_monsters(campaign, span, facts)
             assert tuple(monsters) == gold_span.monsters
 
 
