@@ -16,7 +16,7 @@ import json
 import sys
 from itertools import combinations
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 # Each command loads only the modules it runs: a command function imports
 # the package modules it needs in its own body, and this module imports
@@ -164,9 +164,9 @@ def _cmd_train_icooc(args: argparse.Namespace) -> int:
     from .models import GoldAnnotations
     from .transcripts import load_campaigns, read_jsonl
 
-    data: list[LabeledParagraph]
+    paragraphs: Iterable[LabeledParagraph]
     if args.labeled:
-        data = list(read_jsonl(args.labeled, LabeledParagraph.from_dict))
+        paragraphs = read_jsonl(args.labeled, LabeledParagraph.from_dict)
     else:
         campaigns = {c.campaign_id: c for c in load_campaigns(args.corpus)}
 
@@ -181,10 +181,21 @@ def _cmd_train_icooc(args: argparse.Namespace) -> int:
             return campaign_id, labeled_paragraphs([(campaigns[campaign_id], gold)])
 
         gold_records = read_jsonl(args.gold, gold_paragraphs, itemgetter(0))
-        data = [p for _, ps in gold_records for p in ps]
-    model = train(data, smoothing=args.smoothing)
+        paragraphs = (p for _, ps in gold_records for p in ps)
+    # train folds each paragraph into its counts as it is read; a bad
+    # line raises before save_model, so the model file is complete or
+    # left as it was.
+    folded = 0
+
+    def counted() -> Iterator[LabeledParagraph]:
+        nonlocal folded
+        for paragraph in paragraphs:
+            folded += 1
+            yield paragraph
+
+    model = train(counted(), smoothing=args.smoothing)
     save_model(model, args.out)
-    _info(args, f"trained IC/OOC model on {len(data)} paragraphs -> {args.out}")
+    _info(args, f"trained IC/OOC model on {folded} paragraphs -> {args.out}")
     return 0
 
 

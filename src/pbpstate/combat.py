@@ -27,6 +27,10 @@ from .models import Action, ActionKind, Campaign, CombatSpan, DiceRoll
 
 _NUMERAL_RE = re.compile(r"\d+")
 
+# A headcount is a small number: a numeral of more than this many digits
+# is not one, and is skipped without being read.
+MAX_HEADCOUNT_DIGITS = 4
+
 
 # A keyword is near a roll, and a number near a monster mention, when
 # their offsets differ by at most this many characters.
@@ -103,7 +107,8 @@ def extract_monsters(
 
     The count is the largest numeral or number word within the keyword
     window of any mention, searched within the mention's own paragraph;
-    with no number nearby the count defaults to one. Monsters are listed
+    with no number nearby the count defaults to one. A numeral of more
+    than ``MAX_HEADCOUNT_DIGITS`` (4) digits is skipped. Monsters are listed
     in order of first mention. ``facts`` are the campaign's post facts,
     in post order.
     """
@@ -114,15 +119,19 @@ def extract_monsters(
         for paragraph, hits in zip(post.paragraphs, facts_of_post.hits):
             if not hits["monsters"]:
                 continue
-            numerals = [(m[0], m.start()) for m in _NUMERAL_RE.finditer(paragraph)]
+            numerals = [
+                (int(m[0]), m.start())
+                for m in _NUMERAL_RE.finditer(paragraph)
+                if len(m[0]) <= MAX_HEADCOUNT_DIGITS
+            ]
             for monster, offset in hits["monsters"]:
                 if monster not in counts:
                     counts[monster] = 1
                     order.append(monster)
                 best = counts[monster]
-                for digits, pos in numerals:
+                for number, pos in numerals:
                     if abs(pos - offset) <= WINDOW_CHARS:
-                        best = max(best, int(digits))
+                        best = max(best, number)
                 for word, pos in hits["number_words"]:
                     if abs(pos - offset) <= WINDOW_CHARS:
                         best = max(best, NUMBER_WORDS[word])

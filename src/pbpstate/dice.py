@@ -16,21 +16,36 @@ from .models import DiceRoll
 _DICE_RE = re.compile(r"\((\d+)d(\d+)([+-]\d+)?\)\[(-?\d+)\]")
 _DICE_EXACT_RE = re.compile(rf"^{_DICE_RE.pattern}$")
 
+# A number in a roll tag has at most this many digits (under a billion).
+# A longer one encodes an impossible die, and is never handed to ``int``.
+MAX_DIGITS = 9
+
+
+def _roll(m: re.Match[str], paragraph_index: int = 0) -> DiceRoll:
+    """The roll a notation match encodes; ValueError for an impossible die."""
+    if any(g is not None and len(g.lstrip("+-")) > MAX_DIGITS for g in m.groups()):
+        raise ValueError(f"impossible die: a number has over {MAX_DIGITS} digits")
+    return DiceRoll(
+        count=int(m[1]),
+        faces=int(m[2]),
+        modifier=int(m[3]) if m[3] else 0,
+        result=int(m[4]),
+        paragraph_index=paragraph_index,
+        char_offset=m.start(),
+    )
+
 
 def parse_dice_expr(text: str) -> DiceRoll:
     """Parse one dice expression, ignoring surrounding whitespace.
 
     Raises GrammarError when the text does not match the notation and
-    ValueError when it matches but encodes an impossible die (zero dice or
-    fewer than two faces).
+    ValueError when it matches but encodes an impossible die (zero dice,
+    fewer than two faces, or a number of more than ``MAX_DIGITS`` digits).
     """
     m = _DICE_EXACT_RE.match(text.strip())
     if m is None:
         raise GrammarError(f"not a dice expression: {text!r}")
-    count, faces = int(m.group(1)), int(m.group(2))
-    modifier = int(m.group(3)) if m.group(3) else 0
-    result = int(m.group(4))
-    return DiceRoll(count=count, faces=faces, modifier=modifier, result=result)
+    return _roll(m)
 
 
 def format_dice_expr(roll: DiceRoll) -> str:
@@ -49,25 +64,17 @@ def extract_rolls(paragraphs: list[str] | tuple[str, ...]) -> list[DiceRoll]:
 
     Matches are maximal and non-overlapping; each returned roll carries the
     paragraph index and the character offset of its opening parenthesis.
-    Expressions with impossible dice (e.g. ``(0d6)[1]``) are skipped the
-    same way arbitrary text is.
+    Expressions with impossible dice (e.g. ``(0d6)[1]``, or a number of
+    more than ``MAX_DIGITS`` digits) are skipped the same way arbitrary
+    text is.
     """
     rolls: list[DiceRoll] = []
     for p_index, paragraph in enumerate(paragraphs):
         for m in _DICE_RE.finditer(paragraph):
-            count, faces = int(m.group(1)), int(m.group(2))
-            if count < 1 or faces < 2:
+            try:
+                rolls.append(_roll(m, p_index))
+            except ValueError:
                 continue
-            rolls.append(
-                DiceRoll(
-                    count=count,
-                    faces=faces,
-                    modifier=int(m.group(3)) if m.group(3) else 0,
-                    result=int(m.group(4)),
-                    paragraph_index=p_index,
-                    char_offset=m.start(),
-                )
-            )
     return rolls
 
 

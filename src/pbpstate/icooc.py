@@ -6,6 +6,11 @@ Out-of-character text talks rules and dice at the reader; in-character text
 narrates, and those indicators separate the two even with a small
 vocabulary. Training is a pure function of its arguments, so identical
 inputs always reproduce the same model.
+
+``fit_from_counts`` is the one estimator. It reads only per-label counts
+of documents and of ``(token, count)`` items, so ``train`` folds each
+paragraph into those counts as it reads it and holds no feature table;
+slot fill feeds it the same way.
 """
 
 from __future__ import annotations
@@ -131,43 +136,33 @@ class IcOocModel:
 
 
 def train(
-    data: list[LabeledParagraph],
+    data: Iterable[LabeledParagraph],
     smoothing: float = 1.0,
     labels: tuple[str, ...] = (IC, OOC),
 ) -> IcOocModel:
     """Fit the multinomial model with additive smoothing.
 
-    A closed-form estimator, so the same data and smoothing always give
-    the same model. Raises DegenerateDataError unless every requested
-    label is present.
+    ``data`` is read once, one paragraph at a time: each paragraph is
+    featurized, folded into per-label counts and dropped, and
+    ``fit_from_counts`` fits the counts. So memory grows with the
+    vocabulary, not with the data, and ``data`` may be a generator.
+    A closed-form estimator over integer sums, so the same paragraphs
+    and smoothing give the same model in any order. Raises
+    DegenerateDataError unless every requested label is present.
 
     The dice-notation feature is sign-constrained after fitting so that a
     dice match can never push a paragraph toward IC.
     """
-    return fit_from_features(
-        [(featurize(p.text), p.label) for p in data],
-        labels=labels,
-        smoothing=smoothing,
-        constrain_dice=True,
-    )
-
-
-def fit_from_features(
-    featurized: list[tuple[dict[str, int], str]],
-    labels: tuple[str, ...],
-    smoothing: float,
-    constrain_dice: bool = False,
-) -> IcOocModel:
-    """Fit from (features, label) documents; see ``fit_from_counts``."""
-    docs: dict[str, list[dict[str, int]]] = {label: [] for label in labels}
-    for features, label in featurized:
-        docs[label].append(features)
-    pair_counts = {
-        label: Counter(chain.from_iterable(map(dict.items, label_docs)))
-        for label, label_docs in docs.items()
+    pair_counts: dict[str, Counter[tuple[str, int]]] = {
+        label: Counter() for label in labels
     }
-    doc_counts = {label: len(label_docs) for label, label_docs in docs.items()}
-    return fit_from_counts(pair_counts, doc_counts, labels, smoothing, constrain_dice)
+    doc_counts: Counter[str] = Counter()
+    for paragraph in data:
+        pair_counts[paragraph.label].update(featurize(paragraph.text).items())
+        doc_counts[paragraph.label] += 1
+    return fit_from_counts(
+        pair_counts, doc_counts, labels, smoothing, constrain_dice=True
+    )
 
 
 def fit_from_counts(

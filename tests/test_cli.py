@@ -505,6 +505,53 @@ def test_train_icooc_gold_campaign_missing_from_corpus(synth_corpus, tmp_path, c
     )
 
 
+@pytest.mark.parametrize("existing", [False, True])
+def test_train_icooc_late_bad_labeled_line_writes_no_model(tmp_path, capsys, existing):
+    # train reads the paragraphs as they stream in, so the bad line is
+    # found after hundreds of good ones have been folded into counts.
+    good = [{"text": f"the quiet road bends {i}", "label": "IC"} for i in range(300)]
+    good += [{"text": f"roll a d20 for check {i}", "label": "OOC"} for i in range(300)]
+    labeled = _write_jsonl(tmp_path / "labeled.jsonl", [*good, {"label": "IC"}])
+    model = tmp_path / "m"
+    if existing:
+        model.write_text("an older model\n", encoding="utf-8")
+    argv = ["train-icooc", "--labeled", str(labeled), "--out", str(model)]
+    assert main(argv) == 2
+    assert f"line 601: {labeled}: text: missing" in capsys.readouterr().err
+    if existing:
+        assert model.read_text(encoding="utf-8") == "an older model\n"
+    else:
+        assert not model.exists()
+    # No half-written file is left beside the target either.
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        ["labeled.jsonl", *(["m"] if existing else [])]
+    )
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_train_icooc_unknown_campaign_on_the_last_gold_line_writes_no_model(
+    synth_corpus, tmp_path, capsys, existing
+):
+    corpus, gold = synth_corpus
+    records = [json.loads(line) for line in gold.read_text().splitlines()]
+    stray = dict(records[0], campaign_id="not-in-the-corpus")
+    edited = _write_jsonl(tmp_path / "edited.jsonl", [*records, stray])
+    model = tmp_path / "m"
+    if existing:
+        model.write_text("an older model\n", encoding="utf-8")
+    argv = ["train-icooc", "--corpus", str(corpus), "--gold", str(edited),
+            "--out", str(model)]
+    assert main(argv) == 2
+    assert (
+        f"line {len(records) + 1}: {edited}: campaign 'not-in-the-corpus'"
+        f" is not in {corpus}" in capsys.readouterr().err
+    )
+    if existing:
+        assert model.read_text(encoding="utf-8") == "an older model\n"
+    else:
+        assert not model.exists()
+
+
 def _cut_turns(record):
     record["turn_states"] = record["turn_states"][:10]
     record["paragraph_labels"] = record["paragraph_labels"][:10]
@@ -1093,3 +1140,31 @@ def test_annotate_reads_a_long_s_as_an_s(tmp_path):
     first, second = map(json.loads, out.read_text(encoding="utf-8").splitlines())
     assert first["profiles"]["p1"]["character_class"] == "sorcerer"
     assert [span["monsters"] for span in second["combat_spans"]] == [[["goblin", 6]]]
+
+
+def test_annotate_skips_an_over_long_numeral_near_a_monster(tmp_path, capsys):
+    # A headcount is a small number; a 5,000-digit numeral is not read.
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "annotated.jsonl"
+    ones = "1" * 5000
+    write_campaigns(corpus, [make_campaign(
+        [("dm", f"Roll initiative! (1d20+2)[15] A goblin charges {ones} times.")]
+    )])
+    assert main(["annotate", "--in", str(corpus), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    (record,) = map(json.loads, out.read_text(encoding="utf-8").splitlines())
+    assert [name for span in record["combat_spans"]
+            for name, _ in span["monsters"]] == ["goblin"]
+
+
+def test_ingest_skips_a_dice_tag_with_an_over_long_number(tmp_path, capsys):
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "ingested.jsonl"
+    ones = "1" * 5000
+    write_campaigns(corpus, [make_campaign(
+        [("p1", f"I swing (1d20+{ones})[12] then (1d6)[4]")]
+    )])
+    assert main(["ingest", "--in", str(corpus), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    (record,) = map(json.loads, out.read_text(encoding="utf-8").splitlines())
+    assert [(r["count"], r["faces"], r["result"]) for r in record["posts"][0]["rolls"]] == [
+        (1, 6, 4)
+    ]

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pbpstate.dice import (
+    MAX_DIGITS,
     extract_rolls,
     format_dice_expr,
     parse_dice_expr,
@@ -77,6 +78,20 @@ def test_extract_no_dice():
 def test_extract_tracks_paragraph_index():
     rolls = extract_rolls(["(1d20+6)[20]", "(1d6)[4]"])
     assert [r.paragraph_index for r in rolls] == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(1{0}d6)[3]", "(1d2{0})[3]", "(1d6+1{0})[3]", "(1d6-1{0})[3]", "(1d6)[-1{0}]"],
+)
+def test_a_number_over_max_digits_is_an_impossible_die(text):
+    assert parse_dice_expr(text.format("0" * (MAX_DIGITS - 1))).count >= 1
+    too_long = text.format("0" * MAX_DIGITS)
+    with pytest.raises(ValueError, match="impossible die"):
+        parse_dice_expr(too_long)
+    assert extract_rolls([too_long + " (1d6)[4]"]) == [
+        DiceRoll(count=1, faces=6, modifier=0, result=4, char_offset=len(too_long) + 1)
+    ]
 
 
 def test_extract_skips_impossible_dice():

@@ -18,6 +18,7 @@ SPARSE = ("--seed", "43", "--campaigns", "8", "--turns", "50", "--signal-rate", 
 ANNOTATE_SHA256 = {
     "dense": "2923402070c8bb898092d2af67f702617e0aad71747fa77fd8bf4defb12deb7c",
 }
+DENSE_MODEL_SHA256 = "88acecd984f96b3a63903c268bcc5c9d2e4304c93494bca172bf3ae039ad09b6"
 SPARSE_MODEL_SHA256 = "0d34cf53ebfa8400b818f3db9566436adbaabf852d738425b6d65718bd90987e"
 SPARSE_ANNOTATE_SHA256 = "d87b6b266a59c2da96d38c26608ab7cc28ee628d6ebe140671f41220992a6807"
 SERIALIZE_SHA256 = {
@@ -37,8 +38,13 @@ def synth(tmp_path, name, args):
 
 
 @pytest.fixture(scope="module")
-def dense_corpus(tmp_path_factory):
-    return synth(tmp_path_factory.mktemp("dense"), "dense", DENSE)[0]
+def dense_files(tmp_path_factory):
+    return synth(tmp_path_factory.mktemp("dense"), "dense", DENSE)
+
+
+@pytest.fixture(scope="module")
+def dense_corpus(dense_files):
+    return dense_files[0]
 
 
 @pytest.mark.parametrize("case, flags", [("dense", [])])
@@ -57,6 +63,15 @@ def test_dense_serialize_bytes(dense_corpus, tmp_path, variant, window):
          "--variant", variant, "--window", window]
     ) == 0
     assert sha256(out) == SERIALIZE_SHA256[variant, window]
+
+
+def test_dense_train_icooc_model_bytes(dense_files, tmp_path):
+    corpus, gold = dense_files
+    model = tmp_path / "icooc.model"
+    assert main(
+        ["train-icooc", "--corpus", str(corpus), "--gold", str(gold), "--out", str(model)]
+    ) == 0
+    assert sha256(model) == DENSE_MODEL_SHA256
 
 
 def test_sparse_annotate_with_icooc_model_bytes(tmp_path):

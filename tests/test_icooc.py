@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -21,7 +22,6 @@ from pbpstate.icooc import (
     LabeledParagraph,
     featurize,
     fit_from_counts,
-    fit_from_features,
     label_turn,
     load_model,
     predict,
@@ -312,12 +312,23 @@ def fit_cases(seed):
     ]
 
 
+def fold(featurized, labels):
+    """``fit_from_counts``'s counts of (features, label) documents, folded
+    in one at a time, in the given order, as a streaming caller counts."""
+    pair_counts = {label: Counter() for label in labels}
+    doc_counts = Counter()
+    for features, label in featurized:
+        pair_counts[label].update(features.items())
+        doc_counts[label] += 1
+    return pair_counts, doc_counts
+
+
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("smoothing", [0.5, 1.0])
 def test_count_table_fit_equals_reference_loop(seed, smoothing, tmp_path):
     for labels, constrain, featurized in fit_cases(seed):
-        model = fit_from_features(
-            featurized, labels=labels, smoothing=smoothing, constrain_dice=constrain,
+        model = fit_from_counts(
+            *fold(featurized, labels), labels, smoothing, constrain_dice=constrain
         )
         priors, weights = reference_fit(featurized, labels, smoothing, constrain)
         assert model.priors == priors
@@ -334,18 +345,14 @@ def test_count_table_fit_equals_reference_loop(seed, smoothing, tmp_path):
 @pytest.mark.parametrize("smoothing", [0.5, 1.0])
 def test_fit_from_counts_equals_fit_from_features(seed, smoothing, tmp_path):
     for labels, constrain, featurized in fit_cases(seed):
-        # Documents folded in one at a time, in reverse order, as a
-        # streaming caller would count them.
-        pair_counts = {label: Counter() for label in labels}
-        doc_counts = Counter()
-        for features, label in reversed(featurized):
-            pair_counts[label].update(features.items())
-            doc_counts[label] += 1
+        # Documents folded in reverse order, as a streaming caller might
+        # count them, fit the same model as the features in their order.
         counted = fit_from_counts(
-            pair_counts, doc_counts, labels, smoothing, constrain_dice=constrain
+            *fold(reversed(featurized), labels), labels, smoothing,
+            constrain_dice=constrain,
         )
-        model = fit_from_features(
-            featurized, labels=labels, smoothing=smoothing, constrain_dice=constrain,
+        model = fit_from_counts(
+            *fold(featurized, labels), labels, smoothing, constrain_dice=constrain
         )
         assert counted == model
         save_model(counted, tmp_path / "counted.model")
@@ -353,6 +360,39 @@ def test_fit_from_counts_equals_fit_from_features(seed, smoothing, tmp_path):
         assert (tmp_path / "counted.model").read_bytes() == (
             tmp_path / "fit.model"
         ).read_bytes()
+
+
+def test_train_does_not_depend_on_paragraph_order():
+    shuffled = TRAIN_SET * 3
+    random.Random(7).shuffle(shuffled)
+    assert train(iter(shuffled)) == train(TRAIN_SET * 3)
+
+
+def _peak_bytes_of_train(paragraphs):
+    tracemalloc.start()
+    try:
+        train(paragraphs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_train_memory_stays_flat_as_the_data_grows():
+    # train folds each paragraph into counts and drops it, so eight times
+    # the same paragraphs, streamed from a generator, need no more memory:
+    # the count tables have the same keys. (A vocabulary this large keeps
+    # most counts within CPython's cached small ints at both sizes.) A
+    # table of every paragraph's features would grow about eightfold.
+    rng = random.Random(5)
+    vocabulary = [f"word{i}" for i in range(3000)] + ["(1d20+4)[17]", "you", "12"]
+    paragraphs = [
+        LabeledParagraph(" ".join(rng.choices(vocabulary, k=30)), rng.choice((IC, OOC)))
+        for _ in range(1000)
+    ]
+    train(paragraphs[:10])  # the first call's one-off allocations
+    once = _peak_bytes_of_train(iter(paragraphs))
+    eightfold = _peak_bytes_of_train(p for _ in range(8) for p in paragraphs)
+    assert eightfold <= once * 1.1
 
 
 def test_fit_from_counts_needs_every_label():
