@@ -6,80 +6,39 @@ first occurrence so results are stable under appending new posts. Name
 candidates come from a capitalization heuristic rather than a neural NER
 model, which keeps the pipeline dependency-free and deterministic.
 
-Each post is read once: ``post_facts`` tokenizes it a single time, looks
-its terms up with one ``Gazetteers.find`` per paragraph, and records every
-cue the heuristics use. Profiles aggregate those facts per player,
-coverage accounting asks whether any cue fired, and combat reads the
-paragraphs' term hits that the facts keep.
+Each post is read once: ``post_facts`` splits its text once into words
+and the gaps between them (a word starts a sentence when it is the first
+or its gap holds one of ``.!?`` or a newline), looks its terms up with
+one ``Gazetteers.find`` per paragraph, and records every cue the
+heuristics use. Profiles aggregate the facts per player, coverage
+accounting asks whether any cue fired, and combat reads the paragraphs'
+term hits that the facts keep.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from collections import Counter
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from .gazetteers import Gazetteers, Hits, pronoun_section
 from .models import DUNGEON_MASTER, Campaign, CharacterProfile
 
-# A word token, or (unnamed) a sentence-break character between words.
-_TOKEN_RE = re.compile(r"([A-Za-zÀ-ɏ]+(?:['’-][A-Za-zÀ-ɏ]+)*)|[.!?\n]")
+# A word: letters joined by apostrophes or hyphens. Its one group makes
+# ``split`` alternate gaps and words: gap 0, word 0, gap 1, word 1, ...
+_WORD_RE = re.compile(r"([A-Za-zÀ-ɏ]+(?:['’-][A-Za-zÀ-ɏ]+)*)")
+# A gap holding one of these starts a sentence at the word after it.
+_SENTENCE_BREAKS = frozenset(".!?\n")
 
 _MAX_SPELL_TOKENS = 4
-
-# (surface, start, end, sentence_initial)
-Token = tuple[str, int, int, bool]
-
-
-@dataclass
-class MentionCounts:
-    """Tallies per candidate plus the order each was first seen.
-
-    ``best()`` returns the most frequent key; ties go to the earliest first
-    occurrence (post index, then in-post order).
-    """
-
-    counts: dict[str, int] = field(default_factory=dict)
-    first_seen: dict[str, tuple[int, int]] = field(default_factory=dict)
-    _order: int = 0
-
-    def add(self, key: str, post_index: int) -> None:
-        self.counts[key] = self.counts.get(key, 0) + 1
-        self.first_seen.setdefault(key, (post_index, self._order))
-        self._order += 1
-
-    def best(self) -> str | None:
-        if not self.counts:
-            return None
-        return min(
-            self.counts, key=lambda k: (-self.counts[k], self.first_seen[k])
-        )
 
 
 def identify_dm(campaign: Campaign) -> str:
     """The DM is the author of the campaign's first post."""
     return campaign.posts[0].author_id
-
-
-def _tokenize(text: str) -> list[Token]:
-    """Word tokens in order; one scan finds words and sentence breaks.
-
-    A token is sentence-initial when it is the first word of the text or
-    a break character (``.!?`` or a newline) lies between it and the
-    previous word.
-    """
-    tokens = []
-    at_sentence_start = True
-    for m in _TOKEN_RE.finditer(text):
-        surface = m[1]
-        if surface is None:
-            at_sentence_start = True
-            continue
-        tokens.append((surface, m.start(), m.end(), at_sentence_start))
-        at_sentence_start = False
-    return tokens
 
 
 def _is_capitalized(surface: str) -> bool:
@@ -98,36 +57,34 @@ def _strip_possessive(surface: str) -> str:
 
 
 def extract_proper_names(
-    text: str, gazetteers: Gazetteers, tokens: Sequence[Token] | None = None
+    words: Sequence[str], gaps: Sequence[str], gazetteers: Gazetteers
 ) -> list[str]:
-    """Candidate person names, one entry per occurrence, in order.
+    """Candidate person names in one post, one entry per occurrence, in order.
 
-    A capitalized token qualifies unless it is a stopword or a gazetteer
-    term. A token type capitalized only at sentence starts is kept only
-    when the same word never occurs lowercased in the text, since a
-    lowercase occurrence marks the capitalization as purely positional.
-    Adjacent qualifying tokens merge into a two-token name. ``tokens``
-    are the text's tokens when the caller already has them.
+    ``words`` and ``gaps`` are the post's split (see ``post_facts``); a
+    word is sentence-initial when it is the first or its gap holds one of
+    ``.!?`` or a newline. A capitalized word qualifies unless it is a
+    stopword or a gazetteer term. A word type capitalized only at sentence
+    starts is kept only when it never occurs lowercased in the post, since
+    a lowercase occurrence marks the capitalization as purely positional.
+    Adjacent qualifying words merge into a two-word name when the gap
+    between them is whitespace without a newline.
     """
-    if tokens is None:
-        tokens = _tokenize(text)
     blocklist = gazetteers.name_blocklist
 
     lowercase_types: set[str] = set()
     capitalized_mid_sentence: set[str] = set()
-    # Per token: (possessive-stripped surface, its lowercase) if capitalized.
-    capitalized: list[tuple[str, str] | None] = []
-    for surface, _, _, initial in tokens:
+    # Per word: (possessive-stripped surface, its lowercase) if capitalized.
+    capitalized: list[tuple[str, str] | None] = [None] * len(words)
+    for k, surface in enumerate(words):
         if surface.islower():
             lowercase_types.add(surface.lower())
         if _is_capitalized(surface):
             stripped = _strip_possessive(surface)
             lowered = stripped.lower()
-            if not initial:
+            if k and _SENTENCE_BREAKS.isdisjoint(gaps[k]):
                 capitalized_mid_sentence.add(lowered)
-            capitalized.append((stripped, lowered))
-        else:
-            capitalized.append(None)
+            capitalized[k] = (stripped, lowered)
 
     qualified = [
         c[0]
@@ -139,20 +96,16 @@ def extract_proper_names(
     ]
 
     names: list[str] = []
-    i = 0
-    while i < len(tokens):
-        candidate = qualified[i]
+    joinable = False  # the previous word began a one-word name
+    for candidate, gap in zip(qualified, gaps):
         if candidate is None:
-            i += 1
-            continue
-        if i + 1 < len(tokens) and qualified[i + 1] is not None:
-            between = text[tokens[i][2] : tokens[i + 1][1]]
-            if between.strip() == "" and "\n" not in between:
-                names.append(f"{candidate} {qualified[i + 1]}")
-                i += 2
-                continue
-        names.append(candidate)
-        i += 1
+            joinable = False
+        elif joinable and gap.isspace() and "\n" not in gap:
+            names[-1] += " " + candidate
+            joinable = False
+        else:
+            names.append(candidate)
+            joinable = True
     return names
 
 
@@ -190,19 +143,17 @@ class PostFacts:
 
 
 def _possessions(
-    text: str, tokens: Sequence[Token], gazetteers: Gazetteers
+    words: Sequence[str], gaps: Sequence[str], gazetteers: Gazetteers
 ) -> list[tuple[str, str]]:
     """The ``items`` pairs described on ``PostFacts``."""
     possessives = gazetteers.all_possessives
     item_words = gazetteers.item_words
     items: list[tuple[str, str]] = []
-    for (surface, _, end, _), (nxt_surface, nxt_start, _, _) in zip(
-        tokens, islice(tokens, 1, None)
-    ):
+    for surface, gap, nxt in zip(words, gaps[1:], words[1:]):
         possessive = surface.lower()
-        if possessive not in possessives or text[end:nxt_start].strip():
+        if possessive not in possessives or gap.strip():
             continue
-        word = nxt_surface.lower()
+        word = nxt.lower()
         if word in item_words:
             items.append((possessive, word))
     return items
@@ -210,37 +161,38 @@ def _possessions(
 
 def _cast_phrases(
     text: str,
-    tokens: Sequence[Token],
+    words: Sequence[str],
+    gaps: Sequence[str],
     verbs: Sequence[tuple[int, int]],
-    stopwords: frozenset[str],
+    gazetteers: Gazetteers,
 ) -> list[str]:
     """Spell names following each cast verb in one post, title-cased.
 
     ``verbs`` are each verb's end and its paragraph's end in ``text``.
-    Capture runs over at most four word tokens and stops at a stopword,
+    Capture runs over at most four words and stops at a stopword,
     punctuation or a paragraph end, so "cast sacred flame at ..." yields
     "Sacred Flame". Paragraph ends come from the paragraphs themselves, so
-    a newline inside a paragraph is whitespace, not a break.
+    a newline inside a paragraph is whitespace, not a break. Only spells
+    need word offsets: a verb can end inside a word ("cast-iron").
     """
     if not verbs:
         return []
-    starts = [t[1] for t in tokens]
+    ends = list(accumulate(len(gap) + len(word) for gap, word in zip(gaps, words)))
+    starts = [end - len(word) for end, word in zip(ends, words)]
     phrases: list[str] = []
     for verb_end, paragraph_end in verbs:
         phrase: list[str] = []
         previous_end = verb_end
-        for surface, start, end, _ in islice(
-            tokens, bisect_left(starts, verb_end), None
-        ):
+        for k in range(bisect_left(starts, verb_end), len(words)):
             if (
-                start >= paragraph_end
-                or text[previous_end:start].strip()
+                starts[k] >= paragraph_end
+                or text[previous_end : starts[k]].strip()
                 or len(phrase) >= _MAX_SPELL_TOKENS
-                or surface.lower() in stopwords
+                or words[k].lower() in gazetteers.stopwords
             ):
                 break
-            phrase.append(surface)
-            previous_end = end
+            phrase.append(words[k])
+            previous_end = ends[k]
         if phrase:
             phrases.append(" ".join(w.capitalize() for w in phrase))
     return phrases
@@ -250,9 +202,16 @@ def post_facts(
     paragraphs: Sequence[str], gazetteers: Gazetteers, index: int = 0
 ) -> PostFacts:
     """Read one post's paragraphs once; ``index`` is the post's index.
-    A paragraph's term hit lies in the post's text at the paragraph's offset."""
+
+    ``_WORD_RE.split`` of the newline-joined text gives ``words`` and
+    ``gaps``: ``gaps[k]`` comes before ``words[k]`` and starts a sentence
+    when it holds one of ``.!?`` or a newline. Names, possessions and
+    spells read that split. A paragraph's term hit lies in the post's text
+    at the paragraph's offset.
+    """
     text = "\n".join(paragraphs)
-    tokens = _tokenize(text)
+    parts = _WORD_RE.split(text)
+    words, gaps = parts[1::2], parts[0::2]
     hits = tuple(gazetteers.find(p) for p in paragraphs)
     offsets = [0, *accumulate(len(p) + 1 for p in paragraphs)]
 
@@ -275,12 +234,12 @@ def post_facts(
     ]
     return PostFacts(
         index=index,
-        names=tuple(extract_proper_names(text, gazetteers, tokens)),
+        names=tuple(extract_proper_names(words, gaps, gazetteers)),
         classes=tuple(term for term, _ in in_text("classes")),
         races=tuple(in_text("races")),
         pronouns=tuple(label for _, label in pronoun_hits),
-        items=tuple(_possessions(text, tokens, gazetteers)),
-        spells=tuple(_cast_phrases(text, tokens, verbs, gazetteers.stopwords)),
+        items=tuple(_possessions(words, gaps, gazetteers)),
+        spells=tuple(_cast_phrases(text, words, gaps, verbs, gazetteers)),
         hits=hits,
     )
 
@@ -288,12 +247,10 @@ def post_facts(
 def _most_mentioned(
     facts: Iterable[PostFacts], keys: Callable[[PostFacts], Iterable[str]]
 ) -> str | None:
-    """The most mentioned key; ties go to the earliest first occurrence."""
-    tally = MentionCounts()
-    for f in facts:
-        for key in keys(f):
-            tally.add(key, f.index)
-    return tally.best()
+    """The most mentioned key; ties go to the earliest first occurrence,
+    which is the ``Counter``'s own order because facts come in post order."""
+    tally = Counter(key for f in facts for key in keys(f))
+    return max(tally, key=tally.__getitem__, default=None)
 
 
 def _race(facts: Sequence[PostFacts]) -> str | None:

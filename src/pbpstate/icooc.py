@@ -92,9 +92,7 @@ def featurize(paragraph: str) -> dict[str, int]:
     """Lowercased unigram counts plus the three indicator features."""
     if not paragraph.strip():
         raise EmptyInputError("paragraph is empty")
-    features: dict[str, int] = {}
-    for token in _TOKEN_RE.findall(paragraph.lower()):
-        features[token] = features.get(token, 0) + 1
+    features = Counter(_TOKEN_RE.findall(paragraph.lower()))
     if contains_dice_expr(paragraph):
         features[DICE_FEATURE] = 1
     if not _SECOND_PERSON.isdisjoint(features):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
 
@@ -74,7 +75,9 @@ def read_jsonl(
     Blank lines are skipped. A line that is not valid JSON or not an
     object, or whose ``decode`` raises FormatError, ValueError, KeyError
     or TypeError, raises one FormatError reading ``line N: PATH: problem``.
-    This is the one place that says where in a file a bad record is.
+    This is the one place that says where in a file a bad record is. An
+    integer literal too long for Python to convert is named by its path
+    in the record, as ``posts[0]: rolls[0]: modifier: ...``.
     Given ``campaign_id``, which names a decoded record's campaign, a
     campaign seen on an earlier line is such a problem.
     """
@@ -96,12 +99,48 @@ def read_jsonl(
             except (FormatError, ValueError, KeyError, TypeError) as exc:
                 if isinstance(exc, json.JSONDecodeError):
                     problem = f"invalid JSON ({exc.msg})"
+                elif type(exc) is ValueError and (too_long := _long_integer(raw)):
+                    problem = too_long
                 elif isinstance(exc, KeyError):
                     problem = f"record has no {exc} field"
                 else:
                     problem = str(exc)
                 raise FormatError(f"{path}: {problem}", line=lineno) from exc
             yield value
+
+
+class _IntegerText(str):
+    """An integer literal's digits, as ``json.loads`` read them."""
+
+
+def _leaves(value: Any, path: str) -> Iterator[tuple[str, Any]]:
+    """Each scalar in decoded JSON with its path, ``posts[0]: rolls[0]: count``."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}: {key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def _long_integer(raw: str) -> str | None:
+    """The first integer literal in the JSON line ``raw`` with more digits
+    than Python converts (``sys.get_int_max_str_digits``), named by its
+    path, or None. ``read_jsonl`` reads the line again only for this."""
+    # 0 where there is no limit, as before Python 3.11.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    try:
+        record = json.loads(raw, parse_int=_IntegerText)
+    except ValueError:
+        return None
+    for path, value in _leaves(record, ""):
+        digits = len(value.lstrip("-")) if isinstance(value, _IntegerText) else 0
+        if digits > limit > 0:
+            where = f"{path}: " if path else ""
+            return f"{where}integer of {digits} digits, more than the {limit} allowed"
+    return None
 
 
 def load_campaigns(path: str | Path) -> Iterator[Campaign]:

@@ -1,14 +1,9 @@
 """The frequency heuristics, pinned by hand-counted oracle values."""
 
+import pytest
+
 from pbpstate import characters
-from pbpstate.characters import (
-    MentionCounts,
-    build_profiles,
-    extract_proper_names,
-    identify_dm,
-    post_facts,
-    text_signals,
-)
+from pbpstate.characters import build_profiles, identify_dm, post_facts, text_signals
 from pbpstate.gazetteers import Gazetteers
 from pbpstate.models import DUNGEON_MASTER
 from pbpstate.pipeline import annotate_campaign
@@ -25,47 +20,71 @@ def profile_for(gaz, *texts):
     return build_profiles(campaign, gaz)["p1"]
 
 
-class TestMentionCounts:
+def most_mentioned(*posts):
+    """``_most_mentioned`` over posts given as their lists of keys."""
+    return characters._most_mentioned(posts, lambda keys: keys)
+
+
+class TestMostMentioned:
     def test_highest_count_wins(self):
-        tally = MentionCounts()
-        for key, post in [("a", 0), ("b", 0), ("b", 1)]:
-            tally.add(key, post)
-        assert tally.best() == "b"
+        assert most_mentioned(["a", "b"], ["b"]) == "b"
 
     def test_tie_breaks_to_earliest_first_occurrence(self):
-        tally = MentionCounts()
-        for key, post in [("late", 1), ("early", 1), ("late", 2), ("early", 3)]:
-            tally.add(key, post)
-        # Counts tie 2-2; "late" was seen first within post 1.
-        assert tally.best() == "late"
+        # Counts tie 2-2; "late" was seen first within the first post.
+        assert most_mentioned(["late", "early"], ["late"], ["early"]) == "late"
 
     def test_empty_tally(self):
-        assert MentionCounts().best() is None
+        assert most_mentioned() is None
+        assert most_mentioned([], []) is None
+
+
+def names_in(text, gaz):
+    """The name candidates of a one-paragraph post."""
+    return post_facts([text], gaz).names
 
 
 class TestProperNames:
     def test_single_name_mid_fixture(self, gaz):
-        assert extract_proper_names("Magnus spots two dead horses", gaz) == ["Magnus"]
+        assert names_in("Magnus spots two dead horses", gaz) == ("Magnus",)
 
     def test_sentence_initial_stopword_only(self, gaz):
-        assert extract_proper_names("The wagon stops.", gaz) == []
+        assert names_in("The wagon stops.", gaz) == ()
 
     def test_repeated_sentence_initial_name(self, gaz):
         text = "Merle steps away. Merle draws his sword."
-        assert extract_proper_names(text, gaz) == ["Merle", "Merle"]
+        assert names_in(text, gaz) == ("Merle", "Merle")
 
     def test_lowercase_elsewhere_disqualifies_positional_capitals(self, gaz):
         text = "Stones litter the path. We walk over loose stones."
-        assert extract_proper_names(text, gaz) == []
+        assert names_in(text, gaz) == ()
 
     def test_gazetteer_terms_are_not_names(self, gaz):
-        assert extract_proper_names("A Fighter and a Goblin met Kessa", gaz) == [
-            "Kessa"
-        ]
+        assert names_in("A Fighter and a Goblin met Kessa", gaz) == ("Kessa",)
 
     def test_adjacent_capitals_merge_into_bigram(self, gaz):
         text = "A dwarf named Gundren Rockseeker has hired you"
-        assert extract_proper_names(text, gaz) == ["Gundren Rockseeker"]
+        assert names_in(text, gaz) == ("Gundren Rockseeker",)
+
+    @pytest.mark.parametrize(
+        "text, names",
+        [
+            # A break among other punctuation still starts a sentence ...
+            ("“Stop!” Merle said", ("Stop", "Merle")),
+            ("“Halt!” Stones fall. We dodge the stones.", ("Halt",)),
+            # ... and a gap without one does not.
+            ("“Halt,” Stones fall. We dodge the stones.", ("Halt", "Stones")),
+            ("Kessa’s axe gleams", ("Kessa",)),
+            ("the half-Orc waves", ()),
+            ("Merle- and Kessa wave", ("Merle", "Kessa")),
+            ("Merle- Kessa waves", ("Merle", "Kessa")),
+            ("named Gundren\nRockseeker here", ("Gundren", "Rockseeker")),
+        ],
+        ids=["break-in-quote", "break-in-quote-positional", "comma-in-quote",
+             "curly-possessive", "hyphen-joined", "hyphen-then-word",
+             "hyphen-gap-no-bigram", "newline-no-bigram"],
+    )
+    def test_gaps_of_the_word_split(self, gaz, text, names):
+        assert names_in(text, gaz) == names
 
 
 class TestInferName:
@@ -163,6 +182,21 @@ class TestInventory:
         assert profile.pronouns is None
         assert profile.inventory == {"axe"}
 
+    @pytest.mark.parametrize(
+        "text, inventory",
+        [
+            ("I grab my\naxe", {"axe"}),
+            ("I grab my half-axe", set()),
+            ("I grab my axe-head", set()),
+            ("I grab my- axe", set()),
+            ("I grab Kessa’s axe", set()),
+        ],
+        ids=["newline-gap", "hyphen-joined-item", "hyphen-joined-item-first",
+             "hyphen-gap", "curly-possessive-name"],
+    )
+    def test_gaps_of_the_word_split(self, gaz, text, inventory):
+        assert profile_for(gaz, text).inventory == inventory
+
     def test_own_pronoun_possessive(self, gaz):
         profile = profile_for(gaz, "her sword")
         assert profile.pronouns == "she/her"
@@ -191,6 +225,22 @@ class TestSpells:
             gaz, "casting glowing emerald spectral guardian weapon now"
         )
         assert profile.spells == {"Glowing Emerald Spectral Guardian"}
+
+    @pytest.mark.parametrize(
+        "text, spells",
+        [
+            # The verb ends inside a word; what follows is not a spell.
+            ("I swing my cast-iron pan", set()),
+            ("I cast-iron skillet", set()),
+            ("I cast half-light on Merle", {"Half-light"}),
+            ("I cast half- light now", {"Half"}),
+            ("I cast Kessa’s ward now", {"Kessa’s Ward"}),
+        ],
+        ids=["verb-inside-word", "verb-inside-word-then-word", "hyphen-joined",
+             "hyphen-gap", "curly-possessive"],
+    )
+    def test_gaps_of_the_word_split(self, gaz, text, spells):
+        assert profile_for(gaz, text).spells == spells
 
 
 class TestBuildProfiles:
@@ -296,22 +346,23 @@ class TestReadEachPostOnce:
     def test_annotating_a_campaign_tokenizes_each_post_once(
         self, sample_game, gaz, monkeypatch
     ):
-        calls = {"tokenize": 0, "names": 0}
-        tokenize, names = characters._tokenize, characters.extract_proper_names
+        calls = {"split": 0, "names": 0}
+        word_re, names = characters._WORD_RE, characters.extract_proper_names
 
-        def counting_tokenize(text):
-            calls["tokenize"] += 1
-            return tokenize(text)
+        class CountingWordRe:
+            def split(self, text):
+                calls["split"] += 1
+                return word_re.split(text)
 
         def counting_names(*args, **kwargs):
             calls["names"] += 1
             return names(*args, **kwargs)
 
-        monkeypatch.setattr(characters, "_tokenize", counting_tokenize)
+        monkeypatch.setattr(characters, "_WORD_RE", CountingWordRe())
         monkeypatch.setattr(characters, "extract_proper_names", counting_names)
         annotate_campaign(sample_game, gaz)
         posts = len(sample_game.posts)
-        assert calls == {"tokenize": posts, "names": posts}
+        assert calls == {"split": posts, "names": posts}
 
     def test_annotating_a_campaign_scans_each_paragraph_once(self, gaz, monkeypatch):
         config = SynthConfig(seed=7, num_campaigns=1, players_per_campaign=4,

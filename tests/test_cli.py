@@ -988,6 +988,33 @@ def test_a_bad_jsonl_line_names_its_file_and_line(
     )
 
 
+@pytest.mark.parametrize("command", ["serialize", "eval-gst"])
+def test_a_too_long_integer_names_its_path(command_inputs, tmp_path, capsys, command):
+    """An integer literal past Python's digit limit is named by its path in
+    the record, not by Python's own advice."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts integers of any length")
+    _, paths = command_inputs
+    with open(paths["annotated"], encoding="utf-8") as handle:
+        record = json.loads(handle.readline())
+    index = next(i for i, post in enumerate(record["posts"]) if post["rolls"])
+    record["posts"][index]["rolls"][0]["modifier"] = "BIG"
+    digits = limit + 700
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(record).replace('"BIG"', "1" * digits) + "\n",
+                   encoding="utf-8")
+    argv = [arg.format(**{**paths, "annotated": str(bad), "out": str(tmp_path / "out")})
+            for arg in _ARGV[command]]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"pbpstate: error: line 1: {bad}: posts[{index}]: rolls[0]: modifier:"
+        f" integer of {digits} digits, more than the {limit} allowed\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "command, flag",
     [
