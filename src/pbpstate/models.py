@@ -369,6 +369,28 @@ class TurnState:
         object.__setattr__(self, "inventory", frozenset(self.inventory))
         object.__setattr__(self, "actions", tuple(self.actions))
 
+    @classmethod
+    def of(
+        cls,
+        profile: CharacterProfile,
+        *,
+        in_combat: bool,
+        in_character: bool,
+        actions: Iterable[Action],
+    ) -> "TurnState":
+        """A turn's state: its character fields are its author's profile."""
+        return cls(
+            player_id=profile.player_id,
+            character_name=profile.name,
+            character_class=profile.character_class,
+            race=profile.race,
+            pronouns=profile.pronouns,
+            inventory=profile.inventory,
+            in_combat=in_combat,
+            in_character=in_character,
+            actions=tuple(actions),
+        )
+
     def consistent_with(self, profile: CharacterProfile) -> bool:
         """True when every character field present on both sides agrees."""
         pairs = (

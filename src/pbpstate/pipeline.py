@@ -2,10 +2,12 @@
 
 Couples the per-player property heuristics, the combat state machine, roll
 classification, and IC/OOC labeling into one annotated record per campaign.
-The turn states are its one per-turn record: the slot view the evaluation
-tools read is written from them. The record format itself, which the
-downstream commands read without loading any of this, is in
-``pbpstate.records``.
+The record's posts are the transcript's own; the turn states are its one
+per-turn record, holding each turn's actions and their rolls, and the slot
+view the evaluation tools read is written from them. A turn state's
+character fields are its author's profile (``TurnState.of``). The record
+format itself, which the downstream commands read without loading any of
+this, is in ``pbpstate.records``.
 
 A turn's slot view is its state's own: a character slot holds a value on
 every turn whose author earned a profile value, ``in_combat`` comes from
@@ -78,24 +80,18 @@ def annotate_campaign(
     states: list[TurnState] = []
     covered_posts = 0
     for post, facts_of_post, actions in zip(campaign.posts, facts, actions_per_post):
-        profile = profiles[post.author_id]
-        in_combat = any(s.contains(post.index) for s in spans)
         if icooc_model is None:
             turn_label = rule_based_turn_label(post)
         else:
             _, turn_label = label_turn(icooc_model, post)
-        state = TurnState(
-            player_id=post.author_id,
-            character_name=profile.name,
-            character_class=profile.character_class,
-            race=profile.race,
-            pronouns=profile.pronouns,
-            inventory=profile.inventory,
-            in_combat=in_combat,
-            in_character=turn_label == IC,
-            actions=tuple(actions),
+        states.append(
+            TurnState.of(
+                profiles[post.author_id],
+                in_combat=any(s.contains(post.index) for s in spans),
+                in_character=turn_label == IC,
+                actions=actions,
+            )
         )
-        states.append(state)
         if post.rolls or facts_of_post.cues():
             covered_posts += 1
 
@@ -142,9 +138,7 @@ def annotate_corpus(
 
 
 def annotated_to_record(annotated: AnnotatedCampaign) -> dict[str, Any]:
-    record = annotated.campaign.to_dict(include_rolls=True)
-    for post_dict, state in zip(record["posts"], annotated.turn_states):
-        post_dict["actions"] = [a.to_dict() for a in state.actions]
+    record = annotated.campaign.to_dict()
     record["coverage"] = annotated.coverage
     record["profiles"] = {
         pid: p.to_dict() for pid, p in sorted(annotated.profiles.items())

@@ -59,9 +59,11 @@ def gold_to_record(campaign: Campaign, gold: GoldAnnotations) -> dict[str, Any]:
 def slot_rows_from_record(record: Mapping[str, Any]) -> list[dict[str, str | None]]:
     """Decode the per-turn slot values of an annotated or gold record.
 
-    ``turn_slots`` must be a list of objects whose cells are objects with a
-    string or null ``value``; anything else raises ValueError naming the
-    turn and the slot, as ``turn_slots[i].slot``.
+    ``turn_slots`` must be a list of objects whose cells, each keyed by a
+    name in ``SLOT_KEYS``, are objects with a string or null ``value``;
+    anything else raises ValueError naming the turn and the slot, as
+    ``turn_slots[i].slot``. A slot without a cell is left out of its row,
+    which the evaluator reads as null.
     """
     rows = []
     for index, slots in enumerate(_typed(record, "turn_slots", list)):
@@ -69,6 +71,8 @@ def slot_rows_from_record(record: Mapping[str, Any]) -> list[dict[str, str | Non
         key = None
         try:
             for key, cell in _is(slots, dict).items():
+                if key not in SLOT_KEYS:
+                    raise ValueError(f"not a slot; choose from {', '.join(SLOT_KEYS)}")
                 row[key] = _typed(_is(cell, dict), "value", _OPTIONAL_STR)
         except ValueError as exc:
             where = f"turn_slots[{index}]" + ("" if key is None else f".{key}")

@@ -401,15 +401,6 @@ def _generate_campaign(
             draft.in_combat = True
             _attack_paragraphs(rng, draft)
             combat_left -= 1
-            if combat_left == 0:
-                spans.append(
-                    CombatSpan(
-                        start_index=span_start,
-                        end_index=index,
-                        monsters=tuple(combat_monsters),
-                    )
-                )
-                cooldown = config.gap_turns
         elif eligible and index > 0 and rng.random() < config.combat_density:
             draft.in_combat = True
             span_start = index
@@ -422,15 +413,6 @@ def _generate_campaign(
             ]
             _initiative_paragraphs(rng, draft, combat_monsters)
             combat_left = episode_length - 1
-            if combat_left == 0:
-                spans.append(
-                    CombatSpan(
-                        start_index=span_start,
-                        end_index=index,
-                        monsters=tuple(combat_monsters),
-                    )
-                )
-                cooldown = config.gap_turns
         else:
             if cooldown > 0:
                 cooldown -= 1
@@ -458,6 +440,16 @@ def _generate_campaign(
                 # or it would extend the preceding combat span.
                 if eligible and rng.random() < config.loose_check_rate:
                     _stray_check_paragraphs(rng, draft)
+
+        if draft.in_combat and combat_left == 0:
+            spans.append(
+                CombatSpan(
+                    start_index=span_start,
+                    end_index=index,
+                    monsters=tuple(combat_monsters),
+                )
+            )
+            cooldown = config.gap_turns
 
         post, actions = _finish_post(draft, campaign_id, author, index)
         posts.append(post)
@@ -487,33 +479,15 @@ def _generate_campaign(
 
     states: list[TurnState] = []
     for post, draft, actions in zip(posts, drafts, actions_per_post):
-        identity = identities.get(post.author_id)
         ic_count = sum(1 for lab in draft.labels if lab == IC)
-        in_character = ic_count >= len(draft.labels) - ic_count
-        if identity is None:
-            states.append(
-                TurnState(
-                    player_id=post.author_id,
-                    character_class=DUNGEON_MASTER,
-                    in_combat=draft.in_combat,
-                    in_character=in_character,
-                    actions=actions,
-                )
+        states.append(
+            TurnState.of(
+                profiles[post.author_id],
+                in_combat=draft.in_combat,
+                in_character=ic_count >= len(draft.labels) - ic_count,
+                actions=actions,
             )
-        else:
-            states.append(
-                TurnState(
-                    player_id=post.author_id,
-                    character_name=identity.name,
-                    character_class=identity.character_class,
-                    race=identity.race,
-                    pronouns=identity.pronouns,
-                    inventory=frozenset(mentioned_items[post.author_id]),
-                    in_combat=draft.in_combat,
-                    in_character=in_character,
-                    actions=actions,
-                )
-            )
+        )
 
     campaign = Campaign(campaign_id=campaign_id, posts=tuple(posts))
     gold = GoldAnnotations(

@@ -6,8 +6,9 @@ The canonical transcript format holds one campaign per line:
                                       "paragraphs": ["..."]}]}
 
 Dice rolls are recovered from inline notation on load rather than stored;
-the annotated output format adds a ``rolls`` array per post. Streaming
-keeps memory flat on large corpora.
+only ``ingest`` writes a ``rolls`` array per post. An annotated record's
+posts are transcript posts, so its rolls are recovered the same way.
+Streaming keeps memory flat on large corpora.
 
 A transcript record is decoded by ``campaign_from_record``. Every JSONL
 input of the package, not only transcripts, is read through
@@ -77,7 +78,7 @@ def read_jsonl(
     or TypeError, raises one FormatError reading ``line N: PATH: problem``.
     This is the one place that says where in a file a bad record is. An
     integer literal too long for Python to convert is named by its path
-    in the record, as ``posts[0]: rolls[0]: modifier: ...``.
+    in the record, as ``turn_states[0]: actions[0]: roll: modifier: ...``.
     Given ``campaign_id``, which names a decoded record's campaign, a
     campaign seen on an earlier line is such a problem.
     """

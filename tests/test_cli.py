@@ -361,6 +361,10 @@ def test_serialize_rejects_fewer_states_than_posts(synth_corpus, tmp_path, capsy
             {"race": "elf"},
             "turn_slots[0].race: must be an object, not str",
         ),
+        (
+            {"rase": {"value": "elf", "source": "heuristic"}},
+            "turn_slots[0].rase: not a slot; choose from name, character_class,",
+        ),
         (None, "turn_slots: missing"),
     ],
 )
@@ -998,8 +1002,8 @@ def test_a_too_long_integer_names_its_path(command_inputs, tmp_path, capsys, com
     _, paths = command_inputs
     with open(paths["annotated"], encoding="utf-8") as handle:
         record = json.loads(handle.readline())
-    index = next(i for i, post in enumerate(record["posts"]) if post["rolls"])
-    record["posts"][index]["rolls"][0]["modifier"] = "BIG"
+    index = next(i for i, state in enumerate(record["turn_states"]) if state["actions"])
+    record["turn_states"][index]["actions"][0]["roll"]["modifier"] = "BIG"
     digits = limit + 700
     bad = tmp_path / "bad.jsonl"
     bad.write_text(json.dumps(record).replace('"BIG"', "1" * digits) + "\n",
@@ -1009,7 +1013,8 @@ def test_a_too_long_integer_names_its_path(command_inputs, tmp_path, capsys, com
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        f"pbpstate: error: line 1: {bad}: posts[{index}]: rolls[0]: modifier:"
+        f"pbpstate: error: line 1: {bad}: turn_states[{index}]: actions[0]: roll:"
+        " modifier:"
         f" integer of {digits} digits, more than the {limit} allowed\n"
     )
     assert not (tmp_path / "out").exists()

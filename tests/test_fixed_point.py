@@ -16,11 +16,11 @@ DENSE = ("--seed", "43", "--campaigns", "2", "--turns", "200")
 SPARSE = ("--seed", "43", "--campaigns", "8", "--turns", "50", "--signal-rate", "0.3")
 
 ANNOTATE_SHA256 = {
-    "dense": "2923402070c8bb898092d2af67f702617e0aad71747fa77fd8bf4defb12deb7c",
+    "dense": "53600d85612580963b2a4f65c466a85be06899191b50c620b958afa0454ed762",
 }
 DENSE_MODEL_SHA256 = "88acecd984f96b3a63903c268bcc5c9d2e4304c93494bca172bf3ae039ad09b6"
 SPARSE_MODEL_SHA256 = "0d34cf53ebfa8400b818f3db9566436adbaabf852d738425b6d65718bd90987e"
-SPARSE_ANNOTATE_SHA256 = "d87b6b266a59c2da96d38c26608ab7cc28ee628d6ebe140671f41220992a6807"
+SPARSE_ANNOTATE_SHA256 = "f4f5789e020b7fa21f1b978d9cccfbb3430955cac07132f682eff066d11e912f"
 SERIALIZE_SHA256 = {
     ("all", "7"): "df7bba0ada13d579df6c4571f48e61df0cf90443856ac13247995572844f5536",
     ("curr", "3"): "e5a6974176d8eec3fb025ca0ec0f23a62ba6e3feb2c3707b2c89ea98a89522a4",

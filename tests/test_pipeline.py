@@ -128,15 +128,12 @@ def test_validate_record_rejects_a_bad_record(gaz, synth_pairs, edit):
         validate_record(record)
 
 
-def test_record_posts_carry_rolls_and_actions(gaz, synth_pairs):
+def test_record_posts_are_the_transcript_posts(gaz, synth_pairs):
     campaign, _ = synth_pairs[0]
-    annotated = annotate_campaign(campaign, gaz)
-    record = annotated_to_record(annotated)
-    for post_dict, post, state in zip(
-        record["posts"], campaign.posts, annotated.turn_states
-    ):
-        assert len(post_dict["rolls"]) == len(post.rolls)
-        assert len(post_dict["actions"]) == len(state.actions)
+    record = annotated_to_record(annotate_campaign(campaign, gaz))
+    transcript = campaign.to_dict()
+    assert record["campaign_id"] == transcript["campaign_id"]
+    assert record["posts"] == transcript["posts"]
 
 
 def test_gold_record_slot_rows(synth_pairs):
