@@ -96,7 +96,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     from .records import gold_to_record
-    from .synth import SignalRates, SynthConfig, generate_corpus
+    from .synth import SynthConfig, generate_corpus
     from .transcripts import dump_json_line, write_campaigns, write_lines
 
     synth_config = SynthConfig(
@@ -105,7 +105,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         players_per_campaign=args.players,
         turns_per_campaign=args.turns,
         combat_density=args.combat_density,
-        signal_rates=SignalRates.uniform(args.signal_rate),
+        signal_rate=args.signal_rate,
         ooc_fraction=args.ooc_fraction,
         distractor_rate=args.distractor_rate,
         loose_check_rate=args.loose_check_rate,

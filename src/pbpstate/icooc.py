@@ -92,7 +92,9 @@ def featurize(paragraph: str) -> dict[str, int]:
     """Lowercased unigram counts plus the three indicator features."""
     if not paragraph.strip():
         raise EmptyInputError("paragraph is empty")
-    features = Counter(_TOKEN_RE.findall(paragraph.lower()))
+    features: dict[str, int] = {}
+    for token in _TOKEN_RE.findall(paragraph.lower()):
+        features[token] = features.get(token, 0) + 1
     if contains_dice_expr(paragraph):
         features[DICE_FEATURE] = 1
     if not _SECOND_PERSON.isdisjoint(features):
@@ -133,11 +135,7 @@ class IcOocModel:
         return {label: e / total for label, e in zip(self.labels, exp)}
 
 
-def train(
-    data: Iterable[LabeledParagraph],
-    smoothing: float = 1.0,
-    labels: tuple[str, ...] = (IC, OOC),
-) -> IcOocModel:
+def train(data: Iterable[LabeledParagraph], smoothing: float = 1.0) -> IcOocModel:
     """Fit the multinomial model with additive smoothing.
 
     ``data`` is read once, one paragraph at a time: each paragraph is
@@ -146,20 +144,18 @@ def train(
     vocabulary, not with the data, and ``data`` may be a generator.
     A closed-form estimator over integer sums, so the same paragraphs
     and smoothing give the same model in any order. Raises
-    DegenerateDataError unless every requested label is present.
+    DegenerateDataError unless both IC and OOC are present.
 
     The dice-notation feature is sign-constrained after fitting so that a
     dice match can never push a paragraph toward IC.
     """
-    pair_counts: dict[str, Counter[tuple[str, int]]] = {
-        label: Counter() for label in labels
-    }
+    pair_counts: dict[str, Counter[tuple[str, int]]] = {IC: Counter(), OOC: Counter()}
     doc_counts: Counter[str] = Counter()
     for paragraph in data:
         pair_counts[paragraph.label].update(featurize(paragraph.text).items())
         doc_counts[paragraph.label] += 1
     return fit_from_counts(
-        pair_counts, doc_counts, labels, smoothing, constrain_dice=True
+        pair_counts, doc_counts, (IC, OOC), smoothing, constrain_dice=True
     )
 
 
@@ -229,24 +225,29 @@ def predict(model: IcOocModel, paragraph: str) -> tuple[str, float]:
     return label, posteriors.get(IC, posteriors[label])
 
 
-def label_turn(model: IcOocModel, post: Post) -> tuple[list[str | None], str]:
-    """Label each paragraph; the turn takes the majority label, IC on ties.
-
-    A blank paragraph gets the label ``None`` and does not vote, so a turn
-    with no voting paragraph is IC.
-    """
-    labels = [predict(model, p)[0] if p.strip() else None for p in post.paragraphs]
+def turn_label(labels: Iterable[str | None]) -> str:
+    """The turn's label from its paragraphs' labels: the majority of the
+    labels that are not ``None``, IC on a tie and when none votes. The
+    one place the turn vote is taken, by ``annotate`` and by the
+    synthetic oracle's gold ``in_character`` alike."""
     votes = [label for label in labels if label is not None]
     ic_count = votes.count(IC)
-    turn_label = IC if ic_count >= len(votes) - ic_count else OOC
-    return labels, turn_label
+    return IC if ic_count >= len(votes) - ic_count else OOC
+
+
+def label_turn(model: IcOocModel, post: Post) -> tuple[list[str | None], str]:
+    """Label each paragraph and the turn (``turn_label``).
+
+    A blank paragraph gets the label ``None`` and does not vote.
+    """
+    labels = [predict(model, p)[0] if p.strip() else None for p in post.paragraphs]
+    return labels, turn_label(labels)
 
 
 def rule_based_turn_label(post: Post) -> str:
-    """Fallback when no trained model is supplied: dice notation means OOC."""
-    ooc = sum(1 for p in post.paragraphs if contains_dice_expr(p))
-    ic = len(post.paragraphs) - ooc
-    return IC if ic >= ooc else OOC
+    """Fallback when no trained model is supplied: a paragraph with dice
+    notation votes OOC and any other, a blank one too, votes IC."""
+    return turn_label(OOC if contains_dice_expr(p) else IC for p in post.paragraphs)
 
 
 def save_model(model: IcOocModel, path: str | Path) -> None:

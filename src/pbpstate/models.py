@@ -11,7 +11,7 @@ must be ..., not ...`` after its path, as in ``turn_states[3]: actions[0]:
 roll: count: ...``; a list item's index is formatted only when a check
 fails. A JSON ``true`` or ``false`` is no integer and no number. The
 decoders: transcript, ``transcripts.campaign_from_record``; annotated,
-``records.turns_from_record`` with ``profiles_and_spans``; gold,
+``records.turns_from_record``, through ``profiles_and_spans``; gold,
 ``GoldAnnotations.from_dict``; turn slots, ``records.slot_rows_from_record``;
 labeled paragraph, ``icooc.LabeledParagraph.from_dict``; ratings,
 ``evaluation.ratings_from_record``; and the IC/OOC model file, not JSON,
@@ -181,6 +181,7 @@ class DiceRoll:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "DiceRoll":
+        d = _is(d, dict)
         return cls(
             count=_typed(d, "count", int),
             faces=_typed(d, "faces", int),

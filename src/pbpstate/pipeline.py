@@ -30,7 +30,6 @@ from .errors import ConfigError
 from .gazetteers import Gazetteers
 from .icooc import IC, IcOocModel, label_turn, rule_based_turn_label
 from .models import Campaign, CharacterProfile, CombatSpan, TurnState
-from .models import profiles_and_spans
 from .records import SLOT_KEYS  # re-exported: the keys of every slot row
 from .records import slot_rows_from_record, state_slot_values, turns_from_record
 
@@ -159,9 +158,9 @@ def annotated_to_record(annotated: AnnotatedCampaign) -> dict[str, Any]:
 
 
 def validate_record(record: Mapping[str, Any]) -> None:
-    """Decode every field of an annotated record and check its turn states
-    against its posts and profiles; a bad field raises naming it. Run by
-    ``annotate`` on each record before it is written."""
-    profiles, _ = profiles_and_spans(record)
-    turns_from_record(record, profiles)
+    """Decode every field of an annotated record, with the checks that
+    ``serialize`` makes (``turns_from_record``) and those of its slot
+    view; a bad field raises naming it. Run by ``annotate`` on each
+    record before it is written."""
+    turns_from_record(record)
     slot_rows_from_record(record)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
-from .models import SLOT_KEYS, Action, Campaign, CharacterProfile, GoldAnnotations
-from .models import TurnState, check_turn_states
+from .models import SLOT_KEYS, Action, Campaign, GoldAnnotations, TurnState
+from .models import check_turn_states, profiles_and_spans
 from .models import _OPTIONAL_STR, _is, _items, _typed  # the field checkers
 from .transcripts import campaign_from_record
 
@@ -82,14 +82,16 @@ def slot_rows_from_record(record: Mapping[str, Any]) -> list[dict[str, str | Non
 
 
 def turns_from_record(
-    record: Mapping[str, Any], profiles: Mapping[str, CharacterProfile] = {}
+    record: Mapping[str, Any],
 ) -> tuple[str, list[tuple[str, TurnState]]]:
     """(campaign_id, [(turn text, state), ...]) from an annotated record.
 
-    A missing or mistyped field raises naming it, as does a state that
-    ``check_turn_states`` rejects against the posts and ``profiles``.
+    A missing or mistyped field raises naming it, as do overlapping
+    ``combat_spans`` and a state that ``check_turn_states`` rejects
+    against the posts and the record's own ``profiles``.
     """
     campaign = campaign_from_record(record)
+    profiles, _ = profiles_and_spans(record)
     states = _items(record, "turn_states", TurnState.from_dict)
     check_turn_states(states, campaign.posts, profiles)
     turns = [(" ".join(post.paragraphs), s) for post, s in zip(campaign.posts, states)]

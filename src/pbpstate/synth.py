@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .dice import extract_rolls, format_dice_expr
 from .errors import ConfigError
-from .icooc import IC, OOC
+from .icooc import IC, OOC, turn_label
 from .models import (
     DUNGEON_MASTER,
     Action,
@@ -148,44 +148,17 @@ MONSTER_NARRATIONS = (
 
 
 @dataclass(frozen=True)
-class SignalRates:
-    """Per-slot probability that a cue is planted into an eligible post."""
-
-    name: float = 1.0
-    character_class: float = 1.0
-    race: float = 1.0
-    pronouns: float = 1.0
-    inventory: float = 1.0
-    spells: float = 1.0
-
-    def __post_init__(self) -> None:
-        for slot, rate in self.as_dict().items():
-            if not 0.0 <= rate <= 1.0:
-                raise ConfigError(f"signal rate for {slot} must be in [0, 1]")
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "name": self.name,
-            "character_class": self.character_class,
-            "race": self.race,
-            "pronouns": self.pronouns,
-            "inventory": self.inventory,
-            "spells": self.spells,
-        }
-
-    @classmethod
-    def uniform(cls, rate: float) -> "SignalRates":
-        return cls(**dict.fromkeys(cls().as_dict(), rate))
-
-
-@dataclass(frozen=True)
 class SynthConfig:
+    """``signal_rate`` is the probability that each of the six cue families
+    (name, class, race, pronouns, inventory, spells) is planted into an
+    eligible post, drawn once per family."""
+
     seed: int = 0
     num_campaigns: int = 10
     players_per_campaign: int = 5
     turns_per_campaign: int = 50
     combat_density: float = 0.04
-    signal_rates: SignalRates = field(default_factory=SignalRates)
+    signal_rate: float = 1.0
     ooc_fraction: float = 0.3
     distractor_rate: float = 0.1
     loose_check_rate: float = 0.05
@@ -200,8 +173,8 @@ class SynthConfig:
             raise ConfigError("turns_per_campaign must be at least 2")
         if self.turns_per_campaign < self.players_per_campaign:
             raise ConfigError("every player needs at least one turn")
-        for name in ("combat_density", "ooc_fraction", "distractor_rate",
-                     "loose_check_rate"):
+        for name in ("combat_density", "signal_rate", "ooc_fraction",
+                     "distractor_rate", "loose_check_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1]")
@@ -259,7 +232,7 @@ def _assign_identities(
 
 
 def _ic_cue_paragraph(
-    rng: random.Random, identity: PlayerIdentity, rates: SignalRates
+    rng: random.Random, identity: PlayerIdentity, rate: float
 ) -> tuple[str, set[str], str | None, str | None]:
     """One narrative paragraph carrying the player's planted cues.
 
@@ -269,28 +242,28 @@ def _ic_cue_paragraph(
     planted: set[str] = set()
     item: str | None = None
     spell: str | None = None
-    if rng.random() < rates.name:
+    if rng.random() < rate:
         sentences.append(rng.choice(NAME_CUES).format(name=identity.name))
         planted.add("name")
-    if rng.random() < rates.character_class:
+    if rng.random() < rate:
         sentences.append(
             rng.choice(CLASS_CUES).format(cls=identity.character_class)
         )
         planted.add("character_class")
-    if rng.random() < rates.race:
+    if rng.random() < rate:
         sentences.append(rng.choice(RACE_CUES).format(race=identity.race))
         planted.add("race")
-    if rng.random() < rates.pronouns:
+    if rng.random() < rate:
         subject, possessive = _PRONOUN_FORMS[identity.pronouns]
         sentences.append(
             rng.choice(PRONOUN_CUES).format(subject=subject, possessive=possessive)
         )
         planted.add("pronouns")
-    if rng.random() < rates.inventory:
+    if rng.random() < rate:
         item = rng.choice(sorted(identity.inventory))
         sentences.append(rng.choice(INVENTORY_CUES).format(item=item))
         planted.add("inventory")
-    if rng.random() < rates.spells:
+    if rng.random() < rate:
         raw = rng.choice(SPELLS)
         spell = " ".join(w.capitalize() for w in raw.split())
         sentences.append(rng.choice(SPELL_CUES).format(spell=raw))
@@ -424,7 +397,7 @@ def _generate_campaign(
                     draft.add(rng.choice(FILLER_OOC), OOC)
             else:
                 paragraph, planted, item, spell = _ic_cue_paragraph(
-                    rng, identity, config.signal_rates
+                    rng, identity, config.signal_rate
                 )
                 if item is not None:
                     mentioned_items[author].add(item)
@@ -479,12 +452,11 @@ def _generate_campaign(
 
     states: list[TurnState] = []
     for post, draft, actions in zip(posts, drafts, actions_per_post):
-        ic_count = sum(1 for lab in draft.labels if lab == IC)
         states.append(
             TurnState.of(
                 profiles[post.author_id],
                 in_combat=draft.in_combat,
-                in_character=ic_count >= len(draft.labels) - ic_count,
+                in_character=turn_label(draft.labels) == IC,
                 actions=actions,
             )
         )

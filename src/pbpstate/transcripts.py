@@ -6,8 +6,10 @@ The canonical transcript format holds one campaign per line:
                                       "paragraphs": ["..."]}]}
 
 Dice rolls are recovered from inline notation on load rather than stored;
-only ``ingest`` writes a ``rolls`` array per post. An annotated record's
-posts are transcript posts, so its rolls are recovered the same way.
+only ``ingest`` writes a ``rolls`` array per post, and a post that has one
+must hold exactly the recovered rolls. A post has no other key. An
+annotated record's posts are transcript posts, so its rolls are
+recovered the same way.
 Streaming keeps memory flat on large corpora.
 
 A transcript record is decoded by ``campaign_from_record``. Every JSONL
@@ -27,18 +29,24 @@ from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
 
 from .dice import extract_rolls
 from .errors import FormatError
-from .models import Campaign, Post, _at, _each, _items, _object, _string, _typed
+from .models import Campaign, DiceRoll, Post, _at, _each, _items, _object, _string
+from .models import _typed
 
 T = TypeVar("T")
+
+# A post's keys; ``rolls``, written by ``ingest``, is optional.
+_POST_FIELDS = frozenset({"post_id", "author_id", "paragraphs", "rolls"})
 
 
 def campaign_from_record(record: dict[str, Any]) -> Campaign:
     """Decode one transcript record into a Campaign.
 
     Ids are strings, ``posts`` is a list of objects and each post's
-    ``paragraphs`` a list of strings; anything else raises FormatError
-    naming the post and the field. Posts are re-indexed 0..n-1 in file
-    order and inline dice notation is materialized into rolls.
+    ``paragraphs`` a list of strings; anything else, a post key other
+    than the four of the format, or a ``rolls`` list that is not the
+    rolls of the paragraphs' dice notation, raises FormatError naming the
+    post and the field. Posts are re-indexed 0..n-1 in file order and
+    inline dice notation is materialized into rolls.
     """
     try:
         campaign_id = _typed(record, "campaign_id", str)
@@ -56,13 +64,19 @@ def campaign_from_record(record: dict[str, Any]) -> Campaign:
 def _post(indexed: tuple[int, Any]) -> Post:
     index, raw = indexed
     raw = _object(raw, "a post")
+    if not _POST_FIELDS.issuperset(raw):
+        unknown = next(key for key in raw if key not in _POST_FIELDS)
+        raise ValueError(f"{unknown}: not a post field")
     paragraphs = _items(raw, "paragraphs", _string)
+    rolls = tuple(extract_rolls(paragraphs))
+    if "rolls" in raw and _items(raw, "rolls", DiceRoll.from_dict) != rolls:
+        raise ValueError("rolls: must be the rolls of the paragraphs' dice notation")
     return Post(
         post_id=_typed(raw, "post_id", str),
         author_id=_typed(raw, "author_id", str),
         index=index,
         paragraphs=paragraphs,
-        rolls=tuple(extract_rolls(paragraphs)),
+        rolls=rolls,
     )
 
 

@@ -9,9 +9,13 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+
+from pbpstate.cli import build_parser
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -26,6 +30,18 @@ def load_tracing():
 
 
 tracing = load_tracing()
+
+
+def load_runner():
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    # run.py imports its sibling as ``tracing``; the name is lent for the load.
+    with mock.patch.dict(sys.modules, {"tracing": tracing, spec.name: module}):
+        spec.loader.exec_module(module)
+    return module
+
+
+runner = load_runner()
 
 
 @pytest.mark.parametrize("target", tracing.TARGETS)
@@ -59,3 +75,13 @@ def test_every_runner_import_resolves():
     assert imports
     for module_name, name in imports:
         assert hasattr(importlib.import_module(module_name), name), (module_name, name)
+
+
+@pytest.mark.parametrize("workload", sorted(runner.WORKLOADS))
+def test_every_benchmark_command_line_parses(workload, tmp_path):
+    run = runner.Run(runner.WORKLOADS[workload], 43, tmp_path)
+    commands = {*run.workload.setup, *run.workload.timed, *runner.TRACE_PIPELINE}
+    parser = build_parser()
+    for command in sorted(commands):
+        argv = run.cli_args(command)
+        assert parser.parse_args(argv).command == command, argv

@@ -710,6 +710,45 @@ def test_train_icooc_gold_must_match_its_campaign(synth_corpus, tmp_path, capsys
     assert not (tmp_path / "m").exists()
 
 
+def _overlapping_spans(record):
+    record["combat_spans"] = [
+        {"start_index": 1, "end_index": 3, "monsters": []},
+        {"start_index": 2, "end_index": 4, "monsters": []},
+    ]
+    return "spans: span starting at 2 overlaps or is out of order"
+
+
+def _old_format_post(record):
+    """A post as annotate wrote it before posts carried only transcript
+    fields, with one roll's modifier edited to a string."""
+    post = next(p for p in record["posts"] if "(" in "".join(p["paragraphs"]))
+    index = record["posts"].index(post)
+    post["actions"] = []
+    post["rolls"] = [{"count": 1, "faces": 20, "modifier": "x", "result": 3}]
+    where = f"post {index} of campaign {record['campaign_id']!r}"
+    return f"{where}: actions: not a post field"
+
+
+@pytest.mark.parametrize(
+    "edit", [_contradicted_profile, _overlapping_spans, _old_format_post]
+)
+def test_serialize_checks_states_against_profiles_spans_and_posts(
+    synth_corpus, tmp_path, capsys, edit
+):
+    corpus, _ = synth_corpus
+    annotated = tmp_path / "annotated.jsonl"
+    assert main(["annotate", "--in", str(corpus), "--out", str(annotated)]) == 0
+    records = [json.loads(line) for line in annotated.read_text().splitlines()]
+    problem = edit(records[1])
+    edited = _write_jsonl(tmp_path / "edited.jsonl", records)
+    out = tmp_path / "examples.jsonl"
+    capsys.readouterr()
+    argv = ["serialize", "--in", str(edited), "--out", str(out), "--variant", "all"]
+    assert main(argv) == 2
+    assert f"line 2: {edited}: {problem}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_classify_and_annotate_agree_on_a_blank_paragraph(synth_corpus, tmp_path):
     corpus, gold = synth_corpus
     model = tmp_path / "model.txt"

@@ -28,6 +28,7 @@ from pbpstate.icooc import (
     rule_based_turn_label,
     save_model,
     train,
+    turn_label,
 )
 
 from conftest import make_post
@@ -173,9 +174,20 @@ class TestLabelTurn:
         assert label_turn(trained(), make_post(0, ["", " "])) == ([None, None], IC)
 
 
+@pytest.mark.parametrize(
+    "labels, expected",
+    [([], IC), ([None], IC), ([IC, OOC], IC), ([None, OOC], OOC),
+     ([OOC, OOC, IC], OOC)],
+)
+def test_turn_label_is_the_majority_of_the_votes(labels, expected):
+    assert turn_label(labels) == expected
+
+
 def test_rule_based_fallback():
     assert rule_based_turn_label(make_post(0, ["only words here"])) == IC
     assert rule_based_turn_label(make_post(0, ["(1d6)[2]"])) == OOC
+    # A blank paragraph votes IC here, where label_turn gives it no vote.
+    assert rule_based_turn_label(make_post(0, ["", " ", "(1d6)[2]"])) == IC
 
 
 class TestModelIO:

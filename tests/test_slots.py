@@ -23,7 +23,7 @@ from pbpstate.slots import (
     predict_slot,
     train_slot_models,
 )
-from pbpstate.synth import SignalRates, SynthConfig, generate
+from pbpstate.synth import SynthConfig, generate
 from pbpstate.icooc import load_model, save_model
 
 from conftest import make_campaign, slot_cells
@@ -33,7 +33,7 @@ def annotate_synth(gaz, signal_rate):
     config = SynthConfig(seed=21, num_campaigns=6, players_per_campaign=5,
                          turns_per_campaign=60, combat_density=0.05,
                          loose_check_rate=0.08,
-                         signal_rates=SignalRates.uniform(signal_rate))
+                         signal_rate=signal_rate)
     pairs = generate(config)
     annotated = [
         annotate_campaign(c, gaz, gap_turns=config.gap_turns)

@@ -5,9 +5,9 @@ import pytest
 from pbpstate.characters import build_profiles, post_facts, text_signals
 from pbpstate.combat import detect_combat_spans, extract_monsters
 from pbpstate.errors import ConfigError
-from pbpstate.icooc import IC, OOC, labeled_paragraphs
+from pbpstate.icooc import IC, OOC, labeled_paragraphs, turn_label
 from pbpstate.models import validate_spans
-from pbpstate.synth import SignalRates, SynthConfig, generate, generate_corpus
+from pbpstate.synth import SynthConfig, generate, generate_corpus
 
 SMALL = SynthConfig(seed=7, num_campaigns=3, players_per_campaign=4,
                     turns_per_campaign=40, combat_density=0.06)
@@ -45,16 +45,12 @@ def test_zero_combat_density_means_no_spans():
         {"combat_density": 1.5},
         {"ooc_fraction": -0.1},
         {"gap_turns": 0},
+        {"signal_rate": 1.2},
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ConfigError):
         SynthConfig(**kwargs)
-
-
-def test_signal_rate_validation():
-    with pytest.raises(ConfigError):
-        SignalRates(race=1.2)
 
 
 def test_dm_posts_first():
@@ -89,13 +85,14 @@ def test_in_character_matches_majority_of_paragraph_labels():
         for state, labels in zip(gold.turn_states, gold.paragraph_labels):
             ic = sum(1 for lab in labels if lab == IC)
             assert state.in_character == (ic >= len(labels) - ic)
+            assert state.in_character == (turn_label(labels) == IC)
 
 
 def test_cue_bookkeeping_matches_detected_signals(gaz):
     config = SynthConfig(seed=5, num_campaigns=4, players_per_campaign=5,
                          turns_per_campaign=50, distractor_rate=0.0,
                          combat_density=0.05,
-                         signal_rates=SignalRates.uniform(0.5))
+                         signal_rate=0.5)
     for campaign, gold in generate(config):
         detected = {
             post.index
@@ -109,7 +106,7 @@ def test_distractor_posts_count_as_signal_posts(gaz):
     config = SynthConfig(seed=5, num_campaigns=3, players_per_campaign=5,
                          turns_per_campaign=50, distractor_rate=1.0,
                          combat_density=0.02,
-                         signal_rates=SignalRates.uniform(0.0))
+                         signal_rate=0.0)
     for campaign, gold in generate(config):
         detected = {
             post.index

@@ -134,6 +134,41 @@ def test_integer_author_id_rejected():
         campaign_from_record(_record(author_id=5))
 
 
+ROLL = {"count": 1, "faces": 20, "modifier": 2, "result": 15,
+        "paragraph_index": 0, "char_offset": 6, "consistent": True}
+
+
+@pytest.mark.parametrize(
+    "post_fields, problem",
+    [
+        ({"actions": []}, "actions: not a post field"),
+        ({"index": 0}, "index: not a post field"),
+        ({"rolls": [{**ROLL, "modifier": "x"}]},
+         "rolls[0]: modifier: must be an integer, not str"),
+        ({"rolls": ["1d20"]}, "rolls[0]: must be an object, not str"),
+        ({"rolls": [{**ROLL, "result": 16}]},
+         "rolls: must be the rolls of the paragraphs' dice notation"),
+        ({"rolls": []}, "rolls: must be the rolls of the paragraphs' dice notation"),
+    ],
+)
+def test_extra_post_keys_and_mismatched_rolls_rejected(post_fields, problem):
+    record = _record(paragraphs=["Roll! (1d20+2)[15]"], **post_fields)
+    problem = f"post 0 of campaign 'c1': {problem}"
+    with pytest.raises(FormatError, match=re.escape(problem)):
+        campaign_from_record(record)
+
+
+def test_ingested_rolls_load_and_round_trip(tmp_path):
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    _write(first, [CAMPAIGN_LINE])
+    write_campaigns(second, load_campaigns(first), include_rolls=True)
+    assert json.loads(second.read_text())["posts"][0]["rolls"] == [ROLL]
+    third = tmp_path / "third.jsonl"
+    write_campaigns(third, load_campaigns(second), include_rolls=True)
+    assert third.read_bytes() == second.read_bytes()
+    assert list(load_campaigns(second)) == list(load_campaigns(first))
+
+
 @pytest.mark.parametrize("field", ["campaign_id", "posts"])
 def test_wrong_campaign_field_type_named(field):
     record = _record()
