@@ -161,7 +161,8 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
 
 def _cmd_train_icooc(args: argparse.Namespace) -> int:
     from .icooc import LabeledParagraph, labeled_paragraphs, save_model, train
-    from .models import GoldAnnotations
+    from .models import GoldAnnotations, _object
+    from .records import GOLD_KEYS
     from .transcripts import load_campaigns, read_jsonl
 
     paragraphs: Iterable[LabeledParagraph]
@@ -173,6 +174,7 @@ def _cmd_train_icooc(args: argparse.Namespace) -> int:
         def gold_paragraphs(
             record: dict[str, Any],
         ) -> tuple[str, list[LabeledParagraph]]:
+            record = _object(record, "a gold record", GOLD_KEYS)
             campaign_id = _typed(record, "campaign_id", str)
             if campaign_id not in campaigns:
                 raise ValueError(f"campaign {campaign_id!r} is not in {args.corpus}")
@@ -242,12 +244,12 @@ def _cmd_serialize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _slot_rows_by_campaign(path: str) -> dict[str, list[dict[str, Any]]]:
+def _slot_rows_by_campaign(path: str) -> dict[str, Sequence[dict[str, Any]]]:
     """campaign_id -> per-turn slot rows, in file order; ids must be unique."""
     from .records import slot_rows_from_record
     from .transcripts import read_jsonl
 
-    def decode(record: dict[str, Any]) -> tuple[str, list[dict[str, Any]]]:
+    def decode(record: dict[str, Any]) -> tuple[str, Sequence[dict[str, Any]]]:
         return _typed(record, "campaign_id", str), slot_rows_from_record(record)
 
     return dict(read_jsonl(path, decode, itemgetter(0)))
@@ -392,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--labeled", help="JSONL of {text, label} paragraphs")
     group.add_argument("--corpus", help="transcript JSONL (needs --gold)")
-    p.add_argument("--gold", help="gold JSONL with paragraph labels")
+    p.add_argument("--gold", help="gold JSONL with paragraph labels (needs --corpus)")
     p.add_argument("--smoothing", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_icooc)
@@ -437,6 +439,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "train-icooc" and args.corpus and not args.gold:
         parser.error("--corpus requires --gold")
+    if args.command == "train-icooc" and args.gold and not args.corpus:
+        parser.error("--gold requires --corpus")
     try:
         return args.func(args)
     except (PbpError, OSError, json.JSONDecodeError, KeyError) as exc:

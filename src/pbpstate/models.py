@@ -17,12 +17,26 @@ labeled paragraph, ``icooc.LabeledParagraph.from_dict``; ratings,
 ``evaluation.ratings_from_record``; and the IC/OOC model file, not JSON,
 ``icooc.load_model``. ``check_turn_states`` is the one check of turn
 states against their posts.
+
+One key rule holds for every object of the record formats: a key that
+its decoder does not read is a data error, ``bogus: not a turn state
+field``, raised by ``_object``. Its callers are the decoders of a post
+(``transcripts``), a roll, an action, a turn state, a profile and a
+combat span (here), and a ``turn_slots`` row and cell (``records``); an
+object's keys are its dataclass's field names where the JSON names
+match. A record's own keys are listed once per record kind, transcript
+in ``transcripts`` and annotated and gold in ``records``, and checked
+where that kind is read: ``transcripts.load_campaigns``,
+``records.turns_from_record`` and ``train-icooc``'s gold decoder;
+``records.slot_rows_from_record`` takes the keys of any kind. A roll's
+written ``consistent`` must be the value its other fields give.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cache
 from typing import Any, Callable, Iterable, Mapping, NoReturn, Sequence, TypeVar
 
 DUNGEON_MASTER = "Dungeon Master"
@@ -125,11 +139,26 @@ def _typed(d: Any, key: str, kind: Any, default: Any = _MISSING) -> Any:
     return _is(d[key], kind, key)
 
 
-def _object(d: Any, what: str) -> Mapping[str, Any]:
-    """``d``, which must be a decoded JSON object; ``what`` names it."""
+def _object(
+    d: Any, what: str, keys: frozenset[str], named: bool = True
+) -> Mapping[str, Any]:
+    """``d``, which must be a decoded JSON object holding no key outside
+    ``keys``. ``what`` names it in an unknown key's error, as in ``bogus:
+    not a turn state field``, and, when ``named``, in a non-object's, as
+    in ``a turn state must be an object``."""
     if not isinstance(d, dict):
-        raise ValueError(f"{what} must be an object, not {type(d).__name__}")
+        message = f"must be an object, not {type(d).__name__}"
+        raise ValueError(f"{what} {message}" if named else message)
+    if not keys.issuperset(d):
+        unknown = next(key for key in d if key not in keys)
+        raise ValueError(f"{unknown}: not {what} field")
     return d
+
+
+@cache
+def _names(cls: type) -> frozenset[str]:
+    """The field names of the dataclass ``cls``."""
+    return frozenset(f.name for f in fields(cls))
 
 
 def _items(
@@ -181,8 +210,10 @@ class DiceRoll:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "DiceRoll":
-        d = _is(d, dict)
-        return cls(
+        """A roll from its decoded JSON; a written ``consistent`` must be
+        the value the other fields give."""
+        d = _object(d, "a roll", _ROLL_KEYS, named=False)
+        roll = cls(
             count=_typed(d, "count", int),
             faces=_typed(d, "faces", int),
             modifier=_typed(d, "modifier", int),
@@ -190,6 +221,14 @@ class DiceRoll:
             paragraph_index=_typed(d, "paragraph_index", int, 0),
             char_offset=_typed(d, "char_offset", int, 0),
         )
+        if _typed(d, "consistent", bool, roll.consistent) != roll.consistent:
+            derived = "true" if roll.consistent else "false"
+            _fail("consistent", f"must be {derived}, as the other fields give")
+        return roll
+
+
+# ``consistent`` is written, not a field: it is derived from the others.
+_ROLL_KEYS = _names(DiceRoll) | {"consistent"}
 
 
 @dataclass(frozen=True)
@@ -260,6 +299,10 @@ class Campaign:
         }
 
 
+# A post's ``index`` is its position in the file, not a key.
+_POST_KEYS = _names(Post) - {"index"}
+
+
 @dataclass(frozen=True)
 class CharacterProfile:
     """Per-player properties inferred from their posts.
@@ -308,7 +351,7 @@ class CharacterProfile:
     def from_dict(cls, d: Mapping[str, Any]) -> "CharacterProfile":
         """A profile from its decoded JSON; a missing or mistyped field
         raises ValueError naming the field."""
-        d = _object(d, "a profile")
+        d = _object(d, "a profile", _names(cls))
         return cls(
             player_id=_typed(d, "player_id", str),
             is_dm=_typed(d, "is_dm", bool, False),
@@ -344,12 +387,16 @@ class Action:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "Action":
-        d = _is(d, dict)
+        d = _object(d, "an action", _ACTION_KEYS, named=False)
         return cls(
             kind=_at("kind", ActionKind, _typed(d, "kind", str)),
             skill=_typed(d, "skill", _OPTIONAL_STR, None),
             source_roll=_at("roll", DiceRoll.from_dict, _typed(d, "roll", dict)),
         )
+
+
+# ``source_roll`` is written as ``roll``.
+_ACTION_KEYS = frozenset({"kind", "skill", "roll"})
 
 
 @dataclass(frozen=True)
@@ -419,7 +466,7 @@ class TurnState:
     def from_dict(cls, d: Mapping[str, Any]) -> "TurnState":
         """A state from its decoded JSON; a missing or mistyped field
         raises ValueError naming the field."""
-        d = _object(d, "a turn state")
+        d = _object(d, "a turn state", _names(cls))
         return cls(
             player_id=_typed(d, "player_id", str),
             character_name=_typed(d, "character_name", _OPTIONAL_STR, None),
@@ -466,7 +513,7 @@ class CombatSpan:
     def from_dict(cls, d: Mapping[str, Any]) -> "CombatSpan":
         """A span from its decoded JSON; a missing or mistyped field
         raises ValueError naming the field."""
-        d = _object(d, "a combat span")
+        d = _object(d, "a combat span", _names(cls))
         return cls(
             start_index=_typed(d, "start_index", int),
             end_index=_typed(d, "end_index", int),

@@ -7,9 +7,9 @@ The canonical transcript format holds one campaign per line:
 
 Dice rolls are recovered from inline notation on load rather than stored;
 only ``ingest`` writes a ``rolls`` array per post, and a post that has one
-must hold exactly the recovered rolls. A post has no other key. An
-annotated record's posts are transcript posts, so its rolls are
-recovered the same way.
+must hold exactly the recovered rolls. A post has no other key, and a
+record none but ``TRANSCRIPT_KEYS``. An annotated record's posts are
+transcript posts, so its rolls are recovered the same way.
 Streaming keeps memory flat on large corpora.
 
 A transcript record is decoded by ``campaign_from_record``. Every JSONL
@@ -29,13 +29,13 @@ from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
 
 from .dice import extract_rolls
 from .errors import FormatError
-from .models import Campaign, DiceRoll, Post, _at, _each, _items, _object, _string
-from .models import _typed
+from .models import Campaign, DiceRoll, Post, _at, _each, _items, _names, _object
+from .models import _POST_KEYS, _string, _typed
 
 T = TypeVar("T")
 
-# A post's keys; ``rolls``, written by ``ingest``, is optional.
-_POST_FIELDS = frozenset({"post_id", "author_id", "paragraphs", "rolls"})
+# The keys of a transcript record, as ``ingest`` writes it too.
+TRANSCRIPT_KEYS = _names(Campaign)
 
 
 def campaign_from_record(record: dict[str, Any]) -> Campaign:
@@ -46,7 +46,8 @@ def campaign_from_record(record: dict[str, Any]) -> Campaign:
     than the four of the format, or a ``rolls`` list that is not the
     rolls of the paragraphs' dice notation, raises FormatError naming the
     post and the field. Posts are re-indexed 0..n-1 in file order and
-    inline dice notation is materialized into rolls.
+    inline dice notation is materialized into rolls. The record's own
+    keys are checked by its reader, as an annotated record holds more.
     """
     try:
         campaign_id = _typed(record, "campaign_id", str)
@@ -63,10 +64,7 @@ def campaign_from_record(record: dict[str, Any]) -> Campaign:
 
 def _post(indexed: tuple[int, Any]) -> Post:
     index, raw = indexed
-    raw = _object(raw, "a post")
-    if not _POST_FIELDS.issuperset(raw):
-        unknown = next(key for key in raw if key not in _POST_FIELDS)
-        raise ValueError(f"{unknown}: not a post field")
+    raw = _object(raw, "a post", _POST_KEYS)
     paragraphs = _items(raw, "paragraphs", _string)
     rolls = tuple(extract_rolls(paragraphs))
     if "rolls" in raw and _items(raw, "rolls", DiceRoll.from_dict) != rolls:
@@ -161,9 +159,16 @@ def _long_integer(raw: str) -> str | None:
 def load_campaigns(path: str | Path) -> Iterator[Campaign]:
     """Stream campaigns from a transcript file in file order.
 
-    A campaign_id seen on an earlier line raises FormatError.
+    A record key other than ``TRANSCRIPT_KEYS``, which an annotated or a
+    gold record holds, and a campaign_id seen on an earlier line raise
+    FormatError.
     """
-    return read_jsonl(path, campaign_from_record, lambda c: c.campaign_id)
+    return read_jsonl(path, _transcript, lambda c: c.campaign_id)
+
+
+def _transcript(record: dict[str, Any]) -> Campaign:
+    record = _object(record, "a transcript record", TRANSCRIPT_KEYS)
+    return campaign_from_record(record)
 
 
 def dump_json_line(obj: Any) -> str:

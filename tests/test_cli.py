@@ -234,6 +234,15 @@ def test_train_icooc_corpus_without_gold_is_usage_error(tmp_path, capsys):
     assert excinfo.value.code == 1
 
 
+def test_train_icooc_gold_without_corpus_is_usage_error(tmp_path, capsys):
+    # --gold is read only with --corpus, so a --labeled run would ignore it.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["train-icooc", "--labeled", "l.jsonl", "--gold", "g.jsonl",
+              "--out", "m.txt"])
+    assert excinfo.value.code == 1
+    assert "--gold requires --corpus" in capsys.readouterr().err
+
+
 def test_train_classify_flow(synth_corpus, tmp_path):
     corpus, gold = synth_corpus
     model = tmp_path / "model.txt"
@@ -359,11 +368,11 @@ def test_serialize_rejects_fewer_states_than_posts(synth_corpus, tmp_path, capsy
         (["name", "race"], "turn_slots[0]: must be an object"),
         (
             {"race": "elf"},
-            "turn_slots[0].race: must be an object, not str",
+            "turn_slots[0]: race: must be an object, not str",
         ),
         (
             {"rase": {"value": "elf", "source": "heuristic"}},
-            "turn_slots[0].rase: not a slot; choose from name, character_class,",
+            "turn_slots[0]: rase: not a slot row field",
         ),
         (None, "turn_slots: missing"),
     ],
@@ -1239,3 +1248,171 @@ def test_ingest_skips_a_dice_tag_with_an_over_long_number(tmp_path, capsys):
     assert [(r["count"], r["faces"], r["result"]) for r in record["posts"][0]["rolls"]] == [
         (1, 6, 4)
     ]
+
+
+@pytest.fixture(scope="module")
+def record_files(tmp_path_factory):
+    """One file of each record kind: transcript, ingested, annotated, gold."""
+    work = tmp_path_factory.mktemp("records")
+    files = {kind: work / f"{kind}.jsonl"
+             for kind in ("transcript", "ingested", "annotated", "gold")}
+    assert main(["synth", "--seed", "43", "--campaigns", "2", "--turns", "60",
+                 "--out", str(files["transcript"]), "--gold", str(files["gold"])]) == 0
+    assert main(["ingest", "--in", str(files["transcript"]),
+                 "--out", str(files["ingested"])]) == 0
+    assert main(["annotate", "--in", str(files["transcript"]),
+                 "--out", str(files["annotated"])]) == 0
+    return files
+
+
+# Each command that reads a record kind, with the file it is given in
+# place of that kind's; the other inputs are the unedited files.
+_READERS = {
+    "ingest": ("transcript", ["ingest", "--in", "{edited}", "--out", "{out}"]),
+    "ingest-rolls": ("ingested", ["ingest", "--in", "{edited}", "--out", "{out}"]),
+    "train-corpus": ("transcript", ["train-icooc", "--corpus", "{edited}",
+                                    "--gold", "{gold}", "--out", "{out}"]),
+    "train-gold": ("gold", ["train-icooc", "--corpus", "{transcript}",
+                            "--gold", "{edited}", "--out", "{out}"]),
+    "serialize": ("annotated", ["serialize", "--in", "{edited}", "--out", "{out}"]),
+    "eval-pred": ("annotated", ["eval-gst", "--pred", "{edited}", "--gold", "{gold}"]),
+    "eval-gold": ("gold", ["eval-gst", "--pred", "{annotated}", "--gold", "{edited}"]),
+}
+
+_ROLL = ["turn_states", "*", "actions", 0, "roll"]
+
+# (reader, path to the object that gains the keys, the keys, the problem
+# reported after the line, formatted with the record's campaign id and
+# the path taken).
+# "*" in a path is the first index or key at which the rest of it exists.
+_EXTRA_KEYS = [
+    ("ingest", [], {"bogus": 1}, "bogus: not a transcript record field"),
+    ("ingest", ["posts", 0], {"bogus": 1},
+     "post 0 of campaign {cid!r}: bogus: not a post field"),
+    ("ingest-rolls", [], {"bogus": 1}, "bogus: not a transcript record field"),
+    ("ingest-rolls", ["posts", "*", "rolls", 0], {"bogus": 1},
+     "post {p[1]} of campaign {cid!r}: rolls[0]: bogus: not a roll field"),
+    ("ingest-rolls", ["posts", "*", "rolls", 0], {"consistent": "maybe", "bogus": 1},
+     "post {p[1]} of campaign {cid!r}: rolls[0]: bogus: not a roll field"),
+    ("ingest-rolls", ["posts", "*", "rolls", 0], {"consistent": "maybe"},
+     "post {p[1]} of campaign {cid!r}: rolls[0]: consistent:"
+     " must be true or false, not str"),
+    ("train-corpus", [], {"bogus": 1}, "bogus: not a transcript record field"),
+    ("train-corpus", ["posts", 0], {"bogus": 1},
+     "post 0 of campaign {cid!r}: bogus: not a post field"),
+    ("serialize", [], {"bogus_top": 1}, "bogus_top: not an annotated record field"),
+    ("serialize", ["posts", 0], {"bogus": 1},
+     "post 0 of campaign {cid!r}: bogus: not a post field"),
+    ("serialize", ["turn_states", 0], {"bogus": 1},
+     "turn_states[0]: bogus: not a turn state field"),
+    ("serialize", ["turn_states", "*", "actions", 0], {"bogus": 1},
+     "turn_states[{p[1]}]: actions[0]: bogus: not an action field"),
+    ("serialize", _ROLL, {"bogus": 1},
+     "turn_states[{p[1]}]: actions[0]: roll: bogus: not a roll field"),
+    ("serialize", ["profiles", "*"], {"colour": "red"},
+     "profiles[{p[1]!r}]: colour: not a profile field"),
+    ("serialize", ["combat_spans", 0], {"bogus": 1},
+     "combat_spans[0]: bogus: not a combat span field"),
+    ("eval-pred", [], {"bogus_top": 1},
+     "bogus_top: not an annotated or gold record field"),
+    ("eval-pred", ["turn_slots", 0], {"bogus": 1},
+     "turn_slots[0]: bogus: not a slot row field"),
+    ("eval-pred", ["turn_slots", 0, "race"], {"bogus": 1},
+     "turn_slots[0]: race: bogus: not a slot cell field"),
+    ("train-gold", [], {"bogus": 1}, "bogus: not a gold record field"),
+    ("train-gold", ["turn_states", 0], {"bogus": 1},
+     "turn_states[0]: bogus: not a turn state field"),
+    ("train-gold", ["turn_states", "*", "actions", 0], {"bogus": 1},
+     "turn_states[{p[1]}]: actions[0]: bogus: not an action field"),
+    ("train-gold", _ROLL, {"bogus": 1},
+     "turn_states[{p[1]}]: actions[0]: roll: bogus: not a roll field"),
+    ("train-gold", ["profiles", "*"], {"colour": "red"},
+     "profiles[{p[1]!r}]: colour: not a profile field"),
+    ("train-gold", ["combat_spans", 0], {"bogus": 1},
+     "combat_spans[0]: bogus: not a combat span field"),
+    ("eval-gold", [], {"bogus": 1}, "bogus: not an annotated or gold record field"),
+    ("eval-gold", ["turn_slots", 0], {"bogus": 1},
+     "turn_slots[0]: bogus: not a slot row field"),
+    ("eval-gold", ["turn_slots", 0, "race"], {"bogus": 1},
+     "turn_slots[0]: race: bogus: not a slot cell field"),
+]
+
+
+def _resolve(value, path):
+    """``path`` with each "*" made the first index or key at which the
+    rest of it exists in ``value``, or None."""
+    if not path:
+        return []
+    head, rest = path[0], path[1:]
+    if head == "*":
+        keys = range(len(value)) if isinstance(value, list) else list(value)
+        for key in keys:
+            found = _resolve(value[key], rest)
+            if found is not None:
+                return [key] + found
+        return None
+    try:
+        found = _resolve(value[head], rest)
+    except (IndexError, KeyError, TypeError):
+        return None
+    return None if found is None else [head] + found
+
+
+def _edit_first(source, target, path, edit):
+    """Write ``source``'s records to ``target`` with ``edit`` applied to the
+    object at ``path`` in the first record that has one; that record's line
+    number, its campaign id and the path taken."""
+    records = [json.loads(line) for line in source.read_text().splitlines()]
+    for line, record in enumerate(records, start=1):
+        taken = _resolve(record, path)
+        if taken is not None:
+            obj = record
+            for key in taken:
+                obj = obj[key]
+            edit(obj)
+            _write_jsonl(target, records)
+            return line, record["campaign_id"], taken
+    raise AssertionError(f"no record has {path}")
+
+
+@pytest.mark.parametrize(
+    "reader, path, fields, problem",
+    _EXTRA_KEYS,
+    ids=[f"{r}-{'.'.join(map(str, p)) or 'record'}-{'-'.join(f)}"
+         for r, p, f, _ in _EXTRA_KEYS],
+)
+def test_an_extra_key_at_any_level_names_its_line_and_path(
+    record_files, tmp_path, capsys, reader, path, fields, problem
+):
+    """Every decoder rejects a key it does not read, at every level of
+    every record kind, through the command that reads that kind."""
+    kind, template = _READERS[reader]
+    edited = tmp_path / "edited.jsonl"
+    line, cid, taken = _edit_first(
+        record_files[kind], edited, path, lambda obj: obj.update(fields)
+    )
+    names = {name: str(file) for name, file in record_files.items()}
+    out = tmp_path / "out"
+    argv = [arg.format(**names, edited=edited, out=out) for arg in template]
+    capsys.readouterr()
+    assert main(argv) == 2
+    problem = problem.format(cid=cid, p=taken)
+    error = capsys.readouterr().err
+    assert f"pbpstate: error: line {line}: {edited}: {problem}" in error
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "stats", "annotate"])
+@pytest.mark.parametrize(
+    "kind, first_key", [("annotated", "coverage"), ("gold", "turn_states")]
+)
+def test_a_transcript_command_rejects_a_record_of_another_kind(
+    record_files, tmp_path, capsys, command, kind, first_key
+):
+    out = [] if command == "stats" else ["--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main([command, "--in", str(record_files[kind]), *out]) == 2
+    assert (
+        f"line 1: {record_files[kind]}: {first_key}: not a transcript record field"
+        in capsys.readouterr().err
+    )

@@ -7,6 +7,7 @@ in-process.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -85,3 +86,61 @@ def test_sparse_annotate_with_icooc_model_bytes(tmp_path):
         ["annotate", "--in", str(corpus), "--out", str(out), "--icooc-model", str(model)]
     ) == 0
     assert sha256(out) == SPARSE_ANNOTATE_SHA256
+
+
+def test_every_output_reads_back_through_every_command_that_reads_it(
+    dense_files, tmp_path, capsys
+):
+    """No record that synth, ingest or annotate writes at seed 43 is
+    rejected by a command that reads it, and each reads to the same bytes
+    whichever of the equivalent files it is given."""
+
+    def run(*argv):
+        capsys.readouterr()
+        assert main(list(map(str, argv))) == 0, argv
+        return capsys.readouterr().out
+
+    corpus, gold = dense_files
+    ingested, again = tmp_path / "ingested.jsonl", tmp_path / "again.jsonl"
+    run("ingest", "--in", corpus, "--out", ingested)
+    run("ingest", "--in", ingested, "--out", again)
+    assert again.read_bytes() == ingested.read_bytes()
+    model = tmp_path / "model"
+    run("train-icooc", "--corpus", corpus, "--gold", gold, "--out", model)
+    read_as = {}
+    for name, transcript in [("corpus", corpus), ("ingested", ingested)]:
+        trained, annotated, labeled = (
+            tmp_path / f"{name}.{step}" for step in ("model", "annotated", "labels")
+        )
+        run("train-icooc", "--corpus", transcript, "--gold", gold, "--out", trained)
+        assert sha256(trained) == DENSE_MODEL_SHA256
+        run("annotate", "--in", transcript, "--out", annotated)
+        assert sha256(annotated) == ANNOTATE_SHA256["dense"]
+        run("classify", "--model", model, "--in", transcript, "--out", labeled)
+        read_as[name] = labeled.read_bytes(), run("stats", "--in", transcript)
+    assert read_as["ingested"] == read_as["corpus"]
+
+    examples = tmp_path / "examples.jsonl"
+    run("serialize", "--in", annotated, "--out", examples, "--variant", "all")
+    assert sha256(examples) == SERIALIZE_SHA256["all", "7"]
+    report = run("eval-gst", "--pred", annotated, "--gold", gold, "--json")
+    # An outside predictor writes only the slot view.
+    prediction = tmp_path / "prediction.jsonl"
+    prediction.write_text("".join(
+        json.dumps({"campaign_id": r["campaign_id"], "turn_slots": r["turn_slots"]})
+        + "\n"
+        for r in map(json.loads, annotated.read_text(encoding="utf-8").splitlines())
+    ), encoding="utf-8")
+    assert run("eval-gst", "--pred", prediction, "--gold", gold, "--json") == report
+    assert json.loads(run("eval-gst", "--pred", gold, "--gold", gold, "--json"))[
+        "joint_accuracy"
+    ] == 1.0
+
+    corpus, gold = synth(tmp_path, "sparse", SPARSE)
+    run("ingest", "--in", corpus, "--out", ingested)
+    run("train-icooc", "--corpus", ingested, "--gold", gold, "--out", model)
+    assert sha256(model) == SPARSE_MODEL_SHA256
+    run("annotate", "--in", corpus, "--out", annotated, "--icooc-model", model)
+    assert sha256(annotated) == SPARSE_ANNOTATE_SHA256
+    run("serialize", "--in", annotated, "--out", examples)
+    run("eval-gst", "--pred", annotated, "--gold", gold)

@@ -284,7 +284,7 @@ ROLL_JSON = {"count": 1, "faces": 20, "modifier": 0, "result": 5}
         ),
         pytest.param(
             slot_rows_from_record, {"turn_slots": [{"race": {"value": 3}}]},
-            "turn_slots[0].race: value: must be a string or null, not int",
+            "turn_slots[0]: race: value: must be a string or null, not int",
             id="slot-rows",
         ),
         pytest.param(

@@ -149,6 +149,9 @@ ROLL = {"count": 1, "faces": 20, "modifier": 2, "result": 15,
         ({"rolls": [{**ROLL, "result": 16}]},
          "rolls: must be the rolls of the paragraphs' dice notation"),
         ({"rolls": []}, "rolls: must be the rolls of the paragraphs' dice notation"),
+        ({"rolls": [{**ROLL, "consistent": False}]},
+         "rolls[0]: consistent: must be true, as the other fields give"),
+        ({"rolls": [{**ROLL, "bogus": 1}]}, "rolls[0]: bogus: not a roll field"),
     ],
 )
 def test_extra_post_keys_and_mismatched_rolls_rejected(post_fields, problem):
