@@ -120,7 +120,6 @@ class PostFacts:
     paragraph's ``Gazetteers.find`` hits, offsets within the paragraph.
     """
 
-    index: int
     names: tuple[str, ...]
     classes: tuple[str, ...]
     races: tuple[tuple[str, int], ...]
@@ -198,10 +197,8 @@ def _cast_phrases(
     return phrases
 
 
-def post_facts(
-    paragraphs: Sequence[str], gazetteers: Gazetteers, index: int = 0
-) -> PostFacts:
-    """Read one post's paragraphs once; ``index`` is the post's index.
+def post_facts(paragraphs: Sequence[str], gazetteers: Gazetteers) -> PostFacts:
+    """Read one post's paragraphs once.
 
     ``_WORD_RE.split`` of the newline-joined text gives ``words`` and
     ``gaps``: ``gaps[k]`` comes before ``words[k]`` and starts a sentence
@@ -233,7 +230,6 @@ def post_facts(
         for verb, offset in found["cast"]
     ]
     return PostFacts(
-        index=index,
         names=tuple(extract_proper_names(words, gaps, gazetteers)),
         classes=tuple(term for term, _ in in_text("classes")),
         races=tuple(in_text("races")),
@@ -305,9 +301,7 @@ def build_profiles(
     has already read the posts.
     """
     if facts is None:
-        facts = [
-            post_facts(p.paragraphs, gazetteers, p.index) for p in campaign.posts
-        ]
+        facts = [post_facts(p.paragraphs, gazetteers) for p in campaign.posts]
     dm_id = identify_dm(campaign)
     by_player: dict[str, list[PostFacts]] = {}
     for post, facts_of_post in zip(campaign.posts, facts):

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 # is the parser's --help text.)
 from . import __version__
 from .errors import AlignmentError, ConfigError, FormatError, PbpError
-from .models import SLOT_KEYS, ControlVariant, _typed
+from .models import SLOT_KEYS, ControlVariant
 
 if TYPE_CHECKING:
     from .evaluation import CorpusStats
@@ -35,7 +35,7 @@ DATA_EXIT = 2
 # The benchmark's tests read these functions through this module
 # (``cli.annotated_to_record``). Each is looked up in the module named here
 # on access, so importing this module does not load that one.
-_FORWARDED = {"annotated_to_record": "pipeline", "dump_json_line": "transcripts"}
+_FORWARDED = {"annotated_to_record": "records", "dump_json_line": "transcripts"}
 
 
 def __getattr__(name: str) -> Any:
@@ -129,7 +129,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_annotate(args: argparse.Namespace) -> int:
     from .gazetteers import load_gazetteers
     from .icooc import load_model
-    from .pipeline import annotate_corpus, annotated_to_record, validate_record
+    from .pipeline import annotate_corpus
+    from .records import annotated_to_record, validate_record
     from .transcripts import dump_json_line, load_campaigns, write_lines
 
     annotated = annotate_corpus(
@@ -161,8 +162,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
 
 def _cmd_train_icooc(args: argparse.Namespace) -> int:
     from .icooc import LabeledParagraph, labeled_paragraphs, save_model, train
-    from .models import GoldAnnotations, _object
-    from .records import GOLD_KEYS
+    from .records import gold_from_record
     from .transcripts import load_campaigns, read_jsonl
 
     paragraphs: Iterable[LabeledParagraph]
@@ -174,11 +174,9 @@ def _cmd_train_icooc(args: argparse.Namespace) -> int:
         def gold_paragraphs(
             record: dict[str, Any],
         ) -> tuple[str, list[LabeledParagraph]]:
-            record = _object(record, "a gold record", GOLD_KEYS)
-            campaign_id = _typed(record, "campaign_id", str)
+            campaign_id, gold = gold_from_record(record)
             if campaign_id not in campaigns:
                 raise ValueError(f"campaign {campaign_id!r} is not in {args.corpus}")
-            gold = GoldAnnotations.from_dict(record)
             gold.validate_against(campaigns[campaign_id])
             return campaign_id, labeled_paragraphs([(campaigns[campaign_id], gold)])
 
@@ -244,22 +242,16 @@ def _cmd_serialize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _slot_rows_by_campaign(path: str) -> dict[str, Sequence[dict[str, Any]]]:
-    """campaign_id -> per-turn slot rows, in file order; ids must be unique."""
+def _cmd_eval_gst(args: argparse.Namespace) -> int:
+    from .evaluation import slot_accuracy
     from .records import slot_rows_from_record
     from .transcripts import read_jsonl
 
-    def decode(record: dict[str, Any]) -> tuple[str, Sequence[dict[str, Any]]]:
-        return _typed(record, "campaign_id", str), slot_rows_from_record(record)
-
-    return dict(read_jsonl(path, decode, itemgetter(0)))
-
-
-def _cmd_eval_gst(args: argparse.Namespace) -> int:
-    from .evaluation import slot_accuracy
-
-    pred_by_id = _slot_rows_by_campaign(args.pred)
-    gold_by_id = _slot_rows_by_campaign(args.gold)
+    # campaign_id -> per-turn slot rows, in file order; ids must be unique.
+    pred_by_id, gold_by_id = (
+        dict(read_jsonl(path, slot_rows_from_record, itemgetter(0)))
+        for path in (args.pred, args.gold)
+    )
     extra = [cid for cid in pred_by_id if cid not in gold_by_id]
     if extra:
         raise FormatError(f"campaign {extra[0]!r} has predictions but no gold")

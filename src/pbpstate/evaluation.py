@@ -27,7 +27,7 @@ from .errors import (
     EmptySlotError,
     TooFewRatersError,
 )
-from .models import _NUMBER, Campaign, _is, _items
+from .models import _NUMBER, Campaign, _is, _items, _object
 
 
 @dataclass(frozen=True)
@@ -195,13 +195,18 @@ def corpus_stats(campaigns: Iterable[Campaign]) -> CorpusStats:
     )
 
 
+_RATINGS_KEYS = frozenset({"labels", "scores"})
+
+
 def ratings_from_record(
     record: Mapping[str, Any], raters: int | None
 ) -> tuple[tuple[Any, ...] | None, tuple[float, ...] | None]:
     """A ratings line's ``labels`` and ``scores``, each None when absent,
     else two or more, one per rater (``raters`` scores, when given). A label
     is any JSON value but an array or an object, a score a finite number;
-    a bad field raises ValueError naming it, as ``scores[1]: must be ...``."""
+    a bad field, or a key other than those two, raises ValueError naming
+    it, as ``scores[1]: must be ...``."""
+    record = _object(record, "a ratings line", _RATINGS_KEYS)
     labels = _ratings(record, "labels", _label)
     scores = _ratings(record, "scores", _score)
     if scores is not None and raters is not None and len(scores) != raters:

@@ -31,7 +31,7 @@ from .errors import (
     ModelIOError,
     VersionMismatchError,
 )
-from .models import Campaign, GoldAnnotations, Post, _typed
+from .models import Campaign, GoldAnnotations, Post, _names, _object, _typed
 from .transcripts import write_lines
 
 MODEL_MAGIC = "ICOOC-MODEL v1"
@@ -59,6 +59,7 @@ class LabeledParagraph:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "LabeledParagraph":
+        d = _object(d, "a labeled paragraph", _names(cls))
         return cls(text=_typed(d, "text", str), label=_typed(d, "label", str))
 
 

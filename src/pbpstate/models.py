@@ -12,22 +12,23 @@ roll: count: ...``; a list item's index is formatted only when a check
 fails. A JSON ``true`` or ``false`` is no integer and no number. The
 decoders: transcript, ``transcripts.campaign_from_record``; annotated,
 ``records.turns_from_record``, through ``profiles_and_spans``; gold,
-``GoldAnnotations.from_dict``; turn slots, ``records.slot_rows_from_record``;
+``records.gold_from_record``; turn slots, ``records.slot_rows_from_record``;
 labeled paragraph, ``icooc.LabeledParagraph.from_dict``; ratings,
 ``evaluation.ratings_from_record``; and the IC/OOC model file, not JSON,
 ``icooc.load_model``. ``check_turn_states`` is the one check of turn
 states against their posts.
 
-One key rule holds for every object of the record formats: a key that
-its decoder does not read is a data error, ``bogus: not a turn state
+One key rule holds for every object of the JSON formats: a key that its
+decoder does not read is a data error, ``bogus: not a turn state
 field``, raised by ``_object``. Its callers are the decoders of a post
 (``transcripts``), a roll, an action, a turn state, a profile and a
-combat span (here), and a ``turn_slots`` row and cell (``records``); an
+combat span (here), a ``turn_slots`` row and cell (``records``), a
+labeled paragraph (``icooc``) and a ratings line (``evaluation``); an
 object's keys are its dataclass's field names where the JSON names
 match. A record's own keys are listed once per record kind, transcript
 in ``transcripts`` and annotated and gold in ``records``, and checked
 where that kind is read: ``transcripts.load_campaigns``,
-``records.turns_from_record`` and ``train-icooc``'s gold decoder;
+``records.turns_from_record`` and ``records.gold_from_record``;
 ``records.slot_rows_from_record`` takes the keys of any kind. A roll's
 written ``consistent`` must be the value its other fields give.
 """
@@ -40,8 +41,6 @@ from functools import cache
 from typing import Any, Callable, Iterable, Mapping, NoReturn, Sequence, TypeVar
 
 DUNGEON_MASTER = "Dungeon Master"
-
-PRONOUN_LABELS = ("he/him", "she/her", "they/them")
 
 # The slots of a turn state's comparison view, in report order.
 SLOT_KEYS = ("name", "character_class", "race", "pronouns", "in_combat", "action")

@@ -1,53 +1,31 @@
 """End-to-end heuristic annotation of campaigns.
 
 Couples the per-player property heuristics, the combat state machine, roll
-classification, and IC/OOC labeling into one annotated record per campaign.
-The record's posts are the transcript's own; the turn states are its one
-per-turn record, holding each turn's actions and their rolls, and the slot
-view the evaluation tools read is written from them. A turn state's
-character fields are its author's profile (``TurnState.of``). The record
-format itself, which the downstream commands read without loading any of
-this, is in ``pbpstate.records``.
-
-A turn's slot view is its state's own: a character slot holds a value on
-every turn whose author earned a profile value, ``in_combat`` comes from
-the combat spans on every turn, and ``action`` is empty on a turn without
-a roll. Only the slots in ``FILLABLE_SLOTS`` (class, race, pronouns) are
-left for the slot-fill models, where no profile value was earned;
-``annotate_corpus`` always applies them, and keeps what they set apart,
-as the campaign's ``fills``. Each cell names its source: ``HEURISTIC`` for
-the state's own value, ``MODEL`` for a fill, ``None`` for an empty cell.
+classification, IC/OOC labeling and slot fill into one ``AnnotatedCampaign``
+per campaign: the transcript's posts, one turn state per post holding its
+actions and their rolls, whose character fields are its author's profile
+(``TurnState.of``), and the fills. ``pbpstate.records`` writes and checks
+the annotated record; the commands that read it load none of this.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Iterable
 
 from .characters import build_profiles, post_facts
 from .combat import annotate_turn_actions, detect_combat_spans, extract_monsters
 from .errors import ConfigError
 from .gazetteers import Gazetteers
 from .icooc import IC, IcOocModel, label_turn, rule_based_turn_label
-from .models import Campaign, CharacterProfile, CombatSpan, TurnState
-from .records import SLOT_KEYS  # re-exported: the keys of every slot row
-from .records import slot_rows_from_record, state_slot_values, turns_from_record
+from .models import Campaign, CombatSpan, TurnState
+from .records import AnnotatedCampaign
+from .slots import fill_inputs, fill_missing, train_slot_models
 
-FILLABLE_SLOTS = ("character_class", "race", "pronouns")
-
-HEURISTIC = "heuristic"
-MODEL = "model"
-
-
-@dataclass(frozen=True)
-class AnnotatedCampaign:
-    campaign: Campaign
-    profiles: dict[str, CharacterProfile]
-    combat_spans: tuple[CombatSpan, ...]
-    turn_states: tuple[TurnState, ...]
-    coverage: float
-    # post index -> {slot: label} for the cells slots.fill_missing set
-    fills: Mapping[int, Mapping[str, str]] = field(default_factory=dict)
+# Re-exported only for the benchmark under perfbench/, which reads these
+# names here; the program and its tests import them from records and slots.
+from .records import HEURISTIC, MODEL, SLOT_KEYS
+from .records import annotated_to_record, turns_from_record, validate_record
+from .slots import FILLABLE_SLOTS
 
 
 def annotate_campaign(
@@ -63,7 +41,7 @@ def annotate_campaign(
     read once; a post counts toward coverage when it holds a roll or any
     character cue.
     """
-    facts = [post_facts(p.paragraphs, gazetteers, p.index) for p in campaign.posts]
+    facts = [post_facts(p.paragraphs, gazetteers) for p in campaign.posts]
     profiles = build_profiles(campaign, gazetteers, facts=facts)
     bare_spans = detect_combat_spans(campaign, facts, gap_turns)
     spans = tuple(
@@ -116,12 +94,9 @@ def annotate_corpus(
     mirroring how the fallback classifiers are meant to be bootstrapped;
     slots with a single observed label get no model. A model fills a cell
     only when its label's posterior is at least 0.5; the filled cells are
-    the campaign's ``fills``. Each player post is featurized once;
-    training keeps only per-label counts of the features, and only the
-    posts with an empty fillable cell keep theirs until filling ends.
+    the campaign's ``fills``; ``slots.fill_inputs`` featurizes each
+    player post once.
     """
-    from .slots import fill_inputs, fill_missing, train_slot_models
-
     # Checked here too, so that an empty corpus does not hide a bad value.
     if gap_turns < 1:
         raise ConfigError("gap_turns must be at least 1")
@@ -134,33 +109,3 @@ def annotate_corpus(
     if models:
         annotated = fill_missing(annotated, models, inputs)
     return annotated
-
-
-def annotated_to_record(annotated: AnnotatedCampaign) -> dict[str, Any]:
-    record = annotated.campaign.to_dict()
-    record["coverage"] = annotated.coverage
-    record["profiles"] = {
-        pid: p.to_dict() for pid, p in sorted(annotated.profiles.items())
-    }
-    record["combat_spans"] = [s.to_dict() for s in annotated.combat_spans]
-    record["turn_states"] = [t.to_dict() for t in annotated.turn_states]
-    record["turn_slots"] = []
-    for index, state in enumerate(annotated.turn_states):
-        filled = annotated.fills.get(index, {})
-        cells = {}
-        for key, value in sorted(state_slot_values(state).items()):
-            source = None if value is None else HEURISTIC
-            if key in filled:
-                value, source = filled[key], MODEL
-            cells[key] = {"value": value, "source": source}
-        record["turn_slots"].append(cells)
-    return record
-
-
-def validate_record(record: Mapping[str, Any]) -> None:
-    """Decode every field of an annotated record, with the checks that
-    ``serialize`` makes (``turns_from_record``) and those of its slot
-    view; a bad field raises naming it. Run by ``annotate`` on each
-    record before it is written."""
-    turns_from_record(record)
-    slot_rows_from_record(record)

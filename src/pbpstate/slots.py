@@ -28,7 +28,9 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .icooc import IcOocModel, featurize, fit_from_counts
-from .pipeline import FILLABLE_SLOTS, AnnotatedCampaign
+from .records import AnnotatedCampaign
+
+FILLABLE_SLOTS = ("character_class", "race", "pronouns")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ def gaz():
 def slot_cells(annotated):
     """The slot view ``annotate`` writes for an AnnotatedCampaign, as one
     ``{slot: (value, source)}`` row per turn."""
-    from pbpstate.pipeline import annotated_to_record
+    from pbpstate.records import annotated_to_record
 
     return [
         {slot: (cell["value"], cell["source"]) for slot, cell in row.items()}

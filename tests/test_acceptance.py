@@ -23,14 +23,10 @@ from pbpstate.evaluation import (
 )
 from pbpstate.icooc import labeled_paragraphs, predict, train
 from pbpstate.models import DiceRoll
-from pbpstate.pipeline import (
-    FILLABLE_SLOTS,
-    HEURISTIC,
-    annotate_campaign,
-    annotate_corpus,
-)
+from pbpstate.pipeline import annotate_campaign, annotate_corpus
+from pbpstate.records import HEURISTIC
 from pbpstate.serialize import ControlVariant, build_examples
-from pbpstate.slots import fill_inputs, fill_missing, train_slot_models
+from pbpstate.slots import FILLABLE_SLOTS, fill_inputs, fill_missing, train_slot_models
 from pbpstate.synth import SynthConfig, generate, generate_corpus
 from pbpstate.transcripts import load_campaigns, write_campaigns
 

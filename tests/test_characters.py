@@ -308,9 +308,7 @@ class TestPostFacts:
         facts = post_facts(
             ["Kessa the dwarf fighter draws her sword.", "She will cast ember lance."],
             gaz,
-            index=4,
         )
-        assert facts.index == 4
         assert facts.names == ("Kessa",)
         assert facts.classes == ("fighter",)
         assert facts.races == (("dwarf", 10),)

@@ -374,6 +374,10 @@ def test_serialize_rejects_fewer_states_than_posts(synth_corpus, tmp_path, capsy
             {"rase": {"value": "elf", "source": "heuristic"}},
             "turn_slots[0]: rase: not a slot row field",
         ),
+        (
+            {"race": {"value": "elf", "source": 5}},
+            "turn_slots[0]: race: source: must be a string or null, not int",
+        ),
         (None, "turn_slots: missing"),
     ],
 )
@@ -1252,16 +1256,22 @@ def test_ingest_skips_a_dice_tag_with_an_over_long_number(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def record_files(tmp_path_factory):
-    """One file of each record kind: transcript, ingested, annotated, gold."""
+    """One file of each record kind: transcript, ingested, annotated, gold,
+    labeled paragraphs and ratings."""
     work = tmp_path_factory.mktemp("records")
-    files = {kind: work / f"{kind}.jsonl"
-             for kind in ("transcript", "ingested", "annotated", "gold")}
+    files = {kind: work / f"{kind}.jsonl" for kind in (
+        "transcript", "ingested", "annotated", "gold", "labeled", "ratings"
+    )}
     assert main(["synth", "--seed", "43", "--campaigns", "2", "--turns", "60",
                  "--out", str(files["transcript"]), "--gold", str(files["gold"])]) == 0
     assert main(["ingest", "--in", str(files["transcript"]),
                  "--out", str(files["ingested"])]) == 0
     assert main(["annotate", "--in", str(files["transcript"]),
                  "--out", str(files["annotated"])]) == 0
+    _write_jsonl(files["labeled"], [{"text": "the road bends", "label": "IC"},
+                                    {"text": "brb", "label": "OOC"}])
+    _write_jsonl(files["ratings"], [{"labels": ["a", "a"], "scores": [1, 2]},
+                                    {"labels": ["a", "b"], "scores": [2, 1]}])
     return files
 
 
@@ -1277,6 +1287,9 @@ _READERS = {
     "serialize": ("annotated", ["serialize", "--in", "{edited}", "--out", "{out}"]),
     "eval-pred": ("annotated", ["eval-gst", "--pred", "{edited}", "--gold", "{gold}"]),
     "eval-gold": ("gold", ["eval-gst", "--pred", "{annotated}", "--gold", "{edited}"]),
+    "train-labeled": ("labeled", ["train-icooc", "--labeled", "{edited}",
+                                  "--out", "{out}"]),
+    "agreement": ("ratings", ["agreement", "--in", "{edited}"]),
 }
 
 _ROLL = ["turn_states", "*", "actions", 0, "roll"]
@@ -1335,6 +1348,8 @@ _EXTRA_KEYS = [
      "turn_slots[0]: bogus: not a slot row field"),
     ("eval-gold", ["turn_slots", 0, "race"], {"bogus": 1},
      "turn_slots[0]: race: bogus: not a slot cell field"),
+    ("train-labeled", [], {"lable": "OOC"}, "lable: not a labeled paragraph field"),
+    ("agreement", [], {"scroes": [1, 2]}, "scroes: not a ratings line field"),
 ]
 
 
@@ -1361,7 +1376,8 @@ def _resolve(value, path):
 def _edit_first(source, target, path, edit):
     """Write ``source``'s records to ``target`` with ``edit`` applied to the
     object at ``path`` in the first record that has one; that record's line
-    number, its campaign id and the path taken."""
+    number, its campaign id (None for a record without one) and the path
+    taken."""
     records = [json.loads(line) for line in source.read_text().splitlines()]
     for line, record in enumerate(records, start=1):
         taken = _resolve(record, path)
@@ -1371,7 +1387,7 @@ def _edit_first(source, target, path, edit):
                 obj = obj[key]
             edit(obj)
             _write_jsonl(target, records)
-            return line, record["campaign_id"], taken
+            return line, record.get("campaign_id"), taken
     raise AssertionError(f"no record has {path}")
 
 

@@ -30,7 +30,7 @@ def campaign_of(texts):
 
 
 def facts_of(campaign, gaz):
-    return [post_facts(p.paragraphs, gaz, p.index) for p in campaign.posts]
+    return [post_facts(p.paragraphs, gaz) for p in campaign.posts]
 
 
 def detect_spans(campaign, gaz, **kwargs):

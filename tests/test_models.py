@@ -283,9 +283,17 @@ ROLL_JSON = {"count": 1, "faces": 20, "modifier": 0, "result": 5}
             id="transcript",
         ),
         pytest.param(
-            slot_rows_from_record, {"turn_slots": [{"race": {"value": 3}}]},
+            slot_rows_from_record,
+            {"campaign_id": "c1", "turn_slots": [{"race": {"value": 3}}]},
             "turn_slots[0]: race: value: must be a string or null, not int",
             id="slot-rows",
+        ),
+        pytest.param(
+            slot_rows_from_record,
+            {"campaign_id": "c1", "turn_slots": [
+                {"race": {"value": "elf", "source": ["heuristic"]}}]},
+            "turn_slots[0]: race: source: must be a string or null, not list",
+            id="slot-source",
         ),
         pytest.param(
             lambda d: ratings_from_record(d, None), {"scores": [4, "5"]},

@@ -9,21 +9,18 @@ from pbpstate.cli import main
 from pbpstate import slots
 from pbpstate.icooc import featurize, labeled_paragraphs, train
 from pbpstate.models import TurnState
-from pbpstate.pipeline import (
-    FILLABLE_SLOTS,
+from pbpstate.pipeline import annotate_campaign, annotate_corpus
+from pbpstate.records import (
     HEURISTIC,
     MODEL,
-    annotate_campaign,
-    annotate_corpus,
     annotated_to_record,
-    validate_record,
-)
-from pbpstate.records import (
     gold_to_record,
     slot_rows_from_record,
     state_slot_values,
     turns_from_record,
+    validate_record,
 )
+from pbpstate.slots import FILLABLE_SLOTS
 from pbpstate.synth import SynthConfig, generate
 
 from conftest import make_campaign, slot_cells
@@ -91,7 +88,8 @@ def test_record_round_trip(gaz, synth_pairs):
     assert campaign_id == campaign.campaign_id
     assert len(turns) == len(campaign.posts)
     assert turns[0][1] == annotated.turn_states[0]
-    rows = slot_rows_from_record(record)
+    campaign_id, rows = slot_rows_from_record(record)
+    assert campaign_id == campaign.campaign_id
     assert len(rows) == len(campaign.posts)
 
 
@@ -139,7 +137,7 @@ def test_record_posts_are_the_transcript_posts(gaz, synth_pairs):
 def test_gold_record_slot_rows(synth_pairs):
     campaign, gold = synth_pairs[0]
     record = gold_to_record(campaign, gold)
-    rows = slot_rows_from_record(record)
+    _, rows = slot_rows_from_record(record)
     assert rows[0]["character_class"] == gold.turn_states[0].character_class
     for row, state in zip(rows, gold.turn_states):
         assert row == state_slot_values(state)

@@ -9,15 +9,10 @@ import pytest
 from pbpstate import slots
 from pbpstate.models import DUNGEON_MASTER
 from pbpstate.icooc import featurize
-from pbpstate.pipeline import (
-    FILLABLE_SLOTS,
-    HEURISTIC,
-    MODEL,
-    annotate_campaign,
-    annotate_corpus,
-)
-from pbpstate.records import state_slot_values
+from pbpstate.pipeline import annotate_campaign, annotate_corpus
+from pbpstate.records import HEURISTIC, MODEL, state_slot_values
 from pbpstate.slots import (
+    FILLABLE_SLOTS,
     fill_inputs,
     fill_missing,
     predict_slot,

@@ -128,7 +128,7 @@ def test_full_rate_corpus_recovers_all_players(gaz):
 
 def test_detector_matches_gold_spans_and_monsters(gaz):
     for campaign, gold in generate(SMALL):
-        facts = [post_facts(p.paragraphs, gaz, p.index) for p in campaign.posts]
+        facts = [post_facts(p.paragraphs, gaz) for p in campaign.posts]
         spans = detect_combat_spans(campaign, facts, gap_turns=SMALL.gap_turns)
         assert [
             (s.start_index, s.end_index) for s in spans
