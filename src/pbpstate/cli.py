@@ -244,14 +244,12 @@ def _cmd_serialize(args: argparse.Namespace) -> int:
 
 def _cmd_eval_gst(args: argparse.Namespace) -> int:
     from .evaluation import slot_accuracy
-    from .records import slot_rows_from_record
+    from .records import gold_slot_rows, slot_rows_from_record
     from .transcripts import read_jsonl
 
     # campaign_id -> per-turn slot rows, in file order; ids must be unique.
-    pred_by_id, gold_by_id = (
-        dict(read_jsonl(path, slot_rows_from_record, itemgetter(0)))
-        for path in (args.pred, args.gold)
-    )
+    pred_by_id = dict(read_jsonl(args.pred, slot_rows_from_record, itemgetter(0)))
+    gold_by_id = dict(read_jsonl(args.gold, gold_slot_rows, itemgetter(0)))
     extra = [cid for cid in pred_by_id if cid not in gold_by_id]
     if extra:
         raise FormatError(f"campaign {extra[0]!r} has predictions but no gold")

@@ -29,7 +29,7 @@ match. A record's own keys are listed once per record kind, transcript
 in ``transcripts`` and annotated and gold in ``records``, and checked
 where that kind is read: ``transcripts.load_campaigns``,
 ``records.turns_from_record`` and ``records.gold_from_record``;
-``records.slot_rows_from_record`` takes the keys of any kind. A roll's
+``records.slot_rows_from_record`` takes the annotated keys. A roll's
 written ``consistent`` must be the value its other fields give.
 """
 

@@ -8,17 +8,17 @@ the cells' sources. It loads none of the annotation code, so the
 commands that only read records load none of it. Its decoders are
 listed, and the one key rule is stated, in ``pbpstate.models``.
 
-Under ``turn_slots`` a record holds each turn's slot view: one
-``{"value", "source"}`` cell per name in ``SLOT_KEYS``. A turn's slot
-view is its state's own: a character slot holds a value on every turn
-whose author earned a profile value, ``in_combat`` comes from the combat
-spans on every turn, and ``action`` is empty on a turn without a roll.
-Only the slots in ``slots.FILLABLE_SLOTS`` (class, race, pronouns) are
-left for the slot-fill models, where no profile value was earned;
-``annotate`` always applies them, and keeps what they set apart, as the
-campaign's ``fills``. Each cell names its source: ``HEURISTIC`` for the
-state's own value, ``MODEL`` for a fill, ``None`` for an empty annotated
-cell and ``GOLD`` for every gold cell.
+A turn's slot view is its state's ``state_slot_values``; a gold record
+holds only the states. An annotated record also writes the view under
+``turn_slots``, one ``{"value", "source"}`` cell per name in
+``SLOT_KEYS``: a character slot holds a value on every turn whose author
+earned a profile value, ``in_combat`` comes from the combat spans, and
+``action`` is empty on a turn without a roll. Only the slots in
+``slots.FILLABLE_SLOTS`` (class, race, pronouns) are left for the
+slot-fill models, where no profile value was earned; ``annotate`` keeps
+what they set apart as the campaign's ``fills``. Each cell names its
+source: ``HEURISTIC`` for the state's own value, ``MODEL`` for a fill
+and ``None`` for an empty cell.
 """
 
 from __future__ import annotations
@@ -36,15 +36,14 @@ from .transcripts import TRANSCRIPT_KEYS, campaign_from_record
 
 HEURISTIC = "heuristic"
 MODEL = "model"
-GOLD = "gold"
 
 ANNOTATED_KEYS = TRANSCRIPT_KEYS | {
     "coverage", "profiles", "combat_spans", "turn_states", "turn_slots"
 }
-GOLD_KEYS = _names(GoldAnnotations) | {"campaign_id", "turn_slots"}
-_SLOT_RECORD_KEYS = ANNOTATED_KEYS | GOLD_KEYS
+GOLD_KEYS = _names(GoldAnnotations) | {"campaign_id"}
 _SLOT_ROW_KEYS = frozenset(SLOT_KEYS)
 _SLOT_CELL_KEYS = frozenset({"value", "source"})
+SlotRows = tuple[dict[str, str | None], ...]
 
 
 @dataclass(frozen=True)
@@ -72,13 +71,13 @@ def state_slot_values(state: TurnState) -> dict[str, str | None]:
 
 
 def _slot_cells(
-    state: TurnState, source: str, empty: str | None, filled: Mapping[str, str]
+    state: TurnState, filled: Mapping[str, str]
 ) -> dict[str, dict[str, str | None]]:
     """One turn's ``turn_slots`` row: each value of the state under
-    ``source`` (``empty`` when None), but a ``filled`` slot's label under
+    ``HEURISTIC`` (None when empty), but a ``filled`` slot's label under
     ``MODEL``."""
     cells = {
-        key: {"value": value, "source": empty if value is None else source}
+        key: {"value": value, "source": None if value is None else HEURISTIC}
         for key, value in sorted(state_slot_values(state).items())
     }
     for key, label in filled.items():
@@ -95,42 +94,44 @@ def annotated_to_record(annotated: AnnotatedCampaign) -> dict[str, Any]:
     record["combat_spans"] = [s.to_dict() for s in annotated.combat_spans]
     record["turn_states"] = [t.to_dict() for t in annotated.turn_states]
     record["turn_slots"] = [
-        _slot_cells(state, HEURISTIC, None, annotated.fills.get(index, {}))
+        _slot_cells(state, annotated.fills.get(index, {}))
         for index, state in enumerate(annotated.turn_states)
     ]
     return record
 
 
 def gold_to_record(campaign: Campaign, gold: GoldAnnotations) -> dict[str, Any]:
-    """Gold annotations in the same slot-record shape the evaluator reads."""
-    record: dict[str, Any] = {"campaign_id": campaign.campaign_id}
-    record.update(gold.to_dict())
-    record["turn_slots"] = [_slot_cells(s, GOLD, GOLD, {}) for s in gold.turn_states]
-    return record
+    """A gold record: the campaign's id and its gold annotations."""
+    return {"campaign_id": campaign.campaign_id, **gold.to_dict()}
 
 
 def gold_from_record(record: Mapping[str, Any]) -> tuple[str, GoldAnnotations]:
     """(campaign_id, gold) from a gold record; a missing or mistyped field
-    and a key outside ``GOLD_KEYS`` raise naming it. ``turn_slots`` is not
-    read, and the gold is not checked against its campaign's posts."""
+    and a key outside ``GOLD_KEYS`` raise naming it. The gold is not
+    checked against its campaign's posts."""
     record = _object(record, "a gold record", GOLD_KEYS)
     return _typed(record, "campaign_id", str), GoldAnnotations.from_dict(record)
 
 
-def slot_rows_from_record(
-    record: Mapping[str, Any],
-) -> tuple[str, tuple[dict[str, str | None], ...]]:
-    """(campaign_id, per-turn slot values) from a record of any kind.
+def gold_slot_rows(record: Mapping[str, Any]) -> tuple[str, SlotRows]:
+    """(campaign_id, each gold state's ``state_slot_values``) from a gold
+    record, read by ``gold_from_record``."""
+    campaign_id, gold = gold_from_record(record)
+    return campaign_id, tuple(map(state_slot_values, gold.turn_states))
 
-    The record may hold the keys of an annotated or a gold record, so an
-    outside predictor's ``{campaign_id, turn_slots}`` is one too. Each
-    ``turn_slots`` cell, keyed by a name in ``SLOT_KEYS``, is a ``{"value",
+
+def slot_rows_from_record(record: Mapping[str, Any]) -> tuple[str, SlotRows]:
+    """(campaign_id, per-turn slot values) from the ``turn_slots`` of an
+    annotated record or an outside predictor's ``{campaign_id,
+    turn_slots}``; a key outside ``ANNOTATED_KEYS`` raises naming it.
+
+    Each cell, keyed by a name in ``SLOT_KEYS``, is a ``{"value",
     "source"}`` object whose ``value`` and, when present, ``source`` are
     strings or null; anything else raises ValueError naming the turn and
     the slot, as ``turn_slots[i]: slot: ...``. A slot without a cell is
     left out of its row, which the evaluator reads as null.
     """
-    _object(record, "an annotated or gold record", _SLOT_RECORD_KEYS)
+    _object(record, "an annotated record", ANNOTATED_KEYS)
     campaign_id = _typed(record, "campaign_id", str)
     return campaign_id, _items(record, "turn_slots", _slot_row)
 

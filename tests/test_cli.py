@@ -1326,28 +1326,31 @@ _EXTRA_KEYS = [
      "profiles[{p[1]!r}]: colour: not a profile field"),
     ("serialize", ["combat_spans", 0], {"bogus": 1},
      "combat_spans[0]: bogus: not a combat span field"),
-    ("eval-pred", [], {"bogus_top": 1},
-     "bogus_top: not an annotated or gold record field"),
+    ("eval-pred", [], {"bogus_top": 1}, "bogus_top: not an annotated record field"),
     ("eval-pred", ["turn_slots", 0], {"bogus": 1},
      "turn_slots[0]: bogus: not a slot row field"),
     ("eval-pred", ["turn_slots", 0, "race"], {"bogus": 1},
      "turn_slots[0]: race: bogus: not a slot cell field"),
-    ("train-gold", [], {"bogus": 1}, "bogus: not a gold record field"),
-    ("train-gold", ["turn_states", 0], {"bogus": 1},
-     "turn_states[0]: bogus: not a turn state field"),
-    ("train-gold", ["turn_states", "*", "actions", 0], {"bogus": 1},
-     "turn_states[{p[1]}]: actions[0]: bogus: not an action field"),
-    ("train-gold", _ROLL, {"bogus": 1},
-     "turn_states[{p[1]}]: actions[0]: roll: bogus: not a roll field"),
-    ("train-gold", ["profiles", "*"], {"colour": "red"},
-     "profiles[{p[1]!r}]: colour: not a profile field"),
-    ("train-gold", ["combat_spans", 0], {"bogus": 1},
-     "combat_spans[0]: bogus: not a combat span field"),
-    ("eval-gold", [], {"bogus": 1}, "bogus: not an annotated or gold record field"),
-    ("eval-gold", ["turn_slots", 0], {"bogus": 1},
-     "turn_slots[0]: bogus: not a slot row field"),
-    ("eval-gold", ["turn_slots", 0, "race"], {"bogus": 1},
-     "turn_slots[0]: race: bogus: not a slot cell field"),
+    # train-icooc and eval-gst read gold through the same decoder. A gold
+    # record holds no turn_slots: its slot view comes from its turn states.
+    *(
+        row
+        for reader in ("train-gold", "eval-gold")
+        for row in [
+            (reader, [], {"bogus": 1}, "bogus: not a gold record field"),
+            (reader, [], {"turn_slots": []}, "turn_slots: not a gold record field"),
+            (reader, ["turn_states", 0], {"bogus": 1},
+             "turn_states[0]: bogus: not a turn state field"),
+            (reader, ["turn_states", "*", "actions", 0], {"bogus": 1},
+             "turn_states[{p[1]}]: actions[0]: bogus: not an action field"),
+            (reader, _ROLL, {"bogus": 1},
+             "turn_states[{p[1]}]: actions[0]: roll: bogus: not a roll field"),
+            (reader, ["profiles", "*"], {"colour": "red"},
+             "profiles[{p[1]!r}]: colour: not a profile field"),
+            (reader, ["combat_spans", 0], {"bogus": 1},
+             "combat_spans[0]: bogus: not a combat span field"),
+        ]
+    ),
     ("train-labeled", [], {"lable": "OOC"}, "lable: not a labeled paragraph field"),
     ("agreement", [], {"scroes": [1, 2]}, "scroes: not a ratings line field"),
 ]

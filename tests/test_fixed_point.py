@@ -1,9 +1,9 @@
-"""Fixed points: annotate and serialize output bytes on small synthetic
-corpora.
+"""Fixed points: annotate, serialize and eval-gst output bytes on small
+synthetic corpora.
 
-Any change to profiles, coverage, slot rows, fill, model files or the
-fine-tuning examples moves the digests. Each case runs the real CLI
-in-process.
+Any change to profiles, coverage, slot rows, fill, model files, the
+fine-tuning examples or the gold slot view that eval-gst scores against
+moves the digests. Each case runs the real CLI in-process.
 """
 
 import hashlib
@@ -12,6 +12,8 @@ import json
 import pytest
 
 from pbpstate.cli import main
+from pbpstate.models import TurnState
+from pbpstate.records import state_slot_values
 
 DENSE = ("--seed", "43", "--campaigns", "2", "--turns", "200")
 SPARSE = ("--seed", "43", "--campaigns", "8", "--turns", "50", "--signal-rate", "0.3")
@@ -22,6 +24,10 @@ ANNOTATE_SHA256 = {
 DENSE_MODEL_SHA256 = "88acecd984f96b3a63903c268bcc5c9d2e4304c93494bca172bf3ae039ad09b6"
 SPARSE_MODEL_SHA256 = "0d34cf53ebfa8400b818f3db9566436adbaabf852d738425b6d65718bd90987e"
 SPARSE_ANNOTATE_SHA256 = "f4f5789e020b7fa21f1b978d9cccfbb3430955cac07132f682eff066d11e912f"
+EVAL_GST_SHA256 = {
+    "dense": "276657e58ab28cb3f7a03fdcbcdfcc36527d96b6ebeb6ee32e830e925303666d",
+    "sparse": "32686467f50224f1a5cf31b2f6788879d0d30955c195e46df1a60cdd02fee5bc",
+}
 SERIALIZE_SHA256 = {
     ("all", "7"): "df7bba0ada13d579df6c4571f48e61df0cf90443856ac13247995572844f5536",
     ("curr", "3"): "e5a6974176d8eec3fb025ca0ec0f23a62ba6e3feb2c3707b2c89ea98a89522a4",
@@ -30,6 +36,12 @@ SERIALIZE_SHA256 = {
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def eval_gst_sha256(annotated, gold, capsys):
+    capsys.readouterr()
+    assert main(["eval-gst", "--pred", str(annotated), "--gold", str(gold), "--json"]) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
 def synth(tmp_path, name, args):
@@ -55,6 +67,13 @@ def test_dense_annotate_bytes(dense_corpus, tmp_path, case, flags):
     assert sha256(out) == ANNOTATE_SHA256[case]
 
 
+def test_dense_eval_gst_report_bytes(dense_files, tmp_path, capsys):
+    corpus, gold = dense_files
+    annotated = tmp_path / "annotated.jsonl"
+    assert main(["annotate", "--in", str(corpus), "--out", str(annotated)]) == 0
+    assert eval_gst_sha256(annotated, gold, capsys) == EVAL_GST_SHA256["dense"]
+
+
 @pytest.mark.parametrize("variant, window", sorted(SERIALIZE_SHA256))
 def test_dense_serialize_bytes(dense_corpus, tmp_path, variant, window):
     annotated, out = tmp_path / "annotated.jsonl", tmp_path / "finetune.jsonl"
@@ -75,7 +94,7 @@ def test_dense_train_icooc_model_bytes(dense_files, tmp_path):
     assert sha256(model) == DENSE_MODEL_SHA256
 
 
-def test_sparse_annotate_with_icooc_model_bytes(tmp_path):
+def test_sparse_annotate_with_icooc_model_bytes(tmp_path, capsys):
     corpus, gold = synth(tmp_path, "sparse", SPARSE)
     model, out = tmp_path / "icooc.model", tmp_path / "annotated.jsonl"
     assert main(
@@ -86,6 +105,7 @@ def test_sparse_annotate_with_icooc_model_bytes(tmp_path):
         ["annotate", "--in", str(corpus), "--out", str(out), "--icooc-model", str(model)]
     ) == 0
     assert sha256(out) == SPARSE_ANNOTATE_SHA256
+    assert eval_gst_sha256(out, gold, capsys) == EVAL_GST_SHA256["sparse"]
 
 
 def test_every_output_reads_back_through_every_command_that_reads_it(
@@ -132,7 +152,25 @@ def test_every_output_reads_back_through_every_command_that_reads_it(
         for r in map(json.loads, annotated.read_text(encoding="utf-8").splitlines())
     ), encoding="utf-8")
     assert run("eval-gst", "--pred", prediction, "--gold", gold, "--json") == report
-    assert json.loads(run("eval-gst", "--pred", gold, "--gold", gold, "--json"))[
+    # Each reader of eval-gst takes one record kind, so gold is no
+    # prediction and a prediction no gold; gold's own slot view, written
+    # as an outside prediction, scores 1.0.
+    for pred, problem in [
+        (gold, "paragraph_labels: not an annotated record field"),
+        (annotated, "posts: not a gold record field"),
+    ]:
+        capsys.readouterr()
+        assert main(["eval-gst", "--pred", str(pred), "--gold", str(pred)]) == 2
+        assert problem in capsys.readouterr().err
+    gold_view = tmp_path / "gold-view.jsonl"
+    gold_view.write_text("".join(
+        json.dumps({"campaign_id": r["campaign_id"], "turn_slots": [
+            {slot: {"value": v} for slot, v in state_slot_values(state).items()}
+            for state in map(TurnState.from_dict, r["turn_states"])
+        ]}) + "\n"
+        for r in map(json.loads, gold.read_text(encoding="utf-8").splitlines())
+    ), encoding="utf-8")
+    assert json.loads(run("eval-gst", "--pred", gold_view, "--gold", gold, "--json"))[
         "joint_accuracy"
     ] == 1.0
 

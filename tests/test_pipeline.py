@@ -14,6 +14,7 @@ from pbpstate.records import (
     HEURISTIC,
     MODEL,
     annotated_to_record,
+    gold_slot_rows,
     gold_to_record,
     slot_rows_from_record,
     state_slot_values,
@@ -136,11 +137,10 @@ def test_record_posts_are_the_transcript_posts(gaz, synth_pairs):
 
 def test_gold_record_slot_rows(synth_pairs):
     campaign, gold = synth_pairs[0]
-    record = gold_to_record(campaign, gold)
-    _, rows = slot_rows_from_record(record)
+    campaign_id, rows = gold_slot_rows(gold_to_record(campaign, gold))
+    assert campaign_id == campaign.campaign_id
     assert rows[0]["character_class"] == gold.turn_states[0].character_class
-    for row, state in zip(rows, gold.turn_states):
-        assert row == state_slot_values(state)
+    assert rows == tuple(map(state_slot_values, gold.turn_states))
 
 
 def test_corpus_without_fill_is_campaigns_in_input_order(gaz, synth_pairs):
