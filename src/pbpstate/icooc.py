@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .dice import contains_dice_expr
 from .errors import (
@@ -31,7 +31,7 @@ from .errors import (
     ModelIOError,
     VersionMismatchError,
 )
-from .models import Campaign, GoldAnnotations, Post, _names, _object, _typed
+from .models import Campaign, GoldAnnotations, Post, _Codec
 from .transcripts import write_lines
 
 MODEL_MAGIC = "ICOOC-MODEL v1"
@@ -47,7 +47,8 @@ _SECOND_PERSON = frozenset({"you", "your", "yours"})
 
 
 @dataclass(frozen=True)
-class LabeledParagraph:
+class LabeledParagraph(_Codec):
+    _what = "a labeled paragraph"
     text: str
     label: str
 
@@ -56,11 +57,6 @@ class LabeledParagraph:
             raise ValueError("text: must be a non-empty string")
         if self.label not in (IC, OOC):
             raise ValueError(f"label: must be {IC!r} or {OOC!r}")
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "LabeledParagraph":
-        d = _object(d, "a labeled paragraph", _names(cls))
-        return cls(text=_typed(d, "text", str), label=_typed(d, "label", str))
 
 
 def labeled_paragraphs(

@@ -5,40 +5,53 @@ and raises ValueError naming the offending field, and all collections are
 frozen so instances can be shared freely across threads. Inference lives in
 the other modules.
 
+A record type's ``to_dict`` and ``from_dict`` (``_Codec``) are derived from
+its dataclass fields by ``_encode`` and ``_decode``, planned per class on
+first use. Fields are written under their names, in field order: scalars as
+they are, a ``frozenset`` as a sorted list, a tuple as a list, a dataclass
+as its object and an ``Enum`` as its value; each is read back by the same
+annotation. Field metadata states the exceptions: ``key``, a JSON key other
+than the name, None for a post's ``index`` (its position); ``optional``,
+written only on request (a post's ``rolls``, by ``ingest``); ``item``, a
+list item's decoder (a span's ``[name, count]`` monster pairs); and
+``filed_by``, the attribute that must equal a dict value's key (a gold
+profile's ``player_id``). A field that ``__init__`` does not take is
+derived (a roll's ``consistent``): written, and on read it must be the
+value the other fields give.
+
 Decoded JSON is checked by ``_is``, ``_typed``, ``_items``, ``_at`` and
 ``_object``, the package's only field checkers: a bad field reads ``field:
 must be ..., not ...`` after its path, as in ``turn_states[3]: actions[0]:
 roll: count: ...``; a list item's index is formatted only when a check
-fails. A JSON ``true`` or ``false`` is no integer and no number. The
-decoders: transcript, ``transcripts.campaign_from_record``; annotated,
+fails. A JSON ``true`` or ``false`` is no integer and no number. Besides
+``_decode``, the decoders are: transcript,
+``transcripts.campaign_from_record``; annotated,
 ``records.turns_from_record``, through ``profiles_and_spans``; gold,
 ``records.gold_from_record``; turn slots, ``records.slot_rows_from_record``;
-labeled paragraph, ``icooc.LabeledParagraph.from_dict``; ratings,
-``evaluation.ratings_from_record``; and the IC/OOC model file, not JSON,
-``icooc.load_model``. ``check_turn_states`` is the one check of turn
+ratings, ``evaluation.ratings_from_record``; and the IC/OOC model file, not
+JSON, ``icooc.load_model``. ``check_turn_states`` is the one check of turn
 states against their posts.
 
 One key rule holds for every object of the JSON formats: a key that its
-decoder does not read is a data error, ``bogus: not a turn state
-field``, raised by ``_object``. Its callers are the decoders of a post
-(``transcripts``), a roll, an action, a turn state, a profile and a
-combat span (here), a ``turn_slots`` row and cell (``records``), a
-labeled paragraph (``icooc``) and a ratings line (``evaluation``); an
-object's keys are its dataclass's field names where the JSON names
-match. A record's own keys are listed once per record kind, transcript
-in ``transcripts`` and annotated and gold in ``records``, and checked
-where that kind is read: ``transcripts.load_campaigns``,
-``records.turns_from_record`` and ``records.gold_from_record``;
-``records.slot_rows_from_record`` takes the annotated keys. A roll's
-written ``consistent`` must be the value its other fields give.
+decoder does not read is a data error, ``bogus: not a turn state field``,
+raised by ``_object`` for ``_decode`` (whose keys are the fields' JSON
+keys) and for the decoders of a post (``transcripts``), a ``turn_slots``
+row and cell (``records``) and a ratings line (``evaluation``). A record's
+own keys are listed once per record kind, transcript in ``transcripts``
+and annotated and gold in ``records``, and checked where that kind is read:
+``transcripts.load_campaigns``, ``records.turns_from_record`` and
+``records.gold_from_record``; ``records.slot_rows_from_record`` takes the
+annotated keys.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, Field, dataclass, field, fields, is_dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, partial
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Mapping, NoReturn, Sequence, TypeVar
+from typing import get_args, get_origin, get_type_hints
 
 DUNGEON_MASTER = "Dungeon Master"
 
@@ -72,7 +85,6 @@ def _require(condition: bool, field_name: str, message: str) -> None:
         _fail(field_name, message)
 
 
-_MISSING = object()
 T = TypeVar("T")
 _OPTIONAL_STR = (str, type(None))
 _NUMBER = (int, float)
@@ -126,16 +138,18 @@ def _each(
     return tuple(decoded)
 
 
-def _typed(d: Any, key: str, kind: Any, default: Any = _MISSING) -> Any:
+def _typed(d: Any, key: str, kind: Any, default: Any = MISSING) -> Any:
     """``d[key]``, or ``default`` when absent, which must be a ``kind``.
 
     Decoded JSON is checked before it is converted, so that a string
     inventory or a string ``in_combat`` is rejected, not coerced.
     """
     if key not in d:
-        _require(default is not _MISSING, key, "missing")
+        _require(default is not MISSING, key, "missing")
         return default
-    return _is(d[key], kind, key)
+    value = d[key]
+    # One test for the common case; ``_is`` tests the rest and names a bad value.
+    return value if type(value) is kind else _is(value, kind, key)
 
 
 def _object(
@@ -154,22 +168,154 @@ def _object(
     return d
 
 
-@cache
-def _names(cls: type) -> frozenset[str]:
-    """The field names of the dataclass ``cls``."""
-    return frozenset(f.name for f in fields(cls))
-
-
 def _items(
-    d: Any, key: str, decode: Callable[[Any], T], default: Any = _MISSING
+    d: Any, key: str, decode: Callable[[Any], T], default: Any = MISSING
 ) -> tuple[T, ...]:
     """``decode`` of each item of the list ``d[key]``, or ``default`` when
     absent; a bad item is named ``key[i]``."""
     return _each(_typed(d, key, list, default), decode, lambda i: f"{key}[{i}]")
 
 
+# How a field of each scalar type is checked on read; it is written as it is.
+_SCALARS: dict[Any, Any] = {str: str, bool: bool, int: int, str | None: _OPTIONAL_STR}
+
+
+def _key(f: Field) -> str | None:
+    return f.metadata.get("key", f.name)
+
+
+@cache
+def _keys(cls: type) -> frozenset[str]:
+    """The JSON keys of the dataclass ``cls``."""
+    return frozenset(key for f in fields(cls) if (key := _key(f)) is not None)
+
+
+def _item(tp: Any) -> Callable[[Any], Any]:
+    """The decoder of a list item of type ``tp``."""
+    if is_dataclass(tp):
+        return tp.from_dict
+    if get_origin(tp) is tuple:
+        item = _item(get_args(tp)[0])
+        return lambda v: tuple(map(item, _is(v, list)))
+    return lambda v: _is(v, tp)
+
+
+def _read(f: Field, tp: Any) -> tuple[Any, Callable[[Any], Any] | None]:
+    """The JSON kind of the field ``f``, of type ``tp``, and the decoder
+    of a value of that kind, or None when it is read as it is."""
+    key, origin, args = _key(f), get_origin(tp), get_args(tp)
+    if origin in (tuple, frozenset):
+        item = f.metadata.get("item") or _item(args[0])
+        return list, lambda v: _each(v, item, lambda i: f"{key}[{i}]")
+    if origin is dict:
+        filed = partial(_filed, args[1], f.metadata["filed_by"])
+        return dict, lambda v: {
+            k: _at(f"{key}[{k!r}]", filed, k, x) for k, x in v.items()
+        }
+    if is_dataclass(tp):
+        return dict, partial(_at, key, tp.from_dict)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return str, partial(_at, key, tp)
+    return _SCALARS[tp], None
+
+
+def _filed(cls: Any, attr: str, key: str, d: Any) -> Any:
+    """``cls.from_dict(d)``, whose ``attr`` must be the ``key`` it is filed under."""
+    obj = cls.from_dict(d)
+    if getattr(obj, attr) != key:
+        raise ValueError(f"{attr}: must be {key!r}, not {getattr(obj, attr)!r}")
+    return obj
+
+
+@cache
+def _reads(cls: type) -> tuple[Any, ...]:
+    """The plan of ``_decode(cls, ...)``: the JSON keys; the key, usual
+    types, kind, default and decoder of each field ``__init__`` takes, by
+    name; and the name, key and kind of each derived field."""
+    hints = get_type_hints(cls)
+    reads, derived = {}, []
+    for f in fields(cls):
+        kind, decode = _read(f, hints[f.name])
+        if not f.init:
+            derived.append((f.name, _key(f), kind))
+            continue
+        usual = kind if isinstance(kind, tuple) else (kind,)
+        default = f.default_factory() if f.default_factory is not MISSING else f.default
+        reads[f.name] = (_key(f), usual, kind, default, decode)
+    return _keys(cls), reads, tuple(derived)
+
+
+def _decode(cls: type[T], d: Any) -> T:
+    """An instance of the dataclass ``cls`` from its decoded JSON object
+    ``d``, which ``_object`` checks as ``cls._what`` unless that is None.
+    A derived field's written value must be the one the other fields give."""
+    keys, reads, derived = _reads(cls)
+    if cls._what is not None:
+        d = _object(d, cls._what, keys, cls._named)
+    values = {}
+    for name, (key, usual, kind, default, decode) in reads.items():
+        value = d.get(key, default)
+        if type(value) not in usual:  # so that the common case costs no call
+            value = _typed(d, key, kind, default)
+        values[name] = value if decode is None else decode(value)
+    obj = cls(**values)
+    for name, key, kind in derived:
+        value = getattr(obj, name)
+        if _typed(d, key, kind, value) != value:
+            _fail(key, f"must be {str(value).lower()}, as the other fields give")
+    return obj
+
+
+def _writer(tp: Any, optional: bool) -> Callable[[Any], Any] | None:
+    """How a value of type ``tp`` is written, or None when as it is."""
+    origin, args = get_origin(tp), get_args(tp)
+    if is_dataclass(tp):
+        return lambda v: _encode(v, optional)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return attrgetter("value")
+    if origin is frozenset:
+        return sorted
+    if origin is tuple:
+        item = _writer(args[0], optional)
+        return list if item is None else lambda v: list(map(item, v))
+    if origin is dict:
+        item = _writer(args[1], optional)
+        return lambda v: {k: item(x) for k, x in sorted(v.items())}
+    return None
+
+
+@cache
+def _writes(cls: type, optional: bool) -> tuple[tuple[str, str, Any], ...]:
+    """The name, key and writer of each field of ``cls`` that is written."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (f.name, key, _writer(hints[f.name], optional))
+        for f in fields(cls)
+        if (key := _key(f)) is not None and (optional or not f.metadata.get("optional"))
+    )
+
+
+def _encode(obj: Any, optional: bool = False) -> dict[str, Any]:
+    """The JSON object of the dataclass instance ``obj``; its optional
+    fields are written only when ``optional``."""
+    return {
+        key: getattr(obj, name) if write is None else write(getattr(obj, name))
+        for name, key, write in _writes(type(obj), optional)
+    }
+
+
+class _Codec:
+    """``to_dict`` and ``from_dict`` from the fields: ``_what`` names the
+    JSON object in a key error, and in a non-object's too when ``_named``."""
+
+    _what: str | None = None
+    _named = True
+    to_dict = _encode
+    from_dict = classmethod(_decode)
+
+
 @dataclass(frozen=True)
-class DiceRoll:
+class DiceRoll(_Codec):
     """One parsed dice expression plus the result recorded in the post.
 
     ``consistent`` is a derived flag, not a construction constraint:
@@ -177,57 +323,23 @@ class DiceRoll:
     range is preserved and merely flagged.
     """
 
+    _what, _named = "a roll", False
     count: int
     faces: int
     modifier: int
     result: int
     paragraph_index: int = 0
     char_offset: int = 0
+    consistent: bool = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         _require(self.count >= 1, "count", "must be at least 1")
         _require(self.faces >= 2, "faces", "must be at least 2")
         _require(self.paragraph_index >= 0, "paragraph_index", "must be non-negative")
         _require(self.char_offset >= 0, "char_offset", "must be non-negative")
-
-    @property
-    def consistent(self) -> bool:
         low = self.count + self.modifier
         high = self.count * self.faces + self.modifier
-        return low <= self.result <= high
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "count": self.count,
-            "faces": self.faces,
-            "modifier": self.modifier,
-            "result": self.result,
-            "paragraph_index": self.paragraph_index,
-            "char_offset": self.char_offset,
-            "consistent": self.consistent,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "DiceRoll":
-        """A roll from its decoded JSON; a written ``consistent`` must be
-        the value the other fields give."""
-        d = _object(d, "a roll", _ROLL_KEYS, named=False)
-        roll = cls(
-            count=_typed(d, "count", int),
-            faces=_typed(d, "faces", int),
-            modifier=_typed(d, "modifier", int),
-            result=_typed(d, "result", int),
-            paragraph_index=_typed(d, "paragraph_index", int, 0),
-            char_offset=_typed(d, "char_offset", int, 0),
-        )
-        if _typed(d, "consistent", bool, roll.consistent) != roll.consistent:
-            derived = "true" if roll.consistent else "false"
-            _fail("consistent", f"must be {derived}, as the other fields give")
-        return roll
-
-
-# ``consistent`` is written, not a field: it is derived from the others.
-_ROLL_KEYS = _names(DiceRoll) | {"consistent"}
+        object.__setattr__(self, "consistent", low <= self.result <= high)
 
 
 @dataclass(frozen=True)
@@ -236,9 +348,9 @@ class Post:
 
     post_id: str
     author_id: str
-    index: int
+    index: int = field(metadata={"key": None})
     paragraphs: tuple[str, ...]
-    rolls: tuple[DiceRoll, ...] = ()
+    rolls: tuple[DiceRoll, ...] = field(default=(), metadata={"optional": True})
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "paragraphs", tuple(self.paragraphs))
@@ -257,16 +369,6 @@ class Post:
 
     def text(self) -> str:
         return "\n".join(self.paragraphs)
-
-    def to_dict(self, include_rolls: bool = False) -> dict[str, Any]:
-        d: dict[str, Any] = {
-            "post_id": self.post_id,
-            "author_id": self.author_id,
-            "paragraphs": list(self.paragraphs),
-        }
-        if include_rolls:
-            d["rolls"] = [r.to_dict() for r in self.rolls]
-        return d
 
 
 @dataclass(frozen=True)
@@ -292,24 +394,18 @@ class Campaign:
         return frozenset(p.author_id for p in self.posts)
 
     def to_dict(self, include_rolls: bool = False) -> dict[str, Any]:
-        return {
-            "campaign_id": self.campaign_id,
-            "posts": [p.to_dict(include_rolls=include_rolls) for p in self.posts],
-        }
-
-
-# A post's ``index`` is its position in the file, not a key.
-_POST_KEYS = _names(Post) - {"index"}
+        return _encode(self, include_rolls)
 
 
 @dataclass(frozen=True)
-class CharacterProfile:
+class CharacterProfile(_Codec):
     """Per-player properties inferred from their posts.
 
     The DM profile is scrubbed: class fixed to Dungeon Master, everything
     else absent, because the DM voices many characters at once.
     """
 
+    _what = "a profile"
     player_id: str
     is_dm: bool = False
     name: str | None = None
@@ -334,42 +430,16 @@ class CharacterProfile:
             _require(not self.inventory, "inventory", "DM profile must be scrubbed")
             _require(not self.spells, "spells", "DM profile must be scrubbed")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "player_id": self.player_id,
-            "is_dm": self.is_dm,
-            "name": self.name,
-            "character_class": self.character_class,
-            "race": self.race,
-            "pronouns": self.pronouns,
-            "inventory": sorted(self.inventory),
-            "spells": sorted(self.spells),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "CharacterProfile":
-        """A profile from its decoded JSON; a missing or mistyped field
-        raises ValueError naming the field."""
-        d = _object(d, "a profile", _names(cls))
-        return cls(
-            player_id=_typed(d, "player_id", str),
-            is_dm=_typed(d, "is_dm", bool, False),
-            name=_typed(d, "name", _OPTIONAL_STR, None),
-            character_class=_typed(d, "character_class", _OPTIONAL_STR, None),
-            race=_typed(d, "race", _OPTIONAL_STR, None),
-            pronouns=_typed(d, "pronouns", _OPTIONAL_STR, None),
-            inventory=_items(d, "inventory", _string, ()),
-            spells=_items(d, "spells", _string, ()),
-        )
-
 
 @dataclass(frozen=True)
-class Action:
+class Action(_Codec):
     """One classified dice action within a turn."""
 
+    _what, _named = "an action", False
     kind: ActionKind
-    source_roll: DiceRoll
     skill: str | None = None
+    # Keyword-only, so that it can follow ``skill``, as its key is written.
+    source_roll: DiceRoll = field(kw_only=True, metadata={"key": "roll"})
 
     def __post_init__(self) -> None:
         if self.kind is ActionKind.SKILL_CHECK:
@@ -377,31 +447,12 @@ class Action:
         else:
             _require(self.skill is None, "skill", "only allowed for skill checks")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind.value,
-            "skill": self.skill,
-            "roll": self.source_roll.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "Action":
-        d = _object(d, "an action", _ACTION_KEYS, named=False)
-        return cls(
-            kind=_at("kind", ActionKind, _typed(d, "kind", str)),
-            skill=_typed(d, "skill", _OPTIONAL_STR, None),
-            source_roll=_at("roll", DiceRoll.from_dict, _typed(d, "roll", dict)),
-        )
-
-
-# ``source_roll`` is written as ``roll``.
-_ACTION_KEYS = frozenset({"kind", "skill", "roll"})
-
 
 @dataclass(frozen=True)
-class TurnState:
+class TurnState(_Codec):
     """The per-turn control-feature record used to condition generation."""
 
+    _what = "a turn state"
     player_id: str
     character_name: str | None = None
     character_class: str | None = None
@@ -448,44 +499,23 @@ class TurnState:
         )
         return all(a == b for a, b in pairs if a is not None and b is not None)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "player_id": self.player_id,
-            "character_name": self.character_name,
-            "character_class": self.character_class,
-            "race": self.race,
-            "pronouns": self.pronouns,
-            "inventory": sorted(self.inventory),
-            "in_combat": self.in_combat,
-            "in_character": self.in_character,
-            "actions": [a.to_dict() for a in self.actions],
-        }
 
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "TurnState":
-        """A state from its decoded JSON; a missing or mistyped field
-        raises ValueError naming the field."""
-        d = _object(d, "a turn state", _names(cls))
-        return cls(
-            player_id=_typed(d, "player_id", str),
-            character_name=_typed(d, "character_name", _OPTIONAL_STR, None),
-            character_class=_typed(d, "character_class", _OPTIONAL_STR, None),
-            race=_typed(d, "race", _OPTIONAL_STR, None),
-            pronouns=_typed(d, "pronouns", _OPTIONAL_STR, None),
-            inventory=_items(d, "inventory", _string, ()),
-            in_combat=_typed(d, "in_combat", bool, False),
-            in_character=_typed(d, "in_character", bool, True),
-            actions=_items(d, "actions", Action.from_dict, ()),
-        )
+def _monster(pair: Any) -> tuple[str, int]:
+    if len(_is(pair, list)) != 2:
+        raise ValueError(f"must be a [name, count] pair, not {len(pair)} items")
+    return _is(pair[0], str, "name"), _is(pair[1], int, "count")
 
 
 @dataclass(frozen=True)
-class CombatSpan:
+class CombatSpan(_Codec):
     """A contiguous inclusive range of posts spent in combat."""
 
+    _what = "a combat span"
     start_index: int
     end_index: int
-    monsters: tuple[tuple[str, int], ...] = ()
+    monsters: tuple[tuple[str, int], ...] = field(
+        default=(), metadata={"item": _monster}
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "monsters", tuple(tuple(m) for m in self.monsters))
@@ -500,30 +530,6 @@ class CombatSpan:
 
     def contains(self, index: int) -> bool:
         return self.start_index <= index <= self.end_index
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "start_index": self.start_index,
-            "end_index": self.end_index,
-            "monsters": [[n, c] for n, c in self.monsters],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "CombatSpan":
-        """A span from its decoded JSON; a missing or mistyped field
-        raises ValueError naming the field."""
-        d = _object(d, "a combat span", _names(cls))
-        return cls(
-            start_index=_typed(d, "start_index", int),
-            end_index=_typed(d, "end_index", int),
-            monsters=_items(d, "monsters", _monster, ()),
-        )
-
-
-def _monster(pair: Any) -> tuple[str, int]:
-    if len(_is(pair, list)) != 2:
-        raise ValueError(f"must be a [name, count] pair, not {len(pair)} items")
-    return _is(pair[0], str, "name"), _is(pair[1], int, "count")
 
 
 def validate_spans(spans: Iterable[CombatSpan]) -> None:
@@ -544,20 +550,13 @@ def profiles_and_spans(
     """The ``profiles`` object and ``combat_spans`` list of a gold or
     annotated record, each empty when absent; each profile is filed under
     its ``player_id``, and the spans must be sorted and disjoint."""
-    profiles = {
-        pid: _at(f"profiles[{pid!r}]", _filed_profile, pid, p)
-        for pid, p in _typed(d, "profiles", dict, {}).items()
-    }
-    spans = _items(d, "combat_spans", CombatSpan.from_dict, ())
+    reads = _reads(GoldAnnotations)[1]
+    profiles, spans = (
+        decode(_typed(d, key, kind, default))
+        for key, _, kind, default, decode in (reads["profiles"], reads["combat_spans"])
+    )
     validate_spans(spans)
     return profiles, spans
-
-
-def _filed_profile(key: str, d: Any) -> CharacterProfile:
-    profile = CharacterProfile.from_dict(d)
-    if profile.player_id != key:
-        raise ValueError(f"player_id: must be {key!r}, not {profile.player_id!r}")
-    return profile
 
 
 def check_turn_states(
@@ -585,16 +584,19 @@ def check_turn_states(
 
 
 @dataclass(frozen=True)
-class GoldAnnotations:
+class GoldAnnotations(_Codec):
     """Ground truth carried alongside a campaign by the synthetic generator.
 
     ``paragraph_labels`` holds per-post lists of "IC"/"OOC" paragraph labels
     and ``cue_posts`` the indices of posts where the generator planted at
-    least one detectable signal.
+    least one detectable signal. Its record's reader checks the record's
+    keys, which include ``campaign_id``.
     """
 
     turn_states: tuple[TurnState, ...]
-    profiles: dict[str, CharacterProfile] = field(default_factory=dict)
+    profiles: dict[str, CharacterProfile] = field(
+        default_factory=dict, metadata={"filed_by": "player_id"}
+    )
     combat_spans: tuple[CombatSpan, ...] = ()
     paragraph_labels: tuple[tuple[str, ...], ...] = ()
     cue_posts: tuple[int, ...] = ()
@@ -625,27 +627,3 @@ class GoldAnnotations:
                 f"{len(labels)} labels for the {len(post.paragraphs)}"
                 f" paragraphs of post {post.index}",
             )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "turn_states": [t.to_dict() for t in self.turn_states],
-            "profiles": {pid: p.to_dict() for pid, p in sorted(self.profiles.items())},
-            "combat_spans": [s.to_dict() for s in self.combat_spans],
-            "paragraph_labels": [list(p) for p in self.paragraph_labels],
-            "cue_posts": list(self.cue_posts),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "GoldAnnotations":
-        """Gold annotations from a decoded gold record; a missing or
-        mistyped field raises ValueError naming the field."""
-        profiles, spans = profiles_and_spans(d)
-        return cls(
-            turn_states=_items(d, "turn_states", TurnState.from_dict),
-            profiles=profiles,
-            combat_spans=spans,
-            paragraph_labels=_items(
-                d, "paragraph_labels", lambda p: tuple(map(_string, _is(p, list))), ()
-            ),
-            cue_posts=_items(d, "cue_posts", lambda v: _is(v, int), ()),
-        )

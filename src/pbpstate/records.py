@@ -28,7 +28,7 @@ from typing import Any, Mapping
 
 from .models import SLOT_KEYS, Campaign, CharacterProfile, CombatSpan
 from .models import GoldAnnotations, TurnState, check_turn_states, profiles_and_spans
-from .models import _OPTIONAL_STR, _at, _items, _names, _object, _typed
+from .models import _OPTIONAL_STR, _at, _items, _keys, _object, _typed
 from .transcripts import TRANSCRIPT_KEYS, campaign_from_record
 
 # SLOT_KEYS, the slot names of this format, is defined beside TurnState
@@ -40,7 +40,7 @@ MODEL = "model"
 ANNOTATED_KEYS = TRANSCRIPT_KEYS | {
     "coverage", "profiles", "combat_spans", "turn_states", "turn_slots"
 }
-GOLD_KEYS = _names(GoldAnnotations) | {"campaign_id"}
+GOLD_KEYS = _keys(GoldAnnotations) | {"campaign_id"}
 _SLOT_ROW_KEYS = frozenset(SLOT_KEYS)
 _SLOT_CELL_KEYS = frozenset({"value", "source"})
 SlotRows = tuple[dict[str, str | None], ...]

@@ -29,13 +29,13 @@ from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
 
 from .dice import extract_rolls
 from .errors import FormatError
-from .models import Campaign, DiceRoll, Post, _at, _each, _items, _names, _object
-from .models import _POST_KEYS, _string, _typed
+from .models import Campaign, DiceRoll, Post, _at, _each, _items, _keys, _object
+from .models import _string, _typed
 
 T = TypeVar("T")
 
 # The keys of a transcript record, as ``ingest`` writes it too.
-TRANSCRIPT_KEYS = _names(Campaign)
+TRANSCRIPT_KEYS = _keys(Campaign)
 
 
 def campaign_from_record(record: dict[str, Any]) -> Campaign:
@@ -64,7 +64,7 @@ def campaign_from_record(record: dict[str, Any]) -> Campaign:
 
 def _post(indexed: tuple[int, Any]) -> Post:
     index, raw = indexed
-    raw = _object(raw, "a post", _POST_KEYS)
+    raw = _object(raw, "a post", _keys(Post))
     paragraphs = _items(raw, "paragraphs", _string)
     rolls = tuple(extract_rolls(paragraphs))
     if "rolls" in raw and _items(raw, "rolls", DiceRoll.from_dict) != rolls:

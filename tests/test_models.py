@@ -195,6 +195,89 @@ def test_combat_span_dict_round_trip():
     assert CombatSpan.from_dict(span.to_dict()) == span
 
 
+ACTION = Action(kind=ActionKind.SKILL_CHECK, source_roll=ROLL, skill="arcana")
+GOLD = GoldAnnotations(
+    turn_states=(
+        TurnState(player_id="p1", actions=(ACTION,)), TurnState(player_id="dm")
+    ),
+    profiles={
+        "p1": CharacterProfile(
+            player_id="p1", name="Brenna", spells=frozenset({"b", "a"})
+        ),
+        "dm": CharacterProfile(
+            player_id="dm", is_dm=True, character_class=DUNGEON_MASTER
+        ),
+    },
+    combat_spans=(CombatSpan(0, 0, (("goblin", 2), ("orc", 1))), CombatSpan(1, 1)),
+    paragraph_labels=(("IC", "OOC"), ("IC",)),
+    cue_posts=(0,),
+)
+
+
+@pytest.mark.parametrize(
+    "obj, keys",
+    [
+        pytest.param(
+            ROLL,
+            ["count", "faces", "modifier", "result", "paragraph_index", "char_offset",
+             "consistent"],
+            id="roll",
+        ),
+        pytest.param(ACTION, ["kind", "skill", "roll"], id="action"),
+        pytest.param(
+            GOLD.turn_states[0],
+            ["player_id", "character_name", "character_class", "race", "pronouns",
+             "inventory", "in_combat", "in_character", "actions"],
+            id="turn-state",
+        ),
+        pytest.param(
+            GOLD.profiles["p1"],
+            ["player_id", "is_dm", "name", "character_class", "race", "pronouns",
+             "inventory", "spells"],
+            id="profile",
+        ),
+        pytest.param(GOLD.combat_spans[0], ["start_index", "end_index", "monsters"],
+                     id="span"),
+        pytest.param(
+            GOLD,
+            ["turn_states", "profiles", "combat_spans", "paragraph_labels",
+             "cue_posts"],
+            id="gold",
+        ),
+        pytest.param(LabeledParagraph(text="a road", label="IC"), ["text", "label"],
+                     id="labeled-paragraph"),
+    ],
+)
+def test_record_type_dict_round_trip(obj, keys):
+    # The written key order is part of every output's bytes.
+    assert list(obj.to_dict()) == keys
+    assert type(obj).from_dict(obj.to_dict()) == obj
+
+
+def test_gold_writes_sorted_sets_and_profiles_and_pairs():
+    d = GOLD.to_dict()
+    assert list(d["profiles"]) == ["dm", "p1"]
+    assert d["profiles"]["p1"]["spells"] == ["a", "b"]
+    assert d["combat_spans"][0]["monsters"] == [["goblin", 2], ["orc", 1]]
+    assert d["paragraph_labels"] == [["IC", "OOC"], ["IC"]]
+    assert d["turn_states"][0]["actions"][0] == {
+        "kind": "skill_check", "skill": "arcana", "roll": ROLL.to_dict()
+    }
+
+
+def test_a_post_writes_its_rolls_only_on_request():
+    post = Post(post_id="a", author_id="p1", index=0, paragraphs=("hi (1d20)[11]",),
+                rolls=(ROLL,))
+    campaign = Campaign(campaign_id="c", posts=(post,))
+    assert campaign.to_dict() == {
+        "campaign_id": "c",
+        "posts": [{"post_id": "a", "author_id": "p1", "paragraphs": ["hi (1d20)[11]"]}],
+    }
+    with_rolls = campaign.to_dict(include_rolls=True)["posts"][0]
+    assert list(with_rolls) == ["post_id", "author_id", "paragraphs", "rolls"]
+    assert with_rolls["rolls"] == [ROLL.to_dict()]
+
+
 @pytest.mark.parametrize(
     "decode, d, problem",
     [
@@ -299,6 +382,19 @@ ROLL_JSON = {"count": 1, "faces": 20, "modifier": 0, "result": 5}
             lambda d: ratings_from_record(d, None), {"scores": [4, "5"]},
             "scores[1]: must be a number, not str", id="ratings",
         ),
+        pytest.param(
+            GoldAnnotations.from_dict,
+            {"turn_states": [], "paragraph_labels": ["IC"]},
+            "paragraph_labels[0]: must be a list, not str", id="gold-labels",
+        ),
+        pytest.param(
+            Action.from_dict, {"kind": 3, "roll": ROLL_JSON},
+            "kind: must be a string, not int", id="action-kind",
+        ),
+        pytest.param(
+            DiceRoll.from_dict, {**ROLL_JSON, "consistent": "yes"},
+            "consistent: must be true or false, not str", id="roll-consistent",
+        ),
     ],
 )
 def test_each_decoder_names_the_path_to_a_mistyped_field(decode, d, problem):
@@ -308,6 +404,94 @@ def test_each_decoder_names_the_path_to_a_mistyped_field(decode, d, problem):
         decode(d)
     assert str(excinfo.value) == problem
     assert re.fullmatch(r"(.+?: )+must be [^,]+, not \w+", problem)
+
+
+@pytest.mark.parametrize(
+    "decode, d, problem",
+    [
+        pytest.param(
+            DiceRoll.from_dict, {"faces": 20, "modifier": 0, "result": 5},
+            "count: missing", id="roll-missing",
+        ),
+        pytest.param(
+            CharacterProfile.from_dict, {"is_dm": False},
+            "player_id: missing", id="profile-missing",
+        ),
+        pytest.param(
+            TurnState.from_dict, {"in_combat": True},
+            "player_id: missing", id="turn-state-missing",
+        ),
+        pytest.param(
+            CombatSpan.from_dict, {"end_index": 1},
+            "start_index: missing", id="span-missing",
+        ),
+        pytest.param(
+            Action.from_dict, {"roll": ROLL_JSON},
+            "kind: missing", id="action-kind-missing",
+        ),
+        pytest.param(
+            Action.from_dict, {"kind": "attack"},
+            "roll: missing", id="action-roll-missing",
+        ),
+        pytest.param(
+            GoldAnnotations.from_dict, {"cue_posts": []},
+            "turn_states: missing", id="gold-missing",
+        ),
+        pytest.param(
+            LabeledParagraph.from_dict, {"label": "IC"},
+            "text: missing", id="labeled-paragraph-missing",
+        ),
+        pytest.param(
+            Action.from_dict, {"kind": "bogus", "roll": ROLL_JSON},
+            "kind: 'bogus' is not a valid ActionKind", id="action-kind-value",
+        ),
+        pytest.param(
+            DiceRoll.from_dict, {**ROLL_JSON, "result": 50, "consistent": True},
+            "consistent: must be false, as the other fields give",
+            id="roll-consistent",
+        ),
+        pytest.param(
+            CombatSpan.from_dict,
+            {"start_index": 0, "end_index": 1, "monsters": [["goblin", 2, 9]]},
+            "monsters[0]: must be a [name, count] pair, not 3 items",
+            id="monster-arity",
+        ),
+        pytest.param(
+            GoldAnnotations.from_dict,
+            {"turn_states": [], "profiles": {"p1": {"player_id": "p2"}}},
+            "profiles['p1']: player_id: must be 'p1', not 'p2'", id="misfiled-profile",
+        ),
+        pytest.param(
+            TurnState.from_dict, "p1",
+            "a turn state must be an object, not str", id="turn-state-object",
+        ),
+        pytest.param(
+            GoldAnnotations.from_dict, {"turn_states": [["p1"]]},
+            "turn_states[0]: a turn state must be an object, not list",
+            id="gold-state-object",
+        ),
+        pytest.param(
+            TurnState.from_dict, {"player_id": "p1", "actions": ["attack"]},
+            "actions[0]: must be an object, not str", id="action-object",
+        ),
+        pytest.param(
+            Action.from_dict, {"kind": "attack", "roll": [1, 20]},
+            "roll: must be an object, not list", id="roll-object",
+        ),
+        pytest.param(
+            CombatSpan.from_dict, {"start_index": 0, "end_index": 1, "bogus": 1},
+            "bogus: not a combat span field", id="span-key",
+        ),
+        pytest.param(
+            DiceRoll.from_dict, {**ROLL_JSON, "bogus": 1},
+            "bogus: not a roll field", id="roll-key",
+        ),
+    ],
+)
+def test_each_decoder_names_a_missing_or_invalid_field(decode, d, problem):
+    with pytest.raises(ValueError) as excinfo:
+        decode(d)
+    assert str(excinfo.value) == problem
 
 
 def test_boolean_fields_still_take_booleans():
