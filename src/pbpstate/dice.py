@@ -1,55 +1,27 @@
 """Parsing and formatting of inline dice-roll notation.
 
 The forum notation is ``(COUNTdFACES±MOD)[RESULT]``, e.g. ``(1d20+6)[20]``.
-Roll tags are machine-generated, so whitespace inside an expression is
-rejected rather than normalized; permissive parsing would make reported
-character offsets ambiguous.
+``extract_rolls`` is the one parser. Roll tags are machine-generated, so
+an expression with whitespace inside is skipped as text, not normalized:
+permissive parsing would make reported character offsets ambiguous.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import GrammarError
 from .models import DiceRoll
 
 _DICE_RE = re.compile(r"\((\d+)d(\d+)([+-]\d+)?\)\[(-?\d+)\]")
-_DICE_EXACT_RE = re.compile(rf"^{_DICE_RE.pattern}$")
 
 # A number in a roll tag has at most this many digits (under a billion).
 # A longer one encodes an impossible die, and is never handed to ``int``.
 MAX_DIGITS = 9
 
 
-def _roll(m: re.Match[str], paragraph_index: int = 0) -> DiceRoll:
-    """The roll a notation match encodes; ValueError for an impossible die."""
-    if any(g is not None and len(g.lstrip("+-")) > MAX_DIGITS for g in m.groups()):
-        raise ValueError(f"impossible die: a number has over {MAX_DIGITS} digits")
-    return DiceRoll(
-        count=int(m[1]),
-        faces=int(m[2]),
-        modifier=int(m[3]) if m[3] else 0,
-        result=int(m[4]),
-        paragraph_index=paragraph_index,
-        char_offset=m.start(),
-    )
-
-
-def parse_dice_expr(text: str) -> DiceRoll:
-    """Parse one dice expression, ignoring surrounding whitespace.
-
-    Raises GrammarError when the text does not match the notation and
-    ValueError when it matches but encodes an impossible die (zero dice,
-    fewer than two faces, or a number of more than ``MAX_DIGITS`` digits).
-    """
-    m = _DICE_EXACT_RE.match(text.strip())
-    if m is None:
-        raise GrammarError(f"not a dice expression: {text!r}")
-    return _roll(m)
-
-
 def format_dice_expr(roll: DiceRoll) -> str:
-    """Render a roll in canonical notation; parse(format(r)) == r."""
+    """Render a roll in canonical notation, which ``extract_rolls`` reads
+    back to the same roll."""
     if roll.modifier > 0:
         mod = f"+{roll.modifier}"
     elif roll.modifier < 0:
@@ -71,9 +43,18 @@ def extract_rolls(paragraphs: list[str] | tuple[str, ...]) -> list[DiceRoll]:
     rolls: list[DiceRoll] = []
     for p_index, paragraph in enumerate(paragraphs):
         for m in _DICE_RE.finditer(paragraph):
+            if any(len(g.lstrip("+-")) > MAX_DIGITS for g in m.groups("")):
+                continue
             try:
-                rolls.append(_roll(m, p_index))
-            except ValueError:
+                rolls.append(DiceRoll(
+                    count=int(m[1]),
+                    faces=int(m[2]),
+                    modifier=int(m[3]) if m[3] else 0,
+                    result=int(m[4]),
+                    paragraph_index=p_index,
+                    char_offset=m.start(),
+                ))
+            except ValueError:  # zero dice or fewer than two faces
                 continue
     return rolls
 

@@ -5,10 +5,6 @@ class PbpError(Exception):
     """Base class for all package-specific errors."""
 
 
-class GrammarError(PbpError):
-    """Text does not match the dice expression grammar."""
-
-
 class FormatError(PbpError):
     """A transcript or annotation file is malformed.
 

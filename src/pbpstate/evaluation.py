@@ -7,6 +7,9 @@ fraction of turns (among those with at least one gold value) where every
 gold-present slot is predicted correctly, so the joint-below-minimum
 relation holds whenever all slots share a turn set.
 
+The reports, ``SlotReport`` and ``CorpusStats``, are written as JSON by
+``to_dict`` from ``models._Codec``, in field order.
+
 Kendall's tau is the tie-corrected tau-b variant, computed with a
 merge-based inversion count rather than pair enumeration so the test
 suite's brute-force oracle stays an independent check.
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -27,33 +30,25 @@ from .errors import (
     EmptySlotError,
     TooFewRatersError,
 )
-from .models import _NUMBER, Campaign, _is, _items, _object
+from .models import _NUMBER, Campaign, _Codec, _is, _items, _object
 
 
 @dataclass(frozen=True)
-class SlotReport:
+class SlotReport(_Codec):
+    """``eval-gst``'s report; ``mean_accuracy`` is the unweighted mean over
+    slots, the "All" row of the report, and 0.0 with no slot."""
+
     per_slot: dict[str, float]
     support: dict[str, int]
+    mean_accuracy: float = field(init=False)
     joint_accuracy: float
     joint_support: int
     overfill: dict[str, int]
 
-    @property
-    def mean_accuracy(self) -> float:
-        """Unweighted mean over slots; the "All" row of the report."""
-        if not self.per_slot:
-            return 0.0
-        return sum(self.per_slot.values()) / len(self.per_slot)
-
-    def to_dict(self) -> dict:
-        return {
-            "per_slot": dict(sorted(self.per_slot.items())),
-            "support": dict(sorted(self.support.items())),
-            "mean_accuracy": self.mean_accuracy,
-            "joint_accuracy": self.joint_accuracy,
-            "joint_support": self.joint_support,
-            "overfill": dict(sorted(self.overfill.items())),
-        }
+    def __post_init__(self) -> None:
+        slots = len(self.per_slot)
+        mean = sum(self.per_slot.values()) / slots if slots else 0.0
+        object.__setattr__(self, "mean_accuracy", mean)
 
 
 def slot_accuracy(
@@ -143,7 +138,7 @@ def baseline_predictions(
 
 
 @dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(_Codec):
     num_campaigns: int
     avg_players_per_campaign: float
     avg_turns_per_campaign: float
@@ -152,18 +147,6 @@ class CorpusStats:
     total_words: int
     avg_rolls_per_campaign: float
     total_rolls: int
-
-    def to_dict(self) -> dict:
-        return {
-            "num_campaigns": self.num_campaigns,
-            "avg_players_per_campaign": self.avg_players_per_campaign,
-            "avg_turns_per_campaign": self.avg_turns_per_campaign,
-            "avg_words_per_campaign": self.avg_words_per_campaign,
-            "total_turns": self.total_turns,
-            "total_words": self.total_words,
-            "avg_rolls_per_campaign": self.avg_rolls_per_campaign,
-            "total_rolls": self.total_rolls,
-        }
 
 
 def corpus_stats(campaigns: Iterable[Campaign]) -> CorpusStats:

@@ -10,7 +10,8 @@ inputs always reproduce the same model.
 ``fit_from_counts`` is the one estimator. It reads only per-label counts
 of documents and of ``(token, count)`` items, so ``train`` folds each
 paragraph into those counts as it reads it and holds no feature table;
-slot fill feeds it the same way.
+slot fill feeds it the same way. ``IcOocModel.predict`` is the one
+predictor, for ``label_turn`` and slot fill alike.
 """
 
 from __future__ import annotations
@@ -131,6 +132,12 @@ class IcOocModel:
         total = sum(exp)
         return {label: e / total for label, e in zip(self.labels, exp)}
 
+    def predict(self, features: dict[str, int]) -> tuple[str, float]:
+        """(most probable label, its posterior); the first label on a tie."""
+        posteriors = self.posteriors(features)
+        label = max(self.labels, key=lambda lab: posteriors[lab])
+        return label, posteriors[label]
+
 
 def train(data: Iterable[LabeledParagraph], smoothing: float = 1.0) -> IcOocModel:
     """Fit the multinomial model with additive smoothing.
@@ -215,13 +222,6 @@ def fit_from_counts(
     )
 
 
-def predict(model: IcOocModel, paragraph: str) -> tuple[str, float]:
-    """(most probable label, posterior probability of IC)."""
-    posteriors = model.posteriors(featurize(paragraph))
-    label = max(model.labels, key=lambda lab: posteriors[lab])
-    return label, posteriors.get(IC, posteriors[label])
-
-
 def turn_label(labels: Iterable[str | None]) -> str:
     """The turn's label from its paragraphs' labels: the majority of the
     labels that are not ``None``, IC on a tie and when none votes. The
@@ -237,7 +237,9 @@ def label_turn(model: IcOocModel, post: Post) -> tuple[list[str | None], str]:
 
     A blank paragraph gets the label ``None`` and does not vote.
     """
-    labels = [predict(model, p)[0] if p.strip() else None for p in post.paragraphs]
+    labels = [
+        model.predict(featurize(p))[0] if p.strip() else None for p in post.paragraphs
+    ]
     return labels, turn_label(labels)
 
 

@@ -8,12 +8,14 @@ the other modules.
 A record type's ``to_dict`` and ``from_dict`` (``_Codec``) are derived from
 its dataclass fields by ``_encode`` and ``_decode``, planned per class on
 first use. Fields are written under their names, in field order: scalars as
-they are, a ``frozenset`` as a sorted list, a tuple as a list, a dataclass
-as its object and an ``Enum`` as its value; each is read back by the same
-annotation. Field metadata states the exceptions: ``key``, a JSON key other
-than the name, None for a post's ``index`` (its position); ``optional``,
-written only on request (a post's ``rolls``, by ``ingest``); ``item``, a
-list item's decoder (a span's ``[name, count]`` monster pairs); and
+they are, a ``frozenset`` as a sorted list, a tuple as a list, a dict as an
+object in key order, a dataclass as its object and an ``Enum`` as its
+value; each record field is read back by the same annotation. The reports
+of ``evaluation`` are written by ``_encode`` too, and never read.
+Field metadata states the exceptions: ``key``, a JSON key other than the
+name, None for a post's ``index`` (its position); ``optional``, written
+only on request (a post's ``rolls``, by ``ingest``); ``item``, a list
+item's decoder (a span's ``[name, count]`` monster pairs); and
 ``filed_by``, the attribute that must equal a dict value's key (a gold
 profile's ``player_id``). A field that ``__init__`` does not take is
 derived (a roll's ``consistent``): written, and on read it must be the
@@ -280,6 +282,8 @@ def _writer(tp: Any, optional: bool) -> Callable[[Any], Any] | None:
         return list if item is None else lambda v: list(map(item, v))
     if origin is dict:
         item = _writer(args[1], optional)
+        if item is None:
+            return lambda v: dict(sorted(v.items()))
         return lambda v: {k: item(x) for k, x in sorted(v.items())}
     return None
 

@@ -128,18 +128,6 @@ class FinetuneExample:
     context: tuple[TurnEntry, ...]
     target: TurnEntry
 
-    def block_count(self) -> int:
-        blocks = sum(1 for entry in self.context if entry.state is not None)
-        return blocks + (1 if self.target.state is not None else 0)
-
-    def rendered_prompt(self) -> str:
-        """All turns concatenated with TURN headers, target last."""
-        parts = []
-        for offset, entry in enumerate(self.context, start=1):
-            parts.append(f"TURN {offset}:\n{entry.rendered}")
-        parts.append(f"TURN {len(self.context) + 1}:\n{self.target.rendered}")
-        return "\n\n".join(parts)
-
     def json_line(self) -> str:
         """The example as one canonical JSON line, without the newline.
 

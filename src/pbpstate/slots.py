@@ -1,10 +1,11 @@
 """Fallback classifiers for the profile slots the heuristics leave unvalued.
 
 One multinomial model per slot in ``FILLABLE_SLOTS`` (class, race,
-pronouns), sharing the IC/OOC featurizer, trained on the turns where the
-heuristic produced a value and using only the current post's text as
-input. Filling never overwrites a heuristic value: the models only
-propose labels for uncovered turns, and only when the posterior clears
+pronouns), sharing the IC/OOC featurizer and predictor
+(``IcOocModel.predict``), trained on the turns where the heuristic
+produced a value and using only the current post's text as input.
+Filling never overwrites a heuristic value: the models only propose
+labels for uncovered turns, and only when the label's posterior clears
 the confidence threshold. The DM's turns are neither learned from nor
 filled: the DM plays no character, so these slots stay empty there.
 A slot's heuristic value is its ``TurnState`` field, and a fill is kept
@@ -92,15 +93,6 @@ def train_slot_models(inputs: FillInputs) -> dict[str, IcOocModel]:
     return models
 
 
-def predict_slot(
-    model: IcOocModel, features: dict[str, int]
-) -> tuple[str, float]:
-    """(argmax label, posterior of that label)."""
-    posteriors = model.posteriors(features)
-    label = max(model.labels, key=lambda lab: posteriors[lab])
-    return label, posteriors[label]
-
-
 def fill_missing(
     annotated: Sequence[AnnotatedCampaign],
     models: Mapping[str, IcOocModel],
@@ -123,7 +115,7 @@ def fill_missing(
             for slot, model in models.items():
                 if getattr(ac.turn_states[i], slot) is not None:
                     continue
-                label, score = predict_slot(model, features)
+                label, score = model.predict(features)
                 if score >= min_score:
                     fills.setdefault(i, {})[slot] = label
         filled.append(replace(ac, fills=fills) if fills else ac)

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from pbpstate.dice import format_dice_expr, parse_dice_expr
+from pbpstate.dice import extract_rolls, format_dice_expr
 from pbpstate.evaluation import (
     baseline_predictions,
     corpus_stats,
@@ -21,7 +21,7 @@ from pbpstate.evaluation import (
     randolph_kappa,
     slot_accuracy,
 )
-from pbpstate.icooc import labeled_paragraphs, predict, train
+from pbpstate.icooc import featurize, labeled_paragraphs, train
 from pbpstate.models import DiceRoll
 from pbpstate.pipeline import annotate_campaign, annotate_corpus
 from pbpstate.records import HEURISTIC
@@ -101,9 +101,9 @@ def _profile_accuracy(pairs, annotated):
 def test_criterion_1_dice_parsing_exact():
     with criterion(1, "dice parsing reproduces literals and round-trips 10k"):
         start = time.perf_counter()
-        roll = parse_dice_expr("(1d20+6)[20]")
+        [roll] = extract_rolls(["(1d20+6)[20]"])
         assert (roll.count, roll.faces, roll.modifier, roll.result) == (1, 20, 6, 20)
-        roll = parse_dice_expr("(1d8+2)[10]")
+        [roll] = extract_rolls(["(1d8+2)[10]"])
         assert (roll.count, roll.faces, roll.modifier, roll.result) == (1, 8, 2, 10)
         rng = random.Random(1)
         for _ in range(10_000):
@@ -114,7 +114,7 @@ def test_criterion_1_dice_parsing_exact():
                 result=rng.randint(-40, 400),
             )
             text = format_dice_expr(original)
-            parsed = parse_dice_expr(text)
+            [parsed] = extract_rolls([text])
             assert (
                 parsed.count, parsed.faces, parsed.modifier, parsed.result
             ) == (
@@ -231,7 +231,7 @@ def test_criterion_6_icooc_classifier():
         assert time.perf_counter() - start < 60.0
         held_out = [paragraphs[i] for i in order[split:]]
         accuracy = sum(
-            predict(model, p.text)[0] == p.label for p in held_out
+            model.predict(featurize(p.text))[0] == p.label for p in held_out
         ) / len(held_out)
         assert accuracy >= 0.90
 
@@ -246,8 +246,8 @@ def test_criterion_6_icooc_classifier():
             "Shoot the bow: (1d20+6)[20] vs Flat Footed AC at Bandit 1. "
             "Damage: (1d8+2)[10]"
         )
-        assert predict(model, ic_passage)[0] == "IC"
-        assert predict(model, ooc_passage)[0] == "OOC"
+        assert model.predict(featurize(ic_passage))[0] == "IC"
+        assert model.predict(featurize(ooc_passage))[0] == "OOC"
 
 
 def test_criterion_7_serializer_golden_files():
@@ -269,7 +269,9 @@ def test_criterion_7_serializer_golden_files():
         }
         for variant, expected in expectations.items():
             for example in build_examples("g", fixture_turns(), variant):
-                assert example.block_count() == expected(len(example.context))
+                entries = (*example.context, example.target)
+                blocks = sum(entry.state is not None for entry in entries)
+                assert blocks == expected(len(example.context))
 
         state, text = magnus_turn()
         assert render_turn_block(state, text) == (

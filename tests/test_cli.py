@@ -1139,6 +1139,41 @@ def test_annotate_names_a_bad_model_file(synth_corpus, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command, flag", [("classify", "--model"),
+                                           ("annotate", "--icooc-model")])
+def test_a_model_of_other_labels_is_no_icooc_model(
+    synth_corpus, tmp_path, capsys, command, flag
+):
+    # A well-formed model file, as a slot model is, whose labels are not IC and OOC.
+    corpus, _ = synth_corpus
+    model, out = tmp_path / "model.txt", tmp_path / "out.jsonl"
+    model.write_text(
+        "ICOOC-MODEL v1\nlabels\tA\tB\nsmoothing\t1.0\n"
+        "priors\t-0.5\t-0.9\ntokens\t0\n",
+        encoding="utf-8",
+    )
+    assert main([command, "--in", str(corpus), "--out", str(out), flag, str(model)]) == 2
+    assert capsys.readouterr().err == (
+        f"pbpstate: error: {model}: labels A, B: not an IC/OOC model\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fault", [KeyError("slot"), json.JSONDecodeError("bug", "{", 0)], ids=type
+)
+def test_a_program_fault_propagates_out_of_main(synth_corpus, monkeypatch, fault):
+    # Every data file is read through read_jsonl, load_model or
+    # load_gazetteers, which raise a data error; any other exception is a
+    # fault of the program, never reported as bad data.
+    def corpus_stats(campaigns):
+        raise fault
+
+    monkeypatch.setattr("pbpstate.evaluation.corpus_stats", corpus_stats)
+    with pytest.raises(type(fault)):
+        main(["stats", "--in", str(synth_corpus[0])])
+
+
 @pytest.mark.parametrize("empty", [False, True], ids=["corpus", "empty-corpus"])
 def test_annotate_rejects_a_gap_of_zero_turns(synth_corpus, tmp_path, capsys, empty):
     corpus, _ = synth_corpus

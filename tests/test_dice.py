@@ -1,39 +1,38 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from pbpstate.dice import (
-    MAX_DIGITS,
-    extract_rolls,
-    format_dice_expr,
-    parse_dice_expr,
-)
-from pbpstate.errors import GrammarError
+from pbpstate.dice import MAX_DIGITS, extract_rolls, format_dice_expr
 from pbpstate.models import DiceRoll
 
 
+def one_roll(text):
+    """The only roll ``extract_rolls`` finds in ``text``."""
+    [roll] = extract_rolls([text])
+    return roll
+
+
 def test_parse_attack_roll():
-    roll = parse_dice_expr("(1d20+6)[20]")
+    roll = one_roll("(1d20+6)[20]")
     assert (roll.count, roll.faces, roll.modifier, roll.result) == (1, 20, 6, 20)
 
 
 def test_parse_damage_roll():
-    roll = parse_dice_expr("(1d8+2)[10]")
+    roll = one_roll("(1d8+2)[10]")
     assert (roll.count, roll.faces, roll.modifier, roll.result) == (1, 8, 2, 10)
 
 
 def test_parse_without_modifier():
-    roll = parse_dice_expr("(2d6)[7]")
+    roll = one_roll("(2d6)[7]")
     assert (roll.count, roll.faces, roll.modifier, roll.result) == (2, 6, 0, 7)
 
 
+# An impossible die, which DiceRoll rejects with a ValueError, is no roll.
 def test_parse_zero_dice_is_value_error():
-    with pytest.raises(ValueError):
-        parse_dice_expr("(0d6)[3]")
+    assert extract_rolls(["(0d6)[3]"]) == []
 
 
 def test_parse_one_face_is_value_error():
-    with pytest.raises(ValueError):
-        parse_dice_expr("(1d1)[1]")
+    assert extract_rolls(["(1d1)[1]"]) == []
 
 
 @pytest.mark.parametrize(
@@ -41,12 +40,12 @@ def test_parse_one_face_is_value_error():
     ["", "1d20", "(1d20+6)", "[20]", "( 1d20 +6 )[20]", "(1d20 + 6)[20]", "xd20[3]"],
 )
 def test_parse_rejects_non_matching_text(text):
-    with pytest.raises(GrammarError):
-        parse_dice_expr(text)
+    assert extract_rolls([text]) == []
 
 
 def test_parse_trims_surrounding_whitespace():
-    assert parse_dice_expr("  (1d6)[4]  ").faces == 6
+    roll = one_roll("  (1d6)[4]  ")
+    assert (roll.faces, roll.char_offset) == (6, 2)
 
 
 def test_format_with_positive_modifier():
@@ -85,10 +84,9 @@ def test_extract_tracks_paragraph_index():
     ["(1{0}d6)[3]", "(1d2{0})[3]", "(1d6+1{0})[3]", "(1d6-1{0})[3]", "(1d6)[-1{0}]"],
 )
 def test_a_number_over_max_digits_is_an_impossible_die(text):
-    assert parse_dice_expr(text.format("0" * (MAX_DIGITS - 1))).count >= 1
+    assert one_roll(text.format("0" * (MAX_DIGITS - 1))).count >= 1
     too_long = text.format("0" * MAX_DIGITS)
-    with pytest.raises(ValueError, match="impossible die"):
-        parse_dice_expr(too_long)
+    assert extract_rolls([too_long]) == []
     assert extract_rolls([too_long + " (1d6)[4]"]) == [
         DiceRoll(count=1, faces=6, modifier=0, result=4, char_offset=len(too_long) + 1)
     ]
@@ -101,15 +99,15 @@ def test_extract_skips_impossible_dice():
 
 
 def test_consistency_inside_range():
-    assert parse_dice_expr("(1d20+6)[20]").consistent
+    assert one_roll("(1d20+6)[20]").consistent
 
 
 def test_consistency_below_forced_minimum():
-    assert not parse_dice_expr("(1d8+2)[1]").consistent
+    assert not one_roll("(1d8+2)[1]").consistent
 
 
 def test_consistency_at_maximum_face():
-    assert parse_dice_expr("(1d20)[20]").consistent
+    assert one_roll("(1d20)[20]").consistent
 
 
 roll_strategy = st.builds(
@@ -123,13 +121,7 @@ roll_strategy = st.builds(
 
 @given(roll_strategy)
 def test_format_parse_round_trip(roll):
-    parsed = parse_dice_expr(format_dice_expr(roll))
-    assert (parsed.count, parsed.faces, parsed.modifier, parsed.result) == (
-        roll.count,
-        roll.faces,
-        roll.modifier,
-        roll.result,
-    )
+    assert extract_rolls([format_dice_expr(roll)]) == [roll]
 
 
 @given(st.lists(st.text(max_size=40), max_size=4))
@@ -137,6 +129,6 @@ def test_extract_offsets_point_at_open_paren(paragraphs):
     for roll in extract_rolls(paragraphs):
         paragraph = paragraphs[roll.paragraph_index]
         assert paragraph[roll.char_offset] == "("
-        assert parse_dice_expr(
+        assert one_roll(
             paragraph[roll.char_offset :].split("]")[0] + "]"
         ).count == roll.count

@@ -1,9 +1,9 @@
-"""Fixed points: annotate, serialize and eval-gst output bytes on small
-synthetic corpora.
+"""Fixed points: annotate, serialize, stats and eval-gst output bytes on
+small synthetic corpora.
 
 Any change to profiles, coverage, slot rows, fill, model files, the
-fine-tuning examples or the gold slot view that eval-gst scores against
-moves the digests. Each case runs the real CLI in-process.
+fine-tuning examples, the gold slot view that eval-gst scores against or
+the report encoding moves the digests. Each case runs the real CLI in-process.
 """
 
 import hashlib
@@ -27,6 +27,13 @@ SPARSE_ANNOTATE_SHA256 = "f4f5789e020b7fa21f1b978d9cccfbb3430955cac07132f682eff0
 EVAL_GST_SHA256 = {
     "dense": "276657e58ab28cb3f7a03fdcbcdfcc36527d96b6ebeb6ee32e830e925303666d",
     "sparse": "32686467f50224f1a5cf31b2f6788879d0d30955c195e46df1a60cdd02fee5bc",
+}
+# The reports on the dense corpus: stats as JSON and as a table, and the
+# eval-gst table (its JSON is EVAL_GST_SHA256["dense"]).
+REPORT_SHA256 = {
+    ("stats", "--json"): "4e0f669dac6d70cb05d26864aa6176ad4876473eb8381edc25b214493977a68c",
+    ("stats",): "70e6b9f0f39e8a53de15d3a9d6460f974e601f86400e656ef78455e34cf77cef",
+    ("eval-gst",): "58e51bf25d6bcb06d6eb603dbd8e22127e6a7b8ca9ab5446a476bcfc670d7a33",
 }
 SERIALIZE_SHA256 = {
     ("all", "7"): "df7bba0ada13d579df6c4571f48e61df0cf90443856ac13247995572844f5536",
@@ -72,6 +79,21 @@ def test_dense_eval_gst_report_bytes(dense_files, tmp_path, capsys):
     annotated = tmp_path / "annotated.jsonl"
     assert main(["annotate", "--in", str(corpus), "--out", str(annotated)]) == 0
     assert eval_gst_sha256(annotated, gold, capsys) == EVAL_GST_SHA256["dense"]
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_SHA256))
+def test_dense_report_bytes(dense_files, tmp_path, capsys, command):
+    corpus, gold = dense_files
+    if command[0] == "stats":
+        argv = ["stats", "--in", str(corpus), *command[1:]]
+    else:
+        annotated = tmp_path / "annotated.jsonl"
+        assert main(["annotate", "--in", str(corpus), "--out", str(annotated)]) == 0
+        argv = ["eval-gst", "--pred", str(annotated), "--gold", str(gold)]
+    capsys.readouterr()
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == REPORT_SHA256[command]
 
 
 @pytest.mark.parametrize("variant, window", sorted(SERIALIZE_SHA256))

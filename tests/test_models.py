@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pbpstate.errors import FormatError
-from pbpstate.evaluation import ratings_from_record
+from pbpstate.evaluation import SlotReport, ratings_from_record
 from pbpstate.icooc import LabeledParagraph
 from pbpstate.models import (
     DUNGEON_MASTER,
@@ -17,6 +17,7 @@ from pbpstate.models import (
     GoldAnnotations,
     Post,
     TurnState,
+    _encode,
     validate_spans,
 )
 from pbpstate.records import slot_rows_from_record
@@ -263,6 +264,23 @@ def test_gold_writes_sorted_sets_and_profiles_and_pairs():
     assert d["turn_states"][0]["actions"][0] == {
         "kind": "skill_check", "skill": "arcana", "roll": ROLL.to_dict()
     }
+    # A dict of scalars, as a report holds, is written by sorted key.
+    report = SlotReport(
+        per_slot={"race": 0.5, "name": 1.0}, support={"race": 2, "name": 1},
+        joint_accuracy=0.5, joint_support=2, overfill={"race": 0, "name": 3},
+    )
+    encoded = _encode(report)
+    assert list(encoded.items()) == [
+        ("per_slot", {"name": 1.0, "race": 0.5}),
+        ("support", {"name": 1, "race": 2}),
+        ("mean_accuracy", 0.75),
+        ("joint_accuracy", 0.5),
+        ("joint_support", 2),
+        ("overfill", {"name": 3, "race": 0}),
+    ]
+    assert [list(encoded[key]) for key in ("per_slot", "support", "overfill")] == [
+        ["name", "race"]
+    ] * 3
 
 
 def test_a_post_writes_its_rolls_only_on_request():

@@ -205,7 +205,9 @@ class TestBuildExamples:
     )
     def test_block_count_invariants(self, variant, expected):
         for example in build_examples("c", fixture_turns(), variant):
-            assert example.block_count() == expected(len(example.context))
+            entries = (*example.context, example.target)
+            blocks = sum(entry.state is not None for entry in entries)
+            assert blocks == expected(len(example.context))
 
     def test_window_truncation_arithmetic(self):
         examples = build_examples("c", fixture_turns(), ControlVariant.NONE, window=3)
@@ -218,12 +220,6 @@ class TestBuildExamples:
     def test_targets_enumerate_every_index_once(self):
         examples = build_examples("c", fixture_turns(), ControlVariant.ALL_CTRL)
         assert [e.target_index for e in examples] == list(range(1, 10))
-
-    def test_rendered_prompt_numbers_turns(self):
-        example = build_examples("c", fixture_turns(), ControlVariant.ALL_CTRL)[2]
-        prompt = example.rendered_prompt()
-        assert prompt.startswith("TURN 1:\n")
-        assert f"TURN {len(example.context) + 1}:" in prompt
 
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):

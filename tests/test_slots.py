@@ -15,7 +15,6 @@ from pbpstate.slots import (
     FILLABLE_SLOTS,
     fill_inputs,
     fill_missing,
-    predict_slot,
     train_slot_models,
 )
 from pbpstate.synth import SynthConfig, generate
@@ -180,7 +179,7 @@ def test_slot_model_file_round_trip(annotated_corpus, tmp_path):
     loaded = load_model(path)
     assert loaded.labels == ("he/him", "she/her", "they/them")
     features = featurize("she raises her shield and he ducks behind it")
-    assert predict_slot(loaded, features) == predict_slot(model, features)
+    assert loaded.predict(features) == model.predict(features)
 
 
 def test_randomized_annotations_never_overwritten(gaz):
