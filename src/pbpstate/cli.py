@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 # only what the parser and the error handling need. (The docstring above
 # is the parser's --help text.)
 from . import __version__
-from .errors import AlignmentError, ConfigError, FormatError, ModelIOError, PbpError
+from .errors import AlignmentError, ConfigError, FormatError, PbpError
 from .models import SLOT_KEYS, ControlVariant
 
 if TYPE_CHECKING:
@@ -83,7 +83,7 @@ def _icooc_model(path: str) -> IcOocModel:
     model = load_model(path)
     if set(model.labels) != {IC, OOC}:
         labels = ", ".join(model.labels)
-        raise ModelIOError(f"{path}: labels {labels}: not an IC/OOC model")
+        raise FormatError(f"{path}: labels {labels}: not an IC/OOC model")
     return model
 
 

@@ -34,14 +34,6 @@ class EmptySlotError(PbpError):
     """A majority baseline needs at least one gold value per slot."""
 
 
-class VersionMismatchError(PbpError):
-    """A model file carries an unknown magic string or version."""
-
-
-class ModelIOError(OSError):
-    """A model file is truncated or structurally unreadable."""
-
-
 class AlignmentError(PbpError):
     """Prediction and gold sequences have mismatched lengths."""
 

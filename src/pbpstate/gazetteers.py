@@ -265,7 +265,11 @@ def load_gazetteers(path: str | Path | None = None) -> Gazetteers:
             resources.files("pbpstate").joinpath("data/gazetteers.txt").read_text("utf-8")
         )
         return parse_gazetteers(text)
+    data = Path(path).read_bytes()
     try:
-        return parse_gazetteers(Path(path).read_text("utf-8"))
+        return parse_gazetteers(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from exc
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

@@ -11,7 +11,8 @@ inputs always reproduce the same model.
 of documents and of ``(token, count)`` items, so ``train`` folds each
 paragraph into those counts as it reads it and holds no feature table;
 slot fill feeds it the same way. ``IcOocModel.predict`` is the one
-predictor, for ``label_turn`` and slot fill alike.
+predictor, for ``label_turn`` and slot fill alike. A model file is one
+JSON line, an ``IcOocModel`` record, read by the one record decoder.
 """
 
 from __future__ import annotations
@@ -20,22 +21,13 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from .dice import contains_dice_expr
-from .errors import (
-    ConfigError,
-    DegenerateDataError,
-    EmptyInputError,
-    ModelIOError,
-    VersionMismatchError,
-)
-from .models import Campaign, GoldAnnotations, Post, _Codec
-from .transcripts import write_lines
-
-MODEL_MAGIC = "ICOOC-MODEL v1"
+from .errors import ConfigError, DegenerateDataError, EmptyInputError, FormatError
+from .models import Campaign, GoldAnnotations, Post, _Codec, _fail, _require
+from .transcripts import dump_json_line, read_jsonl, write_lines
 
 IC = "IC"
 OOC = "OOC"
@@ -102,7 +94,7 @@ def featurize(paragraph: str) -> dict[str, int]:
 
 
 @dataclass(frozen=True)
-class IcOocModel:
+class IcOocModel(_Codec):
     """Linear scores over the featurizer's space, one column per label.
 
     Scores are log-prior plus count-weighted token weights; posteriors come
@@ -110,10 +102,21 @@ class IcOocModel:
     Tokens unseen in training are ignored.
     """
 
+    _what = "an IC/OOC model"
     labels: tuple[str, ...]
     priors: tuple[float, ...]
     weights: dict[str, tuple[float, ...]]
     smoothing: float
+
+    def __post_init__(self) -> None:
+        n = len(self.labels)
+        _require(len(set(self.labels)) == n > 1, "labels", "must be 2 or more, unique")
+        _require(math.isfinite(self.smoothing), "smoothing", "must be finite")
+        # Priors, then each token's weights; json.loads reads NaN and Infinity.
+        for token, numbers in [(None, self.priors), *self.weights.items()]:
+            if len(numbers) != n or not all(map(math.isfinite, numbers)):
+                where = "priors" if token is None else f"weights[{token!r}]"
+                _fail(where, f"must be {n} finite numbers, one per label")
 
     def scores(self, features: dict[str, int]) -> tuple[float, ...]:
         totals = list(self.priors)
@@ -250,58 +253,21 @@ def rule_based_turn_label(post: Post) -> str:
 
 
 def save_model(model: IcOocModel, path: str | Path) -> None:
-    lines = [MODEL_MAGIC]
-    lines.append("labels\t" + "\t".join(model.labels))
-    lines.append(f"smoothing\t{model.smoothing!r}")
-    lines.append("priors\t" + "\t".join(repr(p) for p in model.priors))
-    lines.append(f"tokens\t{len(model.weights)}")
-    for token in sorted(model.weights):
-        weights = model.weights[token]
-        lines.append(token + "\t" + "\t".join(repr(w) for w in weights))
-    write_lines(path, lines)
+    """Write ``model`` to ``path``, all or nothing: a JSON line, floats by ``repr``."""
+    write_lines(path, [dump_json_line(model.to_dict())])
 
 
 def load_model(path: str | Path) -> IcOocModel:
-    """Read a model file written by ``save_model``; a malformed one, or
-    one holding a non-finite number, raises an error naming the file."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines or lines[0] != MODEL_MAGIC:
-        raise VersionMismatchError(
-            f"{path}: expected header {MODEL_MAGIC!r},"
-            f" found {(lines[0] if lines else '')!r}"
-        )
-    try:
-        cursor = 1
-        parts = lines[cursor].split("\t")
-        if parts[0] != "labels":
-            raise ModelIOError(
-                f"{path}: expected labels line, found {lines[cursor]!r}"
-            )
-        labels = tuple(parts[1:])
-        cursor += 1
-        smoothing = float(lines[cursor].split("\t", 1)[1])
-        cursor += 1
-        priors = tuple(float(v) for v in lines[cursor].split("\t")[1:])
-        cursor += 1
-        token_count = int(lines[cursor].split("\t", 1)[1])
-        cursor += 1
-        weights: dict[str, tuple[float, ...]] = {}
-        for line in lines[cursor : cursor + token_count]:
-            fields = line.split("\t")
-            if len(fields) != 1 + len(labels):
-                raise ModelIOError(f"{path}: malformed weight line {line!r}")
-            weights[fields[0]] = tuple(float(v) for v in fields[1:])
-        if len(weights) != token_count:
-            raise ModelIOError(
-                f"{path}: expected {token_count} tokens, found {len(weights)}"
-            )
-    except (IndexError, ValueError) as exc:
-        raise ModelIOError(f"{path}: truncated or corrupt model file: {exc}") from exc
-    if len(set(labels)) < max(2, len(labels)) or len(priors) != len(labels):
-        raise ModelIOError(f"{path}: needs two or more distinct labels, one prior each")
-    if not all(map(math.isfinite, chain([smoothing], priors, *weights.values()))):
-        raise ModelIOError(f"{path}: holds a number that is not finite")
-    return IcOocModel(
-        labels=labels, priors=priors, weights=weights, smoothing=smoothing
-    )
+    """The model in a ``save_model`` file. A bad record, a second or none
+    raises FormatError naming the file, and the line where there is one."""
+    decoded: list[IcOocModel] = []
+
+    def first(record: dict[str, Any]) -> IcOocModel:
+        if decoded:
+            raise FormatError("a second record: a model file holds one")
+        decoded.append(IcOocModel.from_dict(record))
+        return decoded[0]
+
+    if not list(read_jsonl(path, first)):
+        raise FormatError(f"{path}: holds no model record")
+    return decoded[0]

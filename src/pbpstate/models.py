@@ -25,14 +25,14 @@ Decoded JSON is checked by ``_is``, ``_typed``, ``_items``, ``_at`` and
 ``_object``, the package's only field checkers: a bad field reads ``field:
 must be ..., not ...`` after its path, as in ``turn_states[3]: actions[0]:
 roll: count: ...``; a list item's index is formatted only when a check
-fails. A JSON ``true`` or ``false`` is no integer and no number. Besides
-``_decode``, the decoders are: transcript,
+fails. A JSON ``true`` or ``false`` is no integer and no number, and an
+integer no float. Besides ``_decode``, which reads the IC/OOC model file's
+one record too, the decoders are: transcript,
 ``transcripts.campaign_from_record``; annotated,
 ``records.turns_from_record``, through ``profiles_and_spans``; gold,
 ``records.gold_from_record``; turn slots, ``records.slot_rows_from_record``;
-ratings, ``evaluation.ratings_from_record``; and the IC/OOC model file, not
-JSON, ``icooc.load_model``. ``check_turn_states`` is the one check of turn
-states against their posts.
+and ratings, ``evaluation.ratings_from_record``. ``check_turn_states`` is
+the one check of turn states against their posts.
 
 One key rule holds for every object of the JSON formats: a key that its
 decoder does not read is a data error, ``bogus: not a turn state field``,
@@ -95,6 +95,7 @@ _KIND_NAMES: dict[Any, str] = {
     _OPTIONAL_STR: "a string or null",
     bool: "true or false",
     int: "an integer",
+    float: "a float",
     _NUMBER: "a number",
     list: "a list",
     dict: "an object",
@@ -179,7 +180,8 @@ def _items(
 
 
 # How a field of each scalar type is checked on read; it is written as it is.
-_SCALARS: dict[Any, Any] = {str: str, bool: bool, int: int, str | None: _OPTIONAL_STR}
+_SCALARS: dict[Any, Any] = {str: str, bool: bool, int: int, float: float}
+_SCALARS[str | None] = _OPTIONAL_STR
 
 
 def _key(f: Field) -> str | None:
@@ -210,7 +212,7 @@ def _read(f: Field, tp: Any) -> tuple[Any, Callable[[Any], Any] | None]:
         item = f.metadata.get("item") or _item(args[0])
         return list, lambda v: _each(v, item, lambda i: f"{key}[{i}]")
     if origin is dict:
-        filed = partial(_filed, args[1], f.metadata["filed_by"])
+        filed = partial(_filed, _item(args[1]), f.metadata.get("filed_by"))
         return dict, lambda v: {
             k: _at(f"{key}[{k!r}]", filed, k, x) for k, x in v.items()
         }
@@ -221,10 +223,10 @@ def _read(f: Field, tp: Any) -> tuple[Any, Callable[[Any], Any] | None]:
     return _SCALARS[tp], None
 
 
-def _filed(cls: Any, attr: str, key: str, d: Any) -> Any:
-    """``cls.from_dict(d)``, whose ``attr`` must be the ``key`` it is filed under."""
-    obj = cls.from_dict(d)
-    if getattr(obj, attr) != key:
+def _filed(decode: Callable[[Any], T], attr: str | None, key: str, value: Any) -> T:
+    """``decode(value)``, whose ``attr``, if any, is the ``key`` it is filed under."""
+    obj = decode(value)
+    if attr is not None and getattr(obj, attr) != key:
         raise ValueError(f"{attr}: must be {key!r}, not {getattr(obj, attr)!r}")
     return obj
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
 
@@ -85,21 +86,24 @@ def read_jsonl(
 ) -> Iterator[T]:
     """Yield ``decode(record)`` for each JSON object line of ``path``, in order.
 
-    Blank lines are skipped. A line that is not valid JSON or not an
-    object, or whose ``decode`` raises FormatError, ValueError, KeyError
-    or TypeError, raises one FormatError reading ``line N: PATH: problem``.
-    This is the one place that says where in a file a bad record is. An
+    Blank lines are skipped. A line that is not UTF-8, not valid JSON or
+    not an object, or whose ``decode`` raises FormatError, ValueError,
+    KeyError or TypeError, raises one FormatError reading ``line N: PATH:
+    problem``, the one place that says where in a file a bad record is. An
     integer literal too long for Python to convert is named by its path
     in the record, as ``turn_states[0]: actions[0]: roll: modifier: ...``.
     Given ``campaign_id``, which names a decoded record's campaign, a
     campaign seen on an earlier line is such a problem.
     """
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
+    with open(path, "rb") as handle:
+        # Lines end where text mode ends them; each is decoded on its own.
+        lines = chain.from_iterable(map(bytes.splitlines, handle))
+        for lineno, data in enumerate(lines, start=1):
             try:
+                raw = data.decode("utf-8")
+                if not raw.strip():
+                    continue
                 record = json.loads(raw)
                 if not isinstance(record, dict):
                     raise FormatError("record is not a JSON object")

@@ -225,7 +225,8 @@ def test_train_icooc_from_labeled_file(tmp_path):
     )
     model = tmp_path / "model.txt"
     assert main(["train-icooc", "--labeled", str(labeled), "--out", str(model)]) == 0
-    assert model.read_text().startswith("ICOOC-MODEL v1")
+    (line,) = model.read_text(encoding="utf-8").splitlines()
+    assert json.loads(line)["labels"] == ["IC", "OOC"]
 
 
 def test_train_icooc_corpus_without_gold_is_usage_error(tmp_path, capsys):
@@ -256,7 +257,8 @@ def test_train_classify_flow(synth_corpus, tmp_path):
         )
         == 0
     )
-    assert model.read_text().startswith("ICOOC-MODEL v1")
+    (line,) = model.read_text(encoding="utf-8").splitlines()
+    assert json.loads(line)["labels"] == ["IC", "OOC"]
     assert (
         main(
             [
@@ -1135,8 +1137,55 @@ def test_annotate_names_a_bad_model_file(synth_corpus, tmp_path, capsys):
             "--icooc-model", str(model)]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        f"pbpstate: error: {model}: expected header 'ICOOC-MODEL v1', found 'junk'\n"
+        f"pbpstate: error: line 1: {model}: invalid JSON (Expecting value)\n"
     )
+
+
+def test_stats_names_the_line_of_a_byte_that_is_not_utf8(
+    synth_corpus, tmp_path, capsys
+):
+    # The bad byte is past the first line and the first 8 KiB, where a
+    # text-mode reader would already have decoded it.
+    corpus, _ = synth_corpus
+    good = corpus.read_bytes()
+    assert len(good) > 8192
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(good + b'{"campaign_id": "c\xff"}\n')
+    line = good.count(b"\n") + 1
+    assert line > 1
+    assert main(["stats", "--in", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"pbpstate: error: line {line}: {bad}: 'utf-8' codec can't decode"
+        " byte 0xff in position 18: invalid start byte\n"
+    )
+
+
+def test_classify_names_a_model_file_that_is_not_utf8(synth_corpus, tmp_path, capsys):
+    corpus, _ = synth_corpus
+    model, out = tmp_path / "model.jsonl", tmp_path / "labels.jsonl"
+    model.write_bytes(b"\xff\xfe\n")
+    assert main(["classify", "--model", str(model), "--in", str(corpus),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"pbpstate: error: line 1: {model}: 'utf-8' codec can't decode"
+        " byte 0xff in position 0: invalid start byte\n"
+    )
+    assert not out.exists()
+
+
+def test_annotate_names_a_gazetteer_file_that_is_not_utf8(
+    synth_corpus, tmp_path, capsys
+):
+    corpus, _ = synth_corpus
+    gazetteers, out = tmp_path / "gz.txt", tmp_path / "out.jsonl"
+    gazetteers.write_bytes(b"[classes]\nwizard\nrog\xffue\n")
+    argv = ["annotate", "--in", str(corpus), "--out", str(out),
+            "--gazetteers", str(gazetteers)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"pbpstate: error: {gazetteers}: line 3: not UTF-8 (invalid start byte)\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flag", [("classify", "--model"),
@@ -1148,8 +1197,8 @@ def test_a_model_of_other_labels_is_no_icooc_model(
     corpus, _ = synth_corpus
     model, out = tmp_path / "model.txt", tmp_path / "out.jsonl"
     model.write_text(
-        "ICOOC-MODEL v1\nlabels\tA\tB\nsmoothing\t1.0\n"
-        "priors\t-0.5\t-0.9\ntokens\t0\n",
+        '{"labels": ["A", "B"], "priors": [-0.5, -0.9], "weights": {},'
+        ' "smoothing": 1.0}\n',
         encoding="utf-8",
     )
     assert main([command, "--in", str(corpus), "--out", str(out), flag, str(model)]) == 2
@@ -1163,7 +1212,7 @@ def test_a_model_of_other_labels_is_no_icooc_model(
     "fault", [KeyError("slot"), json.JSONDecodeError("bug", "{", 0)], ids=type
 )
 def test_a_program_fault_propagates_out_of_main(synth_corpus, monkeypatch, fault):
-    # Every data file is read through read_jsonl, load_model or
+    # Every data file, a model file too, is read through read_jsonl or
     # load_gazetteers, which raise a data error; any other exception is a
     # fault of the program, never reported as bad data.
     def corpus_stats(campaigns):
@@ -1232,14 +1281,16 @@ def test_classify_rejects_a_model_holding_a_non_finite_number(
     model = tmp_path / "model.txt"
     assert main(["train-icooc", "--corpus", str(corpus), "--gold", str(gold),
                  "--out", str(model)]) == 0
-    lines = model.read_text(encoding="utf-8").splitlines()
-    lines[5] = lines[5].rsplit("\t", 1)[0] + "\tnan"  # a token's OOC weight
-    model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    record = json.loads(model.read_text(encoding="utf-8"))
+    token = min(record["weights"])
+    record["weights"][token][1] = math.nan  # a token's OOC weight
+    model.write_text(json.dumps(record) + "\n", encoding="utf-8")
     out = tmp_path / "labels.jsonl"
     assert main(["classify", "--model", str(model), "--in", str(corpus),
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        f"pbpstate: error: {model}: holds a number that is not finite\n"
+        f"pbpstate: error: line 1: {model}: weights[{token!r}]:"
+        " must be 2 finite numbers, one per label\n"
     )
     assert not out.exists()
 

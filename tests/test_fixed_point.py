@@ -21,8 +21,8 @@ SPARSE = ("--seed", "43", "--campaigns", "8", "--turns", "50", "--signal-rate", 
 ANNOTATE_SHA256 = {
     "dense": "53600d85612580963b2a4f65c466a85be06899191b50c620b958afa0454ed762",
 }
-DENSE_MODEL_SHA256 = "88acecd984f96b3a63903c268bcc5c9d2e4304c93494bca172bf3ae039ad09b6"
-SPARSE_MODEL_SHA256 = "0d34cf53ebfa8400b818f3db9566436adbaabf852d738425b6d65718bd90987e"
+DENSE_MODEL_SHA256 = "a72e6f2bfbb9f3ab33f69095b958eaa7bfc588d5356ebdfd41aac6dfd08d00bd"
+SPARSE_MODEL_SHA256 = "ca647b752d051a23dd817b51b4a431294c684b9aee36269fb24bceefc577483d"
 SPARSE_ANNOTATE_SHA256 = "f4f5789e020b7fa21f1b978d9cccfbb3430955cac07132f682eff066d11e912f"
 EVAL_GST_SHA256 = {
     "dense": "276657e58ab28cb3f7a03fdcbcdfcc36527d96b6ebeb6ee32e830e925303666d",

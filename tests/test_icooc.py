@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -11,8 +12,7 @@ from pbpstate.errors import (
     ConfigError,
     DegenerateDataError,
     EmptyInputError,
-    ModelIOError,
-    VersionMismatchError,
+    FormatError,
 )
 from pbpstate.icooc import (
     DICE_FEATURE,
@@ -190,12 +190,47 @@ def test_rule_based_fallback():
     assert rule_based_turn_label(make_post(0, ["", " ", "(1d6)[2]"])) == IC
 
 
+def model_file(tmp_path, edit):
+    """The file of ``trained()``, its JSON record changed by ``edit``."""
+    path = tmp_path / "model.txt"
+    save_model(trained(), path)
+    record = json.loads(path.read_text(encoding="utf-8"))
+    edit(record)
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    return path
+
+
+def assert_load_fails(path, line, problem):
+    message = f"line {line}: {path}: {problem}"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        load_model(path)
+
+
+def setting(value, *keys):
+    """An edit of a model record: its item at ``keys`` becomes ``value``."""
+
+    def edit(record):
+        for key in keys[:-1]:
+            record = record[key]
+        record[keys[-1]] = value
+
+    return edit
+
+
+def one_label(record):
+    record["labels"], record["priors"] = [IC], record["priors"][:1]
+    record["weights"] = {token: w[:1] for token, w in record["weights"].items()}
+
+
 class TestModelIO:
     def test_round_trip_preserves_predictions(self, tmp_path):
         model = trained()
         path = tmp_path / "model.txt"
         save_model(model, path)
         loaded = load_model(path)
+        assert loaded == model
+        # One JSON record, on one line.
+        assert path.read_text(encoding="utf-8").count("\n") == 1
         rng = random.Random(13)
         vocabulary = sorted(
             t for t in model.weights if not t.startswith("__")
@@ -205,56 +240,114 @@ class TestModelIO:
             features = featurize(paragraph)
             assert model.predict(features) == loaded.predict(features)
 
-    def test_wrong_magic(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("SOME-OTHER-FORMAT v9\n", encoding="utf-8")
-        with pytest.raises(VersionMismatchError):
-            load_model(path)
+    def test_the_former_text_format_is_invalid_json(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text(
+            "ICOOC-MODEL v1\nlabels\tIC\tOOC\nsmoothing\t1.0\n", encoding="utf-8"
+        )
+        assert_load_fails(path, 1, "invalid JSON (Expecting value)")
 
     def test_truncated_file(self, tmp_path):
         model = trained()
         path = tmp_path / "model.txt"
         save_model(model, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[: len(lines) // 2]), encoding="utf-8")
-        with pytest.raises(OSError):
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[: len(text) // 2], encoding="utf-8")
+        message = f"line 1: {path}: invalid JSON ("
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}"):
             load_model(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_model(tmp_path / "absent.txt")
 
-    @pytest.mark.parametrize(
-        "field, value", [("smoothing", "nan"), ("priors", "inf"), ("__dice__", "-inf")]
-    )
-    def test_non_finite_number_names_the_file(self, tmp_path, field, value):
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank"])
+    def test_a_file_without_a_record_names_the_file(self, tmp_path, text):
         path = tmp_path / "model.txt"
-        save_model(trained(), path)
-        lines = [
-            line.rsplit("\t", 1)[0] + "\t" + value if line.startswith(field + "\t")
-            else line
-            for line in path.read_text(encoding="utf-8").splitlines()
-        ]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        problem = f"{path}: holds a number that is not finite"
-        with pytest.raises(ModelIOError, match=f"^{re.escape(problem)}$"):
+        path.write_text(text, encoding="utf-8")
+        message = f"{path}: holds no model record"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             load_model(path)
 
-    @pytest.mark.parametrize(
-        "labels, priors",
-        [("IC\tOOC", "-0.5"), ("IC\tIC", "-0.5\t-0.9"), ("IC", "0.0")],
-        ids=["priors-one-short", "labels-repeated", "one-label"],
-    )
-    def test_labels_and_priors_must_agree(self, tmp_path, labels, priors):
+    @pytest.mark.parametrize("appended", ['{"x": 1}', None], ids=["record", "model"])
+    def test_an_appended_record_names_its_line(self, tmp_path, appended):
         path = tmp_path / "model.txt"
-        path.write_text(
-            f"ICOOC-MODEL v1\nlabels\t{labels}\nsmoothing\t1.0\npriors\t{priors}\n"
-            "tokens\t1\n__dice__" + "\t-1.5" * len(labels.split("\t")) + "\n",
-            encoding="utf-8",
-        )
-        problem = f"{path}: needs two or more distinct labels, one prior each"
-        with pytest.raises(ModelIOError, match=f"^{re.escape(problem)}$"):
-            load_model(path)
+        save_model(trained(), path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text + "\n" + (appended or text), encoding="utf-8")
+        assert_load_fails(path, 3, "a second record: a model file holds one")
+
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            pytest.param(
+                setting(math.nan, "smoothing"), "smoothing: must be finite",
+                id="smoothing-nan",
+            ),
+            pytest.param(
+                setting(math.inf, "priors", 1),
+                "priors: must be 2 finite numbers, one per label",
+                id="priors-inf",
+            ),
+            pytest.param(
+                setting(-math.inf, "weights", DICE_FEATURE, 0),
+                f"weights[{DICE_FEATURE!r}]: must be 2 finite numbers, one per label",
+                id="__dice__--inf",
+            ),
+        ],
+    )
+    def test_non_finite_number_names_the_file(self, tmp_path, edit, problem):
+        # json.loads reads NaN and Infinity, as json.dumps writes them.
+        assert_load_fails(model_file(tmp_path, edit), 1, problem)
+
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            pytest.param(
+                setting([-0.5], "priors"),
+                "priors: must be 2 finite numbers, one per label",
+                id="priors-one-short",
+            ),
+            pytest.param(
+                setting([IC, IC], "labels"), "labels: must be 2 or more, unique",
+                id="labels-repeated",
+            ),
+            pytest.param(one_label, "labels: must be 2 or more, unique", id="one-label"),
+            pytest.param(
+                setting([-1.5], "weights", DICE_FEATURE),
+                f"weights[{DICE_FEATURE!r}]: must be 2 finite numbers, one per label",
+                id="weights-one-short",
+            ),
+        ],
+    )
+    def test_labels_and_priors_must_agree(self, tmp_path, edit, problem):
+        assert_load_fails(model_file(tmp_path, edit), 1, problem)
+
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            pytest.param(setting(1, "x"), "x: not an IC/OOC model field", id="unknown"),
+            pytest.param(
+                lambda record: record.pop("smoothing"), "smoothing: missing",
+                id="missing",
+            ),
+            pytest.param(
+                setting(1, "smoothing"), "smoothing: must be a float, not int",
+                id="integer-smoothing",
+            ),
+            pytest.param(
+                setting(True, "labels", 0), "labels[0]: must be a string, not bool",
+                id="boolean-label",
+            ),
+            pytest.param(
+                setting("-1.5", "weights", DICE_FEATURE, 0),
+                f"weights[{DICE_FEATURE!r}]: must be a float, not str",
+                id="string-weight",
+            ),
+        ],
+    )
+    def test_a_bad_key_or_value_names_its_line(self, tmp_path, edit, problem):
+        assert_load_fails(model_file(tmp_path, edit), 1, problem)
 
 
 @pytest.mark.parametrize("smoothing", [0.0, -1.0, math.nan, math.inf])

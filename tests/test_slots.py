@@ -177,6 +177,7 @@ def test_slot_model_file_round_trip(annotated_corpus, tmp_path):
     path = tmp_path / "slot.txt"
     save_model(model, path)
     loaded = load_model(path)
+    assert loaded == model
     assert loaded.labels == ("he/him", "she/her", "they/them")
     features = featurize("she raises her shield and he ducks behind it")
     assert loaded.predict(features) == model.predict(features)

@@ -232,6 +232,18 @@ def test_read_jsonl_names_the_line_and_the_file(tmp_path, bad_line, problem):
     assert values == [1]
 
 
+def test_read_jsonl_ends_a_line_where_text_mode_does(tmp_path):
+    # A lone \r ends a line, as \r\n and \n do, and a line of Unicode
+    # white space is blank.
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(b'{"n": 1}\r{"n": 2}\r\n\xc2\xa0\n{"m": 1}\n')
+    values = []
+    with pytest.raises(FormatError, match="^line 4: .*: record has no 'n' field$"):
+        for value in read_jsonl(path, _decode_or_raise):
+            values.append(value)
+    assert values == [1, 2]
+
+
 def test_read_jsonl_yields_each_decoded_record_in_order(tmp_path):
     path = tmp_path / "in.jsonl"
     _write(path, ['{"n": 1}', "", '{"n": 2}'])
