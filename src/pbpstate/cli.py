@@ -14,9 +14,9 @@ import argparse
 import importlib
 import json
 import sys
-from itertools import combinations
-from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from itertools import chain, combinations
+from operator import attrgetter, itemgetter
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 # Each command loads only the modules it runs: a command function imports
 # the package modules it needs in its own body, and this module imports
@@ -175,25 +175,24 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
 def _cmd_train_icooc(args: argparse.Namespace) -> int:
     from .icooc import LabeledParagraph, labeled_paragraphs, save_model, train
     from .records import gold_from_record
-    from .transcripts import load_campaigns, read_jsonl
+    from .transcripts import CampaignJoin, load_campaigns, read_jsonl
 
-    paragraphs: Iterable[LabeledParagraph]
     if args.labeled:
         paragraphs = read_jsonl(args.labeled, LabeledParagraph.from_dict)
     else:
-        campaigns = {c.campaign_id: c for c in load_campaigns(args.corpus)}
+        corpus = CampaignJoin(load_campaigns(args.corpus), attrgetter("campaign_id"))
 
-        def gold_paragraphs(
-            record: dict[str, Any],
-        ) -> tuple[str, list[LabeledParagraph]]:
+        def gold_paragraphs(record: dict[str, Any]) -> list[LabeledParagraph]:
             campaign_id, gold = gold_from_record(record)
-            if campaign_id not in campaigns:
-                raise ValueError(f"campaign {campaign_id!r} is not in {args.corpus}")
-            gold.validate_against(campaigns[campaign_id])
-            return campaign_id, labeled_paragraphs([(campaigns[campaign_id], gold)])
+            campaign = corpus.take(campaign_id, f"is not in {args.corpus}")
+            gold.validate_against(campaign)
+            return labeled_paragraphs([(campaign, gold)])
 
-        gold_records = read_jsonl(args.gold, gold_paragraphs, itemgetter(0))
-        paragraphs = (p for _, ps in gold_records for p in ps)
+        def gold_then_corpus() -> Iterator[LabeledParagraph]:
+            yield from chain.from_iterable(read_jsonl(args.gold, gold_paragraphs))
+            corpus.rest()  # reads and checks the corpus past gold's last campaign
+
+        paragraphs = gold_then_corpus()
     # train folds each paragraph into its counts as it is read; a bad
     # line raises before save_model, so the model file is complete or
     # left as it was.
@@ -257,28 +256,25 @@ def _cmd_serialize(args: argparse.Namespace) -> int:
 def _cmd_eval_gst(args: argparse.Namespace) -> int:
     from .evaluation import slot_accuracy
     from .records import gold_slot_rows, slot_rows_from_record
-    from .transcripts import read_jsonl
+    from .transcripts import CampaignJoin, read_jsonl
 
-    # campaign_id -> per-turn slot rows, in file order; ids must be unique.
-    pred_by_id = dict(read_jsonl(args.pred, slot_rows_from_record, itemgetter(0)))
-    gold_by_id = dict(read_jsonl(args.gold, gold_slot_rows, itemgetter(0)))
-    extra = [cid for cid in pred_by_id if cid not in gold_by_id]
-    if extra:
-        raise FormatError(f"campaign {extra[0]!r} has predictions but no gold")
-    pred_rows: list[dict[str, Any]] = []
-    gold_rows: list[dict[str, Any]] = []
-    for campaign_id, gold_turns in gold_by_id.items():
-        if campaign_id not in pred_by_id:
-            raise FormatError(f"campaign {campaign_id!r} has gold but no predictions")
-        pred_turns = pred_by_id[campaign_id]
-        if len(pred_turns) != len(gold_turns):
-            raise AlignmentError(
-                f"campaign {campaign_id!r}: {len(pred_turns)} predicted"
-                f" vs {len(gold_turns)} gold turns"
-            )
-        pred_rows.extend(pred_turns)
-        gold_rows.extend(gold_turns)
-    report = slot_accuracy(pred_rows, gold_rows, args.slots)
+    by_id = itemgetter(0)
+    gold = read_jsonl(args.gold, gold_slot_rows, by_id)
+    preds = CampaignJoin(read_jsonl(args.pred, slot_rows_from_record, by_id), by_id)
+
+    def turns() -> Iterator[tuple[dict[str, Any], dict[str, Any]]]:
+        for campaign_id, gold_turns in gold:
+            _, pred_turns = preds.take(campaign_id, "has gold but no predictions")
+            if len(pred_turns) != len(gold_turns):
+                raise AlignmentError(
+                    f"campaign {campaign_id!r}: {len(pred_turns)} predicted"
+                    f" vs {len(gold_turns)} gold turns"
+                )
+            yield from zip(pred_turns, gold_turns)
+        if extra := preds.rest():
+            raise FormatError(f"campaign {extra[0]!r} has predictions but no gold")
+
+    report = slot_accuracy(turns(), args.slots)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:

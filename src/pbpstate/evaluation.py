@@ -52,26 +52,22 @@ class SlotReport(_Codec):
 
 
 def slot_accuracy(
-    predictions: Sequence[Mapping[str, object]],
-    gold: Sequence[Mapping[str, object]],
+    turns: Iterable[tuple[Mapping[str, object], Mapping[str, object]]],
     slots: Sequence[str],
 ) -> SlotReport:
-    """Per-slot and joint accuracy over aligned turn sequences.
+    """Per-slot and joint accuracy over ``(prediction, gold)`` turn rows,
+    each pair folded into the tallies as it is read.
 
     A turn counts toward a slot only when gold carries a value there; a
     missing prediction against a present gold value scores as wrong. A
     predicted value where gold is empty counts toward the slot's overfill.
     """
-    if len(predictions) != len(gold):
-        raise AlignmentError(
-            f"{len(predictions)} predictions vs {len(gold)} gold turns"
-        )
     correct = dict.fromkeys(slots, 0)
     support = dict.fromkeys(slots, 0)
     overfill = dict.fromkeys(slots, 0)
     joint_correct = 0
     joint_support = 0
-    for pred_row, gold_row in zip(predictions, gold):
+    for pred_row, gold_row in turns:
         scored_any = False
         all_correct = True
         for slot in slots:

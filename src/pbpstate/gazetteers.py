@@ -222,7 +222,7 @@ def _parse_pronoun_line(line: str, lineno: int) -> tuple[str, tuple[str, ...]]:
 def parse_gazetteers(text: str) -> Gazetteers:
     sections: dict[str, list[str]] = {f.name: [] for f in fields(Gazetteers)}
     current: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -269,7 +269,7 @@ def load_gazetteers(path: str | Path | None = None) -> Gazetteers:
     try:
         return parse_gazetteers(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
+        lineno = len(re.split(rb"\r\n?|\n", data[: exc.start]))
         raise ConfigError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from exc
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

@@ -16,7 +16,11 @@ A transcript record is decoded by ``campaign_from_record``. Every JSONL
 input of the package, not only transcripts, is read through
 ``read_jsonl``: it decodes each line with a caller's function, rejects a
 repeated ``campaign_id`` when the caller names it, and reports a bad line
-once, as ``line N: PATH: problem``.
+once, as ``line N: PATH: problem``; an error naming a line already, of
+another file that ``decode`` reads, passes through unchanged.
+``CampaignJoin`` joins two files by campaign id, never by position: each
+is read once, files in the same order hold one campaign at a time, and
+files in any order still join.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import os
 import sys
 from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
+from typing import Any, Callable, Generic, Iterable, Iterator, TextIO, TypeVar
 
 from .dice import extract_rolls
 from .errors import FormatError
@@ -93,7 +97,8 @@ def read_jsonl(
     integer literal too long for Python to convert is named by its path
     in the record, as ``turn_states[0]: actions[0]: roll: modifier: ...``.
     Given ``campaign_id``, which names a decoded record's campaign, a
-    campaign seen on an earlier line is such a problem.
+    campaign seen on an earlier line is such a problem. A FormatError that
+    names a line already, of a file that ``decode`` reads, is raised as is.
     """
     seen: set[str] = set()
     with open(path, "rb") as handle:
@@ -114,6 +119,8 @@ def read_jsonl(
                         raise FormatError(f"duplicate campaign_id {key!r}")
                     seen.add(key)
             except (FormatError, ValueError, KeyError, TypeError) as exc:
+                if isinstance(exc, FormatError) and exc.line is not None:
+                    raise  # a line of another file, which ``decode`` read
                 if isinstance(exc, json.JSONDecodeError):
                     problem = f"invalid JSON ({exc.msg})"
                 elif type(exc) is ValueError and (too_long := _long_integer(raw)):
@@ -123,7 +130,38 @@ def read_jsonl(
                 else:
                     problem = str(exc)
                 raise FormatError(f"{path}: {problem}", line=lineno) from exc
+            del data, raw, record  # a suspended read holds only its value
             yield value
+
+
+class CampaignJoin(Generic[T]):
+    """One file's decoded records, each taken once by its campaign id:
+    ``take`` reads only as far as the campaign asked for, holding the
+    records read past until they are taken; ``rest`` reads to the end,
+    so that every line is checked, and returns the ids never taken."""
+
+    def __init__(self, records: Iterable[T], campaign_id: Callable[[T], str]):
+        self._records = iter(records)
+        self._campaign_id = campaign_id
+        self._ahead: dict[str, T] = {}
+        self._taken: set[str] = set()
+
+    def take(self, key: str, missing: str) -> T:
+        """Campaign ``key``'s record; FormatError ``campaign 'key' <missing>``
+        when the file holds none, ``duplicate campaign_id`` if taken before."""
+        if key in self._taken:
+            raise FormatError(f"duplicate campaign_id {key!r}")
+        self._taken.add(key)
+        if key in self._ahead:
+            return self._ahead.pop(key)
+        for record in self._records:
+            if (found := self._campaign_id(record)) == key:
+                return record
+            self._ahead[found] = record
+        raise FormatError(f"campaign {key!r} {missing}")
+
+    def rest(self) -> list[str]:
+        return [*self._ahead, *map(self._campaign_id, self._records)]
 
 
 class _IntegerText(str):

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from pbpstate.gazetteers import load_gazetteers
@@ -7,6 +10,28 @@ from pbpstate.models import Campaign, Post
 @pytest.fixture(scope="session")
 def gaz():
     return load_gazetteers()
+
+
+def peak_traced_bytes(run, *args):
+    """The peak of the memory that tracemalloc traces while ``run(*args)``
+    runs: compared at two input sizes, it shows what an input's size
+    costs, apart from what the process held before.
+
+    CPython keeps up to 2,000 freed tuples of each length under 20 for
+    reuse, and tracemalloc counts a kept tuple as allocated, so a run
+    would read as growing while those lists fill. The garbage of earlier
+    runs is collected, which empties the lists, and then they are filled
+    before tracing starts.
+    """
+    gc.collect()
+    kept = [tuple([i] * length) for i in range(2000) for length in range(1, 20)]
+    del kept
+    tracemalloc.start()
+    try:
+        run(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def slot_cells(annotated):

@@ -196,7 +196,7 @@ def test_criterion_5_gst_metric_properties():
             n = rng.randint(1, 20)
             gold = [{s: rng.choice("uvw") for s in slots} for _ in range(n)]
             pred = [{s: rng.choice("uvw") for s in slots} for _ in range(n)]
-            report = slot_accuracy(pred, gold, slots)
+            report = slot_accuracy(zip(pred, gold), slots)
             assert report.joint_accuracy <= min(report.per_slot.values()) + 1e-12
 
         for _ in range(200):
@@ -206,7 +206,7 @@ def test_criterion_5_gst_metric_properties():
             ]
             baseline = majority_baseline(rows, slots)
             report = slot_accuracy(
-                baseline_predictions(baseline, n), rows, slots
+                zip(baseline_predictions(baseline, n), rows), slots
             )
             for slot in slots:
                 values = [row[slot] for row in rows]

@@ -12,7 +12,7 @@ import pytest
 from pbpstate.cli import build_parser, main
 from pbpstate.transcripts import write_campaigns
 
-from conftest import make_campaign
+from conftest import make_campaign, peak_traced_bytes
 
 
 def run(argv, capsys=None):
@@ -145,12 +145,25 @@ def test_eval_gst_joins_on_campaign_id(synth_corpus, tmp_path, capsys):
     corpus, gold = synth_corpus
     annotated = tmp_path / "annotated.jsonl"
     assert main(["annotate", "--in", str(corpus), "--out", str(annotated)]) == 0
-    reversed_gold = tmp_path / "reversed_gold.jsonl"
-    lines = gold.read_text(encoding="utf-8").splitlines()
-    reversed_gold.write_text("\n".join(reversed(lines)) + "\n", encoding="utf-8")
-    assert _eval_json(annotated, reversed_gold, capsys) == _eval_json(
-        annotated, gold, capsys
+    reversed_gold = _reversed_lines(gold, tmp_path / "reversed_gold.jsonl")
+    reversed_pred = _reversed_lines(annotated, tmp_path / "reversed_pred.jsonl")
+    reports = []
+    for pred, gold_file in [
+        (annotated, gold), (annotated, reversed_gold), (reversed_pred, gold)
+    ]:
+        capsys.readouterr()
+        argv = ["eval-gst", "--pred", str(pred), "--gold", str(gold_file), "--json"]
+        assert main(argv) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def _reversed_lines(path, out):
+    out.write_text(
+        "".join(reversed(path.read_text(encoding="utf-8").splitlines(True))),
+        encoding="utf-8",
     )
+    return out
 
 
 @pytest.mark.parametrize(
@@ -201,6 +214,93 @@ def test_eval_gst_rejects_missing_prediction_and_turn_mismatch(
     )
     assert main(["eval-gst", "--pred", str(shifted), "--gold", str(gold)]) == 2
     assert f"campaign {first_id!r}" in capsys.readouterr().err
+
+
+def test_train_icooc_model_bytes_do_not_depend_on_the_gold_order(
+    synth_corpus, tmp_path
+):
+    corpus, gold = synth_corpus
+    reversed_gold = _reversed_lines(gold, tmp_path / "reversed.jsonl")
+    models = []
+    for gold_file in (gold, reversed_gold):
+        model = tmp_path / f"{gold_file.stem}.model"
+        assert main(["train-icooc", "--corpus", str(corpus), "--gold", str(gold_file),
+                     "--out", str(model)]) == 0
+        models.append(model.read_bytes())
+    assert models[0] == models[1]
+
+
+@pytest.mark.parametrize(
+    "last_line, problem",
+    [
+        (lambda records: "{not json", "invalid JSON"),
+        (lambda records: json.dumps(records[0]), "duplicate campaign_id"),
+    ],
+    ids=["malformed", "repeated"],
+)
+def test_train_icooc_reads_the_corpus_past_the_last_gold_campaign(
+    synth_corpus, tmp_path, capsys, last_line, problem
+):
+    # Gold names only the first two campaigns; the corpus's third campaign
+    # and its bad last line come after them and are still read.
+    corpus, gold = synth_corpus
+    records = [json.loads(line) for line in corpus.read_text().splitlines()]
+    edited = tmp_path / "corpus.jsonl"
+    edited.write_text(
+        corpus.read_text(encoding="utf-8") + last_line(records) + "\n", encoding="utf-8"
+    )
+    fewer_gold = tmp_path / "gold.jsonl"
+    fewer_gold.write_text(
+        "".join(gold.read_text(encoding="utf-8").splitlines(True)[:2]), encoding="utf-8"
+    )
+    model = tmp_path / "m"
+    argv = ["train-icooc", "--corpus", str(edited), "--gold", str(fewer_gold),
+            "--out", str(model)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        f"pbpstate: error: line {len(records) + 1}: {edited}: {problem}"
+    )
+    assert not model.exists()
+
+
+def _copies(path, out, factor):
+    """``path``'s records ``factor`` times over, each copy's campaigns renamed."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    return str(_write_jsonl(out, [
+        dict(record, campaign_id=f"{record['campaign_id']}-{copy}")
+        for copy in range(factor)
+        for record in records
+    ]))
+
+
+@pytest.mark.parametrize("command", ["eval-gst", "train-icooc"])
+def test_memory_stays_flat_as_the_joined_files_grow(tmp_path, capsys, command):
+    # Both commands join two files by campaign id. Files in the same order
+    # hold one campaign at a time, so eight times the campaigns need no
+    # more memory; holding either file whole would need about eightfold.
+    corpus, gold = tmp_path / "corpus.jsonl", tmp_path / "gold.jsonl"
+    annotated = tmp_path / "annotated.jsonl"
+    assert main(["synth", "--seed", "3", "--campaigns", "2", "--players", "4",
+                 "--turns", "150", "--out", str(corpus), "--gold", str(gold)]) == 0
+    assert main(["annotate", "--in", str(corpus), "--out", str(annotated)]) == 0
+
+    def argv(factor):
+        copies = {
+            name: _copies(path, tmp_path / f"{name}-{factor}.jsonl", factor)
+            for name, path in [("corpus", corpus), ("gold", gold), ("pred", annotated)]
+        }
+        if command == "eval-gst":
+            return ["eval-gst", "--pred", copies["pred"], "--gold", copies["gold"]]
+        return ["train-icooc", "--corpus", copies["corpus"], "--gold", copies["gold"],
+                "--out", str(tmp_path / "m")]
+
+    once, eightfold = argv(1), argv(8)
+    assert main(eightfold) == 0  # one-off allocations, and the caches filled
+    capsys.readouterr()
+    peaks = [peak_traced_bytes(main, once), peak_traced_bytes(main, eightfold)]
+    assert peaks[1] <= peaks[0] * 1.1
 
 
 def test_annotate_is_idempotent(synth_corpus, tmp_path):

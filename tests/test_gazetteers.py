@@ -204,6 +204,31 @@ def test_unknown_section_rejected():
         parse_gazetteers("[nonsense]\nfoo\n")
 
 
+# The line separators of str.splitlines that do not end a line in any
+# input of the package: only \n, \r and \r\n do, as in read_jsonl.
+_NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("separator", _NOT_LINE_ENDS, ids=ascii)
+def test_only_newlines_end_a_gazetteer_line(tmp_path, separator):
+    path = tmp_path / "gaz.txt"
+    path.write_text(f"[classes]\nwiz{separator}ard\n[bogus]\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as raised:
+        load_gazetteers(path)
+    assert str(raised.value) == f"{path}: line 3: unknown section 'bogus'"
+
+
+@pytest.mark.parametrize("end", ["\n", "\r", "\r\n"], ids=ascii)
+def test_each_newline_ends_a_gazetteer_line(tmp_path, end):
+    path = tmp_path / "gaz.txt"
+    path.write_bytes(f"[classes]{end}wizard{end}[bogus]{end}".encode())
+    with pytest.raises(ConfigError, match=r": line 3: unknown section 'bogus'$"):
+        load_gazetteers(path)
+    path.write_bytes(f"[classes]{end}wizard{end}\xff{end}".encode("latin-1"))
+    with pytest.raises(ConfigError, match=r": line 3: not UTF-8"):
+        load_gazetteers(path)
+
+
 def test_term_before_section_rejected():
     with pytest.raises(ConfigError, match="before any"):
         parse_gazetteers("orphan\n[classes]\n")

@@ -2,7 +2,6 @@ import json
 import math
 import random
 import re
-import tracemalloc
 from collections import Counter
 
 import pytest
@@ -30,7 +29,7 @@ from pbpstate.icooc import (
     turn_label,
 )
 
-from conftest import make_post
+from conftest import make_post, peak_traced_bytes
 
 TRAIN_SET = [
     LabeledParagraph("the wagon rolls quietly through the pines", IC),
@@ -474,15 +473,6 @@ def test_train_does_not_depend_on_paragraph_order():
     assert train(iter(shuffled)) == train(TRAIN_SET * 3)
 
 
-def _peak_bytes_of_train(paragraphs):
-    tracemalloc.start()
-    try:
-        train(paragraphs)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_train_memory_stays_flat_as_the_data_grows():
     # train folds each paragraph into counts and drops it, so eight times
     # the same paragraphs, streamed from a generator, need no more memory:
@@ -496,8 +486,8 @@ def test_train_memory_stays_flat_as_the_data_grows():
         for _ in range(1000)
     ]
     train(paragraphs[:10])  # the first call's one-off allocations
-    once = _peak_bytes_of_train(iter(paragraphs))
-    eightfold = _peak_bytes_of_train(p for _ in range(8) for p in paragraphs)
+    once = peak_traced_bytes(train, iter(paragraphs))
+    eightfold = peak_traced_bytes(train, (p for _ in range(8) for p in paragraphs))
     assert eightfold <= once * 1.1
 
 

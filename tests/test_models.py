@@ -1,11 +1,14 @@
 import re
+from dataclasses import fields, is_dataclass
+from enum import Enum
+from typing import get_args, get_origin, get_type_hints
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pbpstate.errors import FormatError
 from pbpstate.evaluation import SlotReport, ratings_from_record
-from pbpstate.icooc import LabeledParagraph
+from pbpstate.icooc import IC, OOC, IcOocModel, LabeledParagraph
 from pbpstate.models import (
     DUNGEON_MASTER,
     Action,
@@ -17,6 +20,7 @@ from pbpstate.models import (
     GoldAnnotations,
     Post,
     TurnState,
+    _Codec,
     _encode,
     validate_spans,
 )
@@ -253,6 +257,130 @@ def test_record_type_dict_round_trip(obj, keys):
     # The written key order is part of every output's bytes.
     assert list(obj.to_dict()) == keys
     assert type(obj).from_dict(obj.to_dict()) == obj
+
+
+# Instances of every class with a derived codec, drawn from the same field
+# plan the codec reads: each field ``__init__`` takes is drawn by its
+# annotation, except where ``_VALID`` names a narrower strategy that keeps
+# the class's own checks.
+_SCALARS = {
+    str: st.text(max_size=8),
+    str | None: st.none() | st.text(max_size=8),
+    bool: st.booleans(),
+    int: st.integers(),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+}
+
+
+def _values(tp):
+    """A strategy for values of the field type ``tp``."""
+    origin, args = get_origin(tp), get_args(tp)
+    if tp in _VALID:
+        return _VALID[tp]
+    if is_dataclass(tp):
+        return _records(tp)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return st.sampled_from(tp)
+    if origin is tuple and args[-1] is Ellipsis:
+        return st.lists(_values(args[0]), max_size=3).map(tuple)
+    if origin is tuple:
+        return st.tuples(*map(_values, args))
+    if origin is frozenset:
+        return st.frozensets(_values(args[0]), max_size=3)
+    if origin is dict:
+        return st.dictionaries(_values(args[0]), _values(args[1]), max_size=3)
+    return _SCALARS[tp]
+
+
+def _records(cls, **drawn):
+    """Instances of ``cls``, each field from ``drawn`` or by its annotation."""
+    hints = get_type_hints(cls)
+    return st.builds(cls, **{
+        f.name: drawn[f.name] if f.name in drawn else _values(hints[f.name])
+        for f in fields(cls)
+        if f.init
+    })
+
+
+def _span(start, end):
+    return _records(CombatSpan, start_index=st.just(start), end_index=st.just(end),
+                    monsters=_MONSTERS)
+
+
+def _spans(ends):
+    """Sorted, disjoint spans from sorted, distinct ends, two per span."""
+    return st.tuples(*(_span(*pair) for pair in zip(ends[::2], ends[1::2])))
+
+
+def _gold(states):
+    labels = st.lists(_values(tuple[str, ...]), min_size=len(states),
+                      max_size=len(states)).map(tuple)
+    return _records(
+        GoldAnnotations,
+        turn_states=st.just(tuple(states)),
+        # One DM, last, so that no player filed under its id replaces it.
+        profiles=st.tuples(st.lists(_PLAYER, max_size=3), _DM).map(
+            lambda drawn: {p.player_id: p for p in [*drawn[0], drawn[1]]}
+        ),
+        combat_spans=st.lists(_NATURALS, max_size=6, unique=True).map(sorted)
+        .flatmap(_spans),
+        paragraph_labels=st.just(()) | labels,
+    )
+
+
+def _model(n):
+    scores = st.tuples(*[_SCALARS[float]] * n)
+    return _records(
+        IcOocModel,
+        labels=st.lists(st.text(max_size=4), min_size=n, max_size=n, unique=True)
+        .map(tuple),
+        priors=scores,
+        weights=st.dictionaries(st.text(max_size=4), scores, max_size=3),
+    )
+
+
+_NATURALS = st.integers(0, 10**6)
+_MONSTERS = st.lists(
+    st.tuples(st.text(max_size=8), st.integers(1, 10**6)), max_size=3
+).map(tuple)
+_VALID = {}
+_VALID[DiceRoll] = _records(
+    DiceRoll, count=st.integers(1, 10**6), faces=st.integers(2, 10**6),
+    paragraph_index=_NATURALS, char_offset=_NATURALS,
+)
+_UNSKILLED = [kind for kind in ActionKind if kind != ActionKind.SKILL_CHECK]
+_VALID[Action] = _records(
+    Action, kind=st.sampled_from(_UNSKILLED), skill=st.none()
+) | _records(Action, kind=st.just(ActionKind.SKILL_CHECK), skill=st.text(max_size=8))
+_PLAYER = _records(CharacterProfile, is_dm=st.just(False))
+_DM = st.builds(CharacterProfile, st.text(max_size=8), is_dm=st.just(True),
+                character_class=st.just(DUNGEON_MASTER))
+_VALID[CharacterProfile] = _PLAYER | _DM
+_VALID[CombatSpan] = st.tuples(_NATURALS, _NATURALS).map(sorted).flatmap(
+    lambda ends: _span(*ends)
+)
+_VALID[GoldAnnotations] = st.lists(_values(TurnState), max_size=3).flatmap(_gold)
+_VALID[LabeledParagraph] = _records(
+    LabeledParagraph, text=st.text(min_size=1).filter(str.strip),
+    label=st.sampled_from((IC, OOC)),
+)
+_VALID[IcOocModel] = st.integers(2, 3).flatmap(_model)
+
+
+@pytest.mark.parametrize(
+    "cls", _Codec.__subclasses__(), ids=lambda cls: cls.__name__
+)
+def test_every_codec_round_trips_and_writes_its_keys_in_field_order(cls):
+    keys = [f.metadata.get("key", f.name) for f in fields(cls)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(_values(cls))
+    def round_trip(obj):
+        d = obj.to_dict()
+        assert list(d) == keys
+        assert cls.from_dict(d) == obj
+
+    round_trip()
 
 
 def test_gold_writes_sorted_sets_and_profiles_and_pairs():

@@ -3,11 +3,14 @@ import os
 import re
 import stat
 import threading
+import tracemalloc
+from operator import itemgetter
 
 import pytest
 
 from pbpstate.errors import FormatError
 from pbpstate.transcripts import (
+    CampaignJoin,
     campaign_from_record,
     dump_json_line,
     load_campaigns,
@@ -248,6 +251,78 @@ def test_read_jsonl_yields_each_decoded_record_in_order(tmp_path):
     path = tmp_path / "in.jsonl"
     _write(path, ['{"n": 1}', "", '{"n": 2}'])
     assert list(read_jsonl(path, _decode_or_raise)) == [1, 2]
+
+
+def test_read_jsonl_passes_a_line_error_of_another_file_through(tmp_path):
+    # A decoder that reads a second file: the second file's error names
+    # its own line and path, once.
+    inner, outer = tmp_path / "inner.jsonl", tmp_path / "outer.jsonl"
+    _write(inner, ['{"n": 1}', "{not json"])
+    _write(outer, ['{"n": 1}', '{"n": 2}'])
+    lines = read_jsonl(inner, _decode_or_raise)
+    with pytest.raises(FormatError) as raised:
+        list(read_jsonl(outer, lambda record: next(lines)))
+    assert str(raised.value) == (
+        f"line 2: {inner}: invalid JSON (Expecting property name enclosed in"
+        " double quotes)"
+    )
+
+
+def test_a_suspended_read_holds_no_more_than_its_line(tmp_path):
+    # While the caller reads another file, a suspended read holds its
+    # decoded value and the line's bytes, not the line's text and record.
+    path = tmp_path / "big.jsonl"
+    line = json.dumps({"n": 1, "pad": ["x" * 100] * 2000})
+    _write(path, [line])
+    tracemalloc.start()
+    try:
+        values = read_jsonl(path, _decode_or_raise)
+        assert next(values) == 1
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * len(line)
+
+
+def _join(ids):
+    """A CampaignJoin over ``(campaign id, position)`` records, and the
+    list of the ids it has read so far."""
+    read = []
+
+    def records():
+        for position, key in enumerate(ids):
+            read.append(key)
+            yield key, position
+
+    return CampaignJoin(records(), itemgetter(0)), read
+
+
+def test_campaign_join_in_the_same_order_reads_one_campaign_at_a_time():
+    join, read = _join(["a", "b", "c"])
+    for position, key in enumerate("abc"):
+        assert join.take(key, "is missing") == (key, position)
+        assert read == list("abc")[: position + 1]
+    assert join.rest() == []
+
+
+def test_campaign_join_in_another_order_holds_what_it_read_past():
+    join, read = _join(["a", "b", "c", "d"])
+    assert join.take("c", "is missing") == ("c", 2)
+    assert read == ["a", "b", "c"]
+    assert join.take("a", "is missing") == ("a", 0)
+    assert read == ["a", "b", "c"]
+    assert join.rest() == ["b", "d"]
+    assert read == ["a", "b", "c", "d"]
+
+
+def test_campaign_join_names_a_missing_and_a_repeated_campaign():
+    join, read = _join(["a", "b"])
+    with pytest.raises(FormatError, match="^campaign 'z' is missing$"):
+        join.take("z", "is missing")
+    assert read == ["a", "b"]
+    assert join.take("a", "is missing") == ("a", 0)
+    with pytest.raises(FormatError, match="^duplicate campaign_id 'a'$"):
+        join.take("a", "is missing")
 
 
 def test_write_lines_writes_each_line_and_counts(tmp_path):
