@@ -285,9 +285,7 @@ def text_signals(text: str, gazetteers: Gazetteers) -> set[str]:
 
 
 def build_profiles(
-    campaign: Campaign,
-    gazetteers: Gazetteers,
-    facts: Sequence[PostFacts] | None = None,
+    campaign: Campaign, gazetteers: Gazetteers, facts: Sequence[PostFacts]
 ) -> dict[str, CharacterProfile]:
     """Run all property heuristics per player; the DM profile is scrubbed.
 
@@ -297,11 +295,8 @@ def build_profiles(
     ``_race``, ``_inventory`` and ``_cast_phrases``. The DM, the first
     poster, is always the Dungeon Master.
 
-    ``facts`` are the campaign's post facts in post order, when the caller
-    has already read the posts.
+    ``facts`` are the campaign's post facts (``post_facts``) in post order.
     """
-    if facts is None:
-        facts = [post_facts(p.paragraphs, gazetteers) for p in campaign.posts]
     dm_id = identify_dm(campaign)
     by_player: dict[str, list[PostFacts]] = {}
     for post, facts_of_post in zip(campaign.posts, facts):

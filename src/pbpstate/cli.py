@@ -28,7 +28,6 @@ from .models import SLOT_KEYS, ControlVariant
 
 if TYPE_CHECKING:
     from .evaluation import CorpusStats
-    from .icooc import IcOocModel
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -73,18 +72,6 @@ def _stats_table(stats: CorpusStats) -> str:
     ]
     width = max(len(label) for label, _ in rows)
     return "\n".join(f"{label:<{width}}  {value:>12}" for label, value in rows)
-
-
-def _icooc_model(path: str) -> IcOocModel:
-    """The model file at ``path``, which must label IC and OOC: a slot
-    model, say, is a data error naming the file."""
-    from .icooc import IC, OOC, load_model
-
-    model = load_model(path)
-    if set(model.labels) != {IC, OOC}:
-        labels = ", ".join(model.labels)
-        raise FormatError(f"{path}: labels {labels}: not an IC/OOC model")
-    return model
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -141,6 +128,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
     from .gazetteers import load_gazetteers
+    from .icooc import load_model
     from .pipeline import annotate_corpus
     from .records import annotated_to_record, validate_record
     from .transcripts import dump_json_line, load_campaigns, write_lines
@@ -149,7 +137,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         load_campaigns(args.infile),
         load_gazetteers(args.gazetteers),
         gap_turns=args.gap_turns,
-        icooc_model=_icooc_model(args.icooc_model) if args.icooc_model else None,
+        icooc_model=load_model(args.icooc_model) if args.icooc_model else None,
     )
 
     def lines() -> Iterator[str]:
@@ -211,10 +199,10 @@ def _cmd_train_icooc(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    from .icooc import IC, label_turn
+    from .icooc import IC, label_turn, load_model
     from .transcripts import dump_json_line, load_campaigns, write_lines
 
-    model = _icooc_model(args.model)
+    model = load_model(args.model)
 
     def lines() -> Iterator[str]:
         for campaign in load_campaigns(args.infile):

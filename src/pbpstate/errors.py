@@ -6,7 +6,7 @@ class PbpError(Exception):
 
 
 class FormatError(PbpError):
-    """A transcript or annotation file is malformed.
+    """An input file is malformed.
 
     Carries the 1-based line number of the offending line when known.
     """

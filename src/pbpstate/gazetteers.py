@@ -4,7 +4,9 @@ Gazetteers live in a plain-text config file (one term per line under
 ``[section]`` headers) rather than in code, so the shipped class/race/skill
 lists can be swapped for house rules without touching the package. The
 default file bundled under ``data/`` covers the standard twelve classes,
-nine races, and eighteen skills.
+nine races, and eighteen skills. Every gazetteer file, the bundled one
+too, is read by ``transcripts.read_lines``, so a bad line reads ``line N:
+FILE: problem``, as in every other input file.
 
 Pronoun sets use the line form ``label: form1, form2, form3``. Possessive
 adjectives used for inventory matching are recognized from each set's forms
@@ -28,7 +30,7 @@ from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError
+from .transcripts import read_lines
 
 # The configured sections ``find`` matches, besides the pronoun sets.
 MATCHED = ("classes", "races", "skills", "monsters", "attack_words", "damage_words")
@@ -36,6 +38,9 @@ MATCHED = ("classes", "races", "skills", "monsters", "attack_words", "damage_wor
 POSSESSIVE_ADJECTIVES = frozenset({"his", "her", "their", "its"})
 
 FIRST_PERSON_POSSESSIVES = ("my", "our")
+
+# The gazetteer file that ``load_gazetteers`` reads when given none.
+_BUNDLED = resources.files(__package__) / "data" / "gazetteers.txt"
 
 # Used when a gazetteer file leaves these sections empty or absent.
 DEFAULT_ATTACK_WORDS = ("attack",)
@@ -198,78 +203,62 @@ class Gazetteers:
         return frozenset(FIRST_PERSON_POSSESSIVES) | (forms & POSSESSIVE_ADJECTIVES)
 
 
-def _term(text: str, lineno: int) -> str:
+def _term(text: str) -> str:
     """``text`` lowercased. It must start with a word character: a match
     starts where a ``\\w`` run does, and an item or stopword is a word."""
     term = text.lower()
     if not _WORD_START_RE.match(term):
-        raise ConfigError(
-            f"line {lineno}: term {text!r} does not start with a word character"
-        )
+        raise ValueError(f"term {text!r} does not start with a word character")
     return term
 
 
-def _parse_pronoun_line(line: str, lineno: int) -> tuple[str, tuple[str, ...]]:
+def _pronoun_set(line: str) -> tuple[str, tuple[str, ...]]:
     if ":" not in line:
-        raise ConfigError(f"line {lineno}: pronoun set needs 'label: forms'")
+        raise ValueError("pronoun set needs 'label: forms'")
     label, _, rest = line.partition(":")
-    forms = tuple(_term(f.strip(), lineno) for f in rest.split(",") if f.strip())
+    forms = tuple(_term(f.strip()) for f in rest.split(",") if f.strip())
     if not forms:
-        raise ConfigError(f"line {lineno}: pronoun set {label!r} has no forms")
+        raise ValueError(f"pronoun set {label!r} has no forms")
     return label.strip(), forms
-
-
-def parse_gazetteers(text: str) -> Gazetteers:
-    sections: dict[str, list[str]] = {f.name: [] for f in fields(Gazetteers)}
-    current: str | None = None
-    for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            if current not in sections:
-                raise ConfigError(f"line {lineno}: unknown section {current!r}")
-            continue
-        if current is None:
-            raise ConfigError(f"line {lineno}: term appears before any [section]")
-        sections[current].append((line, lineno))  # type: ignore[arg-type]
-
-    pronoun_sets = tuple(
-        _parse_pronoun_line(line, lineno) for line, lineno in sections["pronoun_sets"]
-    )
-
-    def terms(name: str) -> tuple[str, ...]:
-        return tuple(_term(line, lineno) for line, lineno in sections[name])
-
-    return Gazetteers(
-        classes=terms("classes"),
-        races=terms("races"),
-        skills=terms("skills"),
-        pronoun_sets=pronoun_sets,
-        items=terms("items"),
-        monsters=terms("monsters"),
-        stopwords=frozenset(terms("stopwords")),
-        attack_words=terms("attack_words") or DEFAULT_ATTACK_WORDS,
-        damage_words=terms("damage_words") or DEFAULT_DAMAGE_WORDS,
-    )
 
 
 def load_gazetteers(path: str | Path | None = None) -> Gazetteers:
     """Load a gazetteer file, or the bundled defaults when no path given.
 
-    A malformed file raises ConfigError naming the file and the line.
+    Each line is parsed as it is read, so a malformed line raises
+    FormatError reading ``line N: FILE: problem``.
     """
     if path is None:
-        text = (
-            resources.files("pbpstate").joinpath("data/gazetteers.txt").read_text("utf-8")
-        )
-        return parse_gazetteers(text)
-    data = Path(path).read_bytes()
-    try:
-        return parse_gazetteers(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        lineno = len(re.split(rb"\r\n?|\n", data[: exc.start]))
-        raise ConfigError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from exc
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        with resources.as_file(_BUNDLED) as bundled:
+            return load_gazetteers(bundled)
+    sections: dict[str, list] = {f.name: [] for f in fields(Gazetteers)}
+    current: str | None = None
+
+    def parse(line: str) -> None:
+        nonlocal current
+        line = line.strip()
+        if line.startswith("#"):
+            return
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip()
+            if current not in sections:
+                raise ValueError(f"unknown section {current!r}")
+        elif current is None:
+            raise ValueError("term appears before any [section]")
+        elif current == "pronoun_sets":
+            sections[current].append(_pronoun_set(line))
+        else:
+            sections[current].append(_term(line))
+
+    for _ in read_lines(path, parse):  # parse files each line's term
+        pass
+
+    terms = {name: tuple(entries) for name, entries in sections.items()}
+    return Gazetteers(
+        **{
+            **terms,
+            "stopwords": frozenset(terms["stopwords"]),
+            "attack_words": terms["attack_words"] or DEFAULT_ATTACK_WORDS,
+            "damage_words": terms["damage_words"] or DEFAULT_DAMAGE_WORDS,
+        }
+    )

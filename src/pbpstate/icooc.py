@@ -258,15 +258,20 @@ def save_model(model: IcOocModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> IcOocModel:
-    """The model in a ``save_model`` file. A bad record, a second or none
-    raises FormatError naming the file, and the line where there is one."""
+    """The IC/OOC model in a ``save_model`` file. A bad record, one whose
+    labels are not IC and OOC (a slot model's, say), a second record or
+    none raises FormatError naming the file, and the line where there is
+    one."""
     decoded: list[IcOocModel] = []
 
     def first(record: dict[str, Any]) -> IcOocModel:
         if decoded:
-            raise FormatError("a second record: a model file holds one")
-        decoded.append(IcOocModel.from_dict(record))
-        return decoded[0]
+            raise ValueError("a second record: a model file holds one")
+        model = IcOocModel.from_dict(record)
+        if set(model.labels) != {IC, OOC}:
+            _fail("labels", f"must be IC and OOC, not {', '.join(model.labels)}")
+        decoded.append(model)
+        return model
 
     if not list(read_jsonl(path, first)):
         raise FormatError(f"{path}: holds no model record")

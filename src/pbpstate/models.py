@@ -26,13 +26,16 @@ Decoded JSON is checked by ``_is``, ``_typed``, ``_items``, ``_at`` and
 must be ..., not ...`` after its path, as in ``turn_states[3]: actions[0]:
 roll: count: ...``; a list item's index is formatted only when a check
 fails. A JSON ``true`` or ``false`` is no integer and no number, and an
-integer no float. Besides ``_decode``, which reads the IC/OOC model file's
-one record too, the decoders are: transcript,
+integer no float. Besides ``_decode``, the decoders are: transcript,
 ``transcripts.campaign_from_record``; annotated,
 ``records.turns_from_record``, through ``profiles_and_spans``; gold,
 ``records.gold_from_record``; turn slots, ``records.slot_rows_from_record``;
-and ratings, ``evaluation.ratings_from_record``. ``check_turn_states`` is
-the one check of turn states against their posts.
+ratings, ``evaluation.ratings_from_record``; and the IC/OOC model file's,
+in ``icooc.load_model``, which adds to ``_decode`` that the labels are IC
+and OOC. ``check_turn_states`` is the one check of turn states against
+their posts. A decoder raises ValueError, and only ValueError, for bad
+data, and ``transcripts.read_lines`` blames it on its line; a KeyError or
+a TypeError raised in a decoder is a fault of the program, not of the data.
 
 One key rule holds for every object of the JSON formats: a key that its
 decoder does not read is a data error, ``bogus: not a turn state field``,

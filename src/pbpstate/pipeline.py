@@ -42,7 +42,7 @@ def annotate_campaign(
     character cue.
     """
     facts = [post_facts(p.paragraphs, gazetteers) for p in campaign.posts]
-    profiles = build_profiles(campaign, gazetteers, facts=facts)
+    profiles = build_profiles(campaign, gazetteers, facts)
     bare_spans = detect_combat_spans(campaign, facts, gap_turns)
     spans = tuple(
         CombatSpan(

@@ -1,4 +1,4 @@
-"""Streaming JSONL transcript I/O.
+"""Streaming JSONL transcript I/O, and the one line reader of every input file.
 
 The canonical transcript format holds one campaign per line:
 
@@ -12,12 +12,11 @@ record none but ``TRANSCRIPT_KEYS``. An annotated record's posts are
 transcript posts, so its rolls are recovered the same way.
 Streaming keeps memory flat on large corpora.
 
-A transcript record is decoded by ``campaign_from_record``. Every JSONL
-input of the package, not only transcripts, is read through
-``read_jsonl``: it decodes each line with a caller's function, rejects a
-repeated ``campaign_id`` when the caller names it, and reports a bad line
-once, as ``line N: PATH: problem``; an error naming a line already, of
-another file that ``decode`` reads, passes through unchanged.
+A transcript record is decoded by ``campaign_from_record``. Every input
+file of the package is read through ``read_lines``, the one line reader
+and the one place that turns bad input into a data error, ``line N:
+PATH: problem``: ``read_jsonl`` reads every JSONL input through it, and
+``gazetteers.load_gazetteers`` the gazetteer files.
 ``CampaignJoin`` joins two files by campaign id, never by position: each
 is read once, files in the same order hold one campaign at a time, and
 files in any order still join.
@@ -49,22 +48,19 @@ def campaign_from_record(record: dict[str, Any]) -> Campaign:
     Ids are strings, ``posts`` is a list of objects and each post's
     ``paragraphs`` a list of strings; anything else, a post key other
     than the four of the format, or a ``rolls`` list that is not the
-    rolls of the paragraphs' dice notation, raises FormatError naming the
+    rolls of the paragraphs' dice notation, raises ValueError naming the
     post and the field. Posts are re-indexed 0..n-1 in file order and
     inline dice notation is materialized into rolls. The record's own
     keys are checked by its reader, as an annotated record holds more.
     """
-    try:
-        campaign_id = _typed(record, "campaign_id", str)
-        where = f"campaign {campaign_id!r}"
-        posts = _each(
-            enumerate(_at(where, _typed, record, "posts", list)),
-            _post,
-            lambda index: f"post {index} of {where}",
-        )
-        return _at(where, Campaign, campaign_id, posts)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    campaign_id = _typed(record, "campaign_id", str)
+    where = f"campaign {campaign_id!r}"
+    posts = _each(
+        enumerate(_at(where, _typed, record, "posts", list)),
+        _post,
+        lambda index: f"post {index} of {where}",
+    )
+    return _at(where, Campaign, campaign_id, posts)
 
 
 def _post(indexed: tuple[int, Any]) -> Post:
@@ -83,55 +79,79 @@ def _post(indexed: tuple[int, Any]) -> Post:
     )
 
 
+def read_lines(path: str | Path, parse: Callable[[str], T]) -> Iterator[T]:
+    """Yield ``parse(line)`` for each line of ``path`` that is not blank, in order.
+
+    Lines end at ``\n``, ``\r`` and ``\r\n`` only, and each is decoded
+    as UTF-8 on its own; a line of white space is skipped, but counted.
+    A line that is not UTF-8, or whose ``parse`` raises ValueError or a
+    FormatError that names no line, raises one FormatError reading ``line
+    N: PATH: problem``. A FormatError that names a line already, of
+    another file that ``parse`` reads, is raised as is. Any other
+    exception is a fault of the program and propagates unchanged.
+    """
+    with open(path, "rb") as handle:
+        lines = chain.from_iterable(map(bytes.splitlines, handle))
+        for lineno, data in enumerate(lines, start=1):
+            try:
+                line = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                problem = f"not UTF-8 ({exc.reason})"
+                raise FormatError(f"{path}: {problem}", line=lineno) from exc
+            if not line.strip():
+                continue
+            try:
+                value = parse(line)
+            except (FormatError, ValueError) as exc:
+                if isinstance(exc, FormatError) and exc.line is not None:
+                    raise  # a line of another file, which ``parse`` read
+                raise FormatError(f"{path}: {exc}", line=lineno) from exc
+            del data, line  # a suspended read holds only its value
+            yield value
+
+
 def read_jsonl(
     path: str | Path,
     decode: Callable[[dict[str, Any]], T],
     campaign_id: Callable[[T], str] | None = None,
 ) -> Iterator[T]:
-    """Yield ``decode(record)`` for each JSON object line of ``path``, in order.
+    """Yield ``decode(record)`` for each JSON object line of ``path``, in
+    order, read by ``read_lines``.
 
-    Blank lines are skipped. A line that is not UTF-8, not valid JSON or
-    not an object, or whose ``decode`` raises FormatError, ValueError,
-    KeyError or TypeError, raises one FormatError reading ``line N: PATH:
-    problem``, the one place that says where in a file a bad record is. An
+    A line that is not valid JSON, is nested too deeply to parse or is
+    not an object, and a ValueError of ``decode``, are bad lines. An
     integer literal too long for Python to convert is named by its path
     in the record, as ``turn_states[0]: actions[0]: roll: modifier: ...``.
     Given ``campaign_id``, which names a decoded record's campaign, a
-    campaign seen on an earlier line is such a problem. A FormatError that
-    names a line already, of a file that ``decode`` reads, is raised as is.
+    campaign seen on an earlier line is a bad line too.
     """
     seen: set[str] = set()
-    with open(path, "rb") as handle:
-        # Lines end where text mode ends them; each is decoded on its own.
-        lines = chain.from_iterable(map(bytes.splitlines, handle))
-        for lineno, data in enumerate(lines, start=1):
-            try:
-                raw = data.decode("utf-8")
-                if not raw.strip():
-                    continue
-                record = json.loads(raw)
-                if not isinstance(record, dict):
-                    raise FormatError("record is not a JSON object")
-                value = decode(record)
-                if campaign_id is not None:
-                    key = campaign_id(value)
-                    if key in seen:
-                        raise FormatError(f"duplicate campaign_id {key!r}")
-                    seen.add(key)
-            except (FormatError, ValueError, KeyError, TypeError) as exc:
-                if isinstance(exc, FormatError) and exc.line is not None:
-                    raise  # a line of another file, which ``decode`` read
-                if isinstance(exc, json.JSONDecodeError):
-                    problem = f"invalid JSON ({exc.msg})"
-                elif type(exc) is ValueError and (too_long := _long_integer(raw)):
-                    problem = too_long
-                elif isinstance(exc, KeyError):
-                    problem = f"record has no {exc} field"
-                else:
-                    problem = str(exc)
-                raise FormatError(f"{path}: {problem}", line=lineno) from exc
-            del data, raw, record  # a suspended read holds only its value
-            yield value
+
+    def parse(line: str) -> T:
+        value = decode(_json_object(line))
+        if campaign_id is not None:
+            key = campaign_id(value)
+            if key in seen:
+                raise ValueError(f"duplicate campaign_id {key!r}")
+            seen.add(key)
+        return value
+
+    return read_lines(path, parse)
+
+
+def _json_object(line: str) -> dict[str, Any]:
+    """The JSON object on ``line``, or ValueError saying what it is not."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON ({exc.msg})") from exc
+    except ValueError as exc:  # only an integer literal too long to convert
+        raise ValueError(_long_integer(line) or str(exc)) from exc
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to read") from None
+    if not isinstance(record, dict):
+        raise ValueError("record is not a JSON object")
+    return record
 
 
 class CampaignJoin(Generic[T]):
@@ -168,32 +188,28 @@ class _IntegerText(str):
     """An integer literal's digits, as ``json.loads`` read them."""
 
 
-def _leaves(value: Any, path: str) -> Iterator[tuple[str, Any]]:
-    """Each scalar in decoded JSON with its path, ``posts[0]: rolls[0]: count``."""
-    if isinstance(value, dict):
-        for key, item in value.items():
-            yield from _leaves(item, f"{path}: {key}" if path else key)
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            yield from _leaves(item, f"{path}[{i}]")
-    else:
-        yield path, value
-
-
-def _long_integer(raw: str) -> str | None:
-    """The first integer literal in the JSON line ``raw`` with more digits
+def _long_integer(line: str) -> str | None:
+    """The first integer literal in the JSON line ``line`` with more digits
     than Python converts (``sys.get_int_max_str_digits``), named by its
-    path, or None. ``read_jsonl`` reads the line again only for this."""
+    path, as ``posts[0]: rolls[0]: count``, or None. ``read_jsonl`` reads
+    the line again only for this, and walks it without recursion."""
     # 0 where there is no limit, as before Python 3.11.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
-        record = json.loads(raw, parse_int=_IntegerText)
-    except ValueError:
+        record = json.loads(line, parse_int=_IntegerText)
+    except (ValueError, RecursionError):
         return None
-    for path, value in _leaves(record, ""):
-        digits = len(value.lstrip("-")) if isinstance(value, _IntegerText) else 0
-        if digits > limit > 0:
+    stack = [("", record)]  # (path, value) pairs; the next one is last
+    while stack:
+        path, value = stack.pop()
+        if isinstance(value, dict):
+            items = [(f"{path}: {k}" if path else k, v) for k, v in value.items()]
+            stack.extend(reversed(items))
+        elif isinstance(value, list):
+            stack.extend(reversed([(f"{path}[{i}]", v) for i, v in enumerate(value)]))
+        elif isinstance(value, _IntegerText) and len(value.lstrip("-")) > limit > 0:
             where = f"{path}: " if path else ""
+            digits = len(value.lstrip("-"))
             return f"{where}integer of {digits} digits, more than the {limit} allowed"
     return None
 

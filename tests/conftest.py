@@ -45,6 +45,13 @@ def slot_cells(annotated):
     ]
 
 
+def facts_of(campaign, gaz):
+    """The campaign's post facts in post order, as ``annotate`` reads them."""
+    from pbpstate.characters import post_facts
+
+    return [post_facts(p.paragraphs, gaz) for p in campaign.posts]
+
+
 def make_post(index, text, author="p1", post_id=None):
     from pbpstate.dice import extract_rolls
 

@@ -9,7 +9,7 @@ from pbpstate.models import DUNGEON_MASTER
 from pbpstate.pipeline import annotate_campaign
 from pbpstate.synth import SynthConfig, generate
 
-from conftest import make_campaign
+from conftest import facts_of, make_campaign
 
 
 def profile_for(gaz, *texts):
@@ -17,7 +17,7 @@ def profile_for(gaz, *texts):
     campaign = make_campaign(
         [("dm", "The night is calm.")] + [("p1", text) for text in texts]
     )
-    return build_profiles(campaign, gaz)["p1"]
+    return build_profiles(campaign, gaz, facts_of(campaign, gaz))["p1"]
 
 
 def most_mentioned(*posts):
@@ -125,7 +125,7 @@ class TestInferClass:
         campaign = make_campaign(
             [("dm", "the wizard waves. the wizard bows."), ("p1", "a wizard nods.")]
         )
-        profiles = build_profiles(campaign, gaz)
+        profiles = build_profiles(campaign, gaz, facts_of(campaign, gaz))
         assert profiles["dm"].character_class == DUNGEON_MASTER
         assert profiles["p1"].character_class == "wizard"
 
@@ -249,12 +249,12 @@ class TestBuildProfiles:
 
     def test_single_post_campaign(self, gaz):
         campaign = make_campaign([("solo", "The night passes.")])
-        profiles = build_profiles(campaign, gaz)
+        profiles = build_profiles(campaign, gaz, facts_of(campaign, gaz))
         assert set(profiles) == {"solo"}
         assert profiles["solo"].is_dm
 
     def test_dm_profile_is_scrubbed(self, sample_game, gaz):
-        profiles = build_profiles(sample_game, gaz)
+        profiles = build_profiles(sample_game, gaz, facts_of(sample_game, gaz))
         dm = profiles["griffin"]
         assert dm.is_dm
         assert dm.character_class == DUNGEON_MASTER
@@ -262,7 +262,7 @@ class TestBuildProfiles:
         assert dm.inventory == frozenset() and dm.spells == frozenset()
 
     def test_sample_game_traces(self, sample_game, gaz):
-        profiles = build_profiles(sample_game, gaz)
+        profiles = build_profiles(sample_game, gaz, facts_of(sample_game, gaz))
         # Travis's own posts mention Merle before Taako, once each; the
         # most-frequent-name rule lands on Merle for this short excerpt.
         assert profiles["travis"].name == "Merle"
@@ -270,7 +270,10 @@ class TestBuildProfiles:
         assert profiles["clint"].spells == {"Sacred Flame"}
 
     def test_determinism(self, sample_game, gaz):
-        assert build_profiles(sample_game, gaz) == build_profiles(sample_game, gaz)
+        facts = facts_of(sample_game, gaz)
+        assert build_profiles(sample_game, gaz, facts) == build_profiles(
+            sample_game, gaz, facts_of(sample_game, gaz)
+        )
 
     def test_permutation_changes_only_tie_broken_fields(self, gaz):
         # Strict counts everywhere: permuting post order may only move the

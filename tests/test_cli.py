@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from pbpstate.cli import build_parser, main
+from pbpstate.records import annotated_to_record
 from pbpstate.transcripts import write_campaigns
 
 from conftest import make_campaign, peak_traced_bytes
@@ -1211,7 +1212,7 @@ def test_annotate_names_a_bad_gazetteer_file(synth_corpus, tmp_path, capsys):
             "--gazetteers", str(gazetteers)]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        f"pbpstate: error: {gazetteers}: line 3: unknown section 'bogus'\n"
+        f"pbpstate: error: line 3: {gazetteers}: unknown section 'bogus'\n"
     )
 
 
@@ -1223,7 +1224,7 @@ def test_annotate_rejects_a_term_no_scan_can_start(synth_corpus, tmp_path, capsy
             "--gazetteers", str(gazetteers)]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        f"pbpstate: error: {gazetteers}: line 3: term '-goblin'"
+        f"pbpstate: error: line 3: {gazetteers}: term '-goblin'"
         " does not start with a word character\n"
     )
     assert not (tmp_path / "out").exists()
@@ -1255,8 +1256,7 @@ def test_stats_names_the_line_of_a_byte_that_is_not_utf8(
     assert line > 1
     assert main(["stats", "--in", str(bad)]) == 2
     assert capsys.readouterr().err == (
-        f"pbpstate: error: line {line}: {bad}: 'utf-8' codec can't decode"
-        " byte 0xff in position 18: invalid start byte\n"
+        f"pbpstate: error: line {line}: {bad}: not UTF-8 (invalid start byte)\n"
     )
 
 
@@ -1267,8 +1267,7 @@ def test_classify_names_a_model_file_that_is_not_utf8(synth_corpus, tmp_path, ca
     assert main(["classify", "--model", str(model), "--in", str(corpus),
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        f"pbpstate: error: line 1: {model}: 'utf-8' codec can't decode"
-        " byte 0xff in position 0: invalid start byte\n"
+        f"pbpstate: error: line 1: {model}: not UTF-8 (invalid start byte)\n"
     )
     assert not out.exists()
 
@@ -1283,7 +1282,7 @@ def test_annotate_names_a_gazetteer_file_that_is_not_utf8(
             "--gazetteers", str(gazetteers)]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        f"pbpstate: error: {gazetteers}: line 3: not UTF-8 (invalid start byte)\n"
+        f"pbpstate: error: line 3: {gazetteers}: not UTF-8 (invalid start byte)\n"
     )
     assert not out.exists()
 
@@ -1303,24 +1302,85 @@ def test_a_model_of_other_labels_is_no_icooc_model(
     )
     assert main([command, "--in", str(corpus), "--out", str(out), flag, str(model)]) == 2
     assert capsys.readouterr().err == (
-        f"pbpstate: error: {model}: labels A, B: not an IC/OOC model\n"
+        f"pbpstate: error: line 1: {model}: labels: must be IC and OOC, not A, B\n"
     )
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "fault", [KeyError("slot"), json.JSONDecodeError("bug", "{", 0)], ids=type
-)
-def test_a_program_fault_propagates_out_of_main(synth_corpus, monkeypatch, fault):
-    # Every data file, a model file too, is read through read_jsonl or
-    # load_gazetteers, which raise a data error; any other exception is a
-    # fault of the program, never reported as bad data.
-    def corpus_stats(campaigns):
+def _raising(fault):
+    def replacement(*args):
         raise fault
 
-    monkeypatch.setattr("pbpstate.evaluation.corpus_stats", corpus_stats)
-    with pytest.raises(type(fault)):
-        main(["stats", "--in", str(synth_corpus[0])])
+    return replacement
+
+
+def _writing_paragraphs_7(annotated):
+    record = annotated_to_record(annotated)
+    record["posts"][0]["paragraphs"] = 7
+    return record
+
+
+@pytest.mark.parametrize(
+    "target, replacement, command, fault",
+    [
+        pytest.param("pbpstate.evaluation.corpus_stats", _raising(KeyError("slot")),
+                     "stats", KeyError, id="KeyError"),
+        pytest.param("pbpstate.evaluation.corpus_stats",
+                     _raising(json.JSONDecodeError("bug", "{", 0)),
+                     "stats", json.JSONDecodeError, id="JSONDecodeError"),
+        pytest.param("pbpstate.records.turns_from_record",
+                     _raising(KeyError("internal_table")),
+                     "serialize", KeyError, id="decoder-KeyError"),
+        pytest.param("pbpstate.records.turns_from_record", _raising(TypeError("bug")),
+                     "serialize", TypeError, id="decoder-TypeError"),
+        pytest.param("pbpstate.records.annotated_to_record", _writing_paragraphs_7,
+                     "annotate", ValueError, id="annotate-writes-a-bad-post"),
+    ],
+)
+def test_a_program_fault_propagates_out_of_main(
+    command_inputs, tmp_path, monkeypatch, target, replacement, command, fault
+):
+    # Every input file, a model file too, is read through read_lines, where
+    # a line's ValueError is a data error; any other exception, and a bad
+    # record that annotate itself wrote, is a fault of the program, never
+    # reported as bad data.
+    _, paths = command_inputs
+    out = tmp_path / "out"
+    monkeypatch.setattr(target, replacement)
+    argv = [arg.format(**{**paths, "out": str(out)}) for arg in _ARGV[command]]
+    with pytest.raises(fault) as raised:
+        main(argv)
+    assert type(raised.value) is fault
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("ingest", "--in"), ("stats", "--in"), ("annotate", "--in"),
+        ("annotate", "--icooc-model"), ("train-icooc", "--corpus"),
+        ("train-icooc", "--gold"), ("classify", "--model"), ("classify", "--in"),
+        ("serialize", "--in"), ("eval-gst", "--pred"), ("eval-gst", "--gold"),
+        ("agreement", "--in"),
+    ],
+)
+def test_a_line_nested_too_deeply_names_its_file_and_line(
+    command_inputs, tmp_path, capsys, command, flag
+):
+    """A JSON line nested deeper than the parser reaches is bad data in
+    every JSONL input, not a RecursionError."""
+    _, paths = command_inputs
+    argv = [arg.format(**{**paths, "out": str(tmp_path / "out")})
+            for arg in _ARGV[command]]
+    deep = tmp_path / "deep.jsonl"
+    deep.write_text("[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+    argv[argv.index(flag) + 1] = str(deep)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"pbpstate: error: line 1: {deep}: JSON nested too deeply to read\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("empty", [False, True], ids=["corpus", "empty-corpus"])

@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from pbpstate.characters import post_facts
 from pbpstate.combat import (
     WINDOW_CHARS,
     annotate_turn_actions,
@@ -17,7 +16,7 @@ from pbpstate.dice import extract_rolls
 from pbpstate.errors import ConfigError
 from pbpstate.models import ActionKind, CombatSpan
 
-from conftest import make_campaign
+from conftest import facts_of, make_campaign
 
 NO_ROLL = "The road winds on."
 INITIATIVE = "Roll initiative! (1d20+2)[15]"
@@ -27,10 +26,6 @@ CHECK = "Perception: (1d20+3)[9]"
 
 def campaign_of(texts):
     return make_campaign([("p", t) for t in texts])
-
-
-def facts_of(campaign, gaz):
-    return [post_facts(p.paragraphs, gaz) for p in campaign.posts]
 
 
 def detect_spans(campaign, gaz, **kwargs):

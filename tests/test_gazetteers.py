@@ -1,16 +1,17 @@
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pbpstate.errors import ConfigError
+from pbpstate.errors import FormatError
 from pbpstate.gazetteers import (
     FIXED_SECTIONS,
     MATCHED,
     Gazetteers,
     fold,
     load_gazetteers,
-    parse_gazetteers,
     pronoun_section,
 )
 
@@ -78,6 +79,13 @@ def reference_matchers(gaz):
     return {**matchers, **REFERENCE_FIXED}
 
 
+def gazetteer_file(directory, text):
+    """``text`` written to ``directory`` as the gazetteer file ``gaz.txt``."""
+    path = Path(directory, "gaz.txt")
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 def gazetteers_with(**sections):
     empty = dict(classes=(), races=(), skills=(), pronoun_sets=(), items=(), monsters=())
     return Gazetteers(**{**empty, **sections})
@@ -87,7 +95,7 @@ def gazetteers_with(**sections):
 # punctuation, multi-word terms, a form in two pronoun sets, and Greek
 # terms with an iota, which re.IGNORECASE matches to U+0345, and with
 # U+0345, which is no word character.
-CUSTOM = parse_gazetteers(
+CUSTOM_FILE = (
     "[classes]\nstraße\nélan knight\nmr.\n"
     "[races]\nelf\nhalf-elf\ndark elf\n"
     "[skills]\nsleight of hand\nanimal handling\nanimal\n"
@@ -96,6 +104,8 @@ CUSTOM = parse_gazetteers(
     "[damage_words]\ndamage\nhit\n"
     "[pronoun_sets]\nhe/him: he, him, his\nshe/her: she, her\nxe/her: xe, her\n"
 )
+with tempfile.TemporaryDirectory() as directory:
+    CUSTOM = load_gazetteers(gazetteer_file(directory, CUSTOM_FILE))
 
 GAZETTEERS = {"shipped": load_gazetteers(), "custom": CUSTOM}
 REFERENCES = {name: reference_matchers(gaz) for name, gaz in GAZETTEERS.items()}
@@ -199,9 +209,9 @@ def test_parse_custom_file(tmp_path):
     assert custom.attack_words == ("attack",)
 
 
-def test_unknown_section_rejected():
-    with pytest.raises(ConfigError, match="unknown section"):
-        parse_gazetteers("[nonsense]\nfoo\n")
+def test_unknown_section_rejected(tmp_path):
+    with pytest.raises(FormatError, match="unknown section"):
+        load_gazetteers(gazetteer_file(tmp_path, "[nonsense]\nfoo\n"))
 
 
 # The line separators of str.splitlines that do not end a line in any
@@ -213,30 +223,30 @@ _NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
 def test_only_newlines_end_a_gazetteer_line(tmp_path, separator):
     path = tmp_path / "gaz.txt"
     path.write_text(f"[classes]\nwiz{separator}ard\n[bogus]\n", encoding="utf-8")
-    with pytest.raises(ConfigError) as raised:
+    with pytest.raises(FormatError) as raised:
         load_gazetteers(path)
-    assert str(raised.value) == f"{path}: line 3: unknown section 'bogus'"
+    assert str(raised.value) == f"line 3: {path}: unknown section 'bogus'"
 
 
 @pytest.mark.parametrize("end", ["\n", "\r", "\r\n"], ids=ascii)
 def test_each_newline_ends_a_gazetteer_line(tmp_path, end):
     path = tmp_path / "gaz.txt"
     path.write_bytes(f"[classes]{end}wizard{end}[bogus]{end}".encode())
-    with pytest.raises(ConfigError, match=r": line 3: unknown section 'bogus'$"):
+    with pytest.raises(FormatError, match=r"^line 3: .*: unknown section 'bogus'$"):
         load_gazetteers(path)
     path.write_bytes(f"[classes]{end}wizard{end}\xff{end}".encode("latin-1"))
-    with pytest.raises(ConfigError, match=r": line 3: not UTF-8"):
+    with pytest.raises(FormatError, match=r"^line 3: .*: not UTF-8"):
         load_gazetteers(path)
 
 
-def test_term_before_section_rejected():
-    with pytest.raises(ConfigError, match="before any"):
-        parse_gazetteers("orphan\n[classes]\n")
+def test_term_before_section_rejected(tmp_path):
+    with pytest.raises(FormatError, match="^line 1: .*: term appears before any"):
+        load_gazetteers(gazetteer_file(tmp_path, "orphan\n[classes]\n"))
 
 
-def test_pronoun_line_needs_colon():
-    with pytest.raises(ConfigError, match="pronoun set"):
-        parse_gazetteers("[pronoun_sets]\nhe him his\n")
+def test_pronoun_line_needs_colon(tmp_path):
+    with pytest.raises(FormatError, match="^line 2: .*: pronoun set"):
+        load_gazetteers(gazetteer_file(tmp_path, "[pronoun_sets]\nhe him his\n"))
 
 
 @pytest.mark.parametrize(
@@ -249,12 +259,16 @@ def test_pronoun_line_needs_colon():
         ("[items]\nrope\n-spare\n", "line 3: term '-spare'"),
     ],
 )
-def test_term_must_start_with_a_word_character(text, line):
+def test_term_must_start_with_a_word_character(tmp_path, text, line):
     # A match starts where a \w run does, so no text could match these; an
     # item or a stopword is looked up as a word.
-    with pytest.raises(ConfigError) as raised:
-        parse_gazetteers(text)
-    assert str(raised.value) == f"{line} does not start with a word character"
+    path = gazetteer_file(tmp_path, text)
+    with pytest.raises(FormatError) as raised:
+        load_gazetteers(path)
+    number, term = line.split(": ", 1)
+    assert str(raised.value) == (
+        f"{number}: {path}: {term} does not start with a word character"
+    )
 
 
 def test_matcher_whole_word_case_insensitive():

@@ -2,12 +2,14 @@
 
 import pytest
 
-from pbpstate.characters import build_profiles, post_facts, text_signals
+from pbpstate.characters import build_profiles, text_signals
 from pbpstate.combat import detect_combat_spans, extract_monsters
 from pbpstate.errors import ConfigError
 from pbpstate.icooc import IC, OOC, labeled_paragraphs, turn_label
 from pbpstate.models import validate_spans
 from pbpstate.synth import SynthConfig, generate, generate_corpus
+
+from conftest import facts_of
 
 SMALL = SynthConfig(seed=7, num_campaigns=3, players_per_campaign=4,
                     turns_per_campaign=40, combat_density=0.06)
@@ -121,14 +123,14 @@ def test_full_rate_corpus_recovers_all_players(gaz):
                          turns_per_campaign=60, distractor_rate=0.0,
                          combat_density=0.05)
     for campaign, gold in generate(config):
-        profiles = build_profiles(campaign, gaz)
+        profiles = build_profiles(campaign, gaz, facts_of(campaign, gaz))
         for pid, expected in gold.profiles.items():
             assert profiles[pid] == expected
 
 
 def test_detector_matches_gold_spans_and_monsters(gaz):
     for campaign, gold in generate(SMALL):
-        facts = [post_facts(p.paragraphs, gaz) for p in campaign.posts]
+        facts = facts_of(campaign, gaz)
         spans = detect_combat_spans(campaign, facts, gap_turns=SMALL.gap_turns)
         assert [
             (s.start_index, s.end_index) for s in spans

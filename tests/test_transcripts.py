@@ -2,6 +2,7 @@ import json
 import os
 import re
 import stat
+import sys
 import threading
 import tracemalloc
 from operator import itemgetter
@@ -121,19 +122,19 @@ def _record(**post_fields):
 def test_string_paragraphs_rejected_not_split():
     record = _record(paragraphs="Roll initiative! (1d20+2)[15]")
     problem = "post 0 of campaign 'c1': paragraphs: must be a list, not str"
-    with pytest.raises(FormatError, match=re.escape(problem)):
+    with pytest.raises(ValueError, match=re.escape(problem)):
         campaign_from_record(record)
 
 
 def test_non_string_paragraph_rejected():
     problem = "post 0 of campaign 'c1': paragraphs[1]: must be a string, not int"
-    with pytest.raises(FormatError, match=re.escape(problem)):
+    with pytest.raises(ValueError, match=re.escape(problem)):
         campaign_from_record(_record(paragraphs=["ok", 7]))
 
 
 def test_integer_author_id_rejected():
     problem = "post 0 of campaign 'c1': author_id: must be a string, not int"
-    with pytest.raises(FormatError, match=re.escape(problem)):
+    with pytest.raises(ValueError, match=re.escape(problem)):
         campaign_from_record(_record(author_id=5))
 
 
@@ -160,7 +161,7 @@ ROLL = {"count": 1, "faces": 20, "modifier": 2, "result": 15,
 def test_extra_post_keys_and_mismatched_rolls_rejected(post_fields, problem):
     record = _record(paragraphs=["Roll! (1d20+2)[15]"], **post_fields)
     problem = f"post 0 of campaign 'c1': {problem}"
-    with pytest.raises(FormatError, match=re.escape(problem)):
+    with pytest.raises(ValueError, match=re.escape(problem)):
         campaign_from_record(record)
 
 
@@ -179,7 +180,7 @@ def test_ingested_rolls_load_and_round_trip(tmp_path):
 def test_wrong_campaign_field_type_named(field):
     record = _record()
     record[field] = {"a": 1}
-    with pytest.raises(FormatError, match=f"{field}: must be a") as excinfo:
+    with pytest.raises(ValueError, match=f"{field}: must be a") as excinfo:
         campaign_from_record(record)
     assert "missing" not in str(excinfo.value)
 
@@ -207,6 +208,8 @@ def _decode_or_raise(record):
         raise {"key": KeyError, "type": TypeError, "value": ValueError}[
             record["error"]
         ]("label")
+    if "n" not in record:
+        raise ValueError("record has no 'n' field")
     return record["n"]
 
 
@@ -216,8 +219,6 @@ def _decode_or_raise(record):
         ('{"n": ', "invalid JSON (Expecting value)"),
         ("[1, 2]", "record is not a JSON object"),
         ("7", "record is not a JSON object"),
-        ('{"error": "key"}', "record has no 'label' field"),
-        ('{"error": "type"}', "label"),
         ('{"error": "value"}', "label"),
         ('{"m": 1}', "record has no 'n' field"),
     ],
@@ -235,6 +236,18 @@ def test_read_jsonl_names_the_line_and_the_file(tmp_path, bad_line, problem):
     assert values == [1]
 
 
+@pytest.mark.parametrize("error", ["key", "type"])
+def test_read_jsonl_lets_a_decoder_fault_propagate(tmp_path, error):
+    # A KeyError or a TypeError in a decoder is a fault of the program,
+    # never blamed on the line being read.
+    path = tmp_path / "in.jsonl"
+    _write(path, ['{"n": 1}', json.dumps({"error": error})])
+    fault = {"key": KeyError, "type": TypeError}[error]
+    with pytest.raises(fault) as raised:
+        list(read_jsonl(path, _decode_or_raise))
+    assert type(raised.value) is fault
+
+
 def test_read_jsonl_ends_a_line_where_text_mode_does(tmp_path):
     # A lone \r ends a line, as \r\n and \n do, and a line of Unicode
     # white space is blank.
@@ -245,6 +258,36 @@ def test_read_jsonl_ends_a_line_where_text_mode_does(tmp_path):
         for value in read_jsonl(path, _decode_or_raise):
             values.append(value)
     assert values == [1, 2]
+
+
+def test_a_line_nested_too_deeply_is_a_bad_line(tmp_path):
+    path = tmp_path / "deep.jsonl"
+    _write(path, ['{"n": 1}', "[" * 100_000 + "]" * 100_000])
+    with pytest.raises(FormatError) as raised:
+        list(read_jsonl(path, _decode_or_raise))
+    assert str(raised.value) == f"line 2: {path}: JSON nested too deeply to read"
+
+
+def test_a_long_integer_nested_deep_is_a_bad_line(tmp_path):
+    # Up to the depth where json.loads gives up and past it, the integer
+    # is named by its path, however deep, or the line is too deep to read.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts integers of any length")
+    path = tmp_path / "deep.jsonl"
+    named = []
+    for depth in [*range(0, 900, 100), *range(900, 1100, 2)]:
+        nested = "[" * depth + "1" * (limit + 1) + "]" * depth
+        _write(path, [f'{{"a": {nested}}}'])
+        with pytest.raises(FormatError) as raised:
+            list(read_jsonl(path, _decode_or_raise))
+        problem = str(raised.value).removeprefix(f"line 1: {path}: ")
+        too_long = f"integer of {limit + 1} digits, more than the {limit} allowed"
+        if problem == f"a{'[0]' * depth}: {too_long}":
+            named.append(depth)
+        elif problem != "JSON nested too deeply to read":
+            assert problem.startswith("Exceeds the limit"), problem
+    assert max(named) >= 800
 
 
 def test_read_jsonl_yields_each_decoded_record_in_order(tmp_path):
