@@ -10,43 +10,47 @@ Each post is read once: ``post_facts`` splits its text once into words
 and the gaps between them (a word starts a sentence when it is the first
 or its gap holds one of ``.!?`` or a newline), looks its terms up with
 one ``Gazetteers.find`` per paragraph, and records every cue the
-heuristics use. Profiles aggregate the facts per player, coverage
-accounting asks whether any cue fired, and combat reads the paragraphs'
-term hits that the facts keep.
+heuristics use. Names are the words ``_CAPITALIZED_RE`` matches; a spell
+is one ``_PHRASE_RE`` match after a cast verb, so no rule needs a word's
+offset. Profiles aggregate the facts per player, coverage accounting asks
+whether any cue fired, and combat reads the paragraphs' term hits that
+the facts keep.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress, count, takewhile
 from typing import Callable, Iterable, Sequence
 
 from .gazetteers import Gazetteers, Hits, pronoun_section
 from .models import DUNGEON_MASTER, Campaign, CharacterProfile
 
-# A word: letters joined by apostrophes or hyphens. Its one group makes
-# ``split`` alternate gaps and words: gap 0, word 0, gap 1, word 1, ...
-_WORD_RE = re.compile(r"([A-Za-zÀ-ɏ]+(?:['’-][A-Za-zÀ-ɏ]+)*)")
+# A letter, and a word: letters joined by apostrophes or hyphens. Its one
+# group makes ``split`` alternate gaps and words: gap 0, word 0, gap 1,
+# word 1, ...
+_LETTER = "[A-Za-zÀ-ɏ]"
+_WORD = f"{_LETTER}+(?:['’-]{_LETTER}+)*"
+_WORD_RE = re.compile(f"({_WORD})")
+# Every letter of the class.
+_LETTERS = "".join(filter(re.compile(_LETTER).match, map(chr, range(ord("ɏ") + 1))))
+# A capitalized word: an uppercase letter, then a lowercase one somewhere.
+_UPPER = "".join(filter(str.isupper, _LETTERS))
+_LOWER = "".join(filter(str.islower, _LETTERS))
+_CAPITALIZED_RE = re.compile(f"[{_UPPER}][^{_LOWER}]*[{_LOWER}]")
+# A spell phrase: up to four words separated by whitespace. The lookbehind
+# stops a word the cast verb ends inside from starting one: "×" is a
+# letter here, but not a ``\w`` character to ``find`` ("cast×").
+_PHRASE_RE = re.compile(rf"\s*(?<!{_LETTER}){_WORD}(?:\s+{_WORD}){{0,3}}")
 # A gap holding one of these starts a sentence at the word after it.
 _SENTENCE_BREAKS = frozenset(".!?\n")
-
-_MAX_SPELL_TOKENS = 4
 
 
 def identify_dm(campaign: Campaign) -> str:
     """The DM is the author of the campaign's first post."""
     return campaign.posts[0].author_id
-
-
-def _is_capitalized(surface: str) -> bool:
-    return (
-        len(surface) >= 2
-        and surface[0].isupper()
-        and any(c.islower() for c in surface[1:])
-    )
 
 
 def _strip_possessive(surface: str) -> str:
@@ -63,49 +67,40 @@ def extract_proper_names(
 
     ``words`` and ``gaps`` are the post's split (see ``post_facts``); a
     word is sentence-initial when it is the first or its gap holds one of
-    ``.!?`` or a newline. A capitalized word qualifies unless it is a
-    stopword or a gazetteer term. A word type capitalized only at sentence
-    starts is kept only when it never occurs lowercased in the post, since
-    a lowercase occurrence marks the capitalization as purely positional.
+    ``.!?`` or a newline. A capitalized word (one ``_CAPITALIZED_RE``
+    matches: an uppercase letter, then a lowercase one) qualifies unless it
+    is a stopword or a gazetteer term. A word type capitalized only at
+    sentence starts is kept only when it never occurs lowercased in the
+    post, since a lowercase occurrence marks the capitalization as purely
+    positional.
     Adjacent qualifying words merge into a two-word name when the gap
     between them is whitespace without a newline.
     """
     blocklist = gazetteers.name_blocklist
-
-    lowercase_types: set[str] = set()
-    capitalized_mid_sentence: set[str] = set()
-    # Per word: (possessive-stripped surface, its lowercase) if capitalized.
-    capitalized: list[tuple[str, str] | None] = [None] * len(words)
-    for k, surface in enumerate(words):
-        if surface.islower():
-            lowercase_types.add(surface.lower())
-        if _is_capitalized(surface):
-            stripped = _strip_possessive(surface)
-            lowered = stripped.lower()
-            if k and _SENTENCE_BREAKS.isdisjoint(gaps[k]):
-                capitalized_mid_sentence.add(lowered)
-            capitalized[k] = (stripped, lowered)
-
-    qualified = [
-        c[0]
-        if c is not None
-        and c[1] not in blocklist
-        and (c[1] in capitalized_mid_sentence or c[1] not in lowercase_types)
-        else None
-        for c in capitalized
+    lowercase = set(filter(str.islower, words))
+    capitalized = [
+        (k, stripped, stripped.lower())
+        for k in compress(count(), map(_CAPITALIZED_RE.match, words))
+        for stripped in [_strip_possessive(words[k])]
     ]
+    mid_sentence = {
+        lowered
+        for k, _, lowered in capitalized
+        if k and _SENTENCE_BREAKS.isdisjoint(gaps[k])
+    }
 
     names: list[str] = []
-    joinable = False  # the previous word began a one-word name
-    for candidate, gap in zip(qualified, gaps):
-        if candidate is None:
-            joinable = False
-        elif joinable and gap.isspace() and "\n" not in gap:
-            names[-1] += " " + candidate
-            joinable = False
+    joinable = -1  # the word after one that began a one-word name
+    for k, stripped, lowered in capitalized:
+        if lowered in blocklist or (
+            lowered in lowercase and lowered not in mid_sentence
+        ):
+            continue
+        if k == joinable and gaps[k].isspace() and "\n" not in gaps[k]:
+            names[-1] += " " + stripped
         else:
-            names.append(candidate)
-            joinable = True
+            names.append(stripped)
+            joinable = k + 1
     return names
 
 
@@ -113,8 +108,8 @@ def extract_proper_names(
 class PostFacts:
     """Every cue the character heuristics read from one post.
 
-    ``races`` pairs each term with its offset. ``pronouns`` lists the
-    pronoun-set labels in offset order. ``items`` holds lowercased
+    ``classes`` and ``races`` list the terms in text order. ``pronouns``
+    lists the pronoun-set labels in offset order. ``items`` holds lowercased
     (possessive, gazetteer item) pairs whose gap is whitespace. ``spells``
     are the title-cased phrases after each cast verb. ``hits`` are each
     paragraph's ``Gazetteers.find`` hits, offsets within the paragraph.
@@ -122,7 +117,7 @@ class PostFacts:
 
     names: tuple[str, ...]
     classes: tuple[str, ...]
-    races: tuple[tuple[str, int], ...]
+    races: tuple[str, ...]
     pronouns: tuple[str, ...]
     items: tuple[tuple[str, str], ...]
     spells: tuple[str, ...]
@@ -159,41 +154,25 @@ def _possessions(
 
 
 def _cast_phrases(
-    text: str,
-    words: Sequence[str],
-    gaps: Sequence[str],
-    verbs: Sequence[tuple[int, int]],
-    gazetteers: Gazetteers,
+    text: str, verbs: Sequence[tuple[int, int]], gazetteers: Gazetteers
 ) -> list[str]:
     """Spell names following each cast verb in one post, title-cased.
 
     ``verbs`` are each verb's end and its paragraph's end in ``text``.
-    Capture runs over at most four words and stops at a stopword,
-    punctuation or a paragraph end, so "cast sacred flame at ..." yields
-    "Sacred Flame". Paragraph ends come from the paragraphs themselves, so
-    a newline inside a paragraph is whitespace, not a break. Only spells
-    need word offsets: a verb can end inside a word ("cast-iron").
+    Capture is one ``_PHRASE_RE`` match from the verb's end: at most four
+    words separated by whitespace, cut at the first stopword and stopped
+    by punctuation or the paragraph's end, so "cast sacred flame at ..."
+    yields "Sacred Flame" and a verb ending inside a word ("cast-iron")
+    none. Paragraph ends come from the paragraphs themselves, so a
+    newline inside a paragraph is whitespace, not a break.
     """
-    if not verbs:
-        return []
-    ends = list(accumulate(len(gap) + len(word) for gap, word in zip(gaps, words)))
-    starts = [end - len(word) for end, word in zip(ends, words)]
     phrases: list[str] = []
     for verb_end, paragraph_end in verbs:
-        phrase: list[str] = []
-        previous_end = verb_end
-        for k in range(bisect_left(starts, verb_end), len(words)):
-            if (
-                starts[k] >= paragraph_end
-                or text[previous_end : starts[k]].strip()
-                or len(phrase) >= _MAX_SPELL_TOKENS
-                or words[k].lower() in gazetteers.stopwords
-            ):
-                break
-            phrase.append(words[k])
-            previous_end = ends[k]
-        if phrase:
-            phrases.append(" ".join(w.capitalize() for w in phrase))
+        match = _PHRASE_RE.match(text, verb_end, paragraph_end)
+        words = match.group().split() if match else []
+        phrase = takewhile(lambda w: w.lower() not in gazetteers.stopwords, words)
+        if spell := " ".join(w.capitalize() for w in phrase):
+            phrases.append(spell)
     return phrases
 
 
@@ -202,9 +181,9 @@ def post_facts(paragraphs: Sequence[str], gazetteers: Gazetteers) -> PostFacts:
 
     ``_WORD_RE.split`` of the newline-joined text gives ``words`` and
     ``gaps``: ``gaps[k]`` comes before ``words[k]`` and starts a sentence
-    when it holds one of ``.!?`` or a newline. Names, possessions and
-    spells read that split. A paragraph's term hit lies in the post's text
-    at the paragraph's offset.
+    when it holds one of ``.!?`` or a newline. Names and possessions read
+    that split; spells read the text after each cast verb. A paragraph's
+    term hit lies in the post's text at the paragraph's offset.
     """
     text = "\n".join(paragraphs)
     parts = _WORD_RE.split(text)
@@ -212,17 +191,14 @@ def post_facts(paragraphs: Sequence[str], gazetteers: Gazetteers) -> PostFacts:
     hits = tuple(gazetteers.find(p) for p in paragraphs)
     offsets = [0, *accumulate(len(p) + 1 for p in paragraphs)]
 
-    def in_text(section: str) -> list[tuple[str, int]]:
-        return [
-            (term, start + offset)
-            for start, found in zip(offsets, hits)
-            for term, offset in found[section]
-        ]
+    def terms(section: str) -> tuple[str, ...]:
+        return tuple(term for found in hits for term, _ in found[section])
 
     pronoun_hits = sorted(
-        (offset, label)
+        (start + offset, label)
         for i, (label, _) in enumerate(gazetteers.pronoun_sets)
-        for _, offset in in_text(pronoun_section(i))
+        for start, found in zip(offsets, hits)
+        for _, offset in found[pronoun_section(i)]
     )
     verbs = [
         (start + offset + len(verb), start + len(paragraph))
@@ -231,11 +207,11 @@ def post_facts(paragraphs: Sequence[str], gazetteers: Gazetteers) -> PostFacts:
     ]
     return PostFacts(
         names=tuple(extract_proper_names(words, gaps, gazetteers)),
-        classes=tuple(term for term, _ in in_text("classes")),
-        races=tuple(in_text("races")),
+        classes=terms("classes"),
+        races=terms("races"),
         pronouns=tuple(label for _, label in pronoun_hits),
         items=tuple(_possessions(words, gaps, gazetteers)),
-        spells=tuple(_cast_phrases(text, words, gaps, verbs, gazetteers)),
+        spells=tuple(_cast_phrases(text, verbs, gazetteers)),
         hits=hits,
     )
 
@@ -252,13 +228,11 @@ def _most_mentioned(
 def _race(facts: Sequence[PostFacts]) -> str | None:
     """Race from the player's first post when present, else most frequent.
 
-    Several races in the first post resolve to the earliest by offset.
+    Several races in the first post resolve to the first in the text.
     """
-    if not facts:
-        return None
-    if facts[0].races:
-        return min(facts[0].races, key=lambda hit: hit[1])[0]
-    return _most_mentioned(facts, lambda f: (term for term, _ in f.races))
+    if facts and facts[0].races:
+        return facts[0].races[0]
+    return _most_mentioned(facts, lambda f: f.races)
 
 
 def _inventory(

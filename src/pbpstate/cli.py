@@ -312,7 +312,7 @@ def _cmd_agreement(args: argparse.Namespace) -> int:
         result["kendall_tau_mean"] = sum(taus) / len(taus)
         result["kendall_tau_pairs"] = len(taus)
     if not result:
-        raise PbpError("ratings file held neither labels nor scores")
+        raise FormatError(f"{args.infile}: holds neither labels nor scores")
     print(json.dumps(result, indent=2))
     return 0
 

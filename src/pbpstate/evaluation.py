@@ -21,6 +21,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -36,7 +37,10 @@ from .models import _NUMBER, Campaign, _Codec, _is, _items, _object
 @dataclass(frozen=True)
 class SlotReport(_Codec):
     """``eval-gst``'s report; ``mean_accuracy`` is the unweighted mean over
-    slots, the "All" row of the report, and 0.0 with no slot."""
+    slots, the "All" row of the report, and 0.0 with no slot. It is
+    ``fsum``'s exact sum, so it does not depend on the slots' order, which
+    the written report sorts; a sum past the largest float is divided as a
+    ``Fraction``, since the mean itself is finite."""
 
     per_slot: dict[str, float]
     support: dict[str, int]
@@ -47,7 +51,10 @@ class SlotReport(_Codec):
 
     def __post_init__(self) -> None:
         slots = len(self.per_slot)
-        mean = sum(self.per_slot.values()) / slots if slots else 0.0
+        try:
+            mean = math.fsum(self.per_slot.values()) / slots if slots else 0.0
+        except OverflowError:
+            mean = float(sum(map(Fraction, self.per_slot.values())) / slots)
         object.__setattr__(self, "mean_accuracy", mean)
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 from itertools import chain
 from pathlib import Path
@@ -184,33 +185,38 @@ class CampaignJoin(Generic[T]):
         return [*self._ahead, *map(self._campaign_id, self._records)]
 
 
-class _IntegerText(str):
-    """An integer literal's digits, as ``json.loads`` read them."""
+# The JSON tokens a path is read from: a string (a key when a colon
+# follows), a number (an integer without fraction or exponent), a bracket
+# and a comma. Other text between them is whitespace or a literal.
+_JSON_TOKEN_RE = re.compile(
+    r'("(?:[^"\\]|\\.)*")(\s*:)?|-?(\d+)(\.\d+)?([eE][-+]?\d+)?|[][{},]'
+)
 
 
 def _long_integer(line: str) -> str | None:
     """The first integer literal in the JSON line ``line`` with more digits
     than Python converts (``sys.get_int_max_str_digits``), named by its
-    path, as ``posts[0]: rolls[0]: count``, or None. ``read_jsonl`` reads
-    the line again only for this, and walks it without recursion."""
+    path, as ``posts[0]: rolls[0]: count``, or None. ``read_jsonl`` calls
+    it only after ``json.loads`` met such a literal, so the line is valid
+    JSON up to it; one scan of the tokens finds it, however deep it lies
+    and whatever follows it."""
     # 0 where there is no limit, as before Python 3.11.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    try:
-        record = json.loads(line, parse_int=_IntegerText)
-    except (ValueError, RecursionError):
-        return None
-    stack = [("", record)]  # (path, value) pairs; the next one is last
-    while stack:
-        path, value = stack.pop()
-        if isinstance(value, dict):
-            items = [(f"{path}: {k}" if path else k, v) for k, v in value.items()]
-            stack.extend(reversed(items))
-        elif isinstance(value, list):
-            stack.extend(reversed([(f"{path}[{i}]", v) for i, v in enumerate(value)]))
-        elif isinstance(value, _IntegerText) and len(value.lstrip("-")) > limit > 0:
-            where = f"{path}: " if path else ""
-            digits = len(value.lstrip("-"))
-            return f"{where}integer of {digits} digits, more than the {limit} allowed"
+    path: list[str | int] = []  # per open bracket: its key, or item index
+    for token in _JSON_TOKEN_RE.finditer(line):
+        key, colon, digits, fraction, exponent = token.groups()
+        if colon:
+            path[-1] = json.loads(key)
+        elif token.group() in ("[", "{"):
+            path.append(0 if token.group() == "[" else "")
+        elif token.group() in ("]", "}"):
+            path.pop()
+        elif token.group() == "," and isinstance(path[-1], int):
+            path[-1] += 1
+        elif digits and not fraction and not exponent and len(digits) > limit > 0:
+            where = "".join(f"[{p}]" if isinstance(p, int) else f": {p}" for p in path)
+            problem = f"integer of {len(digits)} digits, more than the {limit} allowed"
+            return f"{where.removeprefix(': ')}: {problem}" if where else problem
     return None
 
 

@@ -1,10 +1,14 @@
 """The frequency heuristics, pinned by hand-counted oracle values."""
 
+from bisect import bisect_left
+from itertools import accumulate
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pbpstate import characters
 from pbpstate.characters import build_profiles, identify_dm, post_facts, text_signals
-from pbpstate.gazetteers import Gazetteers
+from pbpstate.gazetteers import FIXED_SECTIONS, Gazetteers, load_gazetteers
 from pbpstate.models import DUNGEON_MASTER
 from pbpstate.pipeline import annotate_campaign
 from pbpstate.synth import SynthConfig, generate
@@ -314,7 +318,7 @@ class TestPostFacts:
         )
         assert facts.names == ("Kessa",)
         assert facts.classes == ("fighter",)
-        assert facts.races == (("dwarf", 10),)
+        assert facts.races == ("dwarf",)
         assert facts.pronouns == ("she/her", "she/her")
         assert facts.items == (("her", "sword"),)
         assert facts.spells == ("Ember Lance",)
@@ -341,6 +345,151 @@ class TestPostFacts:
         # Inventory pairs read the post's text, where paragraphs are joined
         # by a newline, so the gap is whitespace.
         assert post_facts(["I reach for my", "axe."], gaz).items == (("my", "axe"),)
+
+
+def oracle_names(words, gaps, gazetteers):
+    """Name candidates by a walk over every word, as the rule reads."""
+
+    def is_capitalized(surface):
+        return (
+            len(surface) >= 2
+            and surface[0].isupper()
+            and any(c.islower() for c in surface[1:])
+        )
+
+    blocklist = gazetteers.name_blocklist
+    lowercase_types, capitalized_mid_sentence = set(), set()
+    capitalized = [None] * len(words)
+    for k, surface in enumerate(words):
+        if surface.islower():
+            lowercase_types.add(surface.lower())
+        if is_capitalized(surface):
+            stripped = characters._strip_possessive(surface)
+            lowered = stripped.lower()
+            if k and characters._SENTENCE_BREAKS.isdisjoint(gaps[k]):
+                capitalized_mid_sentence.add(lowered)
+            capitalized[k] = (stripped, lowered)
+    qualified = [
+        c[0]
+        if c is not None
+        and c[1] not in blocklist
+        and (c[1] in capitalized_mid_sentence or c[1] not in lowercase_types)
+        else None
+        for c in capitalized
+    ]
+    names, joinable = [], False
+    for candidate, gap in zip(qualified, gaps):
+        if candidate is None:
+            joinable = False
+        elif joinable and gap.isspace() and "\n" not in gap:
+            names[-1] += " " + candidate
+            joinable = False
+        else:
+            names.append(candidate)
+            joinable = True
+    return names
+
+
+def oracle_spells(text, words, gaps, verbs, gazetteers):
+    """Spell phrases by walking the words' offsets from each verb's end."""
+    ends = list(accumulate(len(gap) + len(word) for gap, word in zip(gaps, words)))
+    starts = [end - len(word) for end, word in zip(ends, words)]
+    phrases = []
+    for verb_end, paragraph_end in verbs:
+        phrase, previous_end = [], verb_end
+        for k in range(bisect_left(starts, verb_end), len(words)):
+            if (
+                starts[k] >= paragraph_end
+                or text[previous_end : starts[k]].strip()
+                or len(phrase) >= 4
+                or words[k].lower() in gazetteers.stopwords
+            ):
+                break
+            phrase.append(words[k])
+            previous_end = ends[k]
+        if phrase:
+            phrases.append(" ".join(w.capitalize() for w in phrase))
+    return phrases
+
+
+def oracle_facts(paragraphs, gazetteers):
+    """(names, spells) of a post by the oracles above."""
+    text = "\n".join(paragraphs)
+    parts = characters._WORD_RE.split(text)
+    words, gaps = parts[1::2], parts[0::2]
+    offsets = [0, *accumulate(len(p) + 1 for p in paragraphs)]
+    verbs = [
+        (start + offset + len(verb), start + len(paragraph))
+        for start, paragraph in zip(offsets, paragraphs)
+        for verb, offset in gazetteers.find(paragraph)["cast"]
+    ]
+    return (
+        tuple(oracle_names(words, gaps, gazetteers)),
+        tuple(oracle_spells(text, words, gaps, verbs, gazetteers)),
+    )
+
+
+_GAZ = load_gazetteers()
+_WORDS = st.one_of(
+    st.text(st.sampled_from([*characters._LETTERS, *"'’-0123456789"]), max_size=5),
+    st.sampled_from(sorted(_GAZ.stopwords)),
+    st.sampled_from([*FIXED_SECTIONS["cast"], "Cast", "CASTING", "caſt", "cast×"]),
+    st.sampled_from(
+        ["Kessa", "kessa", "Kessa’s", "Merle's", "McDONALD", "ǅemal", "Gundren",
+         "Fighter", "dwarf", "sacred", "Flame", "half-light"]
+    ),
+)
+_GAPS = st.sampled_from(
+    ["", " ", " ", " ", "  ", "\t", "\n", " \n ", "\xa0", "\x85", "\u2028",
+     ". ", "! ", "?", "-", "'", "’", "1", ", "]
+)
+_PARAGRAPHS = st.lists(st.tuples(_WORDS, _GAPS), max_size=12).map(
+    lambda pairs: "".join(word + gap for word, gap in pairs)
+)
+_POSTS = st.lists(_PARAGRAPHS, min_size=1, max_size=3)
+
+
+class TestAgainstTheWordWalk:
+    """Names and spells equal the per-word walks the two patterns replaced,
+    kept above as oracles."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(_POSTS)
+    def test_equal_on_drawn_posts(self, paragraphs):
+        facts = post_facts(paragraphs, _GAZ)
+        assert (facts.names, facts.spells) == oracle_facts(paragraphs, _GAZ)
+
+    @pytest.mark.parametrize(
+        "paragraphs, names, spells",
+        [
+            # A capital after the lowercase letter still capitalizes.
+            (["McDONALD waves"], ("McDONALD",), ()),
+            (["we met McDONALD there"], ("McDONALD",), ()),
+            # The title-case letter is neither upper nor lower case.
+            (["ǅemal waves"], (), ()),
+            (["Aǅ waves. Aǅa waves."], ("Aǅa",), ()),
+            # A letter that is no word character still continues the word.
+            (["I cast× spark now"], (), ()),
+            (["I caſt sacred flame"], (), ("Sacred Flame",)),
+            (["I cast the spell"], (), ()),
+            (["I cast\tsacred\n flame. fire"], (), ("Sacred Flame",)),
+        ],
+        ids=["mcdonald", "mcdonald-mid-sentence", "title-case",
+             "title-case-after-upper", "non-word-letter", "long-s",
+             "stopword-first", "tab-and-newline"],
+    )
+    def test_named_cases(self, paragraphs, names, spells):
+        facts = post_facts(paragraphs, _GAZ)
+        assert (facts.names, facts.spells) == (names, spells)
+        assert oracle_facts(paragraphs, _GAZ) == (names, spells)
+
+    def test_lowercase_words_are_their_own_lowercase(self):
+        # ``set(filter(str.islower, words))`` stands for the lowercased
+        # types only if no letter of the class changes when lowercased
+        # inside a lowercase word.
+        for letter in characters._LETTERS:
+            word = "a" + letter
+            assert not word.islower() or word.lower() == word, letter
 
 
 class TestReadEachPostOnce:

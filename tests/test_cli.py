@@ -518,6 +518,20 @@ def test_agreement_command(tmp_path, capsys):
     assert "kendall_tau_mean" in out
 
 
+@pytest.mark.parametrize(
+    "lines", [["{}"], ["{}", "", "{}"], [""]], ids=["one", "two", "blank"]
+)
+def test_agreement_on_a_file_without_ratings_names_the_file(tmp_path, capsys, lines):
+    ratings = tmp_path / "ratings.jsonl"
+    ratings.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    assert main(["agreement", "--in", str(ratings)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"pbpstate: error: {ratings}: holds neither labels nor scores\n"
+    )
+
+
 def test_gap_turns_flag_writes_the_default_bytes(synth_corpus, tmp_path):
     corpus, _ = synth_corpus
     out_flag = tmp_path / "with_flag.jsonl"

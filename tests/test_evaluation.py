@@ -15,6 +15,7 @@ from pbpstate.errors import (
 )
 from pbpstate.evaluation import (
     EmptySlotError,
+    SlotReport,
     baseline_predictions,
     corpus_stats,
     kendall_tau,
@@ -128,6 +129,17 @@ class TestSlotAccuracy:
         pred = [{"a": "g", "b": "g"}, {"a": "g", "b": "x"}]
         report = slot_accuracy(zip(pred, gold), ["a", "b"])
         assert report.mean_accuracy == pytest.approx((1.0 + 0.5) / 2)
+
+    def test_a_written_report_reads_back_whatever_its_slot_order(self):
+        # The report is written with its slots sorted; summed in slot
+        # order, 0.3 + 0.2 + 0.1 and 0.1 + 0.2 + 0.3 differ in the last bit.
+        report = SlotReport({"c": 0.3, "b": 0.2, "a": 0.1}, {}, 1.0, 1, {})
+        assert SlotReport.from_dict(report.to_dict()) == report
+
+    def test_the_mean_of_large_finite_accuracies_does_not_overflow(self):
+        # Their sum exceeds the largest float; their mean does not.
+        report = SlotReport({"a": 1e308, "b": 1e308}, {}, 1.0, 1, {})
+        assert report.mean_accuracy == 1e308
 
 
 class TestMajorityBaseline:

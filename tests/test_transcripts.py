@@ -269,25 +269,55 @@ def test_a_line_nested_too_deeply_is_a_bad_line(tmp_path):
 
 
 def test_a_long_integer_nested_deep_is_a_bad_line(tmp_path):
-    # Up to the depth where json.loads gives up and past it, the integer
-    # is named by its path, however deep, or the line is too deep to read.
+    # Up to the depth where json.loads gives up, the integer is named by
+    # its path, however deep; past it the line is too deep to read. No
+    # depth reads Python's own advice.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         pytest.skip("this Python converts integers of any length")
     path = tmp_path / "deep.jsonl"
+    too_deep = "JSON nested too deeply to read"
+    depths = [*range(0, 900, 100), *range(900, 1100)]
     named = []
-    for depth in [*range(0, 900, 100), *range(900, 1100, 2)]:
+    for depth in depths:
         nested = "[" * depth + "1" * (limit + 1) + "]" * depth
         _write(path, [f'{{"a": {nested}}}'])
         with pytest.raises(FormatError) as raised:
             list(read_jsonl(path, _decode_or_raise))
         problem = str(raised.value).removeprefix(f"line 1: {path}: ")
         too_long = f"integer of {limit + 1} digits, more than the {limit} allowed"
-        if problem == f"a{'[0]' * depth}: {too_long}":
+        assert problem in (f"a{'[0]' * depth}: {too_long}", too_deep), (depth, problem)
+        if problem != too_deep:
             named.append(depth)
-        elif problem != "JSON nested too deeply to read":
-            assert problem.startswith("Exceeds the limit"), problem
     assert max(named) >= 800
+    assert named == [depth for depth in depths if depth <= max(named)]
+
+
+@pytest.mark.parametrize(
+    "record, where",
+    [
+        ('{"a": BIG, "b": }', "a: "),
+        ('[BIG]', "[0]: "),
+        ('BIG', ""),
+        ('{"x": "1, BIG", "f": [0.BIG, 1eBIG, -BIG.5], "n": [{}, -BIG]}', "n[1]: "),
+        ('{"k\\"": {"": [1, 2, BIG]}}', 'k": [2]: '),
+    ],
+    ids=["bad-after", "top-level-list", "bare", "floats-and-strings", "escaped-keys"],
+)
+def test_a_long_integer_is_named_whatever_surrounds_it(tmp_path, record, where):
+    # The first integer literal past the limit is named by its path even
+    # when the line goes bad after it, and no float or string holds one.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts integers of any length")
+    path = tmp_path / "in.jsonl"
+    _write(path, [record.replace("BIG", "1" * (limit + 1))])
+    with pytest.raises(FormatError) as raised:
+        list(read_jsonl(path, _decode_or_raise))
+    assert str(raised.value) == (
+        f"line 1: {path}: {where}integer of {limit + 1} digits,"
+        f" more than the {limit} allowed"
+    )
 
 
 def test_read_jsonl_yields_each_decoded_record_in_order(tmp_path):
