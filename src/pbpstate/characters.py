@@ -31,7 +31,7 @@ from .models import DUNGEON_MASTER, Campaign, CharacterProfile
 # A letter, and a word: letters joined by apostrophes or hyphens. Its one
 # group makes ``split`` alternate gaps and words: gap 0, word 0, gap 1,
 # word 1, ...
-_LETTER = "[A-Za-zÀ-ɏ]"
+_LETTER = "[A-Za-zÀ-ÖØ-öø-ɏ]"
 _WORD = f"{_LETTER}+(?:['’-]{_LETTER}+)*"
 _WORD_RE = re.compile(f"({_WORD})")
 # Every letter of the class.
@@ -40,10 +40,8 @@ _LETTERS = "".join(filter(re.compile(_LETTER).match, map(chr, range(ord("ɏ") + 
 _UPPER = "".join(filter(str.isupper, _LETTERS))
 _LOWER = "".join(filter(str.islower, _LETTERS))
 _CAPITALIZED_RE = re.compile(f"[{_UPPER}][^{_LOWER}]*[{_LOWER}]")
-# A spell phrase: up to four words separated by whitespace. The lookbehind
-# stops a word the cast verb ends inside from starting one: "×" is a
-# letter here, but not a ``\w`` character to ``find`` ("cast×").
-_PHRASE_RE = re.compile(rf"\s*(?<!{_LETTER}){_WORD}(?:\s+{_WORD}){{0,3}}")
+# A spell phrase: up to four words separated by whitespace.
+_PHRASE_RE = re.compile(rf"\s*{_WORD}(?:\s+{_WORD}){{0,3}}")
 # A gap holding one of these starts a sentence at the word after it.
 _SENTENCE_BREAKS = frozenset(".!?\n")
 

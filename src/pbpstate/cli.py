@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Any, Iterator, Sequence
 # only what the parser and the error handling need. (The docstring above
 # is the parser's --help text.)
 from . import __version__
-from .errors import AlignmentError, ConfigError, FormatError, PbpError
+from .errors import ConfigError, FormatError, PbpError
 from .models import SLOT_KEYS, ControlVariant
 
 if TYPE_CHECKING:
@@ -254,9 +254,9 @@ def _cmd_eval_gst(args: argparse.Namespace) -> int:
         for campaign_id, gold_turns in gold:
             _, pred_turns = preds.take(campaign_id, "has gold but no predictions")
             if len(pred_turns) != len(gold_turns):
-                raise AlignmentError(
-                    f"campaign {campaign_id!r}: {len(pred_turns)} predicted"
-                    f" vs {len(gold_turns)} gold turns"
+                raise FormatError(
+                    f"{args.pred}: campaign {campaign_id!r} has {len(pred_turns)}"
+                    f" turns, but {len(gold_turns)} in {args.gold}"
                 )
             yield from zip(pred_turns, gold_turns)
         if extra := preds.rest():
@@ -286,6 +286,9 @@ def _cmd_agreement(args: argparse.Namespace) -> int:
     from .evaluation import ratings_from_record
     from .transcripts import read_jsonl
 
+    # Checked before the read, so that a file without labels cannot hide it.
+    if args.categories is not None and args.categories < 2:
+        raise ConfigError("categories: must be at least 2")
     label_items: list[tuple[Any, ...]] = []
     score_items: list[tuple[float, ...]] = []
 
@@ -299,18 +302,20 @@ def _cmd_agreement(args: argparse.Namespace) -> int:
         if scores is not None:
             score_items.append(scores)
     result: dict[str, Any] = {}
-    if label_items:
-        observed = pairwise_agreement(label_items)
-        categories = args.categories or len(
-            {label for item in label_items for label in item}
-        )
-        result["pairwise_agreement"] = observed
-        result["categories"] = categories
-        result["randolph_kappa"] = randolph_kappa(observed, categories)
-    if score_items:
-        taus = [kendall_tau(*pair) for pair in combinations(zip(*score_items), 2)]
-        result["kendall_tau_mean"] = sum(taus) / len(taus)
-        result["kendall_tau_pairs"] = len(taus)
+    # The file has been read, so every error here is one of its ratings.
+    try:
+        if label_items:
+            observed = pairwise_agreement(label_items)
+            categories = args.categories or len(set(chain.from_iterable(label_items)))
+            result["pairwise_agreement"] = observed
+            result["categories"] = categories
+            result["randolph_kappa"] = randolph_kappa(observed, categories)
+        if score_items:
+            taus = [kendall_tau(*pair) for pair in combinations(zip(*score_items), 2)]
+            result["kendall_tau_mean"] = sum(taus) / len(taus)
+            result["kendall_tau_pairs"] = len(taus)
+    except PbpError as exc:
+        raise FormatError(f"{args.infile}: {exc}") from exc
     if not result:
         raise FormatError(f"{args.infile}: holds neither labels nor scores")
     print(json.dumps(result, indent=2))

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""The package's three exception types, each a data error (CLI exit 2):
+``FormatError`` for a bad input file, ``ConfigError`` for a setting out of
+range, and their base ``PbpError`` for any other, such as a statistic
+undefined for its input."""
 
 
 class PbpError(Exception):
@@ -20,31 +23,3 @@ class FormatError(PbpError):
 
 class ConfigError(PbpError, ValueError):
     """A configuration value is out of range or otherwise unusable."""
-
-
-class EmptyInputError(PbpError):
-    """An operation that requires non-empty text received an empty string."""
-
-
-class DegenerateDataError(PbpError):
-    """Training data does not contain at least two distinct labels."""
-
-
-class EmptySlotError(PbpError):
-    """A majority baseline needs at least one gold value per slot."""
-
-
-class AlignmentError(PbpError):
-    """Prediction and gold sequences have mismatched lengths."""
-
-
-class DomainError(PbpError):
-    """A numeric argument lies outside its mathematical domain."""
-
-
-class DegenerateInputError(PbpError):
-    """A statistic is undefined for the given input (e.g. constant vector)."""
-
-
-class TooFewRatersError(PbpError):
-    """An agreement statistic needs at least two ratings per item."""

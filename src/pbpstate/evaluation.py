@@ -24,13 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .errors import (
-    AlignmentError,
-    DegenerateInputError,
-    DomainError,
-    EmptySlotError,
-    TooFewRatersError,
-)
+from .errors import PbpError
 from .models import _NUMBER, Campaign, _Codec, _is, _items, _object
 
 
@@ -110,27 +104,20 @@ def majority_baseline(
 ) -> dict[str, object]:
     """The constant most-frequent-label predictor per slot.
 
-    Ties break toward the label seen first in the training sequence.
+    Ties break toward the label seen first in the training sequence, which
+    is the ``Counter``'s own order; ``max`` returns the first maximum.
     """
     counts: dict[str, Counter] = {slot: Counter() for slot in slots}
-    first_seen: dict[str, dict[object, int]] = {slot: {} for slot in slots}
-    order = 0
     for row in train_gold:
         for slot in slots:
             value = row.get(slot)
-            if value is None:
-                continue
-            counts[slot][value] += 1
-            first_seen[slot].setdefault(value, order)
-            order += 1
+            if value is not None:
+                counts[slot][value] += 1
     baseline: dict[str, object] = {}
     for slot in slots:
         if not counts[slot]:
-            raise EmptySlotError(f"no gold values observed for slot {slot!r}")
-        baseline[slot] = min(
-            counts[slot],
-            key=lambda v: (-counts[slot][v], first_seen[slot][v]),
-        )
+            raise PbpError(f"no gold values observed for slot {slot!r}")
+        baseline[slot] = max(counts[slot], key=counts[slot].__getitem__)
     return baseline
 
 
@@ -228,12 +215,12 @@ def _score(value: Any) -> float:
 def pairwise_agreement(ratings: Sequence[Sequence[object]]) -> float:
     """Mean over items of (agreeing rater pairs / total rater pairs)."""
     if not ratings:
-        raise TooFewRatersError("no rated items")
+        raise PbpError("no rated items")
     item_scores = []
     for item in ratings:
         k = len(item)
         if k < 2:
-            raise TooFewRatersError("every item needs at least two ratings")
+            raise PbpError("every item needs at least two ratings")
         agree = sum(
             1
             for i in range(k)
@@ -247,9 +234,9 @@ def pairwise_agreement(ratings: Sequence[Sequence[object]]) -> float:
 def randolph_kappa(observed_agreement: float, k: int) -> float:
     """Free-marginal chance-adjusted agreement for k categories."""
     if not 0.0 <= observed_agreement <= 1.0:
-        raise DomainError("observed_agreement must lie in [0, 1]")
+        raise PbpError("observed_agreement must lie in [0, 1]")
     if k < 2:
-        raise DomainError("k must be at least 2")
+        raise PbpError("k must be at least 2")
     chance = 1.0 / k
     return (observed_agreement - chance) / (1.0 - chance)
 
@@ -282,11 +269,11 @@ def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
     """Tie-corrected Kendall correlation (tau-b)."""
     n = len(x)
     if len(y) != n:
-        raise AlignmentError(f"{n} x values vs {len(y)} y values")
+        raise PbpError(f"{n} x values vs {len(y)} y values")
     if n < 2:
-        raise DegenerateInputError("need at least two observations")
+        raise PbpError("need at least two observations")
     if len(set(x)) == 1 or len(set(y)) == 1:
-        raise DegenerateInputError("tau is undefined for a constant vector")
+        raise PbpError("tau is undefined for a constant vector")
 
     order = sorted(range(n), key=lambda i: (x[i], y[i]))
     xs = [x[i] for i in order]

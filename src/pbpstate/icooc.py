@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from .dice import contains_dice_expr
-from .errors import ConfigError, DegenerateDataError, EmptyInputError, FormatError
+from .errors import ConfigError, FormatError, PbpError
 from .models import Campaign, GoldAnnotations, Post, _Codec, _fail, _require
 from .transcripts import dump_json_line, read_jsonl, write_lines
 
@@ -81,7 +81,7 @@ def _digit_bucket(text: str) -> str:
 def featurize(paragraph: str) -> dict[str, int]:
     """Lowercased unigram counts plus the three indicator features."""
     if not paragraph.strip():
-        raise EmptyInputError("paragraph is empty")
+        raise PbpError("paragraph is empty")
     features: dict[str, int] = {}
     for token in _TOKEN_RE.findall(paragraph.lower()):
         features[token] = features.get(token, 0) + 1
@@ -150,8 +150,8 @@ def train(data: Iterable[LabeledParagraph], smoothing: float = 1.0) -> IcOocMode
     ``fit_from_counts`` fits the counts. So memory grows with the
     vocabulary, not with the data, and ``data`` may be a generator.
     A closed-form estimator over integer sums, so the same paragraphs
-    and smoothing give the same model in any order. Raises
-    DegenerateDataError unless both IC and OOC are present.
+    and smoothing give the same model in any order. Raises PbpError
+    unless both IC and OOC are present.
 
     The dice-notation feature is sign-constrained after fitting so that a
     dice match can never push a paragraph toward IC.
@@ -187,9 +187,7 @@ def fit_from_counts(
         raise ConfigError("smoothing: must be positive and finite")
     missing = [label for label in labels if not doc_counts.get(label)]
     if missing or len(labels) < 2:
-        raise DegenerateDataError(
-            f"need examples for every label; missing {missing or labels}"
-        )
+        raise PbpError(f"need examples for every label; missing {missing or labels}")
 
     # Per label, token -> summed count.
     tables: dict[str, dict[str, int]] = {}

@@ -1,5 +1,6 @@
 """The frequency heuristics, pinned by hand-counted oracle values."""
 
+import re
 from bisect import bisect_left
 from itertools import accumulate
 
@@ -468,20 +469,30 @@ class TestAgainstTheWordWalk:
             # The title-case letter is neither upper nor lower case.
             (["ǅemal waves"], (), ()),
             (["Aǅ waves. Aǅa waves."], ("Aǅa",), ()),
-            # A letter that is no word character still continues the word.
+            # A math sign after the verb is no letter, so it starts no phrase.
             (["I cast× spark now"], (), ()),
+            # ... and it ends a name.
+            (["we meet Kessa×Merle today"], ("Kessa", "Merle"), ()),
+            (["Merle÷2 waits"], ("Merle",), ()),
             (["I caſt sacred flame"], (), ("Sacred Flame",)),
             (["I cast the spell"], (), ()),
             (["I cast\tsacred\n flame. fire"], (), ("Sacred Flame",)),
         ],
         ids=["mcdonald", "mcdonald-mid-sentence", "title-case",
-             "title-case-after-upper", "non-word-letter", "long-s",
+             "title-case-after-upper", "non-word-letter", "times-sign",
+             "division-sign", "long-s",
              "stopword-first", "tab-and-newline"],
     )
     def test_named_cases(self, paragraphs, names, spells):
         facts = post_facts(paragraphs, _GAZ)
         assert (facts.names, facts.spells) == (names, spells)
         assert oracle_facts(paragraphs, _GAZ) == (names, spells)
+
+    def test_every_letter_is_a_word_character(self):
+        # So a word ``find`` matched, a cast verb, is never followed by a
+        # letter of the class, and a phrase starts only after whitespace.
+        for letter in characters._LETTERS:
+            assert re.fullmatch(r"\w", letter), letter
 
     def test_lowercase_words_are_their_own_lowercase(self):
         # ``set(filter(str.islower, words))`` stands for the lowercased

@@ -217,6 +217,23 @@ def test_eval_gst_rejects_missing_prediction_and_turn_mismatch(
     assert f"campaign {first_id!r}" in capsys.readouterr().err
 
 
+def test_eval_gst_turn_count_mismatch_names_both_files(synth_corpus, tmp_path, capsys):
+    corpus, gold = synth_corpus
+    annotated = tmp_path / "annotated.jsonl"
+    assert main(["annotate", "--in", str(corpus), "--out", str(annotated)]) == 0
+    records = [json.loads(line) for line in annotated.read_text().splitlines()]
+    turns = len(records[0]["turn_slots"])
+    records[0]["turn_slots"].pop()
+    short = tmp_path / "short.jsonl"
+    short.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval-gst", "--pred", str(short), "--gold", str(gold)]) == 2
+    assert capsys.readouterr().err == (
+        f"pbpstate: error: {short}: campaign {records[0]['campaign_id']!r}"
+        f" has {turns - 1} turns, but {turns} in {gold}\n"
+    )
+
+
 def test_train_icooc_model_bytes_do_not_depend_on_the_gold_order(
     synth_corpus, tmp_path
 ):
@@ -530,6 +547,48 @@ def test_agreement_on_a_file_without_ratings_names_the_file(tmp_path, capsys, li
     assert captured.err == (
         f"pbpstate: error: {ratings}: holds neither labels nor scores\n"
     )
+
+
+@pytest.mark.parametrize(
+    "rows, problem",
+    [
+        pytest.param(
+            [{"scores": [1, 2]}, {"scores": [1, 3]}],
+            "tau is undefined for a constant vector", id="constant-scores",
+        ),
+        pytest.param(
+            [{"scores": [1, 2]}], "need at least two observations",
+            id="one-scored-line",
+        ),
+        pytest.param(
+            [{"labels": ["a", "a"]}, {"labels": ["a", "a"]}],
+            "k must be at least 2", id="one-label-category",
+        ),
+    ],
+)
+def test_agreement_statistics_errors_name_the_file(tmp_path, capsys, rows, problem):
+    ratings = tmp_path / "ratings.jsonl"
+    ratings.write_text(
+        "".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8"
+    )
+    assert main(["agreement", "--in", str(ratings)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"pbpstate: error: {ratings}: {problem}\n"
+
+
+@pytest.mark.parametrize(
+    "rows", [[{"labels": ["a", "b"]}], [{"scores": [1, 2]}]], ids=["labels", "scores"]
+)
+def test_agreement_categories_below_two_names_the_flag(tmp_path, capsys, rows):
+    ratings = tmp_path / "ratings.jsonl"
+    ratings.write_text(
+        "".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8"
+    )
+    assert main(["agreement", "--in", str(ratings), "--categories", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "pbpstate: error: categories: must be at least 2\n"
 
 
 def test_gap_turns_flag_writes_the_default_bytes(synth_corpus, tmp_path):

@@ -7,12 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pbpstate.errors import (
-    ConfigError,
-    DegenerateDataError,
-    EmptyInputError,
-    FormatError,
-)
+from pbpstate.errors import ConfigError, FormatError, PbpError
 from pbpstate.icooc import (
     DICE_FEATURE,
     IC,
@@ -58,9 +53,9 @@ class TestFeaturize:
         assert featurize("(1d20+6)[20]")[DICE_FEATURE] == 1
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(PbpError, match="paragraph is empty"):
             featurize("")
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(PbpError, match="paragraph is empty"):
             featurize("   ")
 
     def test_repeated_tokens_count(self):
@@ -80,11 +75,11 @@ class TestTrain:
         assert model.priors == (math.log(0.5), math.log(0.5))
 
     def test_single_class_degenerates(self):
-        with pytest.raises(DegenerateDataError):
+        with pytest.raises(PbpError, match="need examples for every label; missing"):
             train(TRAIN_SET[:3], smoothing=1.0)
 
     def test_empty_data_degenerates(self):
-        with pytest.raises(DegenerateDataError):
+        with pytest.raises(PbpError, match="need examples for every label; missing"):
             train([], smoothing=1.0)
 
     def test_training_is_deterministic(self):
@@ -130,7 +125,7 @@ class TestPredict:
         assert score > 0.5
 
     def test_empty_paragraph(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(PbpError, match="paragraph is empty"):
             trained().predict(featurize(""))
 
     def test_posteriors_sum_to_one(self):
@@ -493,5 +488,5 @@ def test_train_memory_stays_flat_as_the_data_grows():
 
 def test_fit_from_counts_needs_every_label():
     pair_counts = {IC: Counter({("sword", 1): 2}), OOC: Counter()}
-    with pytest.raises(DegenerateDataError):
+    with pytest.raises(PbpError, match="need examples for every label; missing"):
         fit_from_counts(pair_counts, Counter({IC: 2}), (IC, OOC), 1.0)
