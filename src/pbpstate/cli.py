@@ -192,7 +192,12 @@ def _cmd_train_icooc(args: argparse.Namespace) -> int:
             folded += 1
             yield paragraph
 
-    model = train(counted(), smoothing=args.smoothing)
+    try:
+        model = train(counted(), smoothing=args.smoothing)
+    except (FormatError, ConfigError):
+        raise  # a bad line names its file already; a setting is no file's
+    except PbpError as exc:  # the data lack a label
+        raise FormatError(f"{args.labeled or args.gold}: {exc}") from exc
     save_model(model, args.out)
     _info(args, f"trained IC/OOC model on {folded} paragraphs -> {args.out}")
     return 0
@@ -252,7 +257,8 @@ def _cmd_eval_gst(args: argparse.Namespace) -> int:
 
     def turns() -> Iterator[tuple[dict[str, Any], dict[str, Any]]]:
         for campaign_id, gold_turns in gold:
-            _, pred_turns = preds.take(campaign_id, "has gold but no predictions")
+            missing = f"has gold but no predictions in {args.pred}"
+            _, pred_turns = preds.take(campaign_id, missing)
             if len(pred_turns) != len(gold_turns):
                 raise FormatError(
                     f"{args.pred}: campaign {campaign_id!r} has {len(pred_turns)}"
@@ -260,7 +266,9 @@ def _cmd_eval_gst(args: argparse.Namespace) -> int:
                 )
             yield from zip(pred_turns, gold_turns)
         if extra := preds.rest():
-            raise FormatError(f"campaign {extra[0]!r} has predictions but no gold")
+            raise FormatError(
+                f"campaign {extra[0]!r} has predictions but no gold in {args.gold}"
+            )
 
     report = slot_accuracy(turns(), args.slots)
     if args.json:

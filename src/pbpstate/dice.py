@@ -31,6 +31,14 @@ def format_dice_expr(roll: DiceRoll) -> str:
     return f"({roll.count}d{roll.faces}{mod})[{roll.result}]"
 
 
+def _is_roll(m: re.Match[str]) -> bool:
+    """Whether the ``_DICE_RE`` match ``m`` is a roll: no number of more than
+    ``MAX_DIGITS`` digits, at least one die and at least two faces. The one
+    roll rule, of ``extract_rolls`` and ``contains_dice_expr`` alike."""
+    short = all(len(n.lstrip("+-")) <= MAX_DIGITS for n in m.groups(""))
+    return short and int(m[1]) >= 1 and int(m[2]) >= 2  # ``int`` only if short
+
+
 def extract_rolls(paragraphs: list[str] | tuple[str, ...]) -> list[DiceRoll]:
     """Find every dice expression across paragraphs, in document order.
 
@@ -40,24 +48,14 @@ def extract_rolls(paragraphs: list[str] | tuple[str, ...]) -> list[DiceRoll]:
     more than ``MAX_DIGITS`` digits) are skipped the same way arbitrary
     text is.
     """
-    rolls: list[DiceRoll] = []
-    for p_index, paragraph in enumerate(paragraphs):
-        for m in _DICE_RE.finditer(paragraph):
-            if any(len(g.lstrip("+-")) > MAX_DIGITS for g in m.groups("")):
-                continue
-            try:
-                rolls.append(DiceRoll(
-                    count=int(m[1]),
-                    faces=int(m[2]),
-                    modifier=int(m[3]) if m[3] else 0,
-                    result=int(m[4]),
-                    paragraph_index=p_index,
-                    char_offset=m.start(),
-                ))
-            except ValueError:  # zero dice or fewer than two faces
-                continue
-    return rolls
+    return [
+        DiceRoll(int(m[1]), int(m[2]), int(m[3] or 0), int(m[4]), p_index, m.start())
+        for p_index, paragraph in enumerate(paragraphs)
+        for m in _DICE_RE.finditer(paragraph)
+        if _is_roll(m)
+    ]
 
 
 def contains_dice_expr(text: str) -> bool:
-    return _DICE_RE.search(text) is not None
+    """Whether ``text`` holds a roll, by the rule of ``extract_rolls``."""
+    return any(map(_is_roll, _DICE_RE.finditer(text)))

@@ -30,6 +30,7 @@ from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
+from .errors import FormatError
 from .transcripts import read_lines
 
 # The configured sections ``find`` matches, besides the pronoun sets.
@@ -226,7 +227,8 @@ def load_gazetteers(path: str | Path | None = None) -> Gazetteers:
     """Load a gazetteer file, or the bundled defaults when no path given.
 
     Each line is parsed as it is read, so a malformed line raises
-    FormatError reading ``line N: FILE: problem``.
+    FormatError reading ``line N: FILE: problem``, and a file in which no
+    section holds a term FormatError reading ``FILE: holds no terms``.
     """
     if path is None:
         with resources.as_file(_BUNDLED) as bundled:
@@ -253,6 +255,8 @@ def load_gazetteers(path: str | Path | None = None) -> Gazetteers:
     for _ in read_lines(path, parse):  # parse files each line's term
         pass
 
+    if not any(sections.values()):
+        raise FormatError(f"{path}: holds no terms")
     terms = {name: tuple(entries) for name, entries in sections.items()}
     return Gazetteers(
         **{

@@ -245,9 +245,10 @@ def label_turn(model: IcOocModel, post: Post) -> tuple[list[str | None], str]:
 
 
 def rule_based_turn_label(post: Post) -> str:
-    """Fallback when no trained model is supplied: a paragraph with dice
-    notation votes OOC and any other, a blank one too, votes IC."""
-    return turn_label(OOC if contains_dice_expr(p) else IC for p in post.paragraphs)
+    """Fallback when no trained model is supplied: a paragraph that one of
+    ``post.rolls`` points at votes OOC, and any other, a blank one too, IC."""
+    rolled = {roll.paragraph_index for roll in post.rolls}
+    return turn_label(OOC if i in rolled else IC for i in range(len(post.paragraphs)))
 
 
 def save_model(model: IcOocModel, path: str | Path) -> None:

@@ -33,9 +33,10 @@ integer no float. Besides ``_decode``, the decoders are: transcript,
 ratings, ``evaluation.ratings_from_record``; and the IC/OOC model file's,
 in ``icooc.load_model``, which adds to ``_decode`` that the labels are IC
 and OOC. ``check_turn_states`` is the one check of turn states against
-their posts. A decoder raises ValueError, and only ValueError, for bad
-data, and ``transcripts.read_lines`` blames it on its line; a KeyError or
-a TypeError raised in a decoder is a fault of the program, not of the data.
+their posts: each action's roll must be one of its post's rolls, the
+actions in roll order. A decoder raises ValueError, and only ValueError,
+for bad data, and ``transcripts.read_lines`` blames it on its line; a
+KeyError or a TypeError raised in a decoder is a fault of the program.
 
 One key rule holds for every object of the JSON formats: a key that its
 decoder does not read is a data error, ``bogus: not a turn state field``,
@@ -573,23 +574,25 @@ def check_turn_states(
     posts: Sequence[Post],
     profiles: Mapping[str, CharacterProfile],
 ) -> None:
-    """Reject states that are not one per post, each by its post's author
-    and consistent with the author's profile where ``profiles`` has one."""
+    """Reject states that are not one per post, each by its post's author,
+    consistent with the author's profile where ``profiles`` has one, and
+    with actions whose rolls are some of its post's rolls, in roll order."""
     if len(states) != len(posts):
         _fail("turn_states", f"{len(states)} states for {len(posts)} posts")
     for state, post in zip(states, posts):
+        where = f"turn_states[{post.index}]"
         if state.player_id != post.author_id:
             _fail(
-                f"turn_states[{post.index}]",
+                where,
                 f"player_id {state.player_id!r} is not the author of post"
                 f" {post.index}, {post.author_id!r}",
             )
         profile = profiles.get(state.player_id)
         if profile is not None and not state.consistent_with(profile):
-            _fail(
-                f"turn_states[{post.index}]",
-                f"contradicts the profile of {state.player_id!r}",
-            )
+            _fail(where, f"contradicts the profile of {state.player_id!r}")
+        rolls = iter(post.rolls)  # each ``in`` resumes after the last match
+        if not all(action.source_roll in rolls for action in state.actions):
+            _fail(where, f"actions: must be rolls of post {post.index}, in roll order")
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ def annotate_campaign(
     """Run every heuristic over one campaign.
 
     Without a trained IC/OOC model the turn flavor falls back to the dice
-    rule: paragraphs containing roll notation count as OOC. Each post is
+    rule: paragraphs holding one of the post's rolls count as OOC. Each post is
     read once; a post counts toward coverage when it holds a roll or any
     character cue.
     """

@@ -234,6 +234,50 @@ def test_eval_gst_turn_count_mismatch_names_both_files(synth_corpus, tmp_path, c
     )
 
 
+@pytest.mark.parametrize(
+    "cut_flag, problem",
+    [("--pred", "has gold but no predictions"), ("--gold", "has predictions but no gold")],
+)
+def test_eval_gst_unmatched_campaigns_name_the_file_that_lacks_them(
+    synth_corpus, tmp_path, capsys, cut_flag, problem
+):
+    corpus, gold = synth_corpus
+    annotated = tmp_path / "annotated.jsonl"
+    assert main(["annotate", "--in", str(corpus), "--out", str(annotated)]) == 0
+    files = {"--pred": annotated, "--gold": gold}
+    lines = files[cut_flag].read_text(encoding="utf-8").splitlines(True)
+    cut = files[cut_flag] = tmp_path / "cut.jsonl"
+    cut.write_text("".join(lines[:-1]), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval-gst", *(str(a) for pair in files.items() for a in pair)]) == 2
+    last_id = json.loads(lines[-1])["campaign_id"]
+    assert capsys.readouterr().err == (
+        f"pbpstate: error: campaign {last_id!r} {problem} in {cut}\n"
+    )
+
+
+def test_train_icooc_data_short_of_a_label_names_the_labels_file(
+    synth_corpus, tmp_path, capsys
+):
+    corpus, gold = synth_corpus
+    labeled = _write_jsonl(tmp_path / "labeled.jsonl", [{"text": "hi", "label": "IC"}])
+    records = [json.loads(line) for line in gold.read_text().splitlines()]
+    for record in records:
+        record["paragraph_labels"] = [["IC"] * len(p) for p in record["paragraph_labels"]]
+    all_ic = _write_jsonl(tmp_path / "all_ic.jsonl", records)
+    for argv, path in [
+        (["--labeled", str(labeled)], labeled),
+        (["--corpus", str(corpus), "--gold", str(all_ic)], all_ic),
+    ]:
+        capsys.readouterr()
+        assert main(["train-icooc", *argv, "--out", str(tmp_path / "m")]) == 2
+        assert capsys.readouterr().err == (
+            f"pbpstate: error: {path}: need examples for every label;"
+            " missing ['OOC']\n"
+        )
+        assert not (tmp_path / "m").exists()
+
+
 def test_train_icooc_model_bytes_do_not_depend_on_the_gold_order(
     synth_corpus, tmp_path
 ):
@@ -875,6 +919,25 @@ def _contradicted_profile(record):
     return f"turn_states[{index}]: contradicts the profile of {state['player_id']!r}"
 
 
+def _first_turn_with_an_action(record):
+    return next((i, s) for i, s in enumerate(record["turn_states"]) if s["actions"])
+
+
+def _action_roll_not_the_posts(record):
+    index, state = _first_turn_with_an_action(record)
+    state["actions"][0]["roll"] = {
+        "count": 3, "faces": 6, "modifier": 0, "result": 9,
+        "paragraph_index": 0, "char_offset": 0, "consistent": True,
+    }
+    return f"turn_states[{index}]: actions: must be rolls of post {index}, in roll order"
+
+
+def _action_roll_taken_twice(record):
+    index, state = _first_turn_with_an_action(record)
+    state["actions"].append(state["actions"][-1])
+    return f"turn_states[{index}]: actions: must be rolls of post {index}, in roll order"
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -884,7 +947,7 @@ def _contradicted_profile(record):
         _string_monster_count, _number_monster_name, _object_monster_name,
         _three_item_monster, _states_not_a_list, _spans_not_a_list,
         _string_labels, _string_cue_posts, _bool_cue_posts, _foreign_player,
-        _contradicted_profile,
+        _contradicted_profile, _action_roll_not_the_posts, _action_roll_taken_twice,
     ],
 )
 def test_train_icooc_gold_must_match_its_campaign(synth_corpus, tmp_path, capsys, edit):
@@ -919,7 +982,11 @@ def _old_format_post(record):
 
 
 @pytest.mark.parametrize(
-    "edit", [_contradicted_profile, _overlapping_spans, _old_format_post]
+    "edit",
+    [
+        _contradicted_profile, _overlapping_spans, _old_format_post,
+        _action_roll_not_the_posts, _action_roll_taken_twice,
+    ],
 )
 def test_serialize_checks_states_against_profiles_spans_and_posts(
     synth_corpus, tmp_path, capsys, edit
@@ -1220,6 +1287,43 @@ def test_a_bad_jsonl_line_names_its_file_and_line(
     )
 
 
+_INPUT_FLAGS = [
+    ("ingest", "--in"), ("stats", "--in"), ("annotate", "--in"),
+    ("annotate", "--gazetteers"), ("annotate", "--icooc-model"),
+    ("classify", "--model"), ("classify", "--in"), ("train-icooc", "--labeled"),
+    ("train-icooc", "--corpus"), ("train-icooc", "--gold"), ("serialize", "--in"),
+    ("eval-gst", "--pred"), ("eval-gst", "--gold"), ("agreement", "--in"),
+]
+
+
+_FAULTS = {"empty": b"", "list": b"[]\n", "not-utf8": b"\xff\n", "object": b"{}\n"}
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+@pytest.mark.parametrize("command, flag", _INPUT_FLAGS)
+def test_every_exit_two_names_the_bad_file(
+    command_inputs, tmp_path, capsys, command, flag, fault
+):
+    """A bad file given to any input flag exits 2 naming that file; only
+    an empty one may be read as no data, and exit 0."""
+    _, paths = command_inputs
+    if flag == "--labeled":
+        template = ["train-icooc", "--labeled", "{labeled}", "--out", "{out}"]
+    else:
+        template = _ARGV[command]
+    argv = [arg.format(**{**paths, "out": str(tmp_path / "out")}) for arg in template]
+    bad = tmp_path / f"bad-{fault}"
+    bad.write_bytes(_FAULTS[fault])
+    if flag in argv:
+        argv[argv.index(flag) + 1] = str(bad)
+    else:
+        argv += [flag, str(bad)]
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and str(bad) in err or code == 0 and fault == "empty", err
+
+
 @pytest.mark.parametrize("command", ["serialize", "eval-gst"])
 def test_a_too_long_integer_names_its_path(command_inputs, tmp_path, capsys, command):
     """An integer literal past Python's digit limit is named by its path in
@@ -1287,6 +1391,18 @@ def test_annotate_names_a_bad_gazetteer_file(synth_corpus, tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"pbpstate: error: line 3: {gazetteers}: unknown section 'bogus'\n"
     )
+
+
+def test_annotate_rejects_a_gazetteer_file_without_terms(synth_corpus, tmp_path, capsys):
+    corpus, _ = synth_corpus
+    gazetteers = tmp_path / "gaz.txt"
+    gazetteers.write_text("# house rules\n[classes]\n[races]\n", encoding="utf-8")
+    out = tmp_path / "annotated.jsonl"
+    argv = ["annotate", "--in", str(corpus), "--out", str(out),
+            "--gazetteers", str(gazetteers)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"pbpstate: error: {gazetteers}: holds no terms\n"
+    assert not out.exists()
 
 
 def test_annotate_rejects_a_term_no_scan_can_start(synth_corpus, tmp_path, capsys):

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from pbpstate.dice import MAX_DIGITS, extract_rolls, format_dice_expr
+from pbpstate.dice import _DICE_RE, MAX_DIGITS, contains_dice_expr, extract_rolls
+from pbpstate.dice import format_dice_expr
 from pbpstate.models import DiceRoll
 
 
@@ -132,3 +133,66 @@ def test_extract_offsets_point_at_open_paren(paragraphs):
         assert one_roll(
             paragraph[roll.char_offset :].split("]")[0] + "]"
         ).count == roll.count
+
+
+def _extract_rolls_before_one_rule(paragraphs):
+    """``extract_rolls`` as it was before ``contains_dice_expr`` shared its
+    roll rule, kept verbatim as the reference of that rule."""
+    rolls: list[DiceRoll] = []
+    for p_index, paragraph in enumerate(paragraphs):
+        for m in _DICE_RE.finditer(paragraph):
+            if any(len(g.lstrip("+-")) > MAX_DIGITS for g in m.groups("")):
+                continue
+            try:
+                rolls.append(DiceRoll(
+                    count=int(m[1]),
+                    faces=int(m[2]),
+                    modifier=int(m[3]) if m[3] else 0,
+                    result=int(m[4]),
+                    paragraph_index=p_index,
+                    char_offset=m.start(),
+                ))
+            except ValueError:  # zero dice or fewer than two faces
+                continue
+    return rolls
+
+
+# Numbers at the edges of the rule: zero, one face, leading zeros, 9, 10
+# and 11 digits, and decimal digits other than ASCII (Arabic-Indic,
+# Devanagari), which ``\d`` matches and ``int`` reads.
+_number = st.one_of(
+    st.sampled_from(
+        ["0", "1", "01", "00", "2", "6", "20", "\u0661", "\u0660", "\u0662\u0660",
+         "0" * 8 + "1", "1" * 9, "0" * 9 + "1", "1" * 10, "1" * 11, "\u0967" * 10]
+    ),
+    st.text(alphabet="0123456789\u0660\u0661\u0662\u0969", min_size=1, max_size=11),
+)
+_tag = st.builds(
+    lambda count, faces, sign, modifier, minus, result: (
+        f"({count}d{faces}{sign and sign + modifier})[{minus}{result}]"
+    ),
+    _number, _number, st.sampled_from(["", "+", "-"]), _number,
+    st.sampled_from(["", "-"]), _number,
+)
+# Tags, whole or in pieces, between text that could join or split them.
+_roll_like = st.lists(
+    st.one_of(_tag, st.sampled_from(["", " ", "(", ")[", "]", "d", "x", "(1d", "+"])),
+    max_size=6,
+).map("".join)
+
+
+@given(st.lists(_roll_like, max_size=3))
+def test_one_roll_rule_for_extract_rolls_and_contains_dice_expr(paragraphs):
+    rolls = extract_rolls(paragraphs)
+    assert rolls == _extract_rolls_before_one_rule(paragraphs)
+    for index, paragraph in enumerate(paragraphs):
+        expected = any(roll.paragraph_index == index for roll in rolls)
+        assert contains_dice_expr(paragraph) == expected
+
+
+@pytest.mark.parametrize(
+    "text", ["(0d6)[1]", "(1d1)[1]", "(1d0)[0]", "(1d01)[1]", "(1d6)[1" + "0" * 9 + "]"]
+)
+def test_contains_dice_expr_finds_no_impossible_die(text):
+    assert not contains_dice_expr(text)
+    assert contains_dice_expr(f"{text} (1d6)[4]")

@@ -214,6 +214,25 @@ def test_unknown_section_rejected(tmp_path):
         load_gazetteers(gazetteer_file(tmp_path, "[nonsense]\nfoo\n"))
 
 
+@pytest.mark.parametrize(
+    "text", ["", "\n\n", "# only a comment\n", "# terms\n[classes]\n\n[races]\n"],
+    ids=["empty", "blank-lines", "comment", "headers"],
+)
+def test_a_file_without_terms_is_rejected(tmp_path, text):
+    # Annotating with no vocabulary would write plausible profiles that
+    # hold names only.
+    path = gazetteer_file(tmp_path, text)
+    with pytest.raises(FormatError) as raised:
+        load_gazetteers(path)
+    assert str(raised.value) == f"{path}: holds no terms"
+
+
+def test_one_term_is_enough(tmp_path):
+    assert load_gazetteers(gazetteer_file(tmp_path, "[races]\ngnome\n")).races == (
+        "gnome",
+    )
+
+
 # The line separators of str.splitlines that do not end a line in any
 # input of the package: only \n, \r and \r\n do, as in read_jsonl.
 _NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]

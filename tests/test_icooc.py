@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -51,6 +52,10 @@ class TestFeaturize:
 
     def test_dice_indicator(self):
         assert featurize("(1d20+6)[20]")[DICE_FEATURE] == 1
+
+    def test_an_impossible_die_is_no_dice(self):
+        # The roll rule of extract_rolls, which finds no roll here.
+        assert DICE_FEATURE not in featurize("(0d6)[1]")
 
     def test_empty_input(self):
         with pytest.raises(PbpError, match="paragraph is empty"):
@@ -182,6 +187,17 @@ def test_rule_based_fallback():
     assert rule_based_turn_label(make_post(0, ["(1d6)[2]"])) == OOC
     # A blank paragraph votes IC here, where label_turn gives it no vote.
     assert rule_based_turn_label(make_post(0, ["", " ", "(1d6)[2]"])) == IC
+
+
+def test_rule_based_vote_reads_the_posts_rolls():
+    # An impossible die is no roll, so its paragraph votes IC.
+    assert rule_based_turn_label(make_post(0, ["(0d6)[1]"])) == IC
+    # The vote follows post.rolls, not the text: a roll on the second of
+    # two paragraphs and none on the first is a tie, which goes to IC.
+    post = make_post(0, ["(1d6)[2]", "(1d6)[2] (1d4)[3]"])
+    assert rule_based_turn_label(post) == OOC
+    rolls = tuple(r for r in post.rolls if r.paragraph_index == 1)
+    assert rule_based_turn_label(dataclasses.replace(post, rolls=rolls)) == IC
 
 
 def model_file(tmp_path, edit):

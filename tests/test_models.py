@@ -21,10 +21,13 @@ from pbpstate.models import (
     TurnState,
     _Codec,
     _encode,
+    check_turn_states,
     validate_spans,
 )
 from pbpstate.records import slot_rows_from_record
 from pbpstate.transcripts import campaign_from_record
+
+from conftest import make_post
 
 ROLL = DiceRoll(count=1, faces=20, modifier=0, result=11)
 
@@ -141,6 +144,20 @@ def test_gold_alignment_check():
     )
     with pytest.raises(ValueError, match="turn_states"):
         gold.validate_against(campaign)
+
+
+def test_actions_must_be_rolls_of_their_post_in_roll_order():
+    post = make_post(0, ["(1d20)[12] (1d8)[3]", "(1d20)[7]"], author="p0")
+    first, second, third = (Action(ActionKind.UNKNOWN_CHECK, source_roll=r)
+                            for r in post.rolls)
+    other_roll = Action(ActionKind.UNKNOWN_CHECK, source_roll=ROLL)
+    for actions in [(), (first, third), (second,), (first, second, third)]:
+        check_turn_states([TurnState("p0", actions=actions)], [post], {})
+    for actions in [(third, first), (first, first), (other_roll,), (first, other_roll)]:
+        with pytest.raises(
+            ValueError, match=r"^turn_states\[0\]: actions: must be rolls of post 0,"
+        ):
+            check_turn_states([TurnState("p0", actions=actions)], [post], {})
 
 
 profile_strategy = st.builds(
